@@ -17,9 +17,9 @@ from .tasks import (classify_graph, edge_phase_estimate, edge_readout, node_read
                     swap_test_overlap)
 from .filters import (FilterSpec, apply_filter_lcu, pad_matrix, polynomial_filter_matrix,
                       select_powers_operator)
-from .train import (DataItem, Dataset, FitResult, TrainConfig, accuracy, class_prototypes,
-                    dataset_from_dict, dataset_to_dict, demo_graph, fit, gradient,
-                    initial_model, load_dataset, loss, model_circuit, params_of,
-                    save_dataset, toy_dataset_path, toy_node_dataset, with_params)
+from .dataset import (DataItem, Dataset, dataset_from_dict, dataset_to_dict, demo_graph,
+                      load_dataset, save_dataset, toy_dataset_path, toy_node_dataset)
+from .train import (FitResult, TrainConfig, accuracy, class_prototypes, fit, gradient,
+                    initial_model, loss, model_circuit, params_of, with_params)
 
 __version__ = "0.1.0"

@@ -22,8 +22,8 @@ from .qgnn import Formalism, load_model, pool_measure, save_model
 from .sim import dump_state, new_state, sample_counts
 from .tasks import classify_graph, edge_readout, node_readout, swap_test_overlap
 from .filters import FilterSpec, apply_filter_lcu
-from .train import (TrainConfig, class_prototypes, fit, initial_model, load_dataset,
-                    model_circuit)
+from .dataset import load_dataset
+from .train import TrainConfig, class_prototypes, fit, initial_model, model_circuit
 
 
 def _read_graph(path: str):

@@ -1,0 +1,160 @@
+"""Datasets for the node, edge and graph tasks.
+
+An item is a graph, a feature vector with one entry per vertex, and labels:
+per-node bits (None = unlabeled), per-edge real targets, or a class index.
+Datasets load from and save to JSON, where malformed input raises
+ValueError naming the field; the bundled toy task ships as one such file.
+"""
+from __future__ import annotations
+
+import json
+from dataclasses import dataclass
+from pathlib import Path
+
+import numpy as np
+
+from .graph import Graph, from_edge_list
+
+TASKS = ("node", "edge", "graph")
+
+
+@dataclass(frozen=True)
+class DataItem:
+    graph: Graph
+    features: np.ndarray
+    # node: per-node bits (None = unlabeled) | edge: per-edge reals | graph: class index
+    labels: object
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "features", np.asarray(self.features, dtype=float))
+        if self.features.shape != (self.graph.n_vertices,):
+            raise ValueError(
+                f"features shape {self.features.shape} != ({self.graph.n_vertices},)")
+
+
+@dataclass(frozen=True)
+class Dataset:
+    task: str
+    items: tuple[DataItem, ...]
+    node_basis: str = "Y"
+
+    def __post_init__(self) -> None:
+        if self.task not in TASKS:
+            raise ValueError(f"task must be one of {TASKS}, got {self.task!r}")
+        if not self.items:
+            raise ValueError("dataset has no items")
+        for item in self.items:
+            self._check_labels(item)
+
+    def _check_labels(self, item: DataItem) -> None:
+        n, e = item.graph.n_vertices, item.graph.n_edges
+        if self.task == "node":
+            if len(item.labels) != n:
+                raise ValueError(f"node task needs {n} labels, got {len(item.labels)}")
+        elif self.task == "edge":
+            if len(item.labels) != e:
+                raise ValueError(f"edge task needs {e} targets, got {len(item.labels)}")
+        else:
+            if not isinstance(item.labels, int) or item.labels < 0:
+                raise ValueError("graph task needs a nonnegative class index label")
+
+
+# -- dataset files -------------------------------------------------------------
+
+def _graph_from_entry(entry, base_dir: Path | None) -> Graph:
+    if isinstance(entry, dict):
+        return Graph.from_dict(entry)
+    if isinstance(entry, str):
+        if entry.lstrip().startswith("qgraph"):
+            return from_edge_list(entry)
+        path = Path(entry)
+        if base_dir is not None and not path.is_absolute():
+            path = base_dir / path
+        return from_edge_list(path.read_text(encoding="utf-8"))
+    raise ValueError(f"graph entry must be a dict, inline text or path, got {type(entry)}")
+
+
+def _check_fields(d, where: str, fields: tuple[str, ...]) -> None:
+    if not isinstance(d, dict):
+        raise ValueError(f"{where} must be a JSON object, got {type(d).__name__}")
+    for key in fields:
+        if key not in d:
+            raise ValueError(f"{where} is missing the field {key!r}")
+
+
+def dataset_from_dict(d: dict, base_dir: Path | None = None) -> Dataset:
+    """Dataset from its JSON form; a malformed field raises ValueError naming it."""
+    _check_fields(d, "dataset", ("task", "items"))
+    if not isinstance(d["items"], list):
+        raise ValueError(f"dataset field 'items' must be a list, got {type(d['items']).__name__}")
+    items = []
+    for k, entry in enumerate(d["items"]):
+        where = f"items[{k}]"
+        _check_fields(entry, where, ("graph", "features", "labels"))
+        features, labels = entry["features"], entry["labels"]
+        if not isinstance(features, list) or not all(isinstance(x, (int, float)) for x in features):
+            raise ValueError(f"{where}.features must be a list of numbers")
+        if d["task"] in ("node", "edge"):
+            if not isinstance(labels, list):
+                raise ValueError(f"{where}.labels must be a list for the {d['task']} task, "
+                                 f"got {type(labels).__name__}")
+            if not all(isinstance(lab, (int, float)) or (lab is None and d["task"] == "node")
+                       for lab in labels):
+                raise ValueError(f"{where}.labels must hold numbers"
+                                 + (" or null" if d["task"] == "node" else ""))
+            labels = tuple(labels)
+        items.append(DataItem(_graph_from_entry(entry["graph"], base_dir),
+                              np.asarray(features, dtype=float), labels))
+    return Dataset(d["task"], tuple(items), d.get("node_basis", "Y"))
+
+
+def dataset_to_dict(ds: Dataset) -> dict:
+    d = {"task": ds.task, "node_basis": ds.node_basis, "items": []}
+    for item in ds.items:
+        labels = item.labels
+        if isinstance(labels, tuple):
+            labels = list(labels)
+        d["items"].append({"graph": item.graph.to_dict(),
+                           "features": list(map(float, item.features)),
+                           "labels": labels})
+    return d
+
+
+def load_dataset(path) -> Dataset:
+    path = Path(path)
+    return dataset_from_dict(json.loads(path.read_text(encoding="utf-8")), path.parent)
+
+
+def save_dataset(ds: Dataset, path) -> None:
+    Path(path).write_text(json.dumps(dataset_to_dict(ds), indent=2) + "\n",
+                          encoding="utf-8")
+
+
+# -- bundled toy task -----------------------------------------------------------
+
+def demo_graph() -> Graph:
+    """The five-vertex demo fixture: vertex 0 joined to 1, 3, 4; vertex 3 to
+    2 and 4; vertex 1 to 2. All edges carry the default weight pi."""
+    return Graph.from_edges(5, [(0, 1), (1, 2), (0, 3), (3, 2), (0, 4), (3, 4)])
+
+
+def toy_node_dataset() -> Dataset:
+    """Node bipartition benchmark on the demo graph: vertices {0, 2, 4}
+    labeled 1 against {1, 3} labeled 0, with class-correlated features."""
+    labels = (1, 0, 1, 0, 1)
+    feature_sets = [
+        [0.90, 0.15, 0.80, 0.10, 0.95],
+        [0.85, 0.20, 0.70, 0.25, 0.80],
+        [0.95, 0.10, 0.85, 0.05, 0.90],
+        [0.75, 0.30, 0.90, 0.20, 0.85],
+    ]
+    g = demo_graph()
+    items = tuple(DataItem(g, np.array(f), labels) for f in feature_sets)
+    return Dataset("node", items, node_basis="Y")
+
+
+def toy_dataset_path() -> Path:
+    """Filesystem path of the bundled toy dataset JSON (for the CLI)."""
+    from importlib.resources import files
+
+    return Path(str(files("qgns").joinpath("data", "toy_node.json")))

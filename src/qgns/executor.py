@@ -1,0 +1,120 @@
+"""The batched circuit executor behind training and evaluation.
+
+It runs the sequential layered circuit (per layer, Ry on every vertex, then
+each edge's entangler) for many parameter rows and items at once, as one
+(rows * items, 2^n) amplitude stack, and reads out every circuit with the
+closed-form readouts of qgns.tasks. A row's result never depends on the
+other rows in its batch, so a batch of one gives the same numbers.
+"""
+from __future__ import annotations
+
+import numpy as np
+
+from .dataset import Dataset
+from .graphstate import EdgeConvention, edge_kind
+from .qgnn import Formalism, ModelSpec, encode_features
+from .sim import StateVector, apply_rows, new_state
+from .tasks import binomial_estimate, edge_zz, node_p1, sign_estimate, swap_test_overlap
+
+_STACK_BYTES = 1 << 26  # amplitude stack per chunk of parameter rows: 64 MiB
+
+
+def feature_angles(features) -> np.ndarray:
+    """An item's layer-0 Ry offsets: its angle-encoded features."""
+    _, enc = encode_features(features, "angle")
+    return np.asarray(enc)
+
+
+def param_rows(model: ModelSpec, params: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Flat parameter vectors (B, P) as expanded angles (B, m, n) and edge
+    weights (B, m, e)."""
+    rows = params.shape[0]
+    nt = model.theta.size
+    angles = params[:, :nt].reshape((rows,) + model.theta.shape)
+    weights = params[:, nt:].reshape((rows,) + model.weights.shape)
+    if model.shared_weights:
+        weights = np.repeat(weights, model.m, axis=1)
+    return angles, weights
+
+
+def circuit_states(model: ModelSpec, angles: np.ndarray, weights: np.ndarray,
+                   offsets: np.ndarray, convention: EdgeConvention) -> np.ndarray:
+    """Run the layered circuit for every (parameter row, item) pair at once.
+
+    angles (B, m, n) and weights (B, m, e) are expanded parameter rows, and
+    offsets (I, n) the items' layer-0 angles (their encoded features).
+    Returns the (B*I, 2^n) amplitude stack; row b*I + i is row b on item i.
+    Each row is computed exactly as it would be alone, whatever B and I.
+    """
+    if model.formalism is not Formalism.SEQUENTIAL:
+        raise ValueError(f"training and evaluation run the sequential circuit only, "
+                         f"not the {model.formalism.value!r} formalism")
+    if model.schedule:
+        raise ValueError(f"training and evaluation do not run schedules; the model "
+                         f"has {len(model.schedule)} schedule steps")
+    graph = model.graph
+    total = np.repeat(angles, offsets.shape[0], axis=0)
+    total[:, 0, :] += np.tile(offsets, (angles.shape[0], 1))
+    wts = np.repeat(weights, offsets.shape[0], axis=0)
+    # one |0...0> preparation per batch, copied into every row
+    amps = np.tile(new_state(graph.n_vertices).amps, (total.shape[0], 1))
+    kind = edge_kind(convention)
+    for layer in range(model.m):
+        for v in range(graph.n_vertices):
+            apply_rows(amps, "Ry", (v,), total[:, layer, v])
+        for k, (u, v, _) in enumerate(graph.edges):
+            apply_rows(amps, kind, (u, v), wts[:, layer, k])
+    return amps
+
+
+def _readouts(amps: np.ndarray, model: ModelSpec, dataset: Dataset, prototypes,
+              shots: int, rng) -> np.ndarray:
+    """Every readout of every state in an amplitude stack, one row per state:
+    node p1's, edge <ZZ>'s (both exact), or swap-test scores."""
+    n = model.graph.n_vertices
+    if dataset.task == "graph":
+        return np.array([[swap_test_overlap(StateVector(n, row), proto, shots, rng)[1]
+                          for proto in prototypes] for row in amps])
+    if dataset.task == "node":
+        columns = [node_p1(amps, v, dataset.node_basis) for v in range(n)]
+    else:
+        columns = [edge_zz(amps, u, v) for u, v, _ in model.graph.edges]
+    return np.stack(columns, axis=-1) if columns else np.zeros((amps.shape[0], 0))
+
+
+def readout_values(model: ModelSpec, dataset: Dataset, angles: np.ndarray,
+                   weights: np.ndarray, convention: EdgeConvention, prototypes,
+                   shots: int = 0, rng=None, offsets: np.ndarray | None = None,
+                   item_major: bool = False) -> list[np.ndarray]:
+    """Readout values of every (parameter row, item) circuit.
+
+    Returns one (B, L_i) array per item: the p1's of its labeled nodes, the
+    <ZZ>'s of all edges, or the swap-test scores against each prototype.
+    Parameter rows run in chunks whose stack stays within _STACK_BYTES.
+    Shot mode draws in (row, item, readout) order, or in (item, row,
+    readout) order with item_major; the graph task always draws row first.
+    """
+    if offsets is None:
+        offsets = np.array([feature_angles(item.features) for item in dataset.items])
+    rows = angles.shape[0]
+    step = max(1, _STACK_BYTES // (offsets.shape[0] * 16 << model.graph.n_vertices))
+    readouts = np.concatenate([
+        _readouts(circuit_states(model, angles[k:k + step], weights[k:k + step], offsets,
+                                 convention), model, dataset, prototypes, shots, rng)
+        for k in range(0, rows, step)]).reshape(rows, len(dataset.items), -1)
+    if dataset.task == "graph":
+        return list(readouts.swapaxes(0, 1))
+    if dataset.task == "node":
+        picks = [[v for v, lab in enumerate(item.labels) if lab is not None]
+                 for item in dataset.items]
+        estimate = binomial_estimate
+    else:
+        picks = [slice(None)] * len(dataset.items)
+        estimate = sign_estimate
+    values = [readouts[:, i, pick] for i, pick in enumerate(picks)]
+    if shots == 0:
+        return values
+    if item_major:
+        return [estimate(vals, shots, rng) for vals in values]
+    drawn = estimate(np.concatenate(values, axis=1), shots, rng)
+    return np.split(drawn, np.cumsum([vals.shape[1] for vals in values])[:-1], axis=1)

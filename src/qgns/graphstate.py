@@ -33,13 +33,19 @@ class EdgeConvention(Enum):
     ISING_ZZ = "ising"
 
 
+_EDGE_KINDS = {EdgeConvention.CONTROLLED_PHASE: "CP", EdgeConvention.ISING_ZZ: "IsingZZ"}
+
+
+def edge_kind(convention: EdgeConvention) -> str:
+    """The gate kind of the edge entangler under the given convention."""
+    if convention not in _EDGE_KINDS:
+        raise ValueError(f"unknown convention {convention!r}")
+    return _EDGE_KINDS[convention]
+
+
 def edge_gate(convention: EdgeConvention, u: int, v: int, w: float) -> GateOp:
     """The two-qubit entangler for one edge under the given convention."""
-    if convention is EdgeConvention.CONTROLLED_PHASE:
-        return GateOp.cp(u, v, w)
-    if convention is EdgeConvention.ISING_ZZ:
-        return GateOp.ising_zz(u, v, w)
-    raise ValueError(f"unknown convention {convention!r}")
+    return GateOp(edge_kind(convention), (u, v), float(w))
 
 
 @dataclass(frozen=True)

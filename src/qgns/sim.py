@@ -3,7 +3,9 @@
 Basis convention: qubit q is bit q of the basis index, qubit 0 least
 significant. Amplitudes live in one contiguous complex128 vector of length
 2^n; diagonal gates act by masked phase multiplication, dense gates by
-tensor contraction, so no gate ever materializes a 2^n x 2^n matrix.
+tensor contraction, so no gate ever materializes a 2^n x 2^n matrix. The
+parametrised Ry, CP and IsingZZ kernels also run on a (B, 2^n) stack of
+states with one angle per row (apply_rows), which qgns.executor uses.
 
 States mutate in place; clone() before applying gates if the original is
 still needed. Randomness always comes from an explicit numpy Generator.
@@ -37,14 +39,18 @@ def cry_matrix(theta: float) -> np.ndarray:
     return m
 
 
+def _check_width(n_qubits: int) -> None:
+    if not 1 <= n_qubits <= MAX_QUBITS:
+        raise ValueError(f"n_qubits must be in [1, {MAX_QUBITS}], got {n_qubits}")
+
+
 class StateVector:
     """2^n complex amplitudes with a normalization flag."""
 
     __slots__ = ("n_qubits", "amps", "normalized")
 
     def __init__(self, n_qubits: int, amps: np.ndarray, normalized: bool = True):
-        if not 1 <= n_qubits <= MAX_QUBITS:
-            raise ValueError(f"n_qubits must be in [1, {MAX_QUBITS}], got {n_qubits}")
+        _check_width(n_qubits)
         amps = np.ascontiguousarray(amps, dtype=complex)
         if amps.shape != (1 << n_qubits,):
             raise ValueError(f"expected {1 << n_qubits} amplitudes, got shape {amps.shape}")
@@ -74,7 +80,11 @@ class StateVector:
 
 
 def new_state(n_qubits: int, init="zero") -> StateVector:
-    """Fresh state: "zero", "plus", or a sequence of per-qubit (alpha, beta) pairs."""
+    """Fresh state: "zero", "plus", or a sequence of per-qubit (alpha, beta) pairs.
+
+    The width is checked before anything is allocated.
+    """
+    _check_width(n_qubits)
     if isinstance(init, str):
         if init == "zero":
             amps = np.zeros(1 << n_qubits, dtype=complex)
@@ -247,18 +257,81 @@ def _swap_blocks(amps: np.ndarray, u: int, v: int, cmask: int = 0) -> None:
     amps[b] = tmp
 
 
+# Batched kernels for the parametrised gates. Each acts in place on a
+# (B, 2^n) amplitude stack, one state per row, with row b turned by angle
+# theta[b]; apply_gate runs them on a batch of one.
+
+def _ry_rows(amps: np.ndarray, qubits: tuple[int, ...], theta: np.ndarray) -> None:
+    half = theta / 2.0
+    c = np.cos(half).reshape(-1, 1, 1)
+    s = np.sin(half).reshape(-1, 1, 1)
+    view = amps.reshape(amps.shape[0], -1, 2, 1 << qubits[0])
+    a0, a1 = view[:, :, 0, :], view[:, :, 1, :]
+    t = s * a0
+    a0 *= c
+    a0 -= s * a1
+    a1 *= c
+    a1 += t
+
+
+def _pair_view(amps: np.ndarray, qubits: tuple[int, ...]) -> np.ndarray:
+    # axes 2 and 4 are bits hi and lo of each row (hi > lo)
+    hi, lo = max(qubits), min(qubits)
+    return amps.reshape(amps.shape[0], -1, 2, 1 << (hi - lo - 1), 2, 1 << lo)
+
+
+def _turn(block: np.ndarray, phase: np.ndarray) -> None:
+    """block *= phase in place, with one phase per row of the batch."""
+    if block[0].size > 1:
+        block *= phase
+        return
+    # With one amplitude per row the batch axis becomes numpy's inner loop,
+    # and its complex multiply rounds a one-element loop (no fused
+    # multiply-add) unlike a longer one, so a row's result would depend on
+    # the batch size. Products with a purely real or purely imaginary factor
+    # are exact on either loop.
+    turned = block * (1j * phase.imag)
+    block *= phase.real
+    block += turned
+
+
+def _cp_rows(amps: np.ndarray, qubits: tuple[int, ...], w: np.ndarray) -> None:
+    _turn(_pair_view(amps, qubits)[:, :, 1, :, 1, :], np.exp(1j * w).reshape(-1, 1, 1, 1))
+
+
+def _ising_zz_rows(amps: np.ndarray, qubits: tuple[int, ...], w: np.ndarray) -> None:
+    # e^{-iw} where the two bits agree, e^{iw} where they differ
+    view = _pair_view(amps, qubits)
+    same = np.exp(-1j * w).reshape(-1, 1, 1, 1)
+    diff = np.exp(1j * w).reshape(-1, 1, 1, 1)
+    _turn(view[:, :, 0, :, 0, :], same)
+    _turn(view[:, :, 1, :, 1, :], same)
+    _turn(view[:, :, 0, :, 1, :], diff)
+    _turn(view[:, :, 1, :, 0, :], diff)
+
+
+_ROW_KERNELS = {"Ry": _ry_rows, "CP": _cp_rows, "IsingZZ": _ising_zz_rows}
+
+
+def apply_rows(amps: np.ndarray, kind: str, qubits: tuple[int, ...], params) -> None:
+    """Apply a Ry, CP or IsingZZ gate to every row of a contiguous (B, 2^n)
+    amplitude stack in place, row b with angle params[b]. The qubits are
+    trusted: check them once per circuit, not once per gate."""
+    _ROW_KERNELS[kind](amps, qubits, np.asarray(params, dtype=float))
+
+
 def apply_gate(s: StateVector, g: GateOp) -> StateVector:
     """Apply g to s in place and return s."""
     _check_qubits(s, g.qubits)
     kind = g.kind
-    if kind == "H":
+    if kind in _ROW_KERNELS:
+        _ROW_KERNELS[kind](s.amps.reshape(1, -1), g.qubits, np.array([g.param]))
+    elif kind == "H":
         _apply_matrix_inplace(s, _H, g.qubits)
     elif kind == "X":
         _apply_matrix_inplace(s, _X, g.qubits)
     elif kind == "Y":
         _apply_matrix_inplace(s, _Y, g.qubits)
-    elif kind == "Ry":
-        _apply_matrix_inplace(s, ry_matrix(g.param), g.qubits)
     elif kind == "Z":
         _view1(s.amps, g.qubits[0])[:, 1, :] *= -1.0
     elif kind == "S":
@@ -269,17 +342,6 @@ def apply_gate(s: StateVector, g: GateOp) -> StateVector:
         view = _view1(s.amps, g.qubits[0])
         view[:, 0, :] *= cmath.exp(-0.5j * g.param)
         view[:, 1, :] *= cmath.exp(0.5j * g.param)
-    elif kind == "CP":
-        hi, lo = max(g.qubits), min(g.qubits)
-        _view2(s.amps, hi, lo)[:, 1, :, 1, :] *= cmath.exp(1j * g.param)
-    elif kind == "IsingZZ":
-        hi, lo = max(g.qubits), min(g.qubits)
-        view = _view2(s.amps, hi, lo)
-        same, diff = cmath.exp(-1j * g.param), cmath.exp(1j * g.param)
-        view[:, 0, :, 0, :] *= same
-        view[:, 1, :, 1, :] *= same
-        view[:, 0, :, 1, :] *= diff
-        view[:, 1, :, 0, :] *= diff
     elif kind == "CRy":
         control, target = g.qubits
         _apply_matrix_inplace(s, cry_matrix(g.param), (target, control))

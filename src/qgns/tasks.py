@@ -3,6 +3,10 @@
 All estimators are exact when shots = 0 and otherwise emulate repeated
 preparation: the exact Born probability is computed once and the shot
 record is drawn binomially from it. Input states are never modified.
+
+The node and edge readouts are closed forms on amplitudes: node_p1 and
+edge_zz read every state of a (..., 2^n) stack at once without rotating a
+copy, and node_readout / edge_readout apply them to one state.
 """
 from __future__ import annotations
 
@@ -10,17 +14,63 @@ import numpy as np
 
 from .graph import Graph
 from .graphstate import EdgeConvention, edge_gate
-from .sim import (MAX_QUBITS, GateOp, StateVector, apply_gate, expectation_pauli,
+from .sim import (_SQRT2_INV, MAX_QUBITS, GateOp, StateVector, _check_qubits, apply_gate,
                   new_state, tensor)
 
 _READOUT_BASES = ("Y", "Z")
 
 
-def _binomial_estimate(p: float, shots: int, rng: np.random.Generator | None) -> float:
+def binomial_estimate(p, shots: int, rng: np.random.Generator | None):
+    """Shot estimate Binomial(shots, p) / shots of a probability, or of an
+    array of them drawn in C order (the same draws as one call per entry)."""
     if rng is None:
         raise ValueError("shot-based estimation needs an rng")
-    p = min(max(p, 0.0), 1.0)
-    return float(rng.binomial(shots, p)) / shots
+    return rng.binomial(shots, np.clip(p, 0.0, 1.0)) / shots
+
+
+def sign_estimate(expectation, shots: int, rng: np.random.Generator | None):
+    """Shot estimate of the expectation of a +-1-valued observable, from the
+    probability (1 + expectation) / 2 of the +1 outcome."""
+    return 2.0 * binomial_estimate(0.5 * (1.0 + expectation), shots, rng) - 1.0
+
+
+def _summed_sq(x: np.ndarray) -> np.ndarray:
+    """sum |x|^2 over the last two axes. The pairwise sums of each row are
+    the same whatever the leading (batch) axes are."""
+    return (np.abs(x) ** 2).sum(axis=(-2, -1))
+
+
+def node_p1(amps: np.ndarray, qubit: int, basis: str = "Y") -> np.ndarray:
+    """Probability of the -1 outcome on one qubit, for every state of a
+    (..., 2^n) amplitude stack.
+
+    With (a0, a1) the amplitude pairs that differ only in the qubit's bit,
+    the Z-basis p1 is sum |a1|^2 and the Y-basis p1 is sum |a0 + i a1|^2 / 2,
+    the Z read after the Sdg, H basis change. The 1/2 enters as a rounded
+    1/sqrt(2) on each term, as applying H rounds it, so p1 agrees bit for
+    bit with the gate path and seeded shot draws at p1 ~ 1/2 do too.
+    """
+    if basis not in _READOUT_BASES:
+        raise ValueError(f"node readout basis must be Y or Z, got {basis!r}")
+    pairs = amps.reshape(amps.shape[:-1] + (-1, 2, 1 << qubit))
+    if basis == "Z":
+        return _summed_sq(pairs[..., 1, :])
+    rotated = pairs[..., 1, :] * 1j
+    rotated *= _SQRT2_INV
+    rotated += pairs[..., 0, :] * _SQRT2_INV
+    return _summed_sq(rotated)
+
+
+def edge_zz(amps: np.ndarray, u: int, v: int) -> np.ndarray:
+    """<Z_u Z_v> for every state of a contiguous (..., 2^n) amplitude stack:
+    the basis probabilities summed with the sign (-1)^(bit u + bit v)."""
+    hi, lo = max(u, v), min(u, v)
+    # squares of the interleaved real and imaginary parts, 2 floats per amplitude
+    sq = amps.view(np.float64) ** 2
+    view = sq.reshape(amps.shape[:-1] + (-1, 2, 1 << (hi - lo - 1), 2, 2 << lo))
+    view[..., 0, :, 1, :] *= -1.0
+    view[..., 1, :, 0, :] *= -1.0
+    return sq.sum(axis=-1)
 
 
 def node_readout(s: StateVector, qubit: int, basis: str = "Y", shots: int = 0,
@@ -31,29 +81,22 @@ def node_readout(s: StateVector, qubit: int, basis: str = "Y", shots: int = 0,
     readouts use several qubits per node, one call each.
     """
     s.require_normalized()
-    if basis not in _READOUT_BASES:
-        raise ValueError(f"node readout basis must be Y or Z, got {basis!r}")
-    work = s.clone()
-    if basis == "Y":
-        apply_gate(work, GateOp.sdg(qubit))
-        apply_gate(work, GateOp.h(qubit))
-    view = work.amps.reshape(-1, 2, 1 << qubit)
-    p1 = float(np.sum(np.abs(view[:, 1, :]) ** 2))
+    _check_qubits(s, (qubit,))
+    p1 = float(node_p1(s.amps, qubit, basis))
     if shots > 0:
-        p1 = _binomial_estimate(p1, shots, rng)
+        p1 = float(binomial_estimate(p1, shots, rng))
     return p1, int(p1 > 0.5)
 
 
 def edge_readout(s: StateVector, u: int, v: int, shots: int = 0,
                  rng: np.random.Generator | None = None) -> float:
     """Estimate of <Z_u Z_v>, exact when shots = 0."""
-    if u == v:
-        raise ValueError("edge readout needs two distinct qubits")
-    exact = expectation_pauli(s, {u: "Z", v: "Z"})
+    s.require_normalized()
+    _check_qubits(s, (u, v))
+    exact = float(edge_zz(s.amps, u, v))
     if shots == 0:
         return exact
-    p_plus = 0.5 * (1.0 + exact)
-    return 2.0 * _binomial_estimate(p_plus, shots, rng) - 1.0
+    return float(sign_estimate(exact, shots, rng))
 
 
 def edge_phase_estimate(s: StateVector, g: Graph, u: int, v: int, shots: int = 0,
@@ -66,8 +109,7 @@ def edge_phase_estimate(s: StateVector, g: Graph, u: int, v: int, shots: int = 0
     re = complex(np.vdot(s.amps, transformed.amps)).real
     if shots == 0:
         return re
-    p0 = 0.5 * (1.0 + re)
-    return 2.0 * _binomial_estimate(p0, shots, rng) - 1.0
+    return float(sign_estimate(re, shots, rng))
 
 
 def swap_test_overlap(s1: StateVector, s2: StateVector, shots: int = 0,
@@ -93,7 +135,7 @@ def swap_test_overlap(s1: StateVector, s2: StateVector, shots: int = 0,
     view = full.amps.reshape(-1, 2, 1 << ancilla)
     p0 = float(np.sum(np.abs(view[:, 0, :]) ** 2))
     if shots > 0:
-        p0 = _binomial_estimate(p0, shots, rng)
+        p0 = float(binomial_estimate(p0, shots, rng))
     overlap_sq = min(max(2.0 * p0 - 1.0, 0.0), 1.0)
     return p0, overlap_sq
 

@@ -5,70 +5,28 @@ additionally carries the angle-encoded item features) interleaved with the
 graph's edge entanglers, whose phases are the trainable edge weights.
 Gradients come from central finite differences (valid for every parameter)
 or from the two-point shift rule applied at the readout level; the
-optimizer is plain gradient descent.
+optimizer is plain gradient descent. Each loss, accuracy and gradient call
+runs all of its circuits as one batch through qgns.executor.
 
 Everything is deterministic: exact mode never touches an rng, shot mode
 threads one seeded generator through all estimates.
 """
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .graph import Graph, from_edge_list
-from .graphstate import EdgeConvention, build_graph_state, edge_gate
+from .dataset import DataItem, Dataset
+from .executor import circuit_states, feature_angles, param_rows, readout_values
+from .graph import Graph
+from .graphstate import EdgeConvention, build_graph_state
 from .qgnn import Formalism, ModelSpec, encode_features
-from .sim import GateOp, StateVector, apply_gate, new_state
-from .tasks import edge_readout, node_readout, swap_test_overlap
+from .sim import StateVector
 
 _CLIP = 1e-7
-
-TASKS = ("node", "edge", "graph")
-
-
-@dataclass(frozen=True)
-class DataItem:
-    graph: Graph
-    features: np.ndarray
-    labels: object  # node: per-node bits (None = unlabeled) | edge: per-edge reals | graph: class index
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "features", np.asarray(self.features, dtype=float))
-        if self.features.shape != (self.graph.n_vertices,):
-            raise ValueError(
-                f"features shape {self.features.shape} != ({self.graph.n_vertices},)")
-
-
-@dataclass(frozen=True)
-class Dataset:
-    task: str
-    items: tuple[DataItem, ...]
-    node_basis: str = "Y"
-
-    def __post_init__(self) -> None:
-        if self.task not in TASKS:
-            raise ValueError(f"task must be one of {TASKS}, got {self.task!r}")
-        if not self.items:
-            raise ValueError("dataset has no items")
-        for item in self.items:
-            self._check_labels(item)
-
-    def _check_labels(self, item: DataItem) -> None:
-        n, e = item.graph.n_vertices, item.graph.n_edges
-        if self.task == "node":
-            if len(item.labels) != n:
-                raise ValueError(f"node task needs {n} labels, got {len(item.labels)}")
-        elif self.task == "edge":
-            if len(item.labels) != e:
-                raise ValueError(f"edge task needs {e} targets, got {len(item.labels)}")
-        else:
-            if not isinstance(item.labels, int) or item.labels < 0:
-                raise ValueError("graph task needs a nonnegative class index label")
 
 
 @dataclass(frozen=True)
@@ -125,8 +83,7 @@ def _angle_rows(model: ModelSpec, features) -> np.ndarray:
     """Total Ry angles per layer; layer 0 adds the encoded features."""
     rows = model.theta.copy()
     if features is not None:
-        _, enc = encode_features(features, "angle")
-        rows[0] += np.asarray(enc)
+        rows[0] += feature_angles(features)
     return rows
 
 
@@ -136,22 +93,14 @@ def _expanded_weights(model: ModelSpec) -> np.ndarray:
     return model.weights.copy()
 
 
-def _circuit(graph: Graph, angle_rows: np.ndarray, weight_rows: np.ndarray,
-             convention: EdgeConvention) -> StateVector:
-    s = new_state(graph.n_vertices, "zero")
-    for i in range(angle_rows.shape[0]):
-        for v in range(graph.n_vertices):
-            apply_gate(s, GateOp.ry(v, angle_rows[i, v]))
-        for e, (u, v, _) in enumerate(graph.edges):
-            apply_gate(s, edge_gate(convention, u, v, weight_rows[i, e]))
-    return s
-
-
 def model_circuit(model: ModelSpec, features=None,
                   convention: EdgeConvention = EdgeConvention.CONTROLLED_PHASE) -> StateVector:
     """The model's state for one item (features may be None for a bare model)."""
-    return _circuit(model.graph, _angle_rows(model, features),
-                    _expanded_weights(model), convention)
+    n = model.graph.n_vertices
+    offsets = np.zeros((1, n)) if features is None else feature_angles(features)[None]
+    amps = circuit_states(model, model.theta[None], _expanded_weights(model)[None], offsets,
+                          convention)
+    return StateVector(n, amps[0])
 
 
 # -- readouts and losses -----------------------------------------------------
@@ -175,23 +124,26 @@ def class_prototypes(dataset: Dataset,
     return protos
 
 
+def _prototypes(dataset: Dataset, convention: EdgeConvention):
+    return class_prototypes(dataset, convention) if dataset.task == "graph" else None
+
+
 def _item_values(model: ModelSpec, item: DataItem, dataset: Dataset,
                  convention: EdgeConvention, prototypes,
                  shots: int = 0, rng=None,
                  angle_rows=None, weight_rows=None) -> np.ndarray:
-    """Raw per-readout values: node p1's, edge <ZZ>'s, or class scores."""
+    """Raw per-readout values of one item's circuit (node p1's, edge <ZZ>'s,
+    or class scores), at explicit total angles (m, n) and expanded weights
+    (m, e) when given: one row of the batched executor."""
     if angle_rows is None:
         angle_rows = _angle_rows(model, item.features)
     if weight_rows is None:
         weight_rows = _expanded_weights(model)
-    s = _circuit(model.graph, angle_rows, weight_rows, convention)
-    if dataset.task == "node":
-        return np.array([node_readout(s, v, dataset.node_basis, shots, rng)[0]
-                         for v, lab in enumerate(item.labels) if lab is not None])
-    if dataset.task == "edge":
-        return np.array([edge_readout(s, u, v, shots, rng)
-                         for u, v, _ in model.graph.edges])
-    return np.array([swap_test_overlap(s, proto, shots, rng)[1] for proto in prototypes])
+    single = Dataset(dataset.task, (item,), dataset.node_basis)
+    values = readout_values(model, single, angle_rows[None], weight_rows[None], convention,
+                            prototypes, shots, rng,
+                            offsets=np.zeros((1, model.graph.n_vertices)))
+    return values[0][0]
 
 
 def _bce(p: float, y: float) -> float:
@@ -200,35 +152,58 @@ def _bce(p: float, y: float) -> float:
 
 
 def _bce_dp(p: float, y: float) -> float:
+    """d(_bce)/dp. Outside [_CLIP, 1 - _CLIP] the loss is clipped flat, so
+    the derivative there is 0: a readout clipped below 1e-7 gets no gradient
+    even when its label is 1. That is the gradient of the clipped loss, and
+    fd and pshift both return it."""
     if p <= _CLIP or p >= 1.0 - _CLIP:
         return 0.0
     return (p - y) / (p * (1.0 - p))
 
 
-def _item_loss_grad(values: np.ndarray, item: DataItem, dataset: Dataset,
-                    loss_kind: str) -> tuple[float, np.ndarray]:
-    """Per-item loss and its gradient with respect to the readout values."""
-    task = dataset.task
-    if task == "node":
+def _targets(item: DataItem, dataset: Dataset, count: int) -> list[float]:
+    """An item's readout targets, checked against its `count` readouts."""
+    if dataset.task == "node":
         targets = [float(lab) for lab in item.labels if lab is not None]
-    elif task == "edge":
+    elif dataset.task == "edge":
         targets = [float(t) for t in item.labels]
     else:
-        targets = [1.0 if c == item.labels else 0.0 for c in range(values.size)]
-    if len(targets) != values.size:
-        raise ValueError(f"{values.size} readouts vs {len(targets)} targets")
-    if values.size == 0:
+        targets = [1.0 if c == item.labels else 0.0 for c in range(count)]
+    if len(targets) != count:
+        raise ValueError(f"{count} readouts vs {len(targets)} targets")
+    if count == 0:
         raise ValueError("item produced no readouts (no labeled nodes or edges)")
+    return targets
+
+
+def _squared(dataset: Dataset, loss_kind: str) -> bool:
+    """Whether the loss is squared error: edge task, or node task with mse."""
+    return dataset.task == "edge" or (dataset.task == "node" and loss_kind == "mse")
+
+
+def _item_loss(values: list[float], targets: list[float], squared: bool) -> float:
     total = 0.0
-    grad = np.zeros(values.size)
-    for k, (p, y) in enumerate(zip(values, targets)):
-        if task == "edge" or (task == "node" and loss_kind == "mse"):
-            total += (p - y) ** 2
-            grad[k] = 2.0 * (p - y)
-        else:
-            total += _bce(p, y)
-            grad[k] = _bce_dp(p, y)
-    return total / values.size, grad / values.size
+    for p, y in zip(values, targets):
+        total += (p - y) ** 2 if squared else _bce(p, y)
+    return total / len(values)
+
+
+def _item_grad(values: list[float], targets: list[float], squared: bool) -> np.ndarray:
+    """Gradient of _item_loss with respect to the readout values."""
+    grad = [2.0 * (p - y) if squared else _bce_dp(p, y) for p, y in zip(values, targets)]
+    return np.array(grad) / len(values)
+
+
+def _row_losses(values: list[np.ndarray], dataset: Dataset, loss_kind: str) -> np.ndarray:
+    """Mean per-item loss of each parameter row of `values`, summed item by
+    item in dataset order."""
+    squared = _squared(dataset, loss_kind)
+    losses = [0.0] * values[0].shape[0]
+    for vals, item in zip(values, dataset.items):
+        targets = _targets(item, dataset, vals.shape[1])
+        for b, row in enumerate(vals.tolist()):
+            losses[b] += _item_loss(row, targets, squared)
+    return np.array(losses) / len(dataset.items)
 
 
 def _check_compat(model: ModelSpec, dataset: Dataset) -> None:
@@ -237,21 +212,22 @@ def _check_compat(model: ModelSpec, dataset: Dataset) -> None:
             raise ValueError("dataset item graph differs from the model graph")
 
 
+def _model_values(model: ModelSpec, dataset: Dataset, config: TrainConfig,
+                  convention: EdgeConvention, rng) -> list[np.ndarray]:
+    """Readout values at the model's own parameters: a batch of one row."""
+    _check_compat(model, dataset)
+    if config.shots > 0 and rng is None:
+        rng = np.random.default_rng(config.seed)
+    return readout_values(model, dataset, *param_rows(model, params_of(model)[None]),
+                          convention, _prototypes(dataset, convention), config.shots, rng)
+
+
 def loss(model: ModelSpec, dataset: Dataset, config: TrainConfig,
          convention: EdgeConvention = EdgeConvention.CONTROLLED_PHASE,
          rng=None) -> float:
     """Mean per-item loss; deterministic in exact mode (shots = 0)."""
-    _check_compat(model, dataset)
-    if config.shots > 0 and rng is None:
-        rng = np.random.default_rng(config.seed)
-    protos = class_prototypes(dataset, convention) if dataset.task == "graph" else None
-    total = 0.0
-    for item in dataset.items:
-        values = _item_values(model, item, dataset, convention, protos,
-                              config.shots, rng)
-        item_loss, _ = _item_loss_grad(values, item, dataset, config.loss)
-        total += item_loss
-    return total / len(dataset.items)
+    values = _model_values(model, dataset, config, convention, rng)
+    return float(_row_losses(values, dataset, config.loss)[0])
 
 
 def accuracy(model: ModelSpec, dataset: Dataset, config: TrainConfig,
@@ -259,25 +235,21 @@ def accuracy(model: ModelSpec, dataset: Dataset, config: TrainConfig,
              rng=None) -> float:
     """Fraction of correct readouts: thresholded bits (node), targets hit
     within 0.5 (edge), or argmax class (graph)."""
-    _check_compat(model, dataset)
-    if config.shots > 0 and rng is None:
-        rng = np.random.default_rng(config.seed)
-    protos = class_prototypes(dataset, convention) if dataset.task == "graph" else None
+    values = _model_values(model, dataset, config, convention, rng)
     hits, count = 0, 0
-    for item in dataset.items:
-        values = _item_values(model, item, dataset, convention, protos,
-                              config.shots, rng)
+    for vals, item in zip(values, dataset.items):
+        vals = vals[0]
         if dataset.task == "node":
             targets = [lab for lab in item.labels if lab is not None]
-            for p, y in zip(values, targets):
+            for p, y in zip(vals, targets):
                 hits += int((p > 0.5) == bool(y))
                 count += 1
         elif dataset.task == "edge":
-            for p, y in zip(values, item.labels):
+            for p, y in zip(vals, item.labels):
                 hits += int(abs(p - float(y)) <= 0.5)
                 count += 1
         else:
-            hits += int(int(np.argmax(values)) == item.labels)
+            hits += int(int(np.argmax(vals)) == item.labels)
             count += 1
     return hits / count
 
@@ -293,51 +265,55 @@ _SHIFTS = {
 
 
 def _fd_gradient(model, dataset, config, convention, rng) -> np.ndarray:
+    """Central differences: the 2P shifted parameter vectors run as one batch."""
     base = params_of(model)
-    grad = np.zeros(base.size)
+    rows = np.tile(base, (2 * base.size, 1))
     for k in range(base.size):
-        shifted = base.copy()
-        shifted[k] = base[k] + config.eps
-        up = loss(with_params(model, shifted), dataset, config, convention, rng)
-        shifted[k] = base[k] - config.eps
-        down = loss(with_params(model, shifted), dataset, config, convention, rng)
-        grad[k] = (up - down) / (2.0 * config.eps)
-    return grad
+        rows[2 * k, k] = base[k] + config.eps
+        rows[2 * k + 1, k] = base[k] - config.eps
+    values = readout_values(model, dataset, *param_rows(model, rows), convention,
+                            _prototypes(dataset, convention), config.shots, rng)
+    losses = _row_losses(values, dataset, config.loss)
+    return (losses[0::2] - losses[1::2]) / (2.0 * config.eps)
 
 
 def _pshift_gradient(model, dataset, config, convention, rng) -> np.ndarray:
+    """Two-point shift rule on the expanded angles and weights: the base row
+    and its +-shift rows run as one batch."""
     n, e, m = model.graph.n_vertices, model.graph.n_edges, model.m
     n_theta = m * n
-    protos = None  # graph task never reaches here
     edge_shift, edge_factor = _SHIFTS[convention]
     ry_shift, ry_factor = _SHIFTS["ry"]
+    angles, wts = model.theta, _expanded_weights(model)
+    angle_rows, weight_rows = [angles], [wts]
+    columns = []  # (parameter slot, prefactor) of each +- row pair
+    for i in range(m):
+        for v in range(n):
+            for shift in (ry_shift, -ry_shift):
+                shifted = angles.copy()
+                shifted[i, v] += shift
+                angle_rows.append(shifted)
+                weight_rows.append(wts)
+            columns.append((i * n + v, ry_factor))
+        for k in range(e):
+            for shift in (edge_shift, -edge_shift):
+                shifted = wts.copy()
+                shifted[i, k] += shift
+                angle_rows.append(angles)
+                weight_rows.append(shifted)
+            # shared weights: occurrences across layers sum into one slot
+            columns.append((n_theta + (k if model.shared_weights else i * e + k), edge_factor))
+    # the graph task never reaches here, so no prototypes
+    values = readout_values(model, dataset, np.array(angle_rows), np.array(weight_rows),
+                            convention, None, config.shots, rng, item_major=True)
+    squared = _squared(dataset, config.loss)
     grad = np.zeros(params_of(model).size)
-    for item in dataset.items:
-        angles = _angle_rows(model, item.features)
-        wts = _expanded_weights(model)
-        values = _item_values(model, item, dataset, convention, protos,
-                              config.shots, rng, angles, wts)
-        _, dvals = _item_loss_grad(values, item, dataset, config.loss)
-
-        def shifted_values(arows, wrows):
-            return _item_values(model, item, dataset, convention, protos,
-                                config.shots, rng, arows, wrows)
-
-        for i in range(m):
-            for v in range(n):
-                plus, minus = angles.copy(), angles.copy()
-                plus[i, v] += ry_shift
-                minus[i, v] -= ry_shift
-                col = ry_factor * (shifted_values(plus, wts) - shifted_values(minus, wts))
-                grad[i * n + v] += float(dvals @ col)
-            for k in range(e):
-                plus, minus = wts.copy(), wts.copy()
-                plus[i, k] += edge_shift
-                minus[i, k] -= edge_shift
-                col = edge_factor * (shifted_values(angles, plus) - shifted_values(angles, minus))
-                # shared weights: occurrences across layers sum into one slot
-                slot = n_theta + (k if model.shared_weights else i * e + k)
-                grad[slot] += float(dvals @ col)
+    for vals, item in zip(values, dataset.items):
+        base = vals[0].tolist()
+        dvals = _item_grad(base, _targets(item, dataset, len(base)), squared)
+        for j, (slot, factor) in enumerate(columns):
+            col = factor * (vals[2 * j + 1] - vals[2 * j + 2])
+            grad[slot] += float(dvals @ col)
     return grad / len(dataset.items)
 
 
@@ -381,81 +357,3 @@ def fit(model: ModelSpec, dataset: Dataset, config: TrainConfig,
                                                           convention, rng)
         current = with_params(current, params)
     return FitResult(current, tuple(history), tuple(accuracies))
-
-
-# -- dataset files -------------------------------------------------------------
-
-def _graph_from_entry(entry, base_dir: Path | None) -> Graph:
-    if isinstance(entry, dict):
-        return Graph.from_dict(entry)
-    if isinstance(entry, str):
-        if entry.lstrip().startswith("qgraph"):
-            return from_edge_list(entry)
-        path = Path(entry)
-        if base_dir is not None and not path.is_absolute():
-            path = base_dir / path
-        return from_edge_list(path.read_text(encoding="utf-8"))
-    raise ValueError(f"graph entry must be a dict, inline text or path, got {type(entry)}")
-
-
-def dataset_from_dict(d: dict, base_dir: Path | None = None) -> Dataset:
-    items = []
-    for entry in d["items"]:
-        labels = entry["labels"]
-        if isinstance(labels, list):
-            labels = tuple(labels)
-        items.append(DataItem(_graph_from_entry(entry["graph"], base_dir),
-                              np.asarray(entry["features"], dtype=float), labels))
-    return Dataset(d["task"], tuple(items), d.get("node_basis", "Y"))
-
-
-def dataset_to_dict(ds: Dataset) -> dict:
-    d = {"task": ds.task, "node_basis": ds.node_basis, "items": []}
-    for item in ds.items:
-        labels = item.labels
-        if isinstance(labels, tuple):
-            labels = list(labels)
-        d["items"].append({"graph": item.graph.to_dict(),
-                           "features": list(map(float, item.features)),
-                           "labels": labels})
-    return d
-
-
-def load_dataset(path) -> Dataset:
-    path = Path(path)
-    return dataset_from_dict(json.loads(path.read_text(encoding="utf-8")), path.parent)
-
-
-def save_dataset(ds: Dataset, path) -> None:
-    Path(path).write_text(json.dumps(dataset_to_dict(ds), indent=2) + "\n",
-                          encoding="utf-8")
-
-
-# -- bundled toy task -----------------------------------------------------------
-
-def demo_graph() -> Graph:
-    """The five-vertex demo fixture: vertex 0 joined to 1, 3, 4; vertex 3 to
-    2 and 4; vertex 1 to 2. All edges carry the default weight pi."""
-    return Graph.from_edges(5, [(0, 1), (1, 2), (0, 3), (3, 2), (0, 4), (3, 4)])
-
-
-def toy_node_dataset() -> Dataset:
-    """Node bipartition benchmark on the demo graph: vertices {0, 2, 4}
-    labeled 1 against {1, 3} labeled 0, with class-correlated features."""
-    labels = (1, 0, 1, 0, 1)
-    feature_sets = [
-        [0.90, 0.15, 0.80, 0.10, 0.95],
-        [0.85, 0.20, 0.70, 0.25, 0.80],
-        [0.95, 0.10, 0.85, 0.05, 0.90],
-        [0.75, 0.30, 0.90, 0.20, 0.85],
-    ]
-    g = demo_graph()
-    items = tuple(DataItem(g, np.array(f), labels) for f in feature_sets)
-    return Dataset("node", items, node_basis="Y")
-
-
-def toy_dataset_path() -> Path:
-    """Filesystem path of the bundled toy dataset JSON (for the CLI)."""
-    from importlib.resources import files
-
-    return Path(str(files("qgns").joinpath("data", "toy_node.json")))

@@ -2,13 +2,17 @@
 
 Everything here is deliberately written against the basis-index definition
 (explicit loops, kron products) rather than the package's vectorized
-kernels, so the two paths never share a bug.
+kernels, so the two paths never share a bug. The exception is the last
+group: the one-circuit-at-a-time path (apply_gate per gate, a rotated clone
+per node readout, a Pauli-flipped clone per edge readout) that the batched
+trainer executor must reproduce row by row.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from qgns import Graph
+from qgns import (GateOp, Graph, StateVector, apply_gate, edge_gate, expectation_pauli,
+                  new_state)
 
 
 def dense_apply(mat: np.ndarray, targets, n: int, vec: np.ndarray) -> np.ndarray:
@@ -84,3 +88,33 @@ def graph_state_amp_oracle(g: Graph, idx: int) -> complex:
         if (idx >> u) & 1 and (idx >> v) & 1:
             phase += w
     return np.exp(1j * phase) / np.sqrt(1 << g.n_vertices)
+
+
+def layered_circuit_oracle(g: Graph, angles: np.ndarray, weights: np.ndarray,
+                           convention) -> StateVector:
+    """The trainer's layered circuit for one item, one apply_gate call per gate:
+    per layer, Ry(angles[i, v]) on every vertex, then each edge's entangler
+    with phase weights[i, k]."""
+    s = new_state(g.n_vertices)
+    for i in range(angles.shape[0]):
+        for v in range(g.n_vertices):
+            apply_gate(s, GateOp.ry(v, angles[i, v]))
+        for k, (u, v, _) in enumerate(g.edges):
+            apply_gate(s, edge_gate(convention, u, v, weights[i, k]))
+    return s
+
+
+def rotated_p1(s: StateVector, qubit: int, basis: str) -> float:
+    """Node p1 by rotating a clone into the Z basis (Sdg then H for Y) and
+    summing |a1|^2 over the qubit's 1 half."""
+    work = s.clone()
+    if basis == "Y":
+        apply_gate(work, GateOp.sdg(qubit))
+        apply_gate(work, GateOp.h(qubit))
+    view = work.amps.reshape(-1, 2, 1 << qubit)
+    return float(np.sum(np.abs(view[:, 1, :]) ** 2))
+
+
+def zz_oracle(s: StateVector, u: int, v: int) -> float:
+    """<Z_u Z_v> as <s| Z_u Z_v |s> on a Z-flipped clone."""
+    return expectation_pauli(s, {u: "Z", v: "Z"})

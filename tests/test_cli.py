@@ -2,11 +2,13 @@ from __future__ import annotations
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qgns import save_dataset, to_edge_list, toy_node_dataset
+from qgns import (LayerStep, ModelSpec, initial_model, save_dataset, save_model, to_edge_list,
+                  toy_dataset_path, toy_node_dataset)
 from qgns.cli import execute
 
 
@@ -172,3 +174,56 @@ def test_out_flag_writes_file(k2_file, tmp_path, capsys):
     assert execute(["state", "build", "--graph", k2_file, "--out", str(out)]) == 0
     assert capsys.readouterr().out == ""
     assert len(out.read_text().strip().splitlines()) == 4
+
+
+@pytest.mark.parametrize("grad", ["fd", "pshift"])
+def test_shot_mode_training_matches_recorded_csv(grad, tmp_path):
+    # recorded from the one-circuit-at-a-time trainer; the batched executor
+    # must draw the same shots from the same probabilities
+    out = tmp_path / "history.csv"
+    assert execute(["model", "train", "--data", str(toy_dataset_path()), "--shots", "256",
+                    "--epochs", "3", "--seed", "11", "--grad", grad, "--out", str(out)]) == 0
+    golden = Path(__file__).parent / "golden" / f"toy_train_shots256_seed11_{grad}.csv"
+    assert out.read_bytes() == golden.read_bytes()
+
+
+@pytest.mark.parametrize("verb", ["train", "eval"])
+def test_model_rejects_a_non_sequential_formalism(toy_file, verb, capsys):
+    assert execute(["model", verb, "--data", toy_file, "--formalism", "superposed",
+                    "--epochs", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "superposed" in json.loads(captured.err)["error"]
+
+
+@pytest.mark.parametrize("verb", ["train", "eval"])
+def test_model_rejects_a_checkpoint_with_a_schedule(toy_file, tmp_path, verb, capsys):
+    base = initial_model(toy_node_dataset().items[0].graph)
+    scheduled = ModelSpec(base.graph, base.m, base.formalism, base.theta, base.weights,
+                          schedule=(LayerStep.message(0, 0.5),))
+    ckpt = tmp_path / "scheduled.json"
+    save_model(scheduled, ckpt)
+    assert execute(["model", verb, "--data", toy_file, "--model", str(ckpt),
+                    "--epochs", "1"]) == 1
+    assert "schedule" in json.loads(capsys.readouterr().err)["error"]
+
+
+def test_state_build_too_wide_is_a_json_error(tmp_path, capsys):
+    wide = tmp_path / "wide.qg"
+    wide.write_text("qgraph v1 n=25\n", encoding="utf-8")
+    assert execute(["state", "build", "--graph", str(wide)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "n_qubits" in json.loads(captured.err)["error"]
+
+
+@pytest.mark.parametrize("payload, field", [
+    ({"task": "node", "items": [{"graph": "qgraph v1 n=2\n0 1\n", "features": [0.1, 0.9],
+                                 "labels": 1}]}, "items[0].labels"),
+    ([{"task": "node", "items": []}], "dataset must be a JSON object"),
+])
+def test_malformed_dataset_is_a_json_error(tmp_path, payload, field, capsys):
+    data = tmp_path / "bad.json"
+    data.write_text(json.dumps(payload), encoding="utf-8")
+    assert execute(["model", "eval", "--data", str(data)]) == 1
+    assert field in json.loads(capsys.readouterr().err)["error"]

@@ -1,0 +1,122 @@
+"""The batched circuit executor of the trainer against the one-circuit-at-a-time path.
+
+Every (parameter row, item) circuit of a batch must match the circuit built
+gate by gate with apply_gate and read out from rotated clones, and must not
+depend on the other rows in its batch.
+"""
+from __future__ import annotations
+
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qgns import (DataItem, Dataset, EdgeConvention, Formalism, Graph, ModelSpec,
+                  encode_features)
+import qgns.executor as executor
+from qgns.executor import param_rows, readout_values
+from qgns.sim import apply_rows
+
+from helpers import (cp_matrix, dense_apply, ising_matrix, layered_circuit_oracle,
+                     random_graph, random_state, rotated_p1, zz_oracle)
+
+READOUTS = ("Y", "Z", "ZZ")
+
+
+def _case(seed: int, n: int, m: int, items: int, shared: bool, readout: str):
+    """A random model, a dataset of `items` items read out by `readout`, and
+    the model's flat parameter count."""
+    rng = np.random.default_rng(seed)
+    g = random_graph(rng, n, weighted=True)
+    if readout == "ZZ" and g.n_edges == 0:
+        g = Graph.from_edges(n, [(0, n - 1, float(rng.uniform(0.0, 2 * math.pi)))])
+    rows = 1 if shared else m
+    model = ModelSpec(g, m, Formalism.SEQUENTIAL, rng.uniform(-math.pi, math.pi, (m, n)),
+                      rng.uniform(0.0, 2 * math.pi, (rows, g.n_edges)), shared_weights=shared)
+    if readout == "ZZ":
+        data = tuple(DataItem(g, rng.uniform(0, 1, n), tuple(rng.uniform(-1, 1, g.n_edges)))
+                     for _ in range(items))
+        ds = Dataset("edge", data)
+    else:
+        data = tuple(DataItem(g, rng.uniform(0, 1, n), (1,) * n) for _ in range(items))
+        ds = Dataset("node", data, node_basis=readout)
+    return rng, model, ds
+
+
+CASES = dict(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6), m=st.integers(1, 3),
+             rows=st.integers(1, 4), items=st.integers(1, 3),
+             convention=st.sampled_from(list(EdgeConvention)), shared=st.booleans(),
+             readout=st.sampled_from(READOUTS))
+
+
+@settings(max_examples=80, deadline=None)
+@given(**CASES)
+def test_every_row_matches_the_gate_by_gate_circuit(seed, n, m, rows, items, convention,
+                                                     shared, readout):
+    if readout == "ZZ" and n == 1:
+        n = 2
+    rng, model, ds = _case(seed, n, m, items, shared, readout)
+    params = rng.uniform(-math.pi, math.pi, (rows, model.theta.size + model.weights.size))
+    angles, weights = param_rows(model, params)
+    values = readout_values(model, ds, angles, weights, convention, None)
+    for i, item in enumerate(ds.items):
+        assert values[i].shape[0] == rows
+        for b in range(rows):
+            total = angles[b].copy()
+            total[0] += encode_features(item.features)[1]
+            s = layered_circuit_oracle(model.graph, total, weights[b], convention)
+            if readout == "ZZ":
+                expected = [zz_oracle(s, u, v) for u, v, _ in model.graph.edges]
+            else:
+                expected = [rotated_p1(s, v, readout) for v in range(n)]
+            assert np.max(np.abs(values[i][b] - expected)) <= 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(**CASES)
+def test_rows_do_not_depend_on_the_batch(seed, n, m, rows, items, convention, shared,
+                                         readout):
+    if readout == "ZZ" and n == 1:
+        n = 2
+    rng, model, ds = _case(seed, n, m, items, shared, readout)
+    params = rng.uniform(-math.pi, math.pi, (rows, model.theta.size + model.weights.size))
+    batched = readout_values(model, ds, *param_rows(model, params), convention, None)
+    for b in range(rows):
+        alone = readout_values(model, ds, *param_rows(model, params[b:b + 1]), convention, None)
+        for i in range(len(ds.items)):
+            assert np.array_equal(batched[i][b], alone[i][0])
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 5), rows=st.integers(1, 4),
+       kind=st.sampled_from(["Ry", "CP", "IsingZZ"]))
+def test_row_kernels_match_the_dense_gate_per_row(seed, n, rows, kind):
+    rng = np.random.default_rng(seed)
+    if kind != "Ry" and n == 1:
+        n = 2
+    qubits = tuple(int(q) for q in rng.choice(n, 1 if kind == "Ry" else 2, replace=False))
+    params = rng.uniform(-2 * math.pi, 2 * math.pi, rows)
+    start = np.array([random_state(rng, n) for _ in range(rows)])
+    amps = start.copy()
+    apply_rows(amps, kind, qubits, params)
+    for b in range(rows):
+        if kind == "Ry":
+            c, s = math.cos(params[b] / 2), math.sin(params[b] / 2)
+            mat = np.array([[c, -s], [s, c]], dtype=complex)
+        else:
+            mat = (cp_matrix if kind == "CP" else ising_matrix)(params[b])
+        assert np.allclose(amps[b], dense_apply(mat, qubits, n, start[b]), atol=1e-12)
+
+
+def test_chunked_rows_match_one_stack(monkeypatch):
+    rng, model, ds = _case(7, 4, 2, 3, False, "Y")
+    params = rng.uniform(-math.pi, math.pi, (5, model.theta.size + model.weights.size))
+    angles, weights = param_rows(model, params)
+    conv = EdgeConvention.CONTROLLED_PHASE
+    whole = readout_values(model, ds, angles, weights, conv, None)
+    # one parameter row (3 items of 16 amplitudes) per chunk
+    monkeypatch.setattr(executor, "_STACK_BYTES", 3 * 16 * 16)
+    chunked = readout_values(model, ds, angles, weights, conv, None)
+    for a, b in zip(whole, chunked):
+        assert np.array_equal(a, b)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from qgns import sim
 from qgns.sim import (GateOp, StateVector, apply_gate, apply_linear_operator, dump_state,
                       expectation_pauli, measure_qubit, new_state, sample_counts, tensor)
 
@@ -28,6 +29,22 @@ def test_new_state_errors():
         new_state(1, [(0.6, 0.7)])
     with pytest.raises(ValueError):
         new_state(2, [(1, 0)])  # wrong pair count
+
+
+class _NoAllocation:
+    """Stands in for numpy inside qgns.sim: any allocator call fails the test."""
+
+    def __getattr__(self, name):
+        if name in ("zeros", "full", "ones", "empty", "kron"):
+            raise AssertionError(f"np.{name} called before the width check")
+        return getattr(np, name)
+
+
+@pytest.mark.parametrize("init", ["zero", "plus", [(1.0, 0.0)] * 25])
+def test_width_is_checked_before_allocation(monkeypatch, init):
+    monkeypatch.setattr(sim, "np", _NoAllocation())
+    with pytest.raises(ValueError, match="n_qubits"):
+        new_state(25, init)
 
 
 def test_h_on_zero():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import qgns.train as train
-from qgns import (DataItem, Dataset, EdgeConvention, Formalism, Graph, ModelSpec,
+from qgns import (DataItem, Dataset, EdgeConvention, Formalism, Graph, LayerStep, ModelSpec,
                   TrainConfig, accuracy, fit, gradient, initial_model, load_dataset,
                   loss, model_circuit, params_of, save_dataset, to_edge_list,
                   toy_node_dataset, with_params)
@@ -179,6 +179,37 @@ def test_fd_gradient_matches_manual_recomputation():
         manual = (loss(with_params(model, up), ds, cfg)
                   - loss(with_params(model, down), ds, cfg)) / (2 * cfg.eps)
         assert grad[k] == manual  # same formula, same evaluations
+
+
+def test_clipped_readout_gets_zero_gradient():
+    # total angle 0 puts p1 = 0 below the 1e-7 clip for a label-1 node, and
+    # p1 ~ 2.5e-11 at +-eps stays there: the clipped loss is flat, so both
+    # rules give exactly 0 rather than a push toward the label
+    model = edgeless_model(1, [-PI / 2])  # constant feature adds pi/2
+    ds = Dataset("node", (DataItem(Graph(1), [0.3], (1,)),), node_basis="Z")
+    assert loss(model, ds, TrainConfig()) == pytest.approx(-math.log(1e-7))
+    for method in ("fd", "pshift"):
+        assert np.array_equal(gradient(model, ds, TrainConfig(grad=method)), [0.0])
+
+
+@pytest.mark.parametrize("formalism", [Formalism.SUPERPOSED, Formalism.REGISTERED])
+def test_non_sequential_formalism_is_rejected(k2, formalism):
+    ds = Dataset("node", (DataItem(k2, [0.2, 0.8], (1, 0)),))
+    model = initial_model(k2, formalism=formalism)
+    with pytest.raises(ValueError, match=formalism.value):
+        loss(model, ds, TrainConfig())
+    with pytest.raises(ValueError, match=formalism.value):
+        model_circuit(model)
+
+
+def test_schedule_is_rejected(k2):
+    ds = Dataset("node", (DataItem(k2, [0.2, 0.8], (1, 0)),))
+    base = initial_model(k2)
+    model = ModelSpec(k2, 1, Formalism.SEQUENTIAL, base.theta, base.weights,
+                      schedule=(LayerStep.message(0, 0.5),))
+    for method in ("fd", "pshift"):
+        with pytest.raises(ValueError, match="schedule"):
+            gradient(model, ds, TrainConfig(grad=method))
 
 
 def test_fit_zero_learning_rate_is_a_no_op(k2):
