@@ -15,8 +15,7 @@ from .qgnn import (Formalism, LayerStep, ModelSpec, SequentialRun, apply_interla
                    pool_phase, run_sequential, save_model)
 from .tasks import (classify_graph, edge_phase_estimate, edge_readout, node_readout,
                     swap_test_overlap)
-from .filters import (FilterSpec, apply_filter_lcu, pad_matrix, polynomial_filter_matrix,
-                      select_powers_operator)
+from .filters import FilterSpec, apply_filter_lcu, pad_matrix, polynomial_filter_matrix
 from .dataset import (DataItem, Dataset, dataset_from_dict, dataset_to_dict, demo_graph,
                       load_dataset, save_dataset, toy_dataset_path, toy_node_dataset)
 from .train import (FitResult, TrainConfig, accuracy, class_prototypes, fit, gradient,

@@ -9,6 +9,7 @@ Exit codes: 0 success, 1 domain error (JSON on stderr), 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -183,6 +184,7 @@ def _cmd_pool(args) -> int:
     return 0
 
 
+@functools.cache  # one parser per process, shared: parse_args keeps no state between calls
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="rng seed (default 0)")
@@ -249,9 +251,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def execute(argv) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

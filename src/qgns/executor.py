@@ -13,8 +13,8 @@ import numpy as np
 from .dataset import Dataset
 from .graphstate import EdgeConvention, edge_kind
 from .qgnn import Formalism, ModelSpec, encode_features
-from .sim import StateVector, apply_rows, new_state
-from .tasks import binomial_estimate, edge_zz, node_p1, sign_estimate, swap_test_overlap
+from .sim import apply_rows, new_state
+from .tasks import binomial_estimate, edge_zz, node_p1, sign_estimate, swap_tests
 
 _STACK_BYTES = 1 << 26  # amplitude stack per chunk of parameter rows: 64 MiB
 
@@ -73,8 +73,7 @@ def _readouts(amps: np.ndarray, model: ModelSpec, dataset: Dataset, prototypes,
     node p1's, edge <ZZ>'s (both exact), or swap-test scores."""
     n = model.graph.n_vertices
     if dataset.task == "graph":
-        return np.array([[swap_test_overlap(StateVector(n, row), proto, shots, rng)[1]
-                          for proto in prototypes] for row in amps])
+        return swap_tests(amps, np.array([p.amps for p in prototypes]), shots, rng)[1]
     if dataset.task == "node":
         columns = [node_p1(amps, v, dataset.node_basis) for v in range(n)]
     else:

@@ -2,14 +2,16 @@
 
 p_w(L) = sum_i w_i L^i is evaluated two ways: directly on matrices (the
 brute-force oracle) and as a circuit emulation in the linear-combination
-style: the coefficient vector rides in an index register, a block-diagonal
-select operator applies L^j under index j, and projecting the index back
-onto the uniform state leaves p_w(L) x on the data register up to a tracked
-scale. L is generally non-unitary, so the select operator is applied as a
-plain linear operator with norm bookkeeping instead of a unitary dilation.
+style (Childs & Wiebe 2012): the coefficient vector rides in an index
+register, a block-diagonal select operator applies L^j under index j, and
+projecting the index back onto the uniform state leaves p_w(L) x on the data
+register up to a tracked scale. L is generally non-unitary, so the select
+operator is applied as a plain linear operator with norm bookkeeping instead
+of a unitary dilation.
 
-The select operator is built as a binary cascade: index qubit k controls
-L^(2^k), so index value j composes exactly L^j.
+apply_filter_lcu applies the select operator block by block; the dense
+select_powers_operator (a cascade in which index qubit k controls L^(2^k))
+is the reference it is tested against.
 """
 from __future__ import annotations
 
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sim import MAX_QUBITS, StateVector, apply_linear_operator
+from .sim import MAX_QUBITS
 
 _ZERO_NORM_TOL = 1e-12
 
@@ -94,11 +96,8 @@ def select_powers_operator(L: np.ndarray, a: int) -> np.ndarray:
     op = np.eye(blocks * dim)
     power = L.copy()
     for k in range(a):
-        cascade = np.zeros((blocks * dim, blocks * dim))
-        for j in range(blocks):
-            blk = power if (j >> k) & 1 else np.eye(dim)
-            cascade[j * dim:(j + 1) * dim, j * dim:(j + 1) * dim] = blk
-        op = cascade @ op
+        bit = np.diag((np.arange(blocks) >> k) & 1).astype(float)
+        op = (np.kron(np.eye(blocks) - bit, np.eye(dim)) + np.kron(bit, power)) @ op
         power = power @ power
     return op
 
@@ -131,22 +130,15 @@ def apply_filter_lcu(x, L: np.ndarray, w) -> tuple[np.ndarray, float]:
     a = max(w.size - 1, 0).bit_length()
     if a + v_qubits > MAX_QUBITS:
         raise ValueError(f"filter needs {a + v_qubits} qubits, cap is {MAX_QUBITS}")
-    x_pad = np.zeros(p)
-    x_pad[:d] = x
-    w_pad = np.zeros(1 << a)
-    w_pad[:w.size] = w
-
-    # prepare: signed coefficient amplitudes on the index register, x on data
-    amps = np.kron(w_pad / w_norm, x_pad / x_norm).astype(complex)
-    state = StateVector(a + v_qubits, amps)
-    select = select_powers_operator(lp, a)
-    state, _ = apply_linear_operator(state, select, range(a + v_qubits))
-
-    # prepare^dagger: project the index register onto the uniform state
-    y_raw = state.amps.reshape(1 << a, p).sum(axis=0) / math.sqrt(1 << a)
+    # prepare, then select block by block: index block j holds (w_j / |w|)
+    # L^j x / |x|, each L^j x one matvec on the block before (blocks j >= len(w)
+    # hold 0); prepare^dagger then projects the index onto the uniform state
+    powers = np.zeros((w.size, p))
+    powers[0, :d] = x / x_norm
+    for j in range(1, w.size):
+        powers[j] = lp @ powers[j - 1]
+    y_raw = (w / w_norm) @ powers / math.sqrt(1 << a)
     nrm = float(np.linalg.norm(y_raw))
     if nrm < _ZERO_NORM_TOL:
         raise ValueError("filter annihilates the input (p_w(L) x = 0)")
-    y = np.real(y_raw[:d]) / nrm
-    scale = nrm * math.sqrt(1 << a) * w_norm * x_norm
-    return y, scale
+    return y_raw[:d] / nrm, nrm * math.sqrt(1 << a) * w_norm * x_norm

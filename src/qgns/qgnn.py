@@ -26,10 +26,11 @@ from pathlib import Path
 
 import numpy as np
 
+from .dataset import _check_fields
 from .graph import Graph, neighborhood
 from .graphstate import EdgeConvention, build_graph_state, edge_gate
 from .sim import (MAX_QUBITS, GateOp, MeasurementRecord, StateVector, apply_gate,
-                  measure_qubit)
+                  hadamard_test, measure_qubit)
 
 
 class Formalism(Enum):
@@ -294,13 +295,9 @@ def pool_phase(s: StateVector, g: Graph, group, w: float) -> tuple[float, float]
     group = set(group)
     if not group:
         raise ValueError("pool group must be nonempty")
-    transformed = s.clone()
-    for u, v, _ in g.edges:
-        if u in group and v in group:
-            apply_gate(transformed, GateOp.cp(u, v, w))
-    re = complex(np.vdot(s.amps, transformed.amps)).real
-    p0 = 0.5 * (1.0 + re)
-    return p0, re
+    re = hadamard_test(s, [GateOp.cp(u, v, w) for u, v, _ in g.edges
+                           if u in group and v in group]).real
+    return 0.5 * (1.0 + re), re
 
 
 def pool_crot(s: StateVector, group, target: int, theta: float) -> StateVector:
@@ -392,18 +389,27 @@ def model_to_dict(model: ModelSpec, seed: int = 0) -> dict:
     }
 
 
+# checkpoint fields and their readers; the last two are optional (read from ())
+_CHECKPOINT_FIELDS = (
+    ("graph", Graph.from_dict), ("m", int), ("formalism", Formalism),
+    ("theta", lambda t: np.asarray(t, dtype=float)),
+    ("weights", lambda t: np.asarray(t, dtype=float)),
+    ("schedule", lambda s: tuple(LayerStep.from_dict(sd) for sd in s)), ("shared_weights", bool))
+
+
 def model_from_dict(d: dict) -> ModelSpec:
+    """Model from its checkpoint form; a malformed field raises ValueError naming it."""
+    _check_fields(d, "checkpoint", ())
     if d.get("version") != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {d.get('version')!r}")
-    return ModelSpec(
-        graph=Graph.from_dict(d["graph"]),
-        m=int(d["m"]),
-        formalism=Formalism(d["formalism"]),
-        theta=np.asarray(d["theta"], dtype=float),
-        weights=np.asarray(d["weights"], dtype=float),
-        schedule=tuple(LayerStep.from_dict(sd) for sd in d.get("schedule", ())),
-        shared_weights=bool(d.get("shared_weights", False)),
-    )
+    _check_fields(d, "checkpoint", tuple(key for key, _ in _CHECKPOINT_FIELDS[:5]))
+    fields = {}
+    for key, read in _CHECKPOINT_FIELDS:
+        try:
+            fields[key] = read(d.get(key, ()))
+        except (TypeError, ValueError, KeyError, AttributeError) as exc:
+            raise ValueError(f"checkpoint field {key!r} is malformed: {exc}") from None
+    return ModelSpec(**fields)
 
 
 def save_model(model: ModelSpec, path, seed: int = 0) -> None:

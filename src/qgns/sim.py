@@ -423,15 +423,22 @@ def sample_counts(s: StateVector, shots: int, rng: np.random.Generator) -> dict[
     return {int(k): int(c) for k, c in enumerate(counts) if c > 0}
 
 
+def hadamard_test(s: StateVector, gates) -> complex:
+    """<s|U|s>, U the product of gates in order: the exact Hadamard-test
+    expectations as real and imaginary parts. s is not modified."""
+    transformed = s.clone()
+    for g in gates:
+        apply_gate(transformed, g)
+    return complex(np.vdot(s.amps, transformed.amps))
+
+
 def expectation_pauli(s: StateVector, pauli_string: dict[int, str]) -> float:
     """<s|P|s> for a Pauli product given as {qubit: "X"|"Y"|"Z"}."""
     s.require_normalized()
-    transformed = s.clone()
-    for q, p in pauli_string.items():
+    for p in pauli_string.values():
         if p not in ("X", "Y", "Z"):
             raise ValueError(f"Pauli must be X, Y or Z, got {p!r}")
-        apply_gate(transformed, GateOp(p, (q,)))
-    val = complex(np.vdot(s.amps, transformed.amps))
+    val = hadamard_test(s, [GateOp(p, (q,)) for q, p in pauli_string.items()])
     if abs(val.imag) > 1e-10:
         raise ValueError(f"Pauli expectation has imaginary part {val.imag}")
     return val.real

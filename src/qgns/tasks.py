@@ -4,9 +4,9 @@ All estimators are exact when shots = 0 and otherwise emulate repeated
 preparation: the exact Born probability is computed once and the shot
 record is drawn binomially from it. Input states are never modified.
 
-The node and edge readouts are closed forms on amplitudes: node_p1 and
-edge_zz read every state of a (..., 2^n) stack at once without rotating a
-copy, and node_readout / edge_readout apply them to one state.
+The readouts are closed forms on amplitudes: node_p1, edge_zz and
+swap_tests read whole stacks of states without rotated copies or a 2n+1
+qubit swap register, and the single-state readouts apply them to one state.
 """
 from __future__ import annotations
 
@@ -14,8 +14,7 @@ import numpy as np
 
 from .graph import Graph
 from .graphstate import EdgeConvention, edge_gate
-from .sim import (_SQRT2_INV, MAX_QUBITS, GateOp, StateVector, _check_qubits, apply_gate,
-                  new_state, tensor)
+from .sim import _SQRT2_INV, StateVector, _check_qubits, hadamard_test
 
 _READOUT_BASES = ("Y", "Z")
 
@@ -104,40 +103,35 @@ def edge_phase_estimate(s: StateVector, g: Graph, u: int, v: int, shots: int = 0
                         convention: EdgeConvention = EdgeConvention.CONTROLLED_PHASE) -> float:
     """Hadamard-test estimate of Re<s|Uz(u,v,w_uv)|s> for an existing edge."""
     w = g.weight(u, v)  # raises for a missing edge
-    transformed = s.clone()
-    apply_gate(transformed, edge_gate(convention, u, v, w))
-    re = complex(np.vdot(s.amps, transformed.amps)).real
+    re = hadamard_test(s, (edge_gate(convention, u, v, w),)).real
     if shots == 0:
         return re
     return float(sign_estimate(re, shots, rng))
 
 
+def swap_tests(a: np.ndarray, b: np.ndarray, shots: int = 0,
+               rng: np.random.Generator | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """(p0, overlap_sq) of the swap tests between every state of an (R, 2^n)
+    stack a and every state of a (C, 2^n) stack b, as (R, C) arrays.
+
+    The ancilla-H / CSWAP / H circuit leaves its ancilla in |0> with p0 =
+    (|a|^2 |b|^2 + |<a|b>|^2) / 2 (Buhrman et al. 2001); shots draw in C
+    order. overlap_sq = 2*p0 - 1 clamped to [0, 1] (the raw shot estimator
+    can dip slightly negative)."""
+    norms = np.outer(*[(np.abs(x) ** 2).sum(axis=-1) for x in (a, b)])
+    p0 = 0.5 * (norms + np.abs(a @ b.conj().T) ** 2)
+    if shots > 0:
+        p0 = binomial_estimate(p0, shots, rng)
+    return p0, np.clip(2.0 * p0 - 1.0, 0.0, 1.0)
+
+
 def swap_test_overlap(s1: StateVector, s2: StateVector, shots: int = 0,
                       rng: np.random.Generator | None = None) -> tuple[float, float]:
-    """Ancilla-H / controlled-SWAP / H circuit between two equal-size states.
-
-    Returns (p0, overlap_sq) with p0 the ancilla-|0> probability and
-    overlap_sq = 2*p0 - 1 clamped to [0, 1] (the raw shot estimator can dip
-    slightly negative).
-    """
+    """(p0, overlap_sq) of the swap test between two equal-size states."""
     if s1.n_qubits != s2.n_qubits:
-        raise ValueError(
-            f"states differ in size: {s1.n_qubits} vs {s2.n_qubits} qubits")
-    n = s1.n_qubits
-    if 2 * n + 1 > MAX_QUBITS:
-        raise ValueError(f"swap test needs {2 * n + 1} qubits, cap is {MAX_QUBITS}")
-    ancilla = 2 * n
-    full = tensor(tensor(s1, s2), new_state(1, "zero"))
-    apply_gate(full, GateOp.h(ancilla))
-    for i in range(n):
-        apply_gate(full, GateOp.cswap(ancilla, i, n + i))
-    apply_gate(full, GateOp.h(ancilla))
-    view = full.amps.reshape(-1, 2, 1 << ancilla)
-    p0 = float(np.sum(np.abs(view[:, 0, :]) ** 2))
-    if shots > 0:
-        p0 = float(binomial_estimate(p0, shots, rng))
-    overlap_sq = min(max(2.0 * p0 - 1.0, 0.0), 1.0)
-    return p0, overlap_sq
+        raise ValueError(f"states differ in size: {s1.n_qubits} vs {s2.n_qubits} qubits")
+    p0, overlap_sq = swap_tests(s1.amps[None], s2.amps[None], shots, rng)
+    return float(p0[0, 0]), float(overlap_sq[0, 0])
 
 
 def classify_graph(s: StateVector, class_states, shots: int = 0,

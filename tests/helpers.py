@@ -2,17 +2,20 @@
 
 Everything here is deliberately written against the basis-index definition
 (explicit loops, kron products) rather than the package's vectorized
-kernels, so the two paths never share a bug. The exception is the last
-group: the one-circuit-at-a-time path (apply_gate per gate, a rotated clone
-per node readout, a Pauli-flipped clone per edge readout) that the batched
-trainer executor must reproduce row by row.
+kernels, so the two paths never share a bug. The exceptions are the last
+two groups: the one-circuit-at-a-time path (apply_gate per gate, a rotated
+clone per node readout, a Pauli-flipped clone per edge readout) that the
+batched trainer executor must reproduce row by row, and the simulated
+circuits (the CSWAP swap test, the dense LCU select operator) whose closed
+forms the package computes instead.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from qgns import (GateOp, Graph, StateVector, apply_gate, edge_gate, expectation_pauli,
-                  new_state)
+                  new_state, pad_matrix, tensor)
+from qgns.filters import select_powers_operator
 
 
 def dense_apply(mat: np.ndarray, targets, n: int, vec: np.ndarray) -> np.ndarray:
@@ -118,3 +121,36 @@ def rotated_p1(s: StateVector, qubit: int, basis: str) -> float:
 def zz_oracle(s: StateVector, u: int, v: int) -> float:
     """<Z_u Z_v> as <s| Z_u Z_v |s> on a Z-flipped clone."""
     return expectation_pauli(s, {u: "Z", v: "Z"})
+
+
+def swap_circuit_p0(s1: StateVector, s2: StateVector) -> float:
+    """Ancilla-|0> probability of the simulated swap test: s1 on qubits
+    0..n-1, s2 on n..2n-1, the ancilla on 2n; H, CSWAP(ancilla, i, n+i) for
+    every i, H, then sum |amp|^2 over the ancilla's 0 half."""
+    n = s1.n_qubits
+    ancilla = 2 * n
+    full = tensor(tensor(s1, s2), new_state(1, "zero"))
+    apply_gate(full, GateOp.h(ancilla))
+    for i in range(n):
+        apply_gate(full, GateOp.cswap(ancilla, i, n + i))
+    apply_gate(full, GateOp.h(ancilla))
+    view = full.amps.reshape(-1, 2, 1 << ancilla)
+    return float(np.sum(np.abs(view[:, 0, :]) ** 2))
+
+
+def dense_lcu_filter(x, L, w) -> tuple[np.ndarray, float]:
+    """apply_filter_lcu through the dense select operator: kron the signed
+    coefficient amplitudes with x, apply sum_j |j><j| (x) L^j as one matrix,
+    and project the index register onto the uniform state."""
+    x, w = np.asarray(x, dtype=float), np.asarray(w, dtype=float)
+    d = len(x)
+    lp = pad_matrix(L)
+    p = lp.shape[0]
+    a = max(w.size - 1, 0).bit_length()
+    x_pad, w_pad = np.zeros(p), np.zeros(1 << a)
+    x_pad[:d], w_pad[:w.size] = x, w
+    state = select_powers_operator(lp, a) @ np.kron(w_pad / np.linalg.norm(w),
+                                                    x_pad / np.linalg.norm(x))
+    y_raw = state.reshape(1 << a, p).sum(axis=0) / np.sqrt(1 << a)
+    nrm = np.linalg.norm(y_raw)
+    return y_raw[:d] / nrm, nrm * np.sqrt(1 << a) * np.linalg.norm(w) * np.linalg.norm(x)

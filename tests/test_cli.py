@@ -7,8 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qgns import (LayerStep, ModelSpec, initial_model, save_dataset, save_model, to_edge_list,
-                  toy_dataset_path, toy_node_dataset)
+from qgns import (DataItem, Dataset, Graph, LayerStep, ModelSpec, build_graph_state,
+                  class_prototypes, initial_model, load_dataset, model_circuit, new_state,
+                  save_dataset, save_model, to_edge_list, toy_dataset_path, toy_node_dataset)
 from qgns.cli import execute
 
 
@@ -227,3 +228,107 @@ def test_malformed_dataset_is_a_json_error(tmp_path, payload, field, capsys):
     data.write_text(json.dumps(payload), encoding="utf-8")
     assert execute(["model", "eval", "--data", str(data)]) == 1
     assert field in json.loads(capsys.readouterr().err)["error"]
+
+
+GOLDEN = Path(__file__).parent / "golden"
+WEIGHTED5 = Graph.from_edges(5, [(0, 1, 0.7), (1, 2, 1.9), (2, 3, 2.4), (3, 4, 0.3),
+                                 (0, 4, 1.1), (1, 3, 2.8)])
+
+
+def _graph_task_file(tmp_path, graph, n_items=6):
+    """A graph-task dataset on one graph: items with spread features, labels
+    alternating between two classes."""
+    n = graph.n_vertices
+    items = tuple(DataItem(graph, np.cos(np.arange(n) * (0.7 + 0.3 * k)) + 0.1 * k, k % 2)
+                  for k in range(n_items))
+    path = tmp_path / f"graph{n}.json"
+    save_dataset(Dataset("graph", items), path)
+    return str(path)
+
+
+@pytest.mark.parametrize("second", [True, False])
+def test_seeded_swap_shots_match_recorded_output(demo_file, tmp_path, second, capsys):
+    # recorded from the simulated CSWAP circuit; the closed form must draw
+    # the same shots from the same probability
+    argv = ["swap", "--graph", demo_file, "--shots", "1000", "--seed", "3"]
+    name = "swap_shots1000_seed3_plus.json"
+    if second:
+        other = tmp_path / "weighted5.qg"
+        other.write_text(to_edge_list(WEIGHTED5), encoding="utf-8")
+        argv += ["--graph", str(other)]
+        name = "swap_shots1000_seed3_pair.json"
+    assert execute(argv) == 0
+    assert capsys.readouterr().out.encode() == (GOLDEN / name).read_bytes()
+
+
+def test_seeded_graph_eval_shots_match_recorded_output(tmp_path, capsys):
+    data = _graph_task_file(tmp_path, WEIGHTED5)
+    assert execute(["model", "eval", "--data", data, "--shots", "500", "--seed", "5"]) == 0
+    golden = GOLDEN / "graph_eval_shots500_seed5.jsonl"
+    assert capsys.readouterr().out.encode() == golden.read_bytes()
+
+
+def test_seeded_graph_train_shots_match_recorded_csv(tmp_path):
+    # the graph task's loss and gradient read the batched executor's scores
+    data = _graph_task_file(tmp_path, WEIGHTED5, n_items=4)
+    out = tmp_path / "history.csv"
+    assert execute(["model", "train", "--data", data, "--shots", "256", "--epochs", "2",
+                    "--seed", "11", "--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / "graph_train_shots256_seed11.csv").read_bytes()
+
+
+def test_the_cached_parser_keeps_no_state_between_calls(k2_file, demo_file, tmp_path, capsys):
+    other = tmp_path / "weighted5.qg"
+    other.write_text(to_edge_list(WEIGHTED5), encoding="utf-8")
+    # two appended --graph values, then one: the second call must not see the first's
+    assert execute(["swap", "--graph", demo_file, "--graph", str(other)]) == 0
+    pair = json.loads(capsys.readouterr().out)
+    assert execute(["swap", "--graph", k2_file]) == 0
+    assert json.loads(capsys.readouterr().out)["overlap_sq"] == pytest.approx(0.25)
+    assert execute(["swap", "--graph", demo_file, "--graph", str(other)]) == 0
+    assert json.loads(capsys.readouterr().out) == pair
+    assert execute(["swap"]) == 2  # --graph missing
+    assert execute(["swap", "--graph", k2_file, "--shots", "many"]) == 2
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("payload, field", [
+    ([{"version": "qgns-1"}], "checkpoint must be a JSON object"),
+    ({"version": "qgns-1", "graph": 5, "m": 1, "formalism": "sequential",
+      "theta": [[0.0]], "weights": [[]]}, "checkpoint field 'graph'"),
+    ({"version": "qgns-1", "m": 1, "formalism": "sequential", "theta": [[0.0]],
+      "weights": [[]]}, "missing the field 'graph'"),
+])
+@pytest.mark.parametrize("verb", ["train", "eval"])
+def test_malformed_checkpoint_is_a_json_error(toy_file, tmp_path, verb, payload, field,
+                                              capsys):
+    ckpt = tmp_path / "ck.json"
+    ckpt.write_text(json.dumps(payload), encoding="utf-8")
+    assert execute(["model", verb, "--data", toy_file, "--model", str(ckpt),
+                    "--epochs", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert field in json.loads(captured.err)["error"]
+
+
+def test_swap_and_graph_eval_at_twelve_vertices(tmp_path, capsys):
+    # 12 vertices needed a 25-qubit swap register, over the 24-qubit cap
+    g = Graph.from_edges(12, [(v, (v + 1) % 12, 0.4 + 0.2 * v) for v in range(12)])
+    path = tmp_path / "ring12.qg"
+    path.write_text(to_edge_list(g), encoding="utf-8")
+    assert execute(["swap", "--graph", str(path)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    s = build_graph_state(g)
+    direct = abs(np.vdot(s.amps, new_state(12, "plus").amps)) ** 2
+    assert payload["overlap_sq"] == pytest.approx(direct, abs=1e-10)
+
+    data = _graph_task_file(tmp_path, g, n_items=4)
+    assert execute(["model", "eval", "--data", data]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    ds = load_dataset(data)
+    model = initial_model(g)
+    protos = class_prototypes(ds)
+    for item, line in zip(ds.items, lines[1:]):
+        state = model_circuit(model, item.features)
+        expected = [abs(np.vdot(state.amps, p.amps)) ** 2 for p in protos]
+        assert json.loads(line)["scores"] == pytest.approx(expected, abs=1e-10)

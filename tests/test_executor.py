@@ -13,13 +13,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qgns import (DataItem, Dataset, EdgeConvention, Formalism, Graph, ModelSpec,
-                  encode_features)
+                  StateVector, class_prototypes, encode_features, swap_test_overlap)
 import qgns.executor as executor
 from qgns.executor import param_rows, readout_values
 from qgns.sim import apply_rows
 
 from helpers import (cp_matrix, dense_apply, ising_matrix, layered_circuit_oracle,
-                     random_graph, random_state, rotated_p1, zz_oracle)
+                     random_graph, random_state, rotated_p1, swap_circuit_p0, zz_oracle)
 
 READOUTS = ("Y", "Z", "ZZ")
 
@@ -120,3 +120,31 @@ def test_chunked_rows_match_one_stack(monkeypatch):
     chunked = readout_values(model, ds, angles, weights, conv, None)
     for a, b in zip(whole, chunked):
         assert np.array_equal(a, b)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4), rows=st.integers(1, 3),
+       items=st.integers(2, 4), convention=st.sampled_from(list(EdgeConvention)))
+def test_graph_scores_match_the_swap_circuit_and_draw_in_row_prototype_order(
+        seed, n, rows, items, convention):
+    rng = np.random.default_rng(seed)
+    g = random_graph(rng, n, weighted=True)
+    model = ModelSpec(g, 1, Formalism.SEQUENTIAL, rng.uniform(-math.pi, math.pi, (1, n)),
+                      rng.uniform(0.0, 2 * math.pi, (1, g.n_edges)))
+    ds = Dataset("graph", tuple(DataItem(g, rng.uniform(0, 1, n), k % 2)
+                                for k in range(items)))
+    protos = class_prototypes(ds, convention)
+    params = rng.uniform(-math.pi, math.pi, (rows, model.theta.size + model.weights.size))
+    angles, weights = param_rows(model, params)
+    exact = readout_values(model, ds, angles, weights, convention, protos)
+    shots = readout_values(model, ds, angles, weights, convention, protos, 200,
+                           np.random.default_rng(seed))
+    draws = np.random.default_rng(seed)
+    offsets = np.array([executor.feature_angles(item.features) for item in ds.items])
+    states = executor.circuit_states(model, angles, weights, offsets, convention)
+    for r, amps in enumerate(states):
+        b, i = divmod(r, items)
+        for c, proto in enumerate(protos):
+            s = StateVector(n, amps)
+            assert abs(exact[i][b, c] - (2 * swap_circuit_p0(s, proto) - 1)) <= 1e-12
+            assert shots[i][b, c] == swap_test_overlap(s, proto, 200, draws)[1]

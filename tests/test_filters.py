@@ -4,11 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qgns import (FilterSpec, Graph, apply_filter_lcu, laplacian, pad_matrix,
-                  polynomial_filter_matrix, select_powers_operator)
+                  polynomial_filter_matrix)
+from qgns.filters import select_powers_operator
 
-from helpers import random_graph
+from helpers import dense_lcu_filter, random_graph
 
 P2_LAP = np.array([[1.0, -1.0], [-1.0, 1.0]])
 
@@ -143,3 +146,20 @@ def test_lcu_input_validation():
         apply_filter_lcu(np.array([0.0, 0.0]), P2_LAP, [1.0])
     with pytest.raises(ValueError, match="shape"):
         apply_filter_lcu(np.array([1.0, 0.0, 0.0]), P2_LAP, [1.0])
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 9), terms=st.integers(1, 9))
+def test_lcu_blocks_match_the_dense_select_operator_and_horner(seed, n, terms):
+    rng = np.random.default_rng(seed)
+    lap = laplacian(random_graph(rng, n, weighted=True))
+    w = rng.normal(size=terms)
+    x = rng.normal(size=n)
+    oracle = polynomial_filter_matrix(lap, w) @ x
+    if np.linalg.norm(oracle) < 1e-9:
+        return
+    y, scale = apply_filter_lcu(x, lap, w)
+    dense_y, dense_scale = dense_lcu_filter(x, lap, w)
+    assert np.linalg.norm(scale * y - dense_scale * dense_y) < 1e-8 * np.linalg.norm(oracle)
+    assert np.linalg.norm(scale * y - oracle) / np.linalg.norm(oracle) < 1e-8
+    assert abs(np.linalg.norm(y) - 1.0) < 1e-12

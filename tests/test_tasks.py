@@ -4,12 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qgns import (Graph, StateVector, build_graph_state, classify_graph,
                   edge_phase_estimate, edge_readout, new_state, node_readout,
                   swap_test_overlap)
 
-from helpers import random_state
+from helpers import random_graph, random_state, swap_circuit_p0
 
 
 def test_node_readout_z_basis():
@@ -95,6 +97,31 @@ def test_swap_test_symmetry_and_inner_product_oracle(rng):
         assert abs(ab - ba) <= 1e-12
         direct = abs(np.vdot(a.amps, b.amps)) ** 2
         assert abs(ab - direct) <= 1e-10
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 5),
+       scales=st.sampled_from([(1.0, 1.0), (0.6, 1.3), (2.0, 0.25)]))
+def test_swap_closed_form_matches_the_cswap_circuit(seed, n, scales):
+    # scales other than (1, 1) give a pair that is not normalized, where the
+    # circuit's p0 is (|a|^2 |b|^2 + |<a|b>|^2) / 2
+    rng = np.random.default_rng(seed)
+    a, b = (StateVector(n, k * random_state(rng, n), normalized=k == 1.0) for k in scales)
+    p0, overlap = swap_test_overlap(a, b)
+    circuit = swap_circuit_p0(a, b)
+    scale = max(1.0, (scales[0] * scales[1]) ** 2)
+    assert abs(p0 - circuit) <= 1e-12 * scale
+    assert abs(overlap - min(max(2 * circuit - 1, 0.0), 1.0)) <= 1e-12 * scale
+
+
+def test_swap_test_beyond_the_circuit_register():
+    # n = 12 needed a 25-qubit circuit register; the closed form needs none
+    rng = np.random.default_rng(3)
+    g = random_graph(rng, 12, weighted=True)
+    s, plus = build_graph_state(g), new_state(12, "plus")
+    p0, overlap = swap_test_overlap(s, plus)
+    direct = abs(np.vdot(s.amps, plus.amps)) ** 2
+    assert abs(overlap - direct) <= 1e-10 and abs(p0 - (1 + direct) / 2) <= 1e-10
 
 
 def test_swap_test_shot_convergence():
