@@ -80,8 +80,9 @@ def _cmd_state_sample(args) -> int:
     s = build_graph_state(g, _convention(args))
     payload: dict = {"seed": args.seed, "shots": args.shots}
     if args.shots == 0:
-        payload["probabilities"] = {str(k): float(p) for k, p in enumerate(s.probabilities())
-                                    if p > 0.0}
+        probs = s.probabilities()
+        hit = np.flatnonzero(probs > 0.0)
+        payload["probabilities"] = dict(zip(map(str, hit.tolist()), probs[hit].tolist()))
     else:
         rng = np.random.default_rng(args.seed)
         counts = sample_counts(s, args.shots, rng)

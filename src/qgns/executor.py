@@ -3,8 +3,10 @@
 It runs the sequential layered circuit (per layer, Ry on every vertex, then
 each edge's entangler) for many parameter rows and items at once, as one
 (rows * items, 2^n) amplitude stack, and reads out every circuit with the
-closed-form readouts of qgns.tasks. A row's result never depends on the
-other rows in its batch, so a batch of one gives the same numbers.
+closed-form readouts of qgns.tasks. Layer 0's Ry passes act on |0...0>, so
+their product state is prepared in closed form (sim.product_rows). A row's
+result never depends on the other rows in its batch, so a batch of one gives
+the same numbers.
 """
 from __future__ import annotations
 
@@ -13,7 +15,7 @@ import numpy as np
 from .dataset import Dataset
 from .graphstate import EdgeConvention, edge_kind
 from .qgnn import Formalism, ModelSpec, encode_features
-from .sim import apply_rows, new_state
+from .sim import apply_rows, product_rows
 from .tasks import binomial_estimate, edge_zz, node_p1, sign_estimate, swap_tests
 
 _STACK_BYTES = 1 << 26  # amplitude stack per chunk of parameter rows: 64 MiB
@@ -56,12 +58,13 @@ def circuit_states(model: ModelSpec, angles: np.ndarray, weights: np.ndarray,
     total = np.repeat(angles, offsets.shape[0], axis=0)
     total[:, 0, :] += np.tile(offsets, (angles.shape[0], 1))
     wts = np.repeat(weights, offsets.shape[0], axis=0)
-    # one |0...0> preparation per batch, copied into every row
-    amps = np.tile(new_state(graph.n_vertices).amps, (total.shape[0], 1))
+    # layer 0's Ry passes on |0...0> leave a product state: prepare it directly
+    amps = product_rows(total[:, 0, :])
     kind = edge_kind(convention)
     for layer in range(model.m):
-        for v in range(graph.n_vertices):
-            apply_rows(amps, "Ry", (v,), total[:, layer, v])
+        if layer:
+            for v in range(graph.n_vertices):
+                apply_rows(amps, "Ry", (v,), total[:, layer, v])
         for k, (u, v, _) in enumerate(graph.edges):
             apply_rows(amps, kind, (u, v), wts[:, layer, k])
     return amps

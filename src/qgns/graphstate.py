@@ -25,7 +25,8 @@ from enum import Enum
 import numpy as np
 
 from .graph import Graph, adjacency_matrix, neighborhood
-from .sim import GateOp, MeasurementRecord, StateVector, apply_gate, measure_qubit, new_state
+from .sim import (GateOp, MeasurementRecord, StateVector, apply_gate, measure_qubit, new_state,
+                  product_rows)
 
 
 class EdgeConvention(Enum):
@@ -84,10 +85,7 @@ def _resolve_init(g: Graph, init) -> StateVector:
         angles = list(payload)
         if len(angles) != n:
             raise ValueError(f"expected {n} angles, got {len(angles)}")
-        s = new_state(n, "zero")
-        for q, theta in enumerate(angles):
-            apply_gate(s, GateOp.ry(q, theta))
-        return s
+        return StateVector(n, product_rows(np.asarray(angles, dtype=float)[None])[0])
     raise ValueError(f"unknown init tag {tag!r}")
 
 
@@ -134,14 +132,27 @@ class StabilizerReport:
 
 
 def verify_stabilizers(g: Graph, s: StateVector, tol: float = 1e-10) -> StabilizerReport:
-    """Per-vertex Euclidean residual ||S_v s - s||; passes iff all < tol."""
+    """Per-vertex Euclidean residual ||S_v s - s||; passes iff all < tol.
+
+    S_v = X_v prod_{u in N(v)} Z_u maps the amplitude pair (a0, a1) that
+    differs only in bit v to (z a1, z a0), with z = +-1 the parity sign of
+    the neighbour bits, so both halves of the residual have the magnitude
+    |z a1 - a0| and ||S_v s - s|| = sqrt(2) ||z a1 - a0||. That is one copy
+    of half the state per vertex, with no Pauli-applied clone.
+    """
     if s.n_qubits != g.n_vertices:
         raise ValueError(
             f"state has {s.n_qubits} qubits but graph has {g.n_vertices} vertices")
     residuals = []
     for v in range(g.n_vertices):
-        transformed = stabilizer_of(g, v).apply_to(s)
-        residuals.append(float(np.linalg.norm(transformed.amps - s.amps)))
+        pairs = s.amps.reshape(-1, 2, 1 << v)
+        diff = pairs[:, 1, :].copy()
+        # flat index of the a1 half: bit u of the state index for u < v,
+        # bit u + 1 for u > v
+        for u in neighborhood(g, v):
+            diff.reshape(-1, 2, 1 << (u if u < v else u - 1))[:, 1, :] *= -1.0
+        diff -= pairs[:, 0, :]
+        residuals.append(math.sqrt(2.0) * float(np.linalg.norm(diff)))
     return StabilizerReport(tuple(residuals), tol)
 
 

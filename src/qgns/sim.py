@@ -5,7 +5,8 @@ significant. Amplitudes live in one contiguous complex128 vector of length
 2^n; diagonal gates act by masked phase multiplication, dense gates by
 tensor contraction, so no gate ever materializes a 2^n x 2^n matrix. The
 parametrised Ry, CP and IsingZZ kernels also run on a (B, 2^n) stack of
-states with one angle per row (apply_rows), which qgns.executor uses.
+states with one angle per row (apply_rows), and product_rows prepares the
+Ry product states of a whole stack in closed form; qgns.executor uses both.
 
 States mutate in place; clone() before applying gates if the original is
 still needed. Randomness always comes from an explicit numpy Generator.
@@ -313,6 +314,28 @@ def _ising_zz_rows(amps: np.ndarray, qubits: tuple[int, ...], w: np.ndarray) -> 
 _ROW_KERNELS = {"Ry": _ry_rows, "CP": _cp_rows, "IsingZZ": _ising_zz_rows}
 
 
+def product_rows(theta) -> np.ndarray:
+    """The (B, 2^n) amplitudes of the product states Ry(theta[b, q]) on every
+    qubit q of |0...0>: row b is the kron of the (cos, sin)(theta[b, q] / 2)
+    pairs, qubit 0 least significant.
+
+    The factors multiply in qubit order, as the Ry gates would, so every
+    amplitude is bit-identical to apply_rows("Ry") on |0...0>, one qubit
+    after the other. The width is checked before anything is allocated.
+    """
+    theta = np.asarray(theta, dtype=float)
+    _check_width(theta.shape[1])
+    amps = np.empty((theta.shape[0], 1 << theta.shape[1]))
+    amps[:, 0] = 1.0
+    for q in range(theta.shape[1]):
+        # the first 2^q columns hold qubits 0..q-1; double them in place
+        half = theta[:, q] / 2.0  # one angle per row, as _ry_rows takes them
+        low = amps[:, :1 << q]
+        np.multiply(low, np.sin(half)[:, None], out=amps[:, 1 << q:2 << q])
+        low *= np.cos(half)[:, None]
+    return amps.astype(complex)
+
+
 def apply_rows(amps: np.ndarray, kind: str, qubits: tuple[int, ...], params) -> None:
     """Apply a Ry, CP or IsingZZ gate to every row of a contiguous (B, 2^n)
     amplitude stack in place, row b with angle params[b]. The qubits are
@@ -420,7 +443,8 @@ def sample_counts(s: StateVector, shots: int, rng: np.random.Generator) -> dict[
     probs = s.probabilities()
     probs = probs / probs.sum()
     counts = rng.multinomial(shots, probs)
-    return {int(k): int(c) for k, c in enumerate(counts) if c > 0}
+    hit = np.flatnonzero(counts)
+    return dict(zip(hit.tolist(), counts[hit].tolist()))
 
 
 def hadamard_test(s: StateVector, gates) -> complex:

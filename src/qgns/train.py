@@ -212,30 +212,40 @@ def _check_compat(model: ModelSpec, dataset: Dataset) -> None:
             raise ValueError("dataset item graph differs from the model graph")
 
 
-def _model_values(model: ModelSpec, dataset: Dataset, config: TrainConfig,
-                  convention: EdgeConvention, rng) -> list[np.ndarray]:
-    """Readout values at the model's own parameters: a batch of one row."""
+def _fixed_inputs(model: ModelSpec, dataset: Dataset, convention: EdgeConvention):
+    """The inputs that parameter updates leave unchanged: the items' layer-0
+    angles (their encoded features) and, for the graph task, the class
+    prototypes. fit computes them once and hands them to every loss,
+    accuracy and gradient call; a call without them computes its own."""
     _check_compat(model, dataset)
+    offsets = np.array([feature_angles(item.features) for item in dataset.items])
+    return offsets, _prototypes(dataset, convention)
+
+
+def _model_values(model: ModelSpec, dataset: Dataset, config: TrainConfig,
+                  convention: EdgeConvention, rng, fixed) -> list[np.ndarray]:
+    """Readout values at the model's own parameters: a batch of one row."""
+    offsets, prototypes = fixed or _fixed_inputs(model, dataset, convention)
     if config.shots > 0 and rng is None:
         rng = np.random.default_rng(config.seed)
     return readout_values(model, dataset, *param_rows(model, params_of(model)[None]),
-                          convention, _prototypes(dataset, convention), config.shots, rng)
+                          convention, prototypes, config.shots, rng, offsets=offsets)
 
 
 def loss(model: ModelSpec, dataset: Dataset, config: TrainConfig,
          convention: EdgeConvention = EdgeConvention.CONTROLLED_PHASE,
-         rng=None) -> float:
+         rng=None, *, _fixed=None) -> float:
     """Mean per-item loss; deterministic in exact mode (shots = 0)."""
-    values = _model_values(model, dataset, config, convention, rng)
+    values = _model_values(model, dataset, config, convention, rng, _fixed)
     return float(_row_losses(values, dataset, config.loss)[0])
 
 
 def accuracy(model: ModelSpec, dataset: Dataset, config: TrainConfig,
              convention: EdgeConvention = EdgeConvention.CONTROLLED_PHASE,
-             rng=None) -> float:
+             rng=None, *, _fixed=None) -> float:
     """Fraction of correct readouts: thresholded bits (node), targets hit
     within 0.5 (edge), or argmax class (graph)."""
-    values = _model_values(model, dataset, config, convention, rng)
+    values = _model_values(model, dataset, config, convention, rng, _fixed)
     hits, count = 0, 0
     for vals, item in zip(values, dataset.items):
         vals = vals[0]
@@ -264,20 +274,21 @@ _SHIFTS = {
 }
 
 
-def _fd_gradient(model, dataset, config, convention, rng) -> np.ndarray:
+def _fd_gradient(model, dataset, config, convention, rng, fixed) -> np.ndarray:
     """Central differences: the 2P shifted parameter vectors run as one batch."""
     base = params_of(model)
     rows = np.tile(base, (2 * base.size, 1))
     for k in range(base.size):
         rows[2 * k, k] = base[k] + config.eps
         rows[2 * k + 1, k] = base[k] - config.eps
+    offsets, prototypes = fixed
     values = readout_values(model, dataset, *param_rows(model, rows), convention,
-                            _prototypes(dataset, convention), config.shots, rng)
+                            prototypes, config.shots, rng, offsets=offsets)
     losses = _row_losses(values, dataset, config.loss)
     return (losses[0::2] - losses[1::2]) / (2.0 * config.eps)
 
 
-def _pshift_gradient(model, dataset, config, convention, rng) -> np.ndarray:
+def _pshift_gradient(model, dataset, config, convention, rng, offsets) -> np.ndarray:
     """Two-point shift rule on the expanded angles and weights: the base row
     and its +-shift rows run as one batch."""
     n, e, m = model.graph.n_vertices, model.graph.n_edges, model.m
@@ -305,7 +316,7 @@ def _pshift_gradient(model, dataset, config, convention, rng) -> np.ndarray:
             columns.append((n_theta + (k if model.shared_weights else i * e + k), edge_factor))
     # the graph task never reaches here, so no prototypes
     values = readout_values(model, dataset, np.array(angle_rows), np.array(weight_rows),
-                            convention, None, config.shots, rng, item_major=True)
+                            convention, None, config.shots, rng, offsets, item_major=True)
     squared = _squared(dataset, config.loss)
     grad = np.zeros(params_of(model).size)
     for vals, item in zip(values, dataset.items):
@@ -319,18 +330,18 @@ def _pshift_gradient(model, dataset, config, convention, rng) -> np.ndarray:
 
 def gradient(model: ModelSpec, dataset: Dataset, config: TrainConfig,
              convention: EdgeConvention = EdgeConvention.CONTROLLED_PHASE,
-             rng=None) -> np.ndarray:
+             rng=None, *, _fixed=None) -> np.ndarray:
     """Loss gradient over the flat (theta, weights) parameter vector."""
-    _check_compat(model, dataset)
+    fixed = _fixed or _fixed_inputs(model, dataset, convention)
     if config.shots > 0 and rng is None:
         rng = np.random.default_rng(config.seed)
     if config.grad == "fd":
-        return _fd_gradient(model, dataset, config, convention, rng)
+        return _fd_gradient(model, dataset, config, convention, rng, fixed)
     if dataset.task == "graph":
         warnings.warn("param_shift needs Pauli-expectation readouts; graph-task "
                       "swap scores fall back to finite differences", stacklevel=2)
-        return _fd_gradient(model, dataset, config, convention, rng)
-    return _pshift_gradient(model, dataset, config, convention, rng)
+        return _fd_gradient(model, dataset, config, convention, rng, fixed)
+    return _pshift_gradient(model, dataset, config, convention, rng, fixed[0])
 
 
 @dataclass(frozen=True)
@@ -344,16 +355,17 @@ def fit(model: ModelSpec, dataset: Dataset, config: TrainConfig,
         convention: EdgeConvention = EdgeConvention.CONTROLLED_PHASE) -> FitResult:
     """Plain gradient descent, p <- p - lr * grad, for config.epochs steps."""
     rng = np.random.default_rng(config.seed) if config.shots > 0 else None
+    fixed = _fixed_inputs(model, dataset, convention)
     params = params_of(model)
     current = model
     history, accuracies = [], []
     for epoch in range(config.epochs):
-        epoch_loss = loss(current, dataset, config, convention, rng)
+        epoch_loss = loss(current, dataset, config, convention, rng, _fixed=fixed)
         if not math.isfinite(epoch_loss):
             raise RuntimeError(f"training diverged at epoch {epoch}: loss={epoch_loss}")
         history.append(epoch_loss)
-        accuracies.append(accuracy(current, dataset, config, convention, rng))
+        accuracies.append(accuracy(current, dataset, config, convention, rng, _fixed=fixed))
         params = params - config.learning_rate * gradient(current, dataset, config,
-                                                          convention, rng)
+                                                          convention, rng, _fixed=fixed)
         current = with_params(current, params)
     return FitResult(current, tuple(history), tuple(accuracies))

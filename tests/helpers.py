@@ -6,15 +6,16 @@ kernels, so the two paths never share a bug. The exceptions are the last
 two groups: the one-circuit-at-a-time path (apply_gate per gate, a rotated
 clone per node readout, a Pauli-flipped clone per edge readout) that the
 batched trainer executor must reproduce row by row, and the simulated
-circuits (the CSWAP swap test, the dense LCU select operator) whose closed
-forms the package computes instead.
+circuits (the CSWAP swap test, the dense LCU select operator, the
+stabilizer applied to a clone) whose closed forms the package computes
+instead.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from qgns import (GateOp, Graph, StateVector, apply_gate, edge_gate, expectation_pauli,
-                  new_state, pad_matrix, tensor)
+                  new_state, pad_matrix, stabilizer_of, tensor)
 from qgns.filters import select_powers_operator
 
 
@@ -154,3 +155,10 @@ def dense_lcu_filter(x, L, w) -> tuple[np.ndarray, float]:
     y_raw = state.reshape(1 << a, p).sum(axis=0) / np.sqrt(1 << a)
     nrm = np.linalg.norm(y_raw)
     return y_raw[:d] / nrm, nrm * np.sqrt(1 << a) * np.linalg.norm(w) * np.linalg.norm(x)
+
+
+def stabilizer_residuals(g: Graph, s: StateVector) -> list[float]:
+    """Per-vertex ||S_v s - s|| with S_v = X_v prod Z_u applied gate by gate
+    to a clone of s (PauliString.apply_to)."""
+    return [float(np.linalg.norm(stabilizer_of(g, v).apply_to(s).amps - s.amps))
+            for v in range(g.n_vertices)]

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qgns import (DataItem, Dataset, Graph, LayerStep, ModelSpec, build_graph_state,
+from qgns import (DataItem, Dataset, Formalism, Graph, LayerStep, ModelSpec, build_graph_state,
                   class_prototypes, initial_model, load_dataset, model_circuit, new_state,
                   save_dataset, save_model, to_edge_list, toy_dataset_path, toy_node_dataset)
 from qgns.cli import execute
@@ -332,3 +332,46 @@ def test_swap_and_graph_eval_at_twelve_vertices(tmp_path, capsys):
         state = model_circuit(model, item.features)
         expected = [abs(np.vdot(state.amps, p.amps)) ** 2 for p in protos]
         assert json.loads(line)["scores"] == pytest.approx(expected, abs=1e-10)
+
+
+# Wide-state cases; the files were recorded at the commit before the
+# copy-free stabilizer check, the vectorised sampler and closed-form layer 0.
+CHORDS12 = Graph.from_edges(12, [(v, (v + 1) % 12, 0.3 + 0.2 * v) for v in range(12)]
+                            + [(v, v + 5, 1.1 + 0.1 * v) for v in range(7)])
+RING8 = Graph.from_edges(8, [(v, (v + 1) % 8, 0.5 + 0.3 * v) for v in range(8)]
+                         + [(0, 4, 2.2), (2, 6, 1.3)])
+RING10 = Graph.from_edges(10, [(v, (v + 1) % 10, 0.4 + 0.25 * v) for v in range(10)]
+                          + [(v, v + 3, 2.0 - 0.15 * v) for v in range(0, 7, 2)])
+
+
+def _wide_case(name: str, tmp_path: Path) -> list[str]:
+    """The argv of one recorded wide-state case, its input files in tmp_path."""
+    if name == "sample_shots4096_seed7_n12.json":
+        path = tmp_path / "chords12.qg"
+        path.write_text(to_edge_list(CHORDS12), encoding="utf-8")
+        return ["state", "sample", "--graph", str(path), "--shots", "4096", "--seed", "7"]
+    if name == "sample_exact_n8.json":
+        path = tmp_path / "ring8.qg"
+        path.write_text(to_edge_list(RING8), encoding="utf-8")
+        return ["state", "sample", "--graph", str(path), "--shots", "0"]
+    # exact Y-basis node eval of a two-layer model with nonzero angles, so
+    # both the layer-0 product state and the layer-1 Ry passes are read
+    n, e = RING10.n_vertices, RING10.n_edges
+    labels = [[v % 2 for v in range(n)], [None if v % 3 == 0 else (v + 1) % 2 for v in range(n)],
+              [int(v < 5) for v in range(n)]]
+    items = tuple(DataItem(RING10, np.sin(np.arange(n) * (0.9 + 0.4 * k)) + 0.2 * k, labels[k])
+                  for k in range(3))
+    data = tmp_path / "node10.json"
+    save_dataset(Dataset("node", items, "Y"), data)
+    theta = 0.3 * np.cos(np.arange(2 * n).reshape(2, n) * 1.7)
+    weights = np.pi - 0.2 * np.sin(np.arange(2 * e).reshape(2, e))
+    ckpt = tmp_path / "node10-model.json"
+    save_model(ModelSpec(RING10, 2, Formalism.SEQUENTIAL, theta, weights), ckpt)
+    return ["model", "eval", "--data", str(data), "--model", str(ckpt)]
+
+
+@pytest.mark.parametrize("name", ["sample_shots4096_seed7_n12.json", "sample_exact_n8.json",
+                                  "node_eval_exact_Y_n10.jsonl"])
+def test_wide_state_outputs_match_recorded_files(name, tmp_path, capsys):
+    assert execute(_wide_case(name, tmp_path)) == 0
+    assert capsys.readouterr().out.encode() == (GOLDEN / name).read_bytes()

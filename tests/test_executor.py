@@ -148,3 +148,17 @@ def test_graph_scores_match_the_swap_circuit_and_draw_in_row_prototype_order(
             s = StateVector(n, amps)
             assert abs(exact[i][b, c] - (2 * swap_circuit_p0(s, proto) - 1)) <= 1e-12
             assert shots[i][b, c] == swap_test_overlap(s, proto, 200, draws)[1]
+
+
+def test_layer_zero_is_prepared_without_ry_passes(monkeypatch):
+    rng, model, ds = _case(11, 5, 1, 2, False, "Y")
+    calls = []
+
+    def recording(amps, kind, qubits, params):
+        calls.append(kind)
+        apply_rows(amps, kind, qubits, params)
+
+    monkeypatch.setattr(executor, "apply_rows", recording)
+    params = rng.uniform(-math.pi, math.pi, (3, model.theta.size + model.weights.size))
+    readout_values(model, ds, *param_rows(model, params), EdgeConvention.CONTROLLED_PHASE, None)
+    assert model.graph.n_edges and calls == ["CP"] * model.graph.n_edges

@@ -5,12 +5,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qgns import (EdgeConvention, Graph, PauliString, build_graph_state, constraint_round,
-                  decomposition_amplitude, new_state, stabilizer_of, verify_stabilizers)
+from qgns import (EdgeConvention, Graph, PauliString, StateVector, build_graph_state,
+                  constraint_round, decomposition_amplitude, new_state, stabilizer_of,
+                  verify_stabilizers)
+import qgns.graphstate as graphstate
+import qgns.sim as sim
 
 from helpers import (cp_matrix, dense_apply, graph_state_amp_oracle, permute_qubits,
-                     random_graph)
+                     random_graph, random_state, stabilizer_residuals)
 
 SQ2 = math.sqrt(2.0)
 
@@ -71,6 +76,46 @@ def test_verify_rejects_non_graph_state(k2):
     assert not report.passed
     # X0 Z1 |00> = |01>, orthogonal to |00>: residual sqrt(2)
     assert report.residuals[0] == pytest.approx(SQ2)
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 8),
+       p_edge=st.sampled_from([0.0, 0.2, 0.5, 0.9]),
+       state=st.sampled_from(["random", "unnormalized", "graph", "weighted"]))
+def test_verify_matches_the_clone_oracle(seed, n, p_edge, state):
+    # low edge probabilities leave isolated vertices, whose stabilizer is X_v
+    rng = np.random.default_rng(seed)
+    g = random_graph(rng, n, p_edge=p_edge)
+    if state in ("random", "unnormalized"):
+        scale = 1.0 if state == "random" else float(rng.uniform(0.1, 3.0))
+        s = StateVector(n, scale * random_state(rng, n), normalized=state == "random")
+    elif state == "graph":
+        s = build_graph_state(g)
+    else:
+        # a weighted graph's state, checked against the Paulis of its edges
+        weighted = random_graph(rng, n, weighted=True, p_edge=p_edge)
+        g = Graph.from_edges(n, [(u, v) for u, v, _ in weighted.edges])
+        s = build_graph_state(weighted)
+    amps = s.amps.copy()
+    report = verify_stabilizers(g, s)
+    oracle = stabilizer_residuals(g, s)
+    np.testing.assert_allclose(report.residuals, oracle, rtol=0, atol=1e-13)
+    assert report.passed == (max(oracle) < report.tol)
+    np.testing.assert_array_equal(s.amps, amps)  # the state is left as it was
+
+
+def test_verify_uses_no_clone_and_no_gate(monkeypatch):
+    g = Graph.from_edges(12, [(v, (v + 1) % 12) for v in range(12)] + [(0, 6), (3, 9)])
+    s = build_graph_state(g)
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("verify_stabilizers cloned the state or applied a gate")
+
+    monkeypatch.setattr(sim.StateVector, "clone", refuse)
+    monkeypatch.setattr(sim, "apply_gate", refuse)
+    monkeypatch.setattr(graphstate, "apply_gate", refuse)
+    report = verify_stabilizers(g, s)
+    assert report.passed and len(report.residuals) == 12
 
 
 def test_verify_qubit_count_mismatch(k2):

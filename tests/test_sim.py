@@ -4,10 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qgns import sim
-from qgns.sim import (GateOp, StateVector, apply_gate, apply_linear_operator, dump_state,
-                      expectation_pauli, measure_qubit, new_state, sample_counts, tensor)
+from qgns.sim import (GateOp, StateVector, apply_gate, apply_linear_operator, apply_rows,
+                      dump_state, expectation_pauli, measure_qubit, new_state, product_rows,
+                      sample_counts, tensor)
 
 from helpers import cp_matrix, cry_4x4, dense_apply, ising_matrix, random_state
 
@@ -176,6 +179,39 @@ def test_sample_counts_deterministic_under_seed():
     a = sample_counts(s, 500, np.random.default_rng(9))
     b = sample_counts(s, 500, np.random.default_rng(9))
     assert a == b
+
+
+@pytest.mark.parametrize("n, shots", [(3, 7), (6, 64), (10, 5000)])
+def test_sample_counts_match_the_enumerated_dict(rng, n, shots):
+    s = StateVector(n, random_state(rng, n))
+    counts = sample_counts(s, shots, np.random.default_rng(n))
+    probs = s.probabilities()
+    drawn = np.random.default_rng(n).multinomial(shots, probs / probs.sum())
+    expected = {int(k): int(c) for k, c in enumerate(drawn) if c > 0}
+    assert counts == expected
+    assert list(counts) == list(expected)
+    assert all(type(k) is int and type(c) is int for k, c in counts.items())
+
+
+_ANGLES = st.one_of(st.sampled_from([0.0, math.pi, -math.pi, 2 * math.pi]),
+                    st.floats(-4 * math.pi, 4 * math.pi))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), rows=st.integers(1, 4), n=st.integers(1, 8))
+def test_product_rows_equal_ry_passes_on_zero(data, rows, n):
+    theta = np.array(data.draw(st.lists(st.lists(_ANGLES, min_size=n, max_size=n),
+                                        min_size=rows, max_size=rows)))
+    amps = np.zeros((rows, 1 << n), dtype=complex)
+    amps[:, 0] = 1.0
+    for q in range(n):
+        apply_rows(amps, "Ry", (q,), theta[:, q])
+    np.testing.assert_array_equal(product_rows(theta), amps)
+
+
+def test_product_rows_checks_the_width_first():
+    with pytest.raises(ValueError, match="n_qubits"):
+        product_rows(np.zeros((1, 25)))
 
 
 def test_expectation_pauli_examples():

@@ -5,10 +5,11 @@ import math
 import numpy as np
 import pytest
 
+import qgns.executor as executor
 import qgns.train as train
 from qgns import (DataItem, Dataset, EdgeConvention, Formalism, Graph, LayerStep, ModelSpec,
-                  TrainConfig, accuracy, fit, gradient, initial_model, load_dataset,
-                  loss, model_circuit, params_of, save_dataset, to_edge_list,
+                  TrainConfig, accuracy, encode_features, fit, gradient, initial_model,
+                  load_dataset, loss, model_circuit, params_of, save_dataset, to_edge_list,
                   toy_node_dataset, with_params)
 from qgns.train import _angle_rows, _expanded_weights, _item_values
 
@@ -327,3 +328,17 @@ def test_bundled_toy_file_matches_builder():
     for a, b in zip(bundled.items, built.items):
         assert a.graph == b.graph and a.labels == b.labels
         assert np.array_equal(a.features, b.features)
+
+
+@pytest.mark.parametrize("grad", ["fd", "pshift"])
+def test_fit_encodes_each_item_once(monkeypatch, grad):
+    ds = toy_node_dataset()
+    calls = []
+
+    def counting(features, method="angle"):
+        calls.append(method)
+        return encode_features(features, method)
+
+    monkeypatch.setattr(executor, "encode_features", counting)
+    train.fit(initial_model(ds.items[0].graph), ds, TrainConfig(epochs=3, grad=grad))
+    assert len(calls) == len(ds.items)
