@@ -9,7 +9,7 @@ from .graphstate import (ConstraintRound, EdgeConvention, PauliString, Stabilize
                          build_graph_state, constraint_round, decomposition_amplitude,
                          edge_gate, stabilizer_of, verify_stabilizers)
 from .qgnn import (Formalism, LayerStep, ModelSpec, SequentialRun, apply_interlayer,
-                   build_registered, build_superposed, default_model, encode_features,
+                   build_registered, build_superposed, encode_features,
                    layer_state, load_model, message_pass, model_from_dict, model_to_dict,
                    neighborhood_groups, periodic_readout, pool_crot, pool_measure,
                    pool_phase, run_sequential, save_model)

@@ -21,10 +21,10 @@ from .graph import from_edge_list, laplacian
 from .graphstate import EdgeConvention, build_graph_state, verify_stabilizers
 from .qgnn import Formalism, load_model, pool_measure, save_model
 from .sim import dump_state, new_state, sample_counts
-from .tasks import classify_graph, edge_readout, node_readout, swap_test_overlap
+from .tasks import swap_test_overlap
 from .filters import FilterSpec, apply_filter_lcu
 from .dataset import load_dataset
-from .train import TrainConfig, class_prototypes, fit, initial_model, model_circuit
+from .train import TrainConfig, fit, initial_model, model_values
 
 
 def _read_graph(path: str):
@@ -91,17 +91,19 @@ def _cmd_state_sample(args) -> int:
     return 0
 
 
+def _model(args, dataset):
+    """The --model checkpoint, or an initial model on the dataset's graph."""
+    if args.model:
+        return load_model(args.model)
+    return initial_model(dataset.items[0].graph, m=args.layers,
+                         formalism=Formalism(args.formalism))
+
+
 def _cmd_model_train(args) -> int:
     dataset = load_dataset(args.data)
-    if args.model:
-        model = load_model(args.model)
-    else:
-        model = initial_model(dataset.items[0].graph, m=args.layers,
-                              formalism=Formalism(args.formalism))
     config = TrainConfig(learning_rate=args.lr, epochs=args.epochs, seed=args.seed,
-                         shots=args.shots, grad={"fd": "fd", "pshift": "pshift"}[args.grad],
-                         loss=args.loss)
-    result = fit(model, dataset, config, _convention(args))
+                         shots=args.shots, grad=args.grad, loss=args.loss)
+    result = fit(_model(args, dataset), dataset, config, _convention(args))
     lines = [f"# seed={args.seed}", "epoch,loss,accuracy"]
     for epoch, (value, acc) in enumerate(zip(result.history, result.accuracies)):
         lines.append(f"{epoch},{value!r},{acc!r}")
@@ -113,34 +115,22 @@ def _cmd_model_train(args) -> int:
 
 def _cmd_model_eval(args) -> int:
     dataset = load_dataset(args.data)
-    if args.model:
-        model = load_model(args.model)
-    else:
-        model = initial_model(dataset.items[0].graph, m=args.layers,
-                              formalism=Formalism(args.formalism))
-    convention = _convention(args)
-    rng = np.random.default_rng(args.seed) if args.shots > 0 else None
-    protos = class_prototypes(dataset, convention) if dataset.task == "graph" else None
+    config = TrainConfig(seed=args.seed, shots=args.shots)
+    # every vertex of a node item is read out, labeled or not
+    values = model_values(_model(args, dataset), dataset, config, _convention(args),
+                          picks=[slice(None)] * len(dataset.items))
     lines = [json.dumps({"seed": args.seed, "shots": args.shots, "task": dataset.task})]
-    for idx, item in enumerate(dataset.items):
-        s = model_circuit(model, item.features, convention)
+    for idx, (item, vals) in enumerate(zip(dataset.items, values)):
+        scores = vals[0].tolist()
+        label = item.labels if dataset.task == "graph" else list(item.labels)
         if dataset.task == "node":
-            scores, preds = [], []
-            for v in range(item.graph.n_vertices):
-                p1, bit = node_readout(s, v, dataset.node_basis, args.shots, rng)
-                scores.append(p1)
-                preds.append(bit)
-            label = list(item.labels)
-            correct = all(p == y for p, y in zip(preds, label) if y is not None)
-            prediction: object = preds
+            prediction: object = [int(p > 0.5) for p in scores]
+            correct = all(p == y for p, y in zip(prediction, label) if y is not None)
         elif dataset.task == "edge":
-            scores = [edge_readout(s, u, v, args.shots, rng) for u, v, _ in item.graph.edges]
-            label = list(item.labels)
-            correct = all(abs(p - float(y)) <= 0.5 for p, y in zip(scores, label))
             prediction = scores
+            correct = all(abs(p - float(y)) <= 0.5 for p, y in zip(scores, label))
         else:
-            scores, prediction = classify_graph(s, protos, args.shots, rng)
-            label = item.labels
+            prediction = int(np.argmax(scores))  # ties break toward the lowest class
             correct = prediction == label
         lines.append(json.dumps({"item": idx, "task": dataset.task, "scores": scores,
                                  "prediction": prediction, "label": label,
@@ -187,13 +177,14 @@ def _cmd_pool(args) -> int:
 
 @functools.cache  # one parser per process, shared: parse_args keeps no state between calls
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", default=None, help="write output here instead of stdout")
+    common = argparse.ArgumentParser(add_help=False, parents=[out])
     common.add_argument("--seed", type=int, default=0, help="rng seed (default 0)")
     common.add_argument("--shots", type=int, default=0,
                         help="sample count, 0 = exact (default 0)")
     common.add_argument("--tol", type=float, default=1e-10,
                         help="verification tolerance (default 1e-10)")
-    common.add_argument("--out", default=None, help="write output here instead of stdout")
     common.add_argument("--convention", choices=["cp", "ising"], default="cp",
                         help="edge gate convention (default cp)")
 
@@ -221,18 +212,18 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--layers", type=int, default=1)
         p.add_argument("--formalism", choices=[f.value for f in Formalism],
                        default="sequential")
-        p.add_argument("--epochs", type=int, default=100)
-        p.add_argument("--lr", type=float, default=0.1)
-        p.add_argument("--grad", choices=["fd", "pshift"], default="fd")
-        p.add_argument("--loss", choices=["bce", "mse"], default="bce")
         if name == "train":
+            p.add_argument("--epochs", type=int, default=100)
+            p.add_argument("--lr", type=float, default=0.1)
+            p.add_argument("--grad", choices=["fd", "pshift"], default="fd")
+            p.add_argument("--loss", choices=["bce", "mse"], default="bce")
             p.add_argument("--save-model", default=None,
                            help="write the trained checkpoint here")
         p.set_defaults(func=fn)
 
     p_filter = sub.add_parser("filter", help="apply a Laplacian polynomial filter")
     filter_sub = p_filter.add_subparsers(dest="filter_command", required=True)
-    p = filter_sub.add_parser("apply", parents=[common])
+    p = filter_sub.add_parser("apply", parents=[out])
     p.add_argument("--graph", required=True)
     p.add_argument("--coeffs", required=True, help="comma-separated w_0,w_1,...")
     p.add_argument("--vector", required=True, help="input vector file, one value per line")

@@ -1,12 +1,13 @@
-"""The batched circuit executor behind training and evaluation.
+"""The one circuit executor behind training and evaluation.
 
 It runs the sequential layered circuit (per layer, Ry on every vertex, then
-each edge's entangler) for many parameter rows and items at once, as one
-(rows * items, 2^n) amplitude stack, and reads out every circuit with the
-closed-form readouts of qgns.tasks. Layer 0's Ry passes act on |0...0>, so
-their product state is prepared in closed form (sim.product_rows). A row's
-result never depends on the other rows in its batch, so a batch of one gives
-the same numbers.
+each edge's entangler) for every (parameter row, item) pair of a loss,
+accuracy, gradient or `model eval` call, as (circuits, 2^n) amplitude
+stacks of at most _STACK_BYTES each (or one state, when a state is larger),
+and reads out every circuit with the closed-form readouts of qgns.tasks.
+Layer 0's Ry passes act on |0...0>, so their product state is prepared in
+closed form (sim.product_rows). A circuit's result never depends on the
+other circuits in its stack, so a stack of one gives the same numbers.
 """
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ from .qgnn import Formalism, ModelSpec, encode_features
 from .sim import apply_rows, product_rows
 from .tasks import binomial_estimate, edge_zz, node_p1, sign_estimate, swap_tests
 
-_STACK_BYTES = 1 << 26  # amplitude stack per chunk of parameter rows: 64 MiB
+_STACK_BYTES = 1 << 20  # amplitude stack per chunk of circuits: 1 MiB, cache-sized
 
 
 def feature_angles(features) -> np.ndarray:
@@ -40,13 +41,11 @@ def param_rows(model: ModelSpec, params: np.ndarray) -> tuple[np.ndarray, np.nda
 
 
 def circuit_states(model: ModelSpec, angles: np.ndarray, weights: np.ndarray,
-                   offsets: np.ndarray, convention: EdgeConvention) -> np.ndarray:
-    """Run the layered circuit for every (parameter row, item) pair at once.
-
-    angles (B, m, n) and weights (B, m, e) are expanded parameter rows, and
-    offsets (I, n) the items' layer-0 angles (their encoded features).
-    Returns the (B*I, 2^n) amplitude stack; row b*I + i is row b on item i.
-    Each row is computed exactly as it would be alone, whatever B and I.
+                   convention: EdgeConvention) -> np.ndarray:
+    """Run the layered circuit once per row of total angles (C, m, n), whose
+    layer 0 includes the item's encoded features, and expanded weights
+    (C, m, e). Returns the (C, 2^n) amplitude stack. Each row is computed
+    exactly as it would be alone, whatever C.
     """
     if model.formalism is not Formalism.SEQUENTIAL:
         raise ValueError(f"training and evaluation run the sequential circuit only, "
@@ -55,18 +54,15 @@ def circuit_states(model: ModelSpec, angles: np.ndarray, weights: np.ndarray,
         raise ValueError(f"training and evaluation do not run schedules; the model "
                          f"has {len(model.schedule)} schedule steps")
     graph = model.graph
-    total = np.repeat(angles, offsets.shape[0], axis=0)
-    total[:, 0, :] += np.tile(offsets, (angles.shape[0], 1))
-    wts = np.repeat(weights, offsets.shape[0], axis=0)
     # layer 0's Ry passes on |0...0> leave a product state: prepare it directly
-    amps = product_rows(total[:, 0, :])
+    amps = product_rows(angles[:, 0, :])
     kind = edge_kind(convention)
     for layer in range(model.m):
         if layer:
             for v in range(graph.n_vertices):
-                apply_rows(amps, "Ry", (v,), total[:, layer, v])
+                apply_rows(amps, "Ry", (v,), angles[:, layer, v])
         for k, (u, v, _) in enumerate(graph.edges):
-            apply_rows(amps, kind, (u, v), wts[:, layer, k])
+            apply_rows(amps, kind, (u, v), weights[:, layer, k])
     return amps
 
 
@@ -87,35 +83,34 @@ def _readouts(amps: np.ndarray, model: ModelSpec, dataset: Dataset, prototypes,
 def readout_values(model: ModelSpec, dataset: Dataset, angles: np.ndarray,
                    weights: np.ndarray, convention: EdgeConvention, prototypes,
                    shots: int = 0, rng=None, offsets: np.ndarray | None = None,
-                   item_major: bool = False) -> list[np.ndarray]:
+                   item_major: bool = False, picks=None) -> list[np.ndarray]:
     """Readout values of every (parameter row, item) circuit.
 
-    Returns one (B, L_i) array per item: the p1's of its labeled nodes, the
-    <ZZ>'s of all edges, or the swap-test scores against each prototype.
-    Parameter rows run in chunks whose stack stays within _STACK_BYTES.
-    Shot mode draws in (row, item, readout) order, or in (item, row,
-    readout) order with item_major; the graph task always draws row first.
+    Returns one (B, L_i) array per item: the readouts that picks[i] selects,
+    by default the p1's of its labeled nodes, the <ZZ>'s of all edges, or the
+    swap-test scores against each prototype. The B * I circuits run in
+    row-major chunks whose stack stays within _STACK_BYTES. Shot mode draws in
+    (row, item, readout) order, or in (item, row, readout) order with
+    item_major; the graph task always draws row first.
     """
     if offsets is None:
         offsets = np.array([feature_angles(item.features) for item in dataset.items])
-    rows = angles.shape[0]
-    step = max(1, _STACK_BYTES // (offsets.shape[0] * 16 << model.graph.n_vertices))
-    readouts = np.concatenate([
-        _readouts(circuit_states(model, angles[k:k + step], weights[k:k + step], offsets,
-                                 convention), model, dataset, prototypes, shots, rng)
-        for k in range(0, rows, step)]).reshape(rows, len(dataset.items), -1)
-    if dataset.task == "graph":
-        return list(readouts.swapaxes(0, 1))
-    if dataset.task == "node":
+    rows, items = angles.shape[0], offsets.shape[0]
+    total = np.repeat(angles, items, axis=0)
+    total[:, 0, :] += np.tile(offsets, (rows, 1))
+    wts = np.repeat(weights, items, axis=0)
+    step = max(1, _STACK_BYTES // (16 << model.graph.n_vertices))
+    chunks = [_readouts(circuit_states(model, total[k:k + step], wts[k:k + step], convention),
+                        model, dataset, prototypes, shots, rng)
+              for k in range(0, rows * items, step)]
+    readouts = np.concatenate(chunks).reshape(rows, items, chunks[0].shape[-1])
+    if picks is None:
         picks = [[v for v, lab in enumerate(item.labels) if lab is not None]
-                 for item in dataset.items]
-        estimate = binomial_estimate
-    else:
-        picks = [slice(None)] * len(dataset.items)
-        estimate = sign_estimate
+                 if dataset.task == "node" else slice(None) for item in dataset.items]
     values = [readouts[:, i, pick] for i, pick in enumerate(picks)]
-    if shots == 0:
+    if shots == 0 or dataset.task == "graph":
         return values
+    estimate = binomial_estimate if dataset.task == "node" else sign_estimate
     if item_major:
         return [estimate(vals, shots, rng) for vals in values]
     drawn = estimate(np.concatenate(values, axis=1), shots, rng)

@@ -149,19 +149,6 @@ class ModelSpec:
         return self.weights[0] if self.shared_weights else self.weights[i]
 
 
-def default_model(graph: Graph, m: int = 1, formalism: Formalism = Formalism.SEQUENTIAL,
-                  theta: np.ndarray | None = None, weights: np.ndarray | None = None,
-                  schedule=(), shared_weights: bool = False) -> ModelSpec:
-    """Model with |+>-producing angles (pi/2) and the graph's own edge phases."""
-    n, e = graph.n_vertices, graph.n_edges
-    if theta is None:
-        theta = np.full((m, n), math.pi / 2.0)
-    if weights is None:
-        rows = 1 if shared_weights else m
-        weights = np.tile([w for _, _, w in graph.edges], (rows, 1)) if e else np.zeros((1 if shared_weights else m, 0))
-    return ModelSpec(graph, m, formalism, theta, weights, tuple(schedule), shared_weights)
-
-
 def encode_features(x, method: str = "angle"):
     """Turn a feature vector into a build_graph_state init spec.
 

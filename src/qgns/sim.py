@@ -187,10 +187,6 @@ class GateOp:
         return cls("SWAP", (u, v))
 
     @classmethod
-    def cswap(cls, control: int, u: int, v: int) -> GateOp:
-        return cls("CSWAP", (control, u, v))
-
-    @classmethod
     def linop(cls, matrix: np.ndarray, targets) -> GateOp:
         return cls("LinOp", tuple(targets), matrix=np.asarray(matrix, dtype=complex))
 
@@ -233,29 +229,6 @@ def _apply_matrix_inplace(s: StateVector, mat: np.ndarray, targets: tuple[int, .
     out = flat @ mat.T
     out = np.moveaxis(out.reshape((2,) * n), dest, src)
     s.amps = np.ascontiguousarray(out).reshape(-1)
-
-
-def _swap_blocks(amps: np.ndarray, u: int, v: int, cmask: int = 0) -> None:
-    """Exchange amplitudes between bit patterns u=1,v=0 and u=0,v=1.
-
-    With cmask nonzero only indices where all cmask bits are set take part
-    (controlled swap).
-    """
-    if cmask == 0 and u > v:
-        view = _view2(amps, u, v)
-        tmp = view[:, 1, :, 0, :].copy()
-        view[:, 1, :, 0, :] = view[:, 0, :, 1, :]
-        view[:, 0, :, 1, :] = tmp
-        return
-    idx = np.arange(amps.shape[0])
-    sel = ((idx >> u) & 1 == 1) & ((idx >> v) & 1 == 0)
-    if cmask:
-        sel &= (idx & cmask) == cmask
-    a = idx[sel]
-    b = a ^ ((1 << u) | (1 << v))
-    tmp = amps[a].copy()
-    amps[a] = amps[b]
-    amps[b] = tmp
 
 
 # Batched kernels for the parametrised gates. Each acts in place on a
@@ -375,11 +348,11 @@ def apply_gate(s: StateVector, g: GateOp) -> StateVector:
         idx = np.arange(s.dim)
         s.amps[(idx & mask) == mask] *= -1.0
     elif kind == "SWAP":
-        u, v = g.qubits
-        _swap_blocks(s.amps, max(u, v), min(u, v))
-    elif kind == "CSWAP":
-        control, u, v = g.qubits
-        _swap_blocks(s.amps, u, v, cmask=1 << control)
+        # exchange the blocks where the two bits read (1, 0) and (0, 1)
+        view = _view2(s.amps, max(g.qubits), min(g.qubits))
+        tmp = view[:, 1, :, 0, :].copy()
+        view[:, 1, :, 0, :] = view[:, 0, :, 1, :]
+        view[:, 0, :, 1, :] = tmp
     elif kind == "LinOp":
         mat = g.matrix
         if mat is None or mat.ndim != 2 or mat.shape[0] != mat.shape[1]:

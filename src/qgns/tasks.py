@@ -117,9 +117,11 @@ def swap_tests(a: np.ndarray, b: np.ndarray, shots: int = 0,
     The ancilla-H / CSWAP / H circuit leaves its ancilla in |0> with p0 =
     (|a|^2 |b|^2 + |<a|b>|^2) / 2 (Buhrman et al. 2001); shots draw in C
     order. overlap_sq = 2*p0 - 1 clamped to [0, 1] (the raw shot estimator
-    can dip slightly negative)."""
+    can dip slightly negative). Each <a|b> is its own dot product, so an
+    entry never depends on the other states of its stack."""
     norms = np.outer(*[(np.abs(x) ** 2).sum(axis=-1) for x in (a, b)])
-    p0 = 0.5 * (norms + np.abs(a @ b.conj().T) ** 2)
+    inner = np.array([[np.vdot(y, x) for y in b] for x in a]).reshape(norms.shape)
+    p0 = 0.5 * (norms + np.abs(inner) ** 2)
     if shots > 0:
         p0 = binomial_estimate(p0, shots, rng)
     return p0, np.clip(2.0 * p0 - 1.0, 0.0, 1.0)

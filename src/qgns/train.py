@@ -6,7 +6,8 @@ graph's edge entanglers, whose phases are the trainable edge weights.
 Gradients come from central finite differences (valid for every parameter)
 or from the two-point shift rule applied at the readout level; the
 optimizer is plain gradient descent. Each loss, accuracy and gradient call
-runs all of its circuits as one batch through qgns.executor.
+runs all of its circuits through one qgns.executor call, and so does
+`model eval` (model_values).
 
 Everything is deterministic: exact mode never touches an rng, shot mode
 threads one seeded generator through all estimates.
@@ -79,28 +80,14 @@ def initial_model(graph: Graph, m: int = 1, formalism: Formalism = Formalism.SEQ
                      (), shared_weights)
 
 
-def _angle_rows(model: ModelSpec, features) -> np.ndarray:
-    """Total Ry angles per layer; layer 0 adds the encoded features."""
-    rows = model.theta.copy()
-    if features is not None:
-        rows[0] += feature_angles(features)
-    return rows
-
-
-def _expanded_weights(model: ModelSpec) -> np.ndarray:
-    if model.shared_weights:
-        return np.tile(model.weights[0], (model.m, 1))
-    return model.weights.copy()
-
-
 def model_circuit(model: ModelSpec, features=None,
                   convention: EdgeConvention = EdgeConvention.CONTROLLED_PHASE) -> StateVector:
     """The model's state for one item (features may be None for a bare model)."""
-    n = model.graph.n_vertices
-    offsets = np.zeros((1, n)) if features is None else feature_angles(features)[None]
-    amps = circuit_states(model, model.theta[None], _expanded_weights(model)[None], offsets,
-                          convention)
-    return StateVector(n, amps[0])
+    angles, weights = param_rows(model, params_of(model)[None])
+    if features is not None:
+        angles[:, 0] += feature_angles(features)
+    return StateVector(model.graph.n_vertices,
+                       circuit_states(model, angles, weights, convention)[0])
 
 
 # -- readouts and losses -----------------------------------------------------
@@ -126,24 +113,6 @@ def class_prototypes(dataset: Dataset,
 
 def _prototypes(dataset: Dataset, convention: EdgeConvention):
     return class_prototypes(dataset, convention) if dataset.task == "graph" else None
-
-
-def _item_values(model: ModelSpec, item: DataItem, dataset: Dataset,
-                 convention: EdgeConvention, prototypes,
-                 shots: int = 0, rng=None,
-                 angle_rows=None, weight_rows=None) -> np.ndarray:
-    """Raw per-readout values of one item's circuit (node p1's, edge <ZZ>'s,
-    or class scores), at explicit total angles (m, n) and expanded weights
-    (m, e) when given: one row of the batched executor."""
-    if angle_rows is None:
-        angle_rows = _angle_rows(model, item.features)
-    if weight_rows is None:
-        weight_rows = _expanded_weights(model)
-    single = Dataset(dataset.task, (item,), dataset.node_basis)
-    values = readout_values(model, single, angle_rows[None], weight_rows[None], convention,
-                            prototypes, shots, rng,
-                            offsets=np.zeros((1, model.graph.n_vertices)))
-    return values[0][0]
 
 
 def _bce(p: float, y: float) -> float:
@@ -222,21 +191,25 @@ def _fixed_inputs(model: ModelSpec, dataset: Dataset, convention: EdgeConvention
     return offsets, _prototypes(dataset, convention)
 
 
-def _model_values(model: ModelSpec, dataset: Dataset, config: TrainConfig,
-                  convention: EdgeConvention, rng, fixed) -> list[np.ndarray]:
-    """Readout values at the model's own parameters: a batch of one row."""
-    offsets, prototypes = fixed or _fixed_inputs(model, dataset, convention)
+def model_values(model: ModelSpec, dataset: Dataset, config: TrainConfig,
+                 convention: EdgeConvention = EdgeConvention.CONTROLLED_PHASE,
+                 rng=None, picks=None, *, _fixed=None) -> list[np.ndarray]:
+    """Readout values at the model's own parameters, one (1, L_i) array per
+    item: a batch of one parameter row (see executor.readout_values for
+    picks). Shot mode draws item by item, readout by readout."""
+    offsets, prototypes = _fixed or _fixed_inputs(model, dataset, convention)
     if config.shots > 0 and rng is None:
         rng = np.random.default_rng(config.seed)
     return readout_values(model, dataset, *param_rows(model, params_of(model)[None]),
-                          convention, prototypes, config.shots, rng, offsets=offsets)
+                          convention, prototypes, config.shots, rng, offsets=offsets,
+                          picks=picks)
 
 
 def loss(model: ModelSpec, dataset: Dataset, config: TrainConfig,
          convention: EdgeConvention = EdgeConvention.CONTROLLED_PHASE,
          rng=None, *, _fixed=None) -> float:
     """Mean per-item loss; deterministic in exact mode (shots = 0)."""
-    values = _model_values(model, dataset, config, convention, rng, _fixed)
+    values = model_values(model, dataset, config, convention, rng, _fixed=_fixed)
     return float(_row_losses(values, dataset, config.loss)[0])
 
 
@@ -245,7 +218,7 @@ def accuracy(model: ModelSpec, dataset: Dataset, config: TrainConfig,
              rng=None, *, _fixed=None) -> float:
     """Fraction of correct readouts: thresholded bits (node), targets hit
     within 0.5 (edge), or argmax class (graph)."""
-    values = _model_values(model, dataset, config, convention, rng, _fixed)
+    values = model_values(model, dataset, config, convention, rng, _fixed=_fixed)
     hits, count = 0, 0
     for vals, item in zip(values, dataset.items):
         vals = vals[0]
@@ -295,7 +268,7 @@ def _pshift_gradient(model, dataset, config, convention, rng, offsets) -> np.nda
     n_theta = m * n
     edge_shift, edge_factor = _SHIFTS[convention]
     ry_shift, ry_factor = _SHIFTS["ry"]
-    angles, wts = model.theta, _expanded_weights(model)
+    angles, wts = (a[0] for a in param_rows(model, params_of(model)[None]))
     angle_rows, weight_rows = [angles], [wts]
     columns = []  # (parameter slot, prefactor) of each +- row pair
     for i in range(m):

@@ -124,16 +124,21 @@ def zz_oracle(s: StateVector, u: int, v: int) -> float:
     return expectation_pauli(s, {u: "Z", v: "Z"})
 
 
+# CSWAP on operator bits (u, v, control): within control = 1, swap the
+# patterns u=1,v=0 and u=0,v=1
+CSWAP_MATRIX = np.eye(8, dtype=complex)[[0, 1, 2, 3, 4, 6, 5, 7]]
+
+
 def swap_circuit_p0(s1: StateVector, s2: StateVector) -> float:
     """Ancilla-|0> probability of the simulated swap test: s1 on qubits
     0..n-1, s2 on n..2n-1, the ancilla on 2n; H, CSWAP(ancilla, i, n+i) for
-    every i, H, then sum |amp|^2 over the ancilla's 0 half."""
+    every i (an 8x8 LinOp), H, then sum |amp|^2 over the ancilla's 0 half."""
     n = s1.n_qubits
     ancilla = 2 * n
     full = tensor(tensor(s1, s2), new_state(1, "zero"))
     apply_gate(full, GateOp.h(ancilla))
     for i in range(n):
-        apply_gate(full, GateOp.cswap(ancilla, i, n + i))
+        apply_gate(full, GateOp.linop(CSWAP_MATRIX, (i, n + i, ancilla)))
     apply_gate(full, GateOp.h(ancilla))
     view = full.amps.reshape(-1, 2, 1 << ancilla)
     return float(np.sum(np.abs(view[:, 0, :]) ** 2))

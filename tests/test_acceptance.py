@@ -16,7 +16,8 @@ from qgns import (EdgeConvention, Graph, StateVector, TrainConfig, build_graph_s
                   apply_filter_lcu, swap_test_overlap, toy_node_dataset,
                   verify_stabilizers, ModelSpec, Formalism, Dataset, DataItem)
 from qgns.cli import execute
-from qgns.train import _angle_rows, _expanded_weights, _item_values
+from qgns.executor import param_rows, readout_values
+from qgns.train import params_of
 
 from helpers import graph_state_amp_oracle, permute_qubits, random_graph, random_state
 
@@ -163,16 +164,11 @@ def test_criterion_6_gradient_check():
     tiny = ModelSpec(Graph(1), 1, Formalism.SEQUENTIAL,
                      np.array([[target - math.pi / 2]]), np.zeros((1, 0)))
     ds1 = Dataset("node", (DataItem(Graph(1), [0.5], (1,)),), node_basis="Z")
-    angles = _angle_rows(tiny, ds1.items[0].features)
-    wts = _expanded_weights(tiny)
-    plus, minus = angles.copy(), angles.copy()
-    plus[0, 0] += math.pi / 2
-    minus[0, 0] -= math.pi / 2
-    conv = EdgeConvention.CONTROLLED_PHASE
-    dp1 = 0.5 * (_item_values(tiny, ds1.items[0], ds1, conv, None,
-                              angle_rows=plus, weight_rows=wts)[0]
-                 - _item_values(tiny, ds1.items[0], ds1, conv, None,
-                                angle_rows=minus, weight_rows=wts)[0])
+    rows = np.tile(params_of(tiny), (2, 1))
+    rows[:, 0] += [math.pi / 2, -math.pi / 2]
+    values = readout_values(tiny, ds1, *param_rows(tiny, rows),
+                            EdgeConvention.CONTROLLED_PHASE, None)[0]
+    dp1 = 0.5 * (values[0, 0] - values[1, 0])
     analytic_err = abs(-2.0 * dp1 - (-math.sin(target)))
     ok = worst < 1e-5 and analytic_err < 1e-8
     _report(6, "param-shift matches finite differences and the analytic derivative",

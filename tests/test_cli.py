@@ -188,10 +188,15 @@ def test_shot_mode_training_matches_recorded_csv(grad, tmp_path):
     assert out.read_bytes() == golden.read_bytes()
 
 
+def _one_epoch(verb: str) -> list[str]:
+    """`--epochs 1` for train; eval takes no training flags."""
+    return ["--epochs", "1"] if verb == "train" else []
+
+
 @pytest.mark.parametrize("verb", ["train", "eval"])
 def test_model_rejects_a_non_sequential_formalism(toy_file, verb, capsys):
     assert execute(["model", verb, "--data", toy_file, "--formalism", "superposed",
-                    "--epochs", "1"]) == 1
+                    *_one_epoch(verb)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "superposed" in json.loads(captured.err)["error"]
@@ -205,8 +210,28 @@ def test_model_rejects_a_checkpoint_with_a_schedule(toy_file, tmp_path, verb, ca
     ckpt = tmp_path / "scheduled.json"
     save_model(scheduled, ckpt)
     assert execute(["model", verb, "--data", toy_file, "--model", str(ckpt),
-                    "--epochs", "1"]) == 1
+                    *_one_epoch(verb)]) == 1
     assert "schedule" in json.loads(capsys.readouterr().err)["error"]
+
+
+@pytest.mark.parametrize("verb", ["train", "eval"])
+def test_model_rejects_a_dataset_on_another_graph(toy_file, tmp_path, verb, capsys):
+    ckpt = tmp_path / "k2-model.json"
+    save_model(initial_model(Graph.from_edges(2, [(0, 1)])), ckpt)
+    assert execute(["model", verb, "--data", toy_file, "--model", str(ckpt),
+                    *_one_epoch(verb)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {"error": "dataset item graph differs from the model graph"}
+
+
+def test_flags_a_verb_does_not_read_are_usage_errors(toy_file, k2_file, tmp_path, capsys):
+    vec = tmp_path / "x.txt"
+    vec.write_text("1.0\n0.0\n", encoding="utf-8")
+    assert execute(["model", "eval", "--data", toy_file, "--epochs", "1"]) == 2
+    assert execute(["filter", "apply", "--graph", k2_file, "--coeffs", "0,1",
+                    "--vector", str(vec), "--seed", "1"]) == 2
+    capsys.readouterr()
 
 
 def test_state_build_too_wide_is_a_json_error(tmp_path, capsys):
@@ -305,7 +330,7 @@ def test_malformed_checkpoint_is_a_json_error(toy_file, tmp_path, verb, payload,
     ckpt = tmp_path / "ck.json"
     ckpt.write_text(json.dumps(payload), encoding="utf-8")
     assert execute(["model", verb, "--data", toy_file, "--model", str(ckpt),
-                    "--epochs", "1"]) == 1
+                    *_one_epoch(verb)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert field in json.loads(captured.err)["error"]
@@ -374,4 +399,54 @@ def _wide_case(name: str, tmp_path: Path) -> list[str]:
                                   "node_eval_exact_Y_n10.jsonl"])
 def test_wide_state_outputs_match_recorded_files(name, tmp_path, capsys):
     assert execute(_wide_case(name, tmp_path)) == 0
+    assert capsys.readouterr().out.encode() == (GOLDEN / name).read_bytes()
+
+
+# Eval cases recorded at the commit before `model eval` moved onto the
+# executor stack, when it still read one circuit per item.
+def _eval_case(name: str, tmp_path: Path) -> list[str]:
+    """The argv of one recorded eval case, its input files in tmp_path."""
+    if name == "node_eval_shots300_seed13_Y_n8.jsonl":
+        # two layers, one unlabeled vertex: shots draw for every vertex
+        n, e = RING8.n_vertices, RING8.n_edges
+        items = tuple(DataItem(RING8, np.cos(np.arange(n) * (1.1 + 0.3 * k)) + 0.1 * k,
+                               [None if v == 3 else (v + k) % 2 for v in range(n)])
+                      for k in range(4))
+        save_dataset(Dataset("node", items, "Y"), tmp_path / "node8.json")
+        theta = 0.4 * np.sin(np.arange(2 * n).reshape(2, n) * 1.3)
+        weights = np.pi - 0.3 * np.cos(np.arange(2 * e).reshape(2, e))
+        save_model(ModelSpec(RING8, 2, Formalism.SEQUENTIAL, theta, weights),
+                   tmp_path / "node8-model.json")
+        return ["model", "eval", "--data", str(tmp_path / "node8.json"), "--model",
+                str(tmp_path / "node8-model.json"), "--shots", "300", "--seed", "13"]
+    if name == "edge_eval_shots200_seed9_n5.jsonl":
+        n, e = WEIGHTED5.n_vertices, WEIGHTED5.n_edges
+        items = tuple(DataItem(WEIGHTED5, np.sin(np.arange(n) * (0.8 + 0.5 * k)),
+                               [math.cos(0.9 * j + k) for j in range(e)]) for k in range(3))
+        save_dataset(Dataset("edge", items), tmp_path / "edge5.json")
+        theta = 0.5 * np.cos(np.arange(2 * n).reshape(2, n) * 0.7)
+        weights = 1.5 + 0.4 * np.sin(np.arange(e)).reshape(1, e)
+        save_model(ModelSpec(WEIGHTED5, 2, Formalism.SEQUENTIAL, theta, weights,
+                             shared_weights=True), tmp_path / "edge5-model.json")
+        return ["model", "eval", "--data", str(tmp_path / "edge5.json"), "--model",
+                str(tmp_path / "edge5-model.json"), "--shots", "200", "--seed", "9"]
+    # exact Z-basis node eval under the Ising-ZZ convention; layer 1's Ry
+    # angles are nonzero, so the Z readout sees the entanglers
+    n, e = RING10.n_vertices, RING10.n_edges
+    items = tuple(DataItem(RING10, np.cos(np.arange(n) * (0.6 + 0.2 * k)),
+                           [(v + k) % 2 for v in range(n)]) for k in range(3))
+    save_dataset(Dataset("node", items, "Z"), tmp_path / "node10z.json")
+    theta = 0.7 * np.sin(np.arange(2 * n).reshape(2, n) * 0.9)
+    weights = 0.8 + 0.1 * np.arange(2 * e).reshape(2, e)
+    save_model(ModelSpec(RING10, 2, Formalism.SEQUENTIAL, theta, weights),
+               tmp_path / "node10z-model.json")
+    return ["model", "eval", "--data", str(tmp_path / "node10z.json"), "--model",
+            str(tmp_path / "node10z-model.json"), "--convention", "ising"]
+
+
+@pytest.mark.parametrize("name", ["node_eval_shots300_seed13_Y_n8.jsonl",
+                                  "edge_eval_shots200_seed9_n5.jsonl",
+                                  "node_eval_exact_Z_ising_n10.jsonl"])
+def test_eval_outputs_match_recorded_files(name, tmp_path, capsys):
+    assert execute(_eval_case(name, tmp_path)) == 0
     assert capsys.readouterr().out.encode() == (GOLDEN / name).read_bytes()

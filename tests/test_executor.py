@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -109,17 +110,39 @@ def test_row_kernels_match_the_dense_gate_per_row(seed, n, rows, kind):
         assert np.allclose(amps[b], dense_apply(mat, qubits, n, start[b]), atol=1e-12)
 
 
-def test_chunked_rows_match_one_stack(monkeypatch):
-    rng, model, ds = _case(7, 4, 2, 3, False, "Y")
+@pytest.mark.parametrize("readout", ["Y", "ZZ", "graph"])
+@pytest.mark.parametrize("shots", [0, 50])
+@pytest.mark.parametrize("budget", [100, 16 * 16, 3 * 16 * 16, 7 * 16 * 16])
+def test_chunked_circuits_match_one_stack(monkeypatch, budget, shots, readout):
+    # 5 parameter rows x 3 items of 16 amplitudes; the budgets hold less than
+    # one circuit, one, one parameter row's three, and seven (chunks that cut
+    # across parameter rows)
+    if readout == "graph":
+        rng, model, _ = _case(7, 4, 2, 3, False, "Y")
+        ds = Dataset("graph", tuple(DataItem(model.graph, rng.uniform(0, 1, 4), k % 2)
+                                    for k in range(3)))
+        protos = class_prototypes(ds, EdgeConvention.CONTROLLED_PHASE)
+    else:
+        rng, model, ds = _case(7, 4, 2, 3, False, readout)
+        protos = None
     params = rng.uniform(-math.pi, math.pi, (5, model.theta.size + model.weights.size))
-    angles, weights = param_rows(model, params)
+    rows = param_rows(model, params)
     conv = EdgeConvention.CONTROLLED_PHASE
-    whole = readout_values(model, ds, angles, weights, conv, None)
-    # one parameter row (3 items of 16 amplitudes) per chunk
-    monkeypatch.setattr(executor, "_STACK_BYTES", 3 * 16 * 16)
-    chunked = readout_values(model, ds, angles, weights, conv, None)
+    whole = readout_values(model, ds, *rows, conv, protos, shots, np.random.default_rng(3))
+    stack_bytes = []
+
+    def recording(amps, *args):
+        stack_bytes.append(amps.nbytes)
+        return readouts(amps, *args)
+
+    readouts = executor._readouts
+    monkeypatch.setattr(executor, "_readouts", recording)
+    monkeypatch.setattr(executor, "_STACK_BYTES", budget)
+    chunked = readout_values(model, ds, *rows, conv, protos, shots, np.random.default_rng(3))
     for a, b in zip(whole, chunked):
-        assert np.array_equal(a, b)
+        np.testing.assert_array_equal(a, b)
+    assert sum(stack_bytes) == 15 * 16 * 16
+    assert max(stack_bytes) <= max(budget, 16 * 16)
 
 
 @settings(max_examples=30, deadline=None)
@@ -141,7 +164,10 @@ def test_graph_scores_match_the_swap_circuit_and_draw_in_row_prototype_order(
                            np.random.default_rng(seed))
     draws = np.random.default_rng(seed)
     offsets = np.array([executor.feature_angles(item.features) for item in ds.items])
-    states = executor.circuit_states(model, angles, weights, offsets, convention)
+    total = np.repeat(angles, items, axis=0)
+    total[:, 0] += np.tile(offsets, (rows, 1))
+    states = executor.circuit_states(model, total, np.repeat(weights, items, axis=0),
+                                     convention)
     for r, amps in enumerate(states):
         b, i = divmod(r, items)
         for c, proto in enumerate(protos):

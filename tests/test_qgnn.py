@@ -6,10 +6,9 @@ import numpy as np
 import pytest
 
 from qgns import (Formalism, Graph, LayerStep, ModelSpec, apply_interlayer,
-                  build_graph_state, build_registered, build_superposed, default_model,
-                  encode_features, layer_state, message_pass, model_from_dict,
-                  model_to_dict, new_state, periodic_readout, pool_crot, pool_measure,
-                  pool_phase, run_sequential)
+                  build_graph_state, build_registered, build_superposed, encode_features,
+                  layer_state, message_pass, model_from_dict, model_to_dict, new_state,
+                  periodic_readout, pool_crot, pool_measure, pool_phase, run_sequential)
 
 from helpers import cp_matrix, cry_4x4, dense_apply
 
@@ -21,6 +20,12 @@ def k2_model(m=1, weights=None, formalism=Formalism.SEQUENTIAL):
     if weights is None:
         weights = np.full((m, 1), PI)
     return ModelSpec(g, m, formalism, np.full((m, 2), PI / 2), np.asarray(weights))
+
+
+def plus_model(g: Graph, m: int = 1, formalism=Formalism.SEQUENTIAL) -> ModelSpec:
+    """|+>-producing angles (pi/2) and the graph's own edge phases."""
+    weights = np.tile([w for _, _, w in g.edges], (m, 1))
+    return ModelSpec(g, m, formalism, np.full((m, g.n_vertices), PI / 2), weights)
 
 
 # -- encoding -----------------------------------------------------------------
@@ -82,7 +87,7 @@ def test_superposed_two_distinct_layers():
 
 def test_superposed_qubit_cap():
     g = Graph(23)
-    model = default_model(g, m=4, formalism=Formalism.SUPERPOSED)
+    model = plus_model(g, m=4, formalism=Formalism.SUPERPOSED)
     with pytest.raises(ValueError, match="cap"):
         build_superposed(model)
 
@@ -368,7 +373,7 @@ def test_model_validation():
 
 def test_checkpoint_roundtrip(tmp_path, demo5):
     from qgns import load_model, save_model
-    model = default_model(demo5, m=2)
+    model = plus_model(demo5, m=2)
     model = ModelSpec(demo5, 2, Formalism.SEQUENTIAL, model.theta, model.weights,
                       (LayerStep.measure((0, 1)),
                        LayerStep.phase_shift(2, PI, condition=(0, -1))))
@@ -388,7 +393,7 @@ def test_checkpoint_version_guard():
 
 
 def test_model_dict_contains_contract_fields(demo5):
-    d = model_to_dict(default_model(demo5), seed=3)
+    d = model_to_dict(plus_model(demo5), seed=3)
     assert d["version"] == "qgns-1"
     assert set(d) >= {"version", "graph", "m", "formalism", "theta", "weights",
                       "schedule", "seed"}

@@ -70,7 +70,7 @@ def test_ising_zz_diagonal_action():
     ("H", (0,), 0.0), ("X", (1,), 0.0), ("Y", (0,), 0.0), ("Z", (2,), 0.0),
     ("S", (1,), 0.0), ("Sdg", (2,), 0.0), ("Ry", (0,), 0.7), ("Rz", (1,), -1.3),
     ("CP", (0, 2), 0.9), ("IsingZZ", (1, 2), 1.7), ("CRy", (2, 0), 0.5),
-    ("SWAP", (0, 2), 0.0), ("MCZ", (0, 1, 2), 0.0), ("CSWAP", (1, 0, 2), 0.0),
+    ("SWAP", (0, 2), 0.0), ("MCZ", (0, 1, 2), 0.0),
 ])
 def test_gates_match_dense_oracle(rng, kind, qubits, param):
     # every kernel against the explicit-loop matrix oracle on a random 3-qubit state
@@ -102,17 +102,10 @@ def test_gates_match_dense_oracle(rng, kind, qubits, param):
     elif kind == "SWAP":
         swap = np.eye(4)[[0, 2, 1, 3]]
         expected = dense_apply(swap.astype(complex), qubits, n, vec)
-    elif kind == "MCZ":
+    else:  # MCZ
         mat = np.eye(8, dtype=complex)
         mat[7, 7] = -1
         expected = dense_apply(mat, qubits, n, vec)
-    else:  # CSWAP: control is qubits[0]
-        control, u, v = qubits
-        mat = np.eye(8, dtype=complex)
-        # operator bits (u, v, control): within control=1, swap u=1,v=0 <-> u=0,v=1
-        mat[[5, 6], :] = 0
-        mat[5, 6] = mat[6, 5] = 1
-        expected = dense_apply(mat, (u, v, control), n, vec)
     assert np.allclose(s.amps, expected, atol=1e-12)
 
 

@@ -11,7 +11,7 @@ from qgns import (DataItem, Dataset, EdgeConvention, Formalism, Graph, LayerStep
                   TrainConfig, accuracy, encode_features, fit, gradient, initial_model,
                   load_dataset, loss, model_circuit, params_of, save_dataset, to_edge_list,
                   toy_node_dataset, with_params)
-from qgns.train import _angle_rows, _expanded_weights, _item_values
+from qgns.executor import param_rows, readout_values
 
 PI = math.pi
 
@@ -104,16 +104,13 @@ def test_analytic_expectation_derivative():
     target = PI / 3
     model = edgeless_model(1, [target - PI / 2])  # constant feature adds pi/2
     ds = Dataset("node", (DataItem(Graph(1), [0.5], (1,)),), node_basis="Z")
-    item = ds.items[0]
-    angles = _angle_rows(model, item.features)
-    assert angles[0, 0] == pytest.approx(target)
-    wts = _expanded_weights(model)
-    plus, minus = angles.copy(), angles.copy()
-    plus[0, 0] += PI / 2
-    minus[0, 0] -= PI / 2
-    conv = EdgeConvention.CONTROLLED_PHASE
-    dp1 = 0.5 * (_item_values(model, item, ds, conv, None, angle_rows=plus, weight_rows=wts)[0]
-                 - _item_values(model, item, ds, conv, None, angle_rows=minus, weight_rows=wts)[0])
+    assert model.theta[0, 0] + executor.feature_angles(ds.items[0].features)[0] == \
+        pytest.approx(target)
+    rows = np.tile(params_of(model), (2, 1))
+    rows[:, 0] += [PI / 2, -PI / 2]
+    values = readout_values(model, ds, *param_rows(model, rows),
+                            EdgeConvention.CONTROLLED_PHASE, None)[0]
+    dp1 = 0.5 * (values[0, 0] - values[1, 0])
     d_expectation = -2.0 * dp1
     assert d_expectation == pytest.approx(-math.sin(target), abs=1e-8)
 
