@@ -94,9 +94,13 @@ def _cmd_state_sample(args) -> int:
 def _model(args, dataset):
     """The --model checkpoint, or an initial model on the dataset's graph."""
     if args.model:
+        for flag in ("layers", "formalism"):
+            if getattr(args, flag) is not None:
+                raise ValueError(f"--{flag} does not apply with --model: the checkpoint "
+                                 f"sets it")
         return load_model(args.model)
-    return initial_model(dataset.items[0].graph, m=args.layers,
-                         formalism=Formalism(args.formalism))
+    return initial_model(dataset.items[0].graph, m=1 if args.layers is None else args.layers,
+                         formalism=Formalism(args.formalism or "sequential"))
 
 
 def _cmd_model_train(args) -> int:
@@ -177,16 +181,20 @@ def _cmd_pool(args) -> int:
 
 @functools.cache  # one parser per process, shared: parse_args keeps no state between calls
 def build_parser() -> argparse.ArgumentParser:
-    out = argparse.ArgumentParser(add_help=False)
-    out.add_argument("--out", default=None, help="write output here instead of stdout")
-    common = argparse.ArgumentParser(add_help=False, parents=[out])
-    common.add_argument("--seed", type=int, default=0, help="rng seed (default 0)")
-    common.add_argument("--shots", type=int, default=0,
-                        help="sample count, 0 = exact (default 0)")
-    common.add_argument("--tol", type=float, default=1e-10,
-                        help="verification tolerance (default 1e-10)")
-    common.add_argument("--convention", choices=["cp", "ising"], default="cp",
-                        help="edge gate convention (default cp)")
+    def flag(*args, **kwargs) -> argparse.ArgumentParser:
+        parent = argparse.ArgumentParser(add_help=False)
+        parent.add_argument(*args, **kwargs)
+        return parent
+
+    # one parent per flag: each verb lists only the flags it reads
+    out = flag("--out", default=None, help="write output here instead of stdout")
+    seed = flag("--seed", type=int, default=0, help="rng seed (default 0)")
+    shots = flag("--shots", type=int, default=0, help="sample count, 0 = exact (default 0)")
+    tol = flag("--tol", type=float, default=1e-10,
+               help="verification tolerance (default 1e-10)")
+    convention = flag("--convention", choices=["cp", "ising"], default="cp",
+                      help="edge gate convention (default cp)")
+    sampled = [out, convention, seed, shots]
 
     parser = argparse.ArgumentParser(prog="qgns", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -195,10 +203,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_state = sub.add_parser("state", help="build, verify or sample graph states")
     state_sub = p_state.add_subparsers(dest="state_command", required=True)
-    for name, fn, doc in (("build", _cmd_state_build, "dump the statevector"),
-                          ("verify", _cmd_state_verify, "stabilizer verification report"),
-                          ("sample", _cmd_state_sample, "sample measurement outcomes")):
-        p = state_sub.add_parser(name, parents=[common], help=doc)
+    for name, fn, parents, doc in (
+            ("build", _cmd_state_build, [out, convention], "dump the statevector"),
+            ("verify", _cmd_state_verify, [out, convention, tol],
+             "stabilizer verification report"),
+            ("sample", _cmd_state_sample, sampled, "sample measurement outcomes")):
+        p = state_sub.add_parser(name, parents=parents, help=doc)
         p.add_argument("--graph", required=True, help="graph file (qgraph v1)")
         p.set_defaults(func=fn)
 
@@ -206,12 +216,13 @@ def build_parser() -> argparse.ArgumentParser:
     model_sub = p_model.add_subparsers(dest="model_command", required=True)
     for name, fn, doc in (("train", _cmd_model_train, "gradient-descent training, CSV history"),
                           ("eval", _cmd_model_eval, "per-item readout report")):
-        p = model_sub.add_parser(name, parents=[common], help=doc)
+        p = model_sub.add_parser(name, parents=sampled, help=doc)
         p.add_argument("--data", required=True, help="dataset JSON")
         p.add_argument("--model", default=None, help="checkpoint JSON to load")
-        p.add_argument("--layers", type=int, default=1)
-        p.add_argument("--formalism", choices=[f.value for f in Formalism],
-                       default="sequential")
+        p.add_argument("--layers", type=int, default=None,
+                       help="layers of a new model (default 1; not with --model)")
+        p.add_argument("--formalism", choices=[f.value for f in Formalism], default=None,
+                       help="formalism of a new model (default sequential; not with --model)")
         if name == "train":
             p.add_argument("--epochs", type=int, default=100)
             p.add_argument("--lr", type=float, default=0.1)
@@ -229,13 +240,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vector", required=True, help="input vector file, one value per line")
     p.set_defaults(func=_cmd_filter_apply)
 
-    p = sub.add_parser("swap", parents=[common],
+    p = sub.add_parser("swap", parents=sampled,
                        help="swap-test two graph states (|+...+> reference if one graph)")
     p.add_argument("--graph", action="append", required=True,
                    help="graph file; give twice to compare two states")
     p.set_defaults(func=_cmd_swap)
 
-    p = sub.add_parser("pool", parents=[common],
+    p = sub.add_parser("pool", parents=[out, convention, seed],
                        help="measurement pooling over all vertices of a graph state")
     p.add_argument("--graph", required=True)
     p.set_defaults(func=_cmd_pool)

@@ -1,7 +1,8 @@
 """The one circuit executor behind training and evaluation.
 
-It runs the sequential layered circuit (per layer, Ry on every vertex, then
-each edge's entangler) for every (parameter row, item) pair of a loss,
+It compiles the sequential layered circuit (per layer, Ry on every vertex,
+then each edge's entangler) to one gate program of (kind, qubits, parameter
+slot) entries, and runs it for every (parameter row, item) pair of a loss,
 accuracy, gradient or `model eval` call, as (circuits, 2^n) amplitude
 stacks of at most _STACK_BYTES each (or one state, when a state is larger),
 and reads out every circuit with the closed-form readouts of qgns.tasks.
@@ -28,41 +29,49 @@ def feature_angles(features) -> np.ndarray:
     return np.asarray(enc)
 
 
-def param_rows(model: ModelSpec, params: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Flat parameter vectors (B, P) as expanded angles (B, m, n) and edge
-    weights (B, m, e)."""
-    rows = params.shape[0]
-    nt = model.theta.size
-    angles = params[:, :nt].reshape((rows,) + model.theta.shape)
-    weights = params[:, nt:].reshape((rows,) + model.weights.shape)
-    if model.shared_weights:
-        weights = np.repeat(weights, model.m, axis=1)
-    return angles, weights
-
-
-def circuit_states(model: ModelSpec, angles: np.ndarray, weights: np.ndarray,
-                   convention: EdgeConvention) -> np.ndarray:
-    """Run the layered circuit once per row of total angles (C, m, n), whose
-    layer 0 includes the item's encoded features, and expanded weights
-    (C, m, e). Returns the (C, 2^n) amplitude stack. Each row is computed
-    exactly as it would be alone, whatever C.
-    """
+def gate_program(model: ModelSpec,
+                 convention: EdgeConvention = EdgeConvention.CONTROLLED_PHASE
+                 ) -> tuple[tuple[str, tuple[int, ...], int], ...]:
+    """The sequential circuit in run order, one (kind, qubits, slot) per gate:
+    per layer, Ry on every vertex, then each edge's entangler. slot indexes
+    the flat parameter vector (theta entries, then edge weights), so a shared
+    edge weight gives its gate in every layer one slot. Only the entangler
+    kind depends on the convention."""
     if model.formalism is not Formalism.SEQUENTIAL:
         raise ValueError(f"training and evaluation run the sequential circuit only, "
                          f"not the {model.formalism.value!r} formalism")
     if model.schedule:
         raise ValueError(f"training and evaluation do not run schedules; the model "
                          f"has {len(model.schedule)} schedule steps")
-    graph = model.graph
-    # layer 0's Ry passes on |0...0> leave a product state: prepare it directly
-    amps = product_rows(angles[:, 0, :])
+    n, edges = model.graph.n_vertices, model.graph.edges
     kind = edge_kind(convention)
+    program = []
     for layer in range(model.m):
-        if layer:
-            for v in range(graph.n_vertices):
-                apply_rows(amps, "Ry", (v,), angles[:, layer, v])
-        for k, (u, v, _) in enumerate(graph.edges):
-            apply_rows(amps, kind, (u, v), weights[:, layer, k])
+        program += [("Ry", (v,), layer * n + v) for v in range(n)]
+        first = model.theta.size + (0 if model.shared_weights else layer * len(edges))
+        program += [(kind, (u, v), first + k) for k, (u, v, _) in enumerate(edges)]
+    return tuple(program)
+
+
+def param_rows(model: ModelSpec, params: np.ndarray) -> np.ndarray:
+    """Flat parameter vectors (B, P) as per-gate angle rows (B, G), one
+    column per gate of gate_program."""
+    return params[:, [slot for _, _, slot in gate_program(model)]]
+
+
+def circuit_states(model: ModelSpec, rows: np.ndarray,
+                   convention: EdgeConvention) -> np.ndarray:
+    """Run gate_program once per row of per-gate angles (C, G), whose first
+    n columns (layer 0's Ry) include the item's encoded features. Returns
+    the (C, 2^n) amplitude stack. Each row is computed exactly as it would
+    be alone, whatever C.
+    """
+    program = gate_program(model, convention)
+    n = model.graph.n_vertices
+    # layer 0's Ry passes on |0...0> leave a product state: prepare it directly
+    amps = product_rows(rows[:, :n])
+    for j, (kind, qubits, _) in enumerate(program[n:], n):
+        apply_rows(amps, kind, qubits, rows[:, j])
     return amps
 
 
@@ -80,13 +89,14 @@ def _readouts(amps: np.ndarray, model: ModelSpec, dataset: Dataset, prototypes,
     return np.stack(columns, axis=-1) if columns else np.zeros((amps.shape[0], 0))
 
 
-def readout_values(model: ModelSpec, dataset: Dataset, angles: np.ndarray,
-                   weights: np.ndarray, convention: EdgeConvention, prototypes,
+def readout_values(model: ModelSpec, dataset: Dataset, rows: np.ndarray,
+                   convention: EdgeConvention, prototypes,
                    shots: int = 0, rng=None, offsets: np.ndarray | None = None,
                    item_major: bool = False, picks=None) -> list[np.ndarray]:
     """Readout values of every (parameter row, item) circuit.
 
-    Returns one (B, L_i) array per item: the readouts that picks[i] selects,
+    rows holds B per-gate angle rows (param_rows); each item's encoded
+    features add to the layer-0 Ry columns. Returns one (B, L_i) array per item: the readouts that picks[i] selects,
     by default the p1's of its labeled nodes, the <ZZ>'s of all edges, or the
     swap-test scores against each prototype. The B * I circuits run in
     row-major chunks whose stack stays within _STACK_BYTES. Shot mode draws in
@@ -95,15 +105,14 @@ def readout_values(model: ModelSpec, dataset: Dataset, angles: np.ndarray,
     """
     if offsets is None:
         offsets = np.array([feature_angles(item.features) for item in dataset.items])
-    rows, items = angles.shape[0], offsets.shape[0]
-    total = np.repeat(angles, items, axis=0)
-    total[:, 0, :] += np.tile(offsets, (rows, 1))
-    wts = np.repeat(weights, items, axis=0)
+    n_rows, items = rows.shape[0], offsets.shape[0]
+    total = np.repeat(rows, items, axis=0)
+    total[:, :model.graph.n_vertices] += np.tile(offsets, (n_rows, 1))
     step = max(1, _STACK_BYTES // (16 << model.graph.n_vertices))
-    chunks = [_readouts(circuit_states(model, total[k:k + step], wts[k:k + step], convention),
+    chunks = [_readouts(circuit_states(model, total[k:k + step], convention),
                         model, dataset, prototypes, shots, rng)
-              for k in range(0, rows * items, step)]
-    readouts = np.concatenate(chunks).reshape(rows, items, chunks[0].shape[-1])
+              for k in range(0, n_rows * items, step)]
+    readouts = np.concatenate(chunks).reshape(n_rows, items, chunks[0].shape[-1])
     if picks is None:
         picks = [[v for v, lab in enumerate(item.labels) if lab is not None]
                  if dataset.task == "node" else slice(None) for item in dataset.items]

@@ -354,15 +354,7 @@ def apply_gate(s: StateVector, g: GateOp) -> StateVector:
         view[:, 1, :, 0, :] = view[:, 0, :, 1, :]
         view[:, 0, :, 1, :] = tmp
     elif kind == "LinOp":
-        mat = g.matrix
-        if mat is None or mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise ValueError("LinOp requires a square matrix")
-        if mat.shape[0] != 1 << len(g.qubits):
-            raise ValueError(
-                f"LinOp matrix is {mat.shape[0]}-dim but {len(g.qubits)} targets "
-                f"span {1 << len(g.qubits)}")
-        _apply_matrix_inplace(s, mat, g.qubits)
-        s.normalized = abs(float(np.linalg.norm(s.amps)) - 1.0) < 1e-9
+        apply_linear_operator(s, g.matrix, g.qubits)
     else:
         raise ValueError(f"unknown gate kind {kind!r}")
     return s

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import DataItem, Dataset
-from .executor import circuit_states, feature_angles, param_rows, readout_values
+from .executor import circuit_states, feature_angles, gate_program, param_rows, readout_values
 from .graph import Graph
 from .graphstate import EdgeConvention, build_graph_state
 from .qgnn import Formalism, ModelSpec, encode_features
@@ -83,11 +83,11 @@ def initial_model(graph: Graph, m: int = 1, formalism: Formalism = Formalism.SEQ
 def model_circuit(model: ModelSpec, features=None,
                   convention: EdgeConvention = EdgeConvention.CONTROLLED_PHASE) -> StateVector:
     """The model's state for one item (features may be None for a bare model)."""
-    angles, weights = param_rows(model, params_of(model)[None])
+    n = model.graph.n_vertices
+    rows = param_rows(model, params_of(model)[None])
     if features is not None:
-        angles[:, 0] += feature_angles(features)
-    return StateVector(model.graph.n_vertices,
-                       circuit_states(model, angles, weights, convention)[0])
+        rows[:, :n] += feature_angles(features)
+    return StateVector(n, circuit_states(model, rows, convention)[0])
 
 
 # -- readouts and losses -----------------------------------------------------
@@ -200,7 +200,7 @@ def model_values(model: ModelSpec, dataset: Dataset, config: TrainConfig,
     offsets, prototypes = _fixed or _fixed_inputs(model, dataset, convention)
     if config.shots > 0 and rng is None:
         rng = np.random.default_rng(config.seed)
-    return readout_values(model, dataset, *param_rows(model, params_of(model)[None]),
+    return readout_values(model, dataset, param_rows(model, params_of(model)[None]),
                           convention, prototypes, config.shots, rng, offsets=offsets,
                           picks=picks)
 
@@ -240,10 +240,10 @@ def accuracy(model: ModelSpec, dataset: Dataset, config: TrainConfig,
 # -- gradients ----------------------------------------------------------------
 
 _SHIFTS = {
-    # gate family -> (shift, prefactor) for the two-point rule
-    "ry": (math.pi / 2.0, 0.5),
-    EdgeConvention.CONTROLLED_PHASE: (math.pi / 2.0, 0.5),
-    EdgeConvention.ISING_ZZ: (math.pi / 4.0, 1.0),
+    # gate kind -> (shift, prefactor) for the two-point rule
+    "Ry": (math.pi / 2.0, 0.5),
+    "CP": (math.pi / 2.0, 0.5),
+    "IsingZZ": (math.pi / 4.0, 1.0),
 }
 
 
@@ -255,48 +255,31 @@ def _fd_gradient(model, dataset, config, convention, rng, fixed) -> np.ndarray:
         rows[2 * k, k] = base[k] + config.eps
         rows[2 * k + 1, k] = base[k] - config.eps
     offsets, prototypes = fixed
-    values = readout_values(model, dataset, *param_rows(model, rows), convention,
+    values = readout_values(model, dataset, param_rows(model, rows), convention,
                             prototypes, config.shots, rng, offsets=offsets)
     losses = _row_losses(values, dataset, config.loss)
     return (losses[0::2] - losses[1::2]) / (2.0 * config.eps)
 
 
 def _pshift_gradient(model, dataset, config, convention, rng, offsets) -> np.ndarray:
-    """Two-point shift rule on the expanded angles and weights: the base row
-    and its +-shift rows run as one batch."""
-    n, e, m = model.graph.n_vertices, model.graph.n_edges, model.m
-    n_theta = m * n
-    edge_shift, edge_factor = _SHIFTS[convention]
-    ry_shift, ry_factor = _SHIFTS["ry"]
-    angles, wts = (a[0] for a in param_rows(model, params_of(model)[None]))
-    angle_rows, weight_rows = [angles], [wts]
-    columns = []  # (parameter slot, prefactor) of each +- row pair
-    for i in range(m):
-        for v in range(n):
-            for shift in (ry_shift, -ry_shift):
-                shifted = angles.copy()
-                shifted[i, v] += shift
-                angle_rows.append(shifted)
-                weight_rows.append(wts)
-            columns.append((i * n + v, ry_factor))
-        for k in range(e):
-            for shift in (edge_shift, -edge_shift):
-                shifted = wts.copy()
-                shifted[i, k] += shift
-                angle_rows.append(angles)
-                weight_rows.append(shifted)
-            # shared weights: occurrences across layers sum into one slot
-            columns.append((n_theta + (k if model.shared_weights else i * e + k), edge_factor))
+    """Two-point shift rule over the gate program: the base row and each
+    gate's +-shift rows run as one batch, and each gate's term adds into its
+    parameter slot (so a shared weight sums its layers)."""
+    program = gate_program(model, convention)
+    rows = np.tile(param_rows(model, params_of(model)[None]), (2 * len(program) + 1, 1))
+    for j, (kind, _, _) in enumerate(program):
+        rows[2 * j + 1, j] += _SHIFTS[kind][0]
+        rows[2 * j + 2, j] -= _SHIFTS[kind][0]
     # the graph task never reaches here, so no prototypes
-    values = readout_values(model, dataset, np.array(angle_rows), np.array(weight_rows),
-                            convention, None, config.shots, rng, offsets, item_major=True)
+    values = readout_values(model, dataset, rows, convention, None, config.shots, rng,
+                            offsets, item_major=True)
     squared = _squared(dataset, config.loss)
     grad = np.zeros(params_of(model).size)
     for vals, item in zip(values, dataset.items):
         base = vals[0].tolist()
         dvals = _item_grad(base, _targets(item, dataset, len(base)), squared)
-        for j, (slot, factor) in enumerate(columns):
-            col = factor * (vals[2 * j + 1] - vals[2 * j + 2])
+        for j, (kind, _, slot) in enumerate(program):
+            col = _SHIFTS[kind][1] * (vals[2 * j + 1] - vals[2 * j + 2])
             grad[slot] += float(dvals @ col)
     return grad / len(dataset.items)
 

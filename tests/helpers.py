@@ -94,6 +94,18 @@ def graph_state_amp_oracle(g: Graph, idx: int) -> complex:
     return np.exp(1j * phase) / np.sqrt(1 << g.n_vertices)
 
 
+def layer_params(model, params: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Flat parameter vectors (B, P) in the layout layered_circuit_oracle
+    reads: angles (B, m, n) and edge weights (B, m, e), a shared weight row
+    repeated for every layer."""
+    rows, nt = params.shape[0], model.theta.size
+    angles = params[:, :nt].reshape((rows,) + model.theta.shape)
+    weights = params[:, nt:].reshape((rows,) + model.weights.shape)
+    if model.shared_weights:
+        weights = np.repeat(weights, model.m, axis=1)
+    return angles, weights
+
+
 def layered_circuit_oracle(g: Graph, angles: np.ndarray, weights: np.ndarray,
                            convention) -> StateVector:
     """The trainer's layered circuit for one item, one apply_gate call per gate:

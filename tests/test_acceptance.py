@@ -166,7 +166,7 @@ def test_criterion_6_gradient_check():
     ds1 = Dataset("node", (DataItem(Graph(1), [0.5], (1,)),), node_basis="Z")
     rows = np.tile(params_of(tiny), (2, 1))
     rows[:, 0] += [math.pi / 2, -math.pi / 2]
-    values = readout_values(tiny, ds1, *param_rows(tiny, rows),
+    values = readout_values(tiny, ds1, param_rows(tiny, rows),
                             EdgeConvention.CONTROLLED_PHASE, None)[0]
     dp1 = 0.5 * (values[0, 0] - values[1, 0])
     analytic_err = abs(-2.0 * dp1 - (-math.sin(target)))

@@ -234,6 +234,57 @@ def test_flags_a_verb_does_not_read_are_usage_errors(toy_file, k2_file, tmp_path
     capsys.readouterr()
 
 
+# each verb's own flags beyond --out, and the shared flags it does not read
+VERB_FLAGS = {
+    "state build": ["--convention", "ising"],
+    "state verify": ["--convention", "ising", "--tol", "1e-9"],
+    "state sample": ["--convention", "ising", "--seed", "2", "--shots", "5"],
+    "swap": ["--convention", "ising", "--seed", "2", "--shots", "5"],
+    "pool": ["--convention", "ising", "--seed", "2"],
+    "model train": ["--convention", "ising", "--seed", "2", "--shots", "5", "--epochs", "1"],
+    "model eval": ["--convention", "ising", "--seed", "2", "--shots", "5"],
+}
+UNREAD_FLAGS = [("state build", ["--shots", "5"]), ("state build", ["--tol", "3"]),
+                ("state build", ["--seed", "1"]), ("state verify", ["--shots", "5"]),
+                ("state verify", ["--seed", "1"]), ("state sample", ["--tol", "3"]),
+                ("swap", ["--tol", "3"]), ("pool", ["--shots", "5"]), ("pool", ["--tol", "3"]),
+                ("model train", ["--tol", "3"]), ("model eval", ["--tol", "3"])]
+
+
+def _verb_argv(verb: str, k2_file: str, toy_file: str) -> list[str]:
+    inputs = ["--data", toy_file] if verb.startswith("model") else ["--graph", k2_file]
+    return verb.split() + inputs
+
+
+@pytest.mark.parametrize("verb", list(VERB_FLAGS))
+def test_each_verb_takes_the_flags_it_reads(verb, k2_file, toy_file, tmp_path, capsys):
+    out = tmp_path / "out.txt"
+    argv = _verb_argv(verb, k2_file, toy_file) + VERB_FLAGS[verb] + ["--out", str(out)]
+    assert execute(argv) == 0
+    assert out.read_text(encoding="utf-8")
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("verb, flag", UNREAD_FLAGS)
+def test_a_flag_the_verb_does_not_read_is_a_usage_error(verb, flag, k2_file, toy_file, capsys):
+    assert execute(_verb_argv(verb, k2_file, toy_file) + flag) == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("flag", [["--layers", "3"], ["--formalism", "superposed"],
+                                  ["--layers", "1"], ["--formalism", "sequential"]])
+@pytest.mark.parametrize("verb", ["train", "eval"])
+def test_new_model_flags_with_a_checkpoint_are_json_errors(toy_file, tmp_path, verb, flag,
+                                                           capsys):
+    ckpt = tmp_path / "ck.json"
+    save_model(initial_model(toy_node_dataset().items[0].graph), ckpt)
+    assert execute(["model", verb, "--data", toy_file, "--model", str(ckpt), *flag,
+                    *_one_epoch(verb)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert flag[0] in json.loads(captured.err)["error"]
+
+
 def test_state_build_too_wide_is_a_json_error(tmp_path, capsys):
     wide = tmp_path / "wide.qg"
     wide.write_text("qgraph v1 n=25\n", encoding="utf-8")
@@ -449,4 +500,35 @@ def _eval_case(name: str, tmp_path: Path) -> list[str]:
                                   "node_eval_exact_Z_ising_n10.jsonl"])
 def test_eval_outputs_match_recorded_files(name, tmp_path, capsys):
     assert execute(_eval_case(name, tmp_path)) == 0
+    assert capsys.readouterr().out.encode() == (GOLDEN / name).read_bytes()
+
+
+# pshift training from a two-layer shared-weight checkpoint under the
+# Ising-ZZ convention, recorded at the commit before the shift rule walked
+# the compiled gate program: every shared edge weight sums its two layers'
+# shift terms into one slot.
+PSHIFT_GOLDENS = ["node_train_pshift_ising_shared_exact.csv",
+                  "node_train_pshift_ising_shared_shots64_seed4.csv"]
+
+
+def _pshift_case(name: str, tmp_path: Path) -> list[str]:
+    """The argv of one recorded pshift training case, its input files in tmp_path."""
+    n, e = WEIGHTED5.n_vertices, WEIGHTED5.n_edges
+    items = tuple(DataItem(WEIGHTED5, np.cos(np.arange(n) * (0.9 + 0.4 * k)) + 0.1 * k,
+                           [None if v == k else (v + k) % 2 for v in range(n)])
+                  for k in range(3))
+    save_dataset(Dataset("node", items, "Y"), tmp_path / "node5.json")
+    theta = 0.6 * np.sin(np.arange(2 * n).reshape(2, n) * 1.1)
+    weights = 1.2 + 0.5 * np.cos(np.arange(e)).reshape(1, e)
+    save_model(ModelSpec(WEIGHTED5, 2, Formalism.SEQUENTIAL, theta, weights,
+                         shared_weights=True), tmp_path / "node5-model.json")
+    argv = ["model", "train", "--data", str(tmp_path / "node5.json"), "--model",
+            str(tmp_path / "node5-model.json"), "--grad", "pshift", "--convention", "ising",
+            "--epochs", "4", "--lr", "0.3"]
+    return argv + (["--shots", "64", "--seed", "4"] if "shots" in name else [])
+
+
+@pytest.mark.parametrize("name", PSHIFT_GOLDENS)
+def test_pshift_training_matches_recorded_csv(name, tmp_path, capsys):
+    assert execute(_pshift_case(name, tmp_path)) == 0
     assert capsys.readouterr().out.encode() == (GOLDEN / name).read_bytes()

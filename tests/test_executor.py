@@ -19,8 +19,9 @@ import qgns.executor as executor
 from qgns.executor import param_rows, readout_values
 from qgns.sim import apply_rows
 
-from helpers import (cp_matrix, dense_apply, ising_matrix, layered_circuit_oracle,
-                     random_graph, random_state, rotated_p1, swap_circuit_p0, zz_oracle)
+from helpers import (cp_matrix, dense_apply, ising_matrix, layer_params,
+                     layered_circuit_oracle, random_graph, random_state, rotated_p1,
+                     swap_circuit_p0, zz_oracle)
 
 READOUTS = ("Y", "Z", "ZZ")
 
@@ -59,8 +60,8 @@ def test_every_row_matches_the_gate_by_gate_circuit(seed, n, m, rows, items, con
         n = 2
     rng, model, ds = _case(seed, n, m, items, shared, readout)
     params = rng.uniform(-math.pi, math.pi, (rows, model.theta.size + model.weights.size))
-    angles, weights = param_rows(model, params)
-    values = readout_values(model, ds, angles, weights, convention, None)
+    angles, weights = layer_params(model, params)
+    values = readout_values(model, ds, param_rows(model, params), convention, None)
     for i, item in enumerate(ds.items):
         assert values[i].shape[0] == rows
         for b in range(rows):
@@ -82,9 +83,9 @@ def test_rows_do_not_depend_on_the_batch(seed, n, m, rows, items, convention, sh
         n = 2
     rng, model, ds = _case(seed, n, m, items, shared, readout)
     params = rng.uniform(-math.pi, math.pi, (rows, model.theta.size + model.weights.size))
-    batched = readout_values(model, ds, *param_rows(model, params), convention, None)
+    batched = readout_values(model, ds, param_rows(model, params), convention, None)
     for b in range(rows):
-        alone = readout_values(model, ds, *param_rows(model, params[b:b + 1]), convention, None)
+        alone = readout_values(model, ds, param_rows(model, params[b:b + 1]), convention, None)
         for i in range(len(ds.items)):
             assert np.array_equal(batched[i][b], alone[i][0])
 
@@ -128,7 +129,7 @@ def test_chunked_circuits_match_one_stack(monkeypatch, budget, shots, readout):
     params = rng.uniform(-math.pi, math.pi, (5, model.theta.size + model.weights.size))
     rows = param_rows(model, params)
     conv = EdgeConvention.CONTROLLED_PHASE
-    whole = readout_values(model, ds, *rows, conv, protos, shots, np.random.default_rng(3))
+    whole = readout_values(model, ds, rows, conv, protos, shots, np.random.default_rng(3))
     stack_bytes = []
 
     def recording(amps, *args):
@@ -138,7 +139,7 @@ def test_chunked_circuits_match_one_stack(monkeypatch, budget, shots, readout):
     readouts = executor._readouts
     monkeypatch.setattr(executor, "_readouts", recording)
     monkeypatch.setattr(executor, "_STACK_BYTES", budget)
-    chunked = readout_values(model, ds, *rows, conv, protos, shots, np.random.default_rng(3))
+    chunked = readout_values(model, ds, rows, conv, protos, shots, np.random.default_rng(3))
     for a, b in zip(whole, chunked):
         np.testing.assert_array_equal(a, b)
     assert sum(stack_bytes) == 15 * 16 * 16
@@ -158,16 +159,15 @@ def test_graph_scores_match_the_swap_circuit_and_draw_in_row_prototype_order(
                                 for k in range(items)))
     protos = class_prototypes(ds, convention)
     params = rng.uniform(-math.pi, math.pi, (rows, model.theta.size + model.weights.size))
-    angles, weights = param_rows(model, params)
-    exact = readout_values(model, ds, angles, weights, convention, protos)
-    shots = readout_values(model, ds, angles, weights, convention, protos, 200,
+    gate_rows = param_rows(model, params)
+    exact = readout_values(model, ds, gate_rows, convention, protos)
+    shots = readout_values(model, ds, gate_rows, convention, protos, 200,
                            np.random.default_rng(seed))
     draws = np.random.default_rng(seed)
     offsets = np.array([executor.feature_angles(item.features) for item in ds.items])
-    total = np.repeat(angles, items, axis=0)
-    total[:, 0] += np.tile(offsets, (rows, 1))
-    states = executor.circuit_states(model, total, np.repeat(weights, items, axis=0),
-                                     convention)
+    total = np.repeat(gate_rows, items, axis=0)
+    total[:, :n] += np.tile(offsets, (rows, 1))
+    states = executor.circuit_states(model, total, convention)
     for r, amps in enumerate(states):
         b, i = divmod(r, items)
         for c, proto in enumerate(protos):
@@ -186,5 +186,5 @@ def test_layer_zero_is_prepared_without_ry_passes(monkeypatch):
 
     monkeypatch.setattr(executor, "apply_rows", recording)
     params = rng.uniform(-math.pi, math.pi, (3, model.theta.size + model.weights.size))
-    readout_values(model, ds, *param_rows(model, params), EdgeConvention.CONTROLLED_PHASE, None)
+    readout_values(model, ds, param_rows(model, params), EdgeConvention.CONTROLLED_PHASE, None)
     assert model.graph.n_edges and calls == ["CP"] * model.graph.n_edges

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qgns.executor as executor
 import qgns.train as train
@@ -11,7 +13,10 @@ from qgns import (DataItem, Dataset, EdgeConvention, Formalism, Graph, LayerStep
                   TrainConfig, accuracy, encode_features, fit, gradient, initial_model,
                   load_dataset, loss, model_circuit, params_of, save_dataset, to_edge_list,
                   toy_node_dataset, with_params)
-from qgns.executor import param_rows, readout_values
+from qgns.executor import gate_program, param_rows, readout_values
+from qgns.graphstate import edge_kind
+
+from helpers import random_graph
 
 PI = math.pi
 
@@ -108,7 +113,7 @@ def test_analytic_expectation_derivative():
         pytest.approx(target)
     rows = np.tile(params_of(model), (2, 1))
     rows[:, 0] += [PI / 2, -PI / 2]
-    values = readout_values(model, ds, *param_rows(model, rows),
+    values = readout_values(model, ds, param_rows(model, rows),
                             EdgeConvention.CONTROLLED_PHASE, None)[0]
     dp1 = 0.5 * (values[0, 0] - values[1, 0])
     d_expectation = -2.0 * dp1
@@ -151,6 +156,44 @@ def test_param_shift_ising_convention(rng):
     ds = Dataset("node", (DataItem(g, rng.uniform(0, 1, 3), (0, 1, 0)),))
     g_fd = gradient(model, ds, TrainConfig(grad="fd", eps=1e-5), EdgeConvention.ISING_ZZ)
     g_ps = gradient(model, ds, TrainConfig(grad="pshift"), EdgeConvention.ISING_ZZ)
+    assert np.max(np.abs(g_fd - g_ps)) < 1e-5
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 5), m=st.integers(1, 3),
+       shared=st.booleans(), convention=st.sampled_from(list(EdgeConvention)),
+       readout=st.sampled_from(["Y", "Z", "ZZ"]))
+def test_gate_program_slots_and_the_shift_rule_it_drives(seed, n, m, shared, convention,
+                                                         readout):
+    rng = np.random.default_rng(seed)
+    g = random_graph(rng, n, weighted=True)
+    e = g.n_edges
+    model = ModelSpec(g, m, Formalism.SEQUENTIAL, rng.uniform(-1.5, 1.5, (m, n)),
+                      rng.uniform(0.0, 2 * PI, (1 if shared else m, e)), shared_weights=shared)
+    program = gate_program(model, convention)
+    # run order: per layer, Ry on every vertex, then each edge's entangler
+    layers = [program[i * (n + e):(i + 1) * (n + e)] for i in range(m)]
+    assert len(program) == m * (n + e)
+    for layer in layers:
+        assert [(kind, qubits) for kind, qubits, _ in layer] == (
+            [("Ry", (v,)) for v in range(n)]
+            + [(edge_kind(convention), (u, v)) for u, v, _ in g.edges])
+    slots = [slot for _, _, slot in program]
+    assert sorted(set(slots)) == list(range(params_of(model).size))
+    edge_slots = [[slot for _, _, slot in layer[n:]] for layer in layers]
+    if shared:
+        assert all(row == edge_slots[0] for row in edge_slots)
+    else:
+        assert len(set(slots)) == len(slots)
+    # squared error: near BCE's clip, central differences lose the 1e-5 agreement
+    if readout == "ZZ" and e:
+        ds = Dataset("edge", (DataItem(g, rng.uniform(0, 1, n), tuple(rng.uniform(-1, 1, e))),))
+    else:
+        ds = Dataset("node", (DataItem(g, rng.uniform(0, 1, n),
+                                       tuple(int(b) for b in rng.integers(0, 2, n))),),
+                     node_basis="Y" if readout == "Y" else "Z")
+    g_fd = gradient(model, ds, TrainConfig(grad="fd", eps=1e-5, loss="mse"), convention)
+    g_ps = gradient(model, ds, TrainConfig(grad="pshift", loss="mse"), convention)
     assert np.max(np.abs(g_fd - g_ps)) < 1e-5
 
 
