@@ -2,13 +2,15 @@
 
 It compiles the sequential layered circuit (per layer, Ry on every vertex,
 then each edge's entangler) to one gate program of (kind, qubits, parameter
-slot) entries, and runs it for every (parameter row, item) pair of a loss,
-accuracy, gradient or `model eval` call, as (circuits, 2^n) amplitude
-stacks of at most _STACK_BYTES each (or one state, when a state is larger),
-and reads out every circuit with the closed-form readouts of qgns.tasks.
-Layer 0's Ry passes act on |0...0>, so their product state is prepared in
-closed form (sim.product_rows). A circuit's result never depends on the
-other circuits in its stack, so a stack of one gives the same numbers.
+slot) entries, and runs it for every (parameter row, item) pair of a
+training epoch or `model eval` call, as (circuits, 2^n) amplitude stacks of
+at most _STACK_BYTES each (or one state, when a state is larger). It reads
+out every circuit exactly with the closed-form readouts of qgns.tasks
+(exact_readouts); draw_readouts then picks each consumer's readouts and
+draws its shots. Layer 0's Ry passes act on |0...0>, so their product state
+is prepared in closed form (sim.product_rows). A circuit's result never
+depends on the other circuits in its stack, so a stack of one gives the
+same numbers.
 """
 from __future__ import annotations
 
@@ -75,13 +77,13 @@ def circuit_states(model: ModelSpec, rows: np.ndarray,
     return amps
 
 
-def _readouts(amps: np.ndarray, model: ModelSpec, dataset: Dataset, prototypes,
-              shots: int, rng) -> np.ndarray:
-    """Every readout of every state in an amplitude stack, one row per state:
-    node p1's, edge <ZZ>'s (both exact), or swap-test scores."""
+def _readouts(amps: np.ndarray, model: ModelSpec, dataset: Dataset,
+              prototypes) -> np.ndarray:
+    """Every exact readout of every state in an amplitude stack, one row per
+    state: node p1's, edge <ZZ>'s, or swap-test p0's."""
     n = model.graph.n_vertices
     if dataset.task == "graph":
-        return swap_tests(amps, np.array([p.amps for p in prototypes]), shots, rng)[1]
+        return swap_tests(amps, np.array([p.amps for p in prototypes]))[0]
     if dataset.task == "node":
         columns = [node_p1(amps, v, dataset.node_basis) for v in range(n)]
     else:
@@ -89,19 +91,16 @@ def _readouts(amps: np.ndarray, model: ModelSpec, dataset: Dataset, prototypes,
     return np.stack(columns, axis=-1) if columns else np.zeros((amps.shape[0], 0))
 
 
-def readout_values(model: ModelSpec, dataset: Dataset, rows: np.ndarray,
+def exact_readouts(model: ModelSpec, dataset: Dataset, rows: np.ndarray,
                    convention: EdgeConvention, prototypes,
-                   shots: int = 0, rng=None, offsets: np.ndarray | None = None,
-                   item_major: bool = False, picks=None) -> list[np.ndarray]:
-    """Readout values of every (parameter row, item) circuit.
+                   offsets: np.ndarray | None = None) -> np.ndarray:
+    """Exact readouts of every (parameter row, item) circuit, as a (B, I, L)
+    array: the p1 of every node, the <ZZ> of every edge, or the swap-test p0
+    against each prototype (before any shot draw).
 
     rows holds B per-gate angle rows (param_rows); each item's encoded
-    features add to the layer-0 Ry columns. Returns one (B, L_i) array per item: the readouts that picks[i] selects,
-    by default the p1's of its labeled nodes, the <ZZ>'s of all edges, or the
-    swap-test scores against each prototype. The B * I circuits run in
-    row-major chunks whose stack stays within _STACK_BYTES. Shot mode draws in
-    (row, item, readout) order, or in (item, row, readout) order with
-    item_major; the graph task always draws row first.
+    features add to the layer-0 Ry columns. The B * I circuits run in
+    row-major chunks whose stack stays within _STACK_BYTES.
     """
     if offsets is None:
         offsets = np.array([feature_angles(item.features) for item in dataset.items])
@@ -110,17 +109,42 @@ def readout_values(model: ModelSpec, dataset: Dataset, rows: np.ndarray,
     total[:, :model.graph.n_vertices] += np.tile(offsets, (n_rows, 1))
     step = max(1, _STACK_BYTES // (16 << model.graph.n_vertices))
     chunks = [_readouts(circuit_states(model, total[k:k + step], convention),
-                        model, dataset, prototypes, shots, rng)
+                        model, dataset, prototypes)
               for k in range(0, n_rows * items, step)]
-    readouts = np.concatenate(chunks).reshape(n_rows, items, chunks[0].shape[-1])
+    return np.concatenate(chunks).reshape(n_rows, items, chunks[0].shape[-1])
+
+
+def draw_readouts(exact: np.ndarray, dataset: Dataset, shots: int = 0, rng=None,
+                  item_major: bool = False, picks=None) -> list[np.ndarray]:
+    """The readout values of an exact_readouts array, one (B, L_i) array per
+    item: the readouts that picks[i] selects, by default the p1's of its
+    labeled nodes, the <ZZ>'s of all edges, or the swap-test scores
+    clip(2 p0 - 1) against each prototype. Shot mode draws in (row, item,
+    readout) order, or in (item, row, readout) order with item_major; the
+    graph task draws every p0 in (row, item, prototype) order.
+    """
     if picks is None:
         picks = [[v for v, lab in enumerate(item.labels) if lab is not None]
                  if dataset.task == "node" else slice(None) for item in dataset.items]
-    values = [readouts[:, i, pick] for i, pick in enumerate(picks)]
-    if shots == 0 or dataset.task == "graph":
+    if dataset.task == "graph":
+        p0 = exact if shots == 0 else binomial_estimate(exact, shots, rng)
+        scores = np.clip(2.0 * p0 - 1.0, 0.0, 1.0)
+        return [scores[:, i, pick] for i, pick in enumerate(picks)]
+    values = [exact[:, i, pick] for i, pick in enumerate(picks)]
+    if shots == 0:
         return values
     estimate = binomial_estimate if dataset.task == "node" else sign_estimate
     if item_major:
         return [estimate(vals, shots, rng) for vals in values]
     drawn = estimate(np.concatenate(values, axis=1), shots, rng)
     return np.split(drawn, np.cumsum([vals.shape[1] for vals in values])[:-1], axis=1)
+
+
+def readout_values(model: ModelSpec, dataset: Dataset, rows: np.ndarray,
+                   convention: EdgeConvention, prototypes,
+                   shots: int = 0, rng=None, offsets: np.ndarray | None = None,
+                   item_major: bool = False, picks=None) -> list[np.ndarray]:
+    """Readout values of every (parameter row, item) circuit: exact_readouts,
+    then draw_readouts."""
+    return draw_readouts(exact_readouts(model, dataset, rows, convention, prototypes, offsets),
+                         dataset, shots, rng, item_major, picks)

@@ -5,9 +5,11 @@ additionally carries the angle-encoded item features) interleaved with the
 graph's edge entanglers, whose phases are the trainable edge weights.
 Gradients come from central finite differences (valid for every parameter)
 or from the two-point shift rule applied at the readout level; the
-optimizer is plain gradient descent. Each loss, accuracy and gradient call
-runs all of its circuits through one qgns.executor call, and so does
-`model eval` (model_values).
+optimizer is plain gradient descent. Each training epoch runs all of its
+circuits through one qgns.executor call (the gradient's rows, the model's
+own row first) and scores the loss, the accuracy and the gradient from
+those exact readouts; loss, accuracy, gradient and `model eval`
+(model_values) each run the same two steps on their own rows.
 
 Everything is deterministic: exact mode never touches an rng, shot mode
 threads one seeded generator through all estimates.
@@ -21,7 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import DataItem, Dataset
-from .executor import circuit_states, feature_angles, gate_program, param_rows, readout_values
+from .executor import (circuit_states, draw_readouts, exact_readouts, feature_angles,
+                       gate_program, param_rows)
 from .graph import Graph
 from .graphstate import EdgeConvention, build_graph_state
 from .qgnn import Formalism, ModelSpec, encode_features
@@ -115,13 +118,8 @@ def _prototypes(dataset: Dataset, convention: EdgeConvention):
     return class_prototypes(dataset, convention) if dataset.task == "graph" else None
 
 
-def _bce(p: float, y: float) -> float:
-    q = min(max(p, _CLIP), 1.0 - _CLIP)
-    return -(y * math.log(q) + (1.0 - y) * math.log(1.0 - q))
-
-
 def _bce_dp(p: float, y: float) -> float:
-    """d(_bce)/dp. Outside [_CLIP, 1 - _CLIP] the loss is clipped flat, so
+    """d(BCE)/dp. Outside [_CLIP, 1 - _CLIP] the loss is clipped flat, so
     the derivative there is 0: a readout clipped below 1e-7 gets no gradient
     even when its label is 1. That is the gradient of the clipped loss, and
     fd and pshift both return it."""
@@ -150,29 +148,55 @@ def _squared(dataset: Dataset, loss_kind: str) -> bool:
     return dataset.task == "edge" or (dataset.task == "node" and loss_kind == "mse")
 
 
-def _item_loss(values: list[float], targets: list[float], squared: bool) -> float:
-    total = 0.0
-    for p, y in zip(values, targets):
-        total += (p - y) ** 2 if squared else _bce(p, y)
-    return total / len(values)
-
-
 def _item_grad(values: list[float], targets: list[float], squared: bool) -> np.ndarray:
-    """Gradient of _item_loss with respect to the readout values."""
+    """Gradient of an item's mean loss with respect to its readout values."""
     grad = [2.0 * (p - y) if squared else _bce_dp(p, y) for p, y in zip(values, targets)]
     return np.array(grad) / len(values)
 
 
+def _mapped(fn, x: np.ndarray) -> np.ndarray:
+    """fn of every entry of x, evaluated on Python floats."""
+    return np.fromiter(map(fn, x.ravel().tolist()), float, x.size).reshape(x.shape)
+
+
+def _scaled_logs(c: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """c * math.log(x) for a (B, L) block x and per-column factors c, and
+    0.0 in the columns where c is 0: a 0 * log term and an exact 0.0 add to
+    the same sum, so no log is taken there."""
+    out = np.zeros(x.shape)
+    hit = c != 0.0
+    out[:, hit] = c[hit] * _mapped(math.log, x[:, hit])
+    return out
+
+
+def _loss_terms(vals: np.ndarray, targets: np.ndarray, squared: bool) -> np.ndarray:
+    """Per-readout loss terms of a (B, L) block with one target per column:
+    (p - y) ** 2, or the BCE -(y log q + (1 - y) log(1 - q)) with q = p
+    clipped to [_CLIP, 1 - _CLIP]. Each term has the bits of the scalar
+    formula: logs and squares are taken per entry in Python (math.log, **),
+    because numpy's vectorised log and square differ from them in the last
+    bit on some inputs."""
+    if squared:
+        return _mapped(lambda d: d ** 2, vals - targets)
+    q = np.minimum(np.maximum(vals, _CLIP), 1.0 - _CLIP)
+    return -(_scaled_logs(targets, q) + _scaled_logs(1.0 - targets, 1.0 - q))
+
+
 def _row_losses(values: list[np.ndarray], dataset: Dataset, loss_kind: str) -> np.ndarray:
     """Mean per-item loss of each parameter row of `values`, summed item by
-    item in dataset order."""
-    squared = _squared(dataset, loss_kind)
-    losses = [0.0] * values[0].shape[0]
-    for vals, item in zip(values, dataset.items):
-        targets = _targets(item, dataset, vals.shape[1])
-        for b, row in enumerate(vals.tolist()):
-            losses[b] += _item_loss(row, targets, squared)
-    return np.array(losses) / len(dataset.items)
+    item in dataset order. The terms of all items form one block; each
+    item's terms add left to right (cumsum, not np.sum's pairwise order), so
+    a row has the bits of the scalar loop."""
+    counts = [vals.shape[1] for vals in values]
+    targets = np.concatenate([_targets(item, dataset, count)
+                              for item, count in zip(dataset.items, counts)])
+    terms = _loss_terms(np.concatenate(values, axis=1), targets,
+                        _squared(dataset, loss_kind))
+    losses, start = np.zeros(terms.shape[0]), 0
+    for count in counts:
+        losses += np.cumsum(terms[:, start:start + count], axis=1)[:, -1] / count
+        start += count
+    return losses / len(dataset.items)
 
 
 def _check_compat(model: ModelSpec, dataset: Dataset) -> None:
@@ -184,57 +208,77 @@ def _check_compat(model: ModelSpec, dataset: Dataset) -> None:
 def _fixed_inputs(model: ModelSpec, dataset: Dataset, convention: EdgeConvention):
     """The inputs that parameter updates leave unchanged: the items' layer-0
     angles (their encoded features) and, for the graph task, the class
-    prototypes. fit computes them once and hands them to every loss,
-    accuracy and gradient call; a call without them computes its own."""
+    prototypes. fit computes them once for every epoch."""
     _check_compat(model, dataset)
     offsets = np.array([feature_angles(item.features) for item in dataset.items])
     return offsets, _prototypes(dataset, convention)
 
 
+def _exact(model: ModelSpec, dataset: Dataset, rows: np.ndarray,
+           convention: EdgeConvention, fixed=None) -> np.ndarray:
+    """Exact readouts (B, I, L) of the per-gate angle rows: one executor call."""
+    offsets, prototypes = fixed or _fixed_inputs(model, dataset, convention)
+    return exact_readouts(model, dataset, rows, convention, prototypes, offsets)
+
+
+def _model_rows(model: ModelSpec) -> np.ndarray:
+    """The model's own parameters as one per-gate angle row."""
+    return param_rows(model, params_of(model)[None])
+
+
+def _shot_rng(config: TrainConfig, rng):
+    return np.random.default_rng(config.seed) if config.shots > 0 and rng is None else rng
+
+
 def model_values(model: ModelSpec, dataset: Dataset, config: TrainConfig,
                  convention: EdgeConvention = EdgeConvention.CONTROLLED_PHASE,
-                 rng=None, picks=None, *, _fixed=None) -> list[np.ndarray]:
+                 rng=None, picks=None) -> list[np.ndarray]:
     """Readout values at the model's own parameters, one (1, L_i) array per
-    item: a batch of one parameter row (see executor.readout_values for
+    item: a batch of one parameter row (see executor.draw_readouts for
     picks). Shot mode draws item by item, readout by readout."""
-    offsets, prototypes = _fixed or _fixed_inputs(model, dataset, convention)
-    if config.shots > 0 and rng is None:
-        rng = np.random.default_rng(config.seed)
-    return readout_values(model, dataset, param_rows(model, params_of(model)[None]),
-                          convention, prototypes, config.shots, rng, offsets=offsets,
-                          picks=picks)
+    return draw_readouts(_exact(model, dataset, _model_rows(model), convention), dataset,
+                         config.shots, _shot_rng(config, rng), picks=picks)
+
+
+# -- scoring: every consumer reads row 0 (the model's parameters) or all rows
+# of one exact readout array, and draws its own shots in turn
+
+def _loss_of(exact: np.ndarray, dataset: Dataset, config: TrainConfig, rng) -> float:
+    values = draw_readouts(exact[:1], dataset, config.shots, rng)
+    return float(_row_losses(values, dataset, config.loss)[0])
+
+
+def _accuracy_of(exact: np.ndarray, dataset: Dataset, config: TrainConfig, rng) -> float:
+    values = draw_readouts(exact[:1], dataset, config.shots, rng)
+    if dataset.task == "graph":
+        hits = [int(np.argmax(vals[0])) == item.labels
+                for vals, item in zip(values, dataset.items)]
+        return sum(hits) / len(hits)
+    vals = np.concatenate(values, axis=1)[0]
+    targets = np.array([float(lab) for item in dataset.items for lab in item.labels
+                        if lab is not None])
+    if dataset.task == "node":
+        hits = (vals > 0.5) == (targets != 0.0)
+    else:
+        hits = np.abs(vals - targets) <= 0.5
+    return int(np.count_nonzero(hits)) / hits.size
 
 
 def loss(model: ModelSpec, dataset: Dataset, config: TrainConfig,
          convention: EdgeConvention = EdgeConvention.CONTROLLED_PHASE,
-         rng=None, *, _fixed=None) -> float:
+         rng=None) -> float:
     """Mean per-item loss; deterministic in exact mode (shots = 0)."""
-    values = model_values(model, dataset, config, convention, rng, _fixed=_fixed)
-    return float(_row_losses(values, dataset, config.loss)[0])
+    exact = _exact(model, dataset, _model_rows(model), convention)
+    return _loss_of(exact, dataset, config, _shot_rng(config, rng))
 
 
 def accuracy(model: ModelSpec, dataset: Dataset, config: TrainConfig,
              convention: EdgeConvention = EdgeConvention.CONTROLLED_PHASE,
-             rng=None, *, _fixed=None) -> float:
+             rng=None) -> float:
     """Fraction of correct readouts: thresholded bits (node), targets hit
     within 0.5 (edge), or argmax class (graph)."""
-    values = model_values(model, dataset, config, convention, rng, _fixed=_fixed)
-    hits, count = 0, 0
-    for vals, item in zip(values, dataset.items):
-        vals = vals[0]
-        if dataset.task == "node":
-            targets = [lab for lab in item.labels if lab is not None]
-            for p, y in zip(vals, targets):
-                hits += int((p > 0.5) == bool(y))
-                count += 1
-        elif dataset.task == "edge":
-            for p, y in zip(vals, item.labels):
-                hits += int(abs(p - float(y)) <= 0.5)
-                count += 1
-        else:
-            hits += int(int(np.argmax(vals)) == item.labels)
-            count += 1
-    return hits / count
+    exact = _exact(model, dataset, _model_rows(model), convention)
+    return _accuracy_of(exact, dataset, config, _shot_rng(config, rng))
 
 
 # -- gradients ----------------------------------------------------------------
@@ -247,32 +291,47 @@ _SHIFTS = {
 }
 
 
-def _fd_gradient(model, dataset, config, convention, rng, fixed) -> np.ndarray:
-    """Central differences: the 2P shifted parameter vectors run as one batch."""
+def _uses_pshift(dataset: Dataset, config: TrainConfig) -> bool:
+    """pshift needs Pauli-expectation readouts, so the graph task uses fd."""
+    return config.grad == "pshift" and dataset.task != "graph"
+
+
+def _gradient_rows(model: ModelSpec, dataset: Dataset, config: TrainConfig,
+                   convention: EdgeConvention) -> np.ndarray:
+    """The per-gate angle rows of one training epoch, the model's own row
+    first: the loss and the accuracy read row 0, the gradient reads them
+    all. fd follows with base +- eps in each parameter k (rows 2k+1, 2k+2),
+    pshift with each gate j's angle +- its shift (rows 2j+1, 2j+2)."""
+    if config.grad == "pshift" and dataset.task == "graph":
+        warnings.warn("param_shift needs Pauli-expectation readouts; graph-task "
+                      "swap scores fall back to finite differences", stacklevel=3)
     base = params_of(model)
-    rows = np.tile(base, (2 * base.size, 1))
-    for k in range(base.size):
-        rows[2 * k, k] = base[k] + config.eps
-        rows[2 * k + 1, k] = base[k] - config.eps
-    offsets, prototypes = fixed
-    values = readout_values(model, dataset, param_rows(model, rows), convention,
-                            prototypes, config.shots, rng, offsets=offsets)
-    losses = _row_losses(values, dataset, config.loss)
-    return (losses[0::2] - losses[1::2]) / (2.0 * config.eps)
-
-
-def _pshift_gradient(model, dataset, config, convention, rng, offsets) -> np.ndarray:
-    """Two-point shift rule over the gate program: the base row and each
-    gate's +-shift rows run as one batch, and each gate's term adds into its
-    parameter slot (so a shared weight sums its layers)."""
+    if not _uses_pshift(dataset, config):
+        rows = np.tile(base, (2 * base.size + 1, 1))
+        for k in range(base.size):
+            rows[2 * k + 1, k] = base[k] + config.eps
+            rows[2 * k + 2, k] = base[k] - config.eps
+        return param_rows(model, rows)
     program = gate_program(model, convention)
-    rows = np.tile(param_rows(model, params_of(model)[None]), (2 * len(program) + 1, 1))
+    rows = np.tile(param_rows(model, base[None]), (2 * len(program) + 1, 1))
     for j, (kind, _, _) in enumerate(program):
         rows[2 * j + 1, j] += _SHIFTS[kind][0]
         rows[2 * j + 2, j] -= _SHIFTS[kind][0]
-    # the graph task never reaches here, so no prototypes
-    values = readout_values(model, dataset, rows, convention, None, config.shots, rng,
-                            offsets, item_major=True)
+    return rows
+
+
+def _gradient_of(exact: np.ndarray, model: ModelSpec, dataset: Dataset,
+                 config: TrainConfig, convention: EdgeConvention, rng) -> np.ndarray:
+    """The loss gradient from the exact readouts of _gradient_rows. fd draws
+    rows 1.. row-major and takes central differences of their losses. pshift
+    draws every row item-major and adds each gate's shift term into its
+    parameter slot (so a shared weight sums its layers)."""
+    if not _uses_pshift(dataset, config):
+        losses = _row_losses(draw_readouts(exact[1:], dataset, config.shots, rng),
+                             dataset, config.loss)
+        return (losses[0::2] - losses[1::2]) / (2.0 * config.eps)
+    program = gate_program(model, convention)
+    values = draw_readouts(exact, dataset, config.shots, rng, item_major=True)
     squared = _squared(dataset, config.loss)
     grad = np.zeros(params_of(model).size)
     for vals, item in zip(values, dataset.items):
@@ -286,18 +345,11 @@ def _pshift_gradient(model, dataset, config, convention, rng, offsets) -> np.nda
 
 def gradient(model: ModelSpec, dataset: Dataset, config: TrainConfig,
              convention: EdgeConvention = EdgeConvention.CONTROLLED_PHASE,
-             rng=None, *, _fixed=None) -> np.ndarray:
+             rng=None) -> np.ndarray:
     """Loss gradient over the flat (theta, weights) parameter vector."""
-    fixed = _fixed or _fixed_inputs(model, dataset, convention)
-    if config.shots > 0 and rng is None:
-        rng = np.random.default_rng(config.seed)
-    if config.grad == "fd":
-        return _fd_gradient(model, dataset, config, convention, rng, fixed)
-    if dataset.task == "graph":
-        warnings.warn("param_shift needs Pauli-expectation readouts; graph-task "
-                      "swap scores fall back to finite differences", stacklevel=2)
-        return _fd_gradient(model, dataset, config, convention, rng, fixed)
-    return _pshift_gradient(model, dataset, config, convention, rng, fixed[0])
+    exact = _exact(model, dataset, _gradient_rows(model, dataset, config, convention),
+                   convention)
+    return _gradient_of(exact, model, dataset, config, convention, _shot_rng(config, rng))
 
 
 @dataclass(frozen=True)
@@ -316,12 +368,15 @@ def fit(model: ModelSpec, dataset: Dataset, config: TrainConfig,
     current = model
     history, accuracies = [], []
     for epoch in range(config.epochs):
-        epoch_loss = loss(current, dataset, config, convention, rng, _fixed=fixed)
+        # one executor call per epoch; loss, accuracy and gradient draw in turn
+        exact = _exact(current, dataset, _gradient_rows(current, dataset, config, convention),
+                       convention, fixed)
+        epoch_loss = _loss_of(exact, dataset, config, rng)
         if not math.isfinite(epoch_loss):
             raise RuntimeError(f"training diverged at epoch {epoch}: loss={epoch_loss}")
         history.append(epoch_loss)
-        accuracies.append(accuracy(current, dataset, config, convention, rng, _fixed=fixed))
-        params = params - config.learning_rate * gradient(current, dataset, config,
-                                                          convention, rng, _fixed=fixed)
+        accuracies.append(_accuracy_of(exact, dataset, config, rng))
+        grad = _gradient_of(exact, current, dataset, config, convention, rng)
+        params = params - config.learning_rate * grad
         current = with_params(current, params)
     return FitResult(current, tuple(history), tuple(accuracies))

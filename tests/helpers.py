@@ -3,7 +3,8 @@
 Everything here is deliberately written against the basis-index definition
 (explicit loops, kron products) rather than the package's vectorized
 kernels, so the two paths never share a bug. The exceptions are the last
-two groups: the one-circuit-at-a-time path (apply_gate per gate, a rotated
+three groups: the scalar training loss that train._row_losses computes as
+arrays, the one-circuit-at-a-time path (apply_gate per gate, a rotated
 clone per node readout, a Pauli-flipped clone per edge readout) that the
 batched trainer executor must reproduce row by row, and the simulated
 circuits (the CSWAP swap test, the dense LCU select operator, the
@@ -11,6 +12,8 @@ stabilizer applied to a clone) whose closed forms the package computes
 instead.
 """
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -92,6 +95,34 @@ def graph_state_amp_oracle(g: Graph, idx: int) -> complex:
         if (idx >> u) & 1 and (idx >> v) & 1:
             phase += w
     return np.exp(1j * phase) / np.sqrt(1 << g.n_vertices)
+
+
+_CLIP = 1e-7  # the BCE clip of the trained loss
+
+
+def bce_oracle(p: float, y: float) -> float:
+    """Binary cross-entropy of one readout, p clipped to [1e-7, 1 - 1e-7]."""
+    q = min(max(p, _CLIP), 1.0 - _CLIP)
+    return -(y * math.log(q) + (1.0 - y) * math.log(1.0 - q))
+
+
+def item_loss_oracle(values, targets, squared: bool) -> float:
+    """An item's mean loss, one readout at a time in Python floats."""
+    total = 0.0
+    for p, y in zip(values, targets):
+        total += (p - y) ** 2 if squared else bce_oracle(p, y)
+    return total / len(values)
+
+
+def row_losses_oracle(values, targets, squared: bool) -> list[float]:
+    """Mean per-item loss of each row of per-item (B, L_i) value arrays,
+    summed item by item: the scalar loop the trainer computed before its
+    loss was formed as arrays."""
+    losses = [0.0] * values[0].shape[0]
+    for vals, item_targets in zip(values, targets):
+        for b, row in enumerate(vals.tolist()):
+            losses[b] += item_loss_oracle(row, item_targets, squared)
+    return [total / len(values) for total in losses]
 
 
 def layer_params(model, params: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

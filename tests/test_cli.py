@@ -532,3 +532,50 @@ def _pshift_case(name: str, tmp_path: Path) -> list[str]:
 def test_pshift_training_matches_recorded_csv(name, tmp_path, capsys):
     assert execute(_pshift_case(name, tmp_path)) == 0
     assert capsys.readouterr().out.encode() == (GOLDEN / name).read_bytes()
+
+
+# Exact-mode fd training, recorded at the commit before the training epoch
+# ran as one executor call and the loss was computed as arrays: the loss,
+# accuracy and central-difference gradient must keep their last bits, and so
+# must the saved checkpoint. Each case moves if the loss takes its logs with
+# np.log (toy), its squares with np.square (node) or its sums with np.sum
+# (edge, ten readouts per item).
+FD_GOLDENS = ["toy_train_exact_fd", "node_train_exact_fd_mse_ising_m2", "edge_train_exact_fd"]
+
+
+def _fd_case(name: str, tmp_path: Path) -> list[str]:
+    """The argv of one recorded exact fd training case, its input files in tmp_path."""
+    save = ["--save-model", str(tmp_path / "model.json")]
+    if name == "toy_train_exact_fd":
+        # the bundled toy node task with BCE, continued from a checkpoint as
+        # the benchmark's chained calls are, so readouts spread over (0, 1)
+        g = toy_node_dataset().items[0].graph
+        theta = np.sin(np.arange(g.n_vertices).reshape(1, -1) * 1.3 + 0.4)
+        weights = np.pi - 0.5 * np.cos(np.arange(g.n_edges).reshape(1, -1))
+        save_model(ModelSpec(g, 1, Formalism.SEQUENTIAL, theta, weights), tmp_path / "toy.json")
+        return ["model", "train", "--data", str(toy_dataset_path()), "--model",
+                str(tmp_path / "toy.json"), "--epochs", "5", "--seed", "3", "--grad", "fd", *save]
+    if name == "node_train_exact_fd_mse_ising_m2":
+        # one unlabeled vertex and one fractional target per item
+        n = WEIGHTED5.n_vertices
+        items = tuple(DataItem(WEIGHTED5, np.sin(np.arange(n) * (0.7 + 0.3 * k)) + 0.1 * k,
+                               [None if v == k else ((v + k) % 3) / 2 if v == 2 else (v + k) % 2
+                                for v in range(n)])
+                      for k in range(3))
+        save_dataset(Dataset("node", items, "Y"), tmp_path / "node5.json")
+        return ["model", "train", "--data", str(tmp_path / "node5.json"), "--loss", "mse",
+                "--convention", "ising", "--layers", "2", "--epochs", "6", "--grad", "fd", *save]
+    n, e = RING8.n_vertices, RING8.n_edges
+    items = tuple(DataItem(RING8, np.cos(np.arange(n) * (0.5 + 0.6 * k)),
+                           [math.sin(1.3 * j - k) for j in range(e)]) for k in range(3))
+    save_dataset(Dataset("edge", items), tmp_path / "edge8.json")
+    return ["model", "train", "--data", str(tmp_path / "edge8.json"), "--epochs", "5",
+            "--grad", "fd", *save]
+
+
+@pytest.mark.parametrize("name", FD_GOLDENS)
+def test_exact_fd_training_matches_recorded_files(name, tmp_path, capsys):
+    assert execute(_fd_case(name, tmp_path)) == 0
+    assert capsys.readouterr().out.encode() == (GOLDEN / f"{name}.csv").read_bytes()
+    model = (tmp_path / "model.json").read_bytes()
+    assert model == (GOLDEN / f"{name}.model.json").read_bytes()

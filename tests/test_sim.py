@@ -66,18 +66,14 @@ def test_ising_zz_diagonal_action():
         assert np.allclose(s.amps[0], np.exp(-1j * w))
 
 
-@pytest.mark.parametrize("kind,qubits,param", [
-    ("H", (0,), 0.0), ("X", (1,), 0.0), ("Y", (0,), 0.0), ("Z", (2,), 0.0),
-    ("S", (1,), 0.0), ("Sdg", (2,), 0.0), ("Ry", (0,), 0.7), ("Rz", (1,), -1.3),
-    ("CP", (0, 2), 0.9), ("IsingZZ", (1, 2), 1.7), ("CRy", (2, 0), 0.5),
-    ("SWAP", (0, 2), 0.0), ("MCZ", (0, 1, 2), 0.0),
-])
-def test_gates_match_dense_oracle(rng, kind, qubits, param):
-    # every kernel against the explicit-loop matrix oracle on a random 3-qubit state
-    n = 3
-    vec = random_state(rng, n)
-    s = StateVector(n, vec.copy())
-    apply_gate(s, GateOp(kind, qubits, param))
+# qubits each apply_gate kind acts on; None: any number (MCZ, LinOp up to 3)
+GATE_ARITY = {"H": 1, "X": 1, "Y": 1, "Z": 1, "S": 1, "Sdg": 1, "Ry": 1, "Rz": 1,
+              "CP": 2, "IsingZZ": 2, "CRy": 2, "SWAP": 2, "MCZ": None, "LinOp": None}
+
+
+def _dense_gate(kind: str, k: int, param: float, matrix) -> np.ndarray:
+    """The gate's matrix on its k qubits, operator bit j on qubits[j]."""
+    c, s = math.cos(param / 2), math.sin(param / 2)
     mats = {
         "H": np.array([[1, 1], [1, -1]]) / math.sqrt(2),
         "X": np.array([[0, 1], [1, 0]]),
@@ -85,28 +81,54 @@ def test_gates_match_dense_oracle(rng, kind, qubits, param):
         "Z": np.diag([1, -1]),
         "S": np.diag([1, 1j]),
         "Sdg": np.diag([1, -1j]),
-        "Ry": np.array([[math.cos(param / 2), -math.sin(param / 2)],
-                        [math.sin(param / 2), math.cos(param / 2)]]),
+        "Ry": np.array([[c, -s], [s, c]]),
         "Rz": np.diag([np.exp(-0.5j * param), np.exp(0.5j * param)]),
+        # operator bit order is irrelevant for the symmetric diagonals
+        "CP": cp_matrix(param),
+        "IsingZZ": ising_matrix(param),
+        "SWAP": np.eye(4)[[0, 2, 1, 3]],
+        "LinOp": matrix,
     }
-    if kind in mats:
-        expected = dense_apply(np.asarray(mats[kind], dtype=complex), qubits, n, vec)
-    elif kind == "CP":
-        # operator bit order (target-first) irrelevant: diagonal symmetric
-        expected = dense_apply(cp_matrix(param), qubits, n, vec)
-    elif kind == "IsingZZ":
-        expected = dense_apply(ising_matrix(param), qubits, n, vec)
-    elif kind == "CRy":
-        control, target = qubits
-        expected = dense_apply(cry_4x4(param), (target, control), n, vec)
-    elif kind == "SWAP":
-        swap = np.eye(4)[[0, 2, 1, 3]]
-        expected = dense_apply(swap.astype(complex), qubits, n, vec)
-    else:  # MCZ
-        mat = np.eye(8, dtype=complex)
-        mat[7, 7] = -1
-        expected = dense_apply(mat, qubits, n, vec)
-    assert np.allclose(s.amps, expected, atol=1e-12)
+    if kind == "CRy":
+        # qubits are (control, target): the target is operator bit 0 of cry_4x4
+        return cry_4x4(param)[np.ix_([0, 2, 1, 3], [0, 2, 1, 3])]
+    if kind == "MCZ":
+        mat = np.eye(1 << k, dtype=complex)
+        mat[-1, -1] = -1
+        return mat
+    return np.asarray(mats[kind], dtype=complex)
+
+
+@pytest.mark.parametrize("kind,qubits,param", [
+    ("H", (0,), 0.0), ("X", (1,), 0.0), ("Y", (0,), 0.0), ("Z", (2,), 0.0),
+    ("S", (1,), 0.0), ("Sdg", (2,), 0.0), ("Ry", (0,), 0.7), ("Rz", (1,), -1.3),
+    ("CP", (0, 2), 0.9), ("IsingZZ", (1, 2), 1.7), ("CRy", (2, 0), 0.5),
+    ("SWAP", (0, 2), 0.0), ("MCZ", (0, 1, 2), 0.0), ("LinOp", (2, 0), 0.0),
+])
+@settings(max_examples=100, deadline=None)
+@given(random_case=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_gates_match_dense_oracle(kind, qubits, param, random_case, seed):
+    # every kernel against the explicit-loop matrix oracle on a random state:
+    # the listed qubits and angle at n = 3, then random distinct qubits and
+    # angles at n <= 6. Every kind is unitary here (LinOp gets a random
+    # unitary), so the norm must stay 1.
+    rng = np.random.default_rng(seed)
+    n = 3
+    if random_case:
+        arity = GATE_ARITY[kind] or int(rng.integers(1, 4 if kind == "LinOp" else 7))
+        n = int(rng.integers(arity, 7))
+        qubits = tuple(int(q) for q in rng.permutation(n)[:arity])
+        param = float(rng.uniform(-7.0, 7.0))
+    matrix = None
+    if kind == "LinOp":
+        raw = rng.normal(size=(2, 1 << len(qubits), 1 << len(qubits)))
+        matrix = np.linalg.qr(raw[0] + 1j * raw[1])[0]
+    vec = random_state(rng, n)
+    s = StateVector(n, vec.copy())
+    apply_gate(s, GateOp(kind, qubits, param, matrix))
+    expected = dense_apply(_dense_gate(kind, len(qubits), param, matrix), qubits, n, vec)
+    np.testing.assert_allclose(s.amps, expected, rtol=0, atol=1e-12)
+    assert abs(np.linalg.norm(s.amps) - 1.0) <= 1e-12
 
 
 def test_gate_index_validation():

@@ -16,7 +16,7 @@ from qgns import (DataItem, Dataset, EdgeConvention, Formalism, Graph, LayerStep
 from qgns.executor import gate_program, param_rows, readout_values
 from qgns.graphstate import edge_kind
 
-from helpers import random_graph
+from helpers import random_graph, row_losses_oracle
 
 PI = math.pi
 
@@ -298,7 +298,8 @@ def test_fit_shot_mode_seeded(k2):
 
 def test_fit_aborts_on_non_finite_loss(monkeypatch, k2):
     ds = Dataset("node", (DataItem(k2, [0.2, 0.8], (1, 0)),))
-    monkeypatch.setattr(train, "loss", lambda *a, **k: float("nan"))
+    # fit scores its epoch loss through the loss kernel, not through train.loss
+    monkeypatch.setattr(train, "_row_losses", lambda *a, **k: np.array([np.nan]))
     with pytest.raises(RuntimeError, match="epoch 0"):
         train.fit(initial_model(k2), ds, TrainConfig(epochs=2))
 
@@ -382,3 +383,121 @@ def test_fit_encodes_each_item_once(monkeypatch, grad):
     monkeypatch.setattr(executor, "encode_features", counting)
     train.fit(initial_model(ds.items[0].graph), ds, TrainConfig(epochs=3, grad=grad))
     assert len(calls) == len(ds.items)
+
+
+# readouts that hit the BCE clip, sit beyond it or fall outside [0, 1] (shot
+# estimates of <ZZ> reach -1; swap scores and p1 reach 0 and 1)
+_SPECIAL_READOUTS = [0.0, 1.0, 0.5, 1e-7, 1.0 - 1e-7, 1e-9, 1.0 - 1e-9, -1.0, -0.25, 1.25]
+
+
+@settings(max_examples=300, deadline=None)
+@given(task=st.sampled_from(["node", "edge", "graph"]), loss_kind=st.sampled_from(["bce", "mse"]),
+       n=st.integers(2, 10), n_items=st.integers(1, 4), rows=st.integers(1, 64),
+       seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_row_losses_equal_the_scalar_loop(task, loss_kind, n, n_items, rows, seed, data):
+    # the array-form loss has the bits of the one-readout-at-a-time loop:
+    # fractional node targets, unequal label counts per item, bce and mse.
+    # Readouts are uniform draws (numpy's log and square differ from Python's
+    # on a fraction of a percent of them) with special values mixed in.
+    g = Graph.from_edges(n, [(v, v + 1) for v in range(n - 1)])
+    n_classes = data.draw(st.integers(1, 4))
+    items, targets = [], []
+    for _ in range(n_items):
+        if task == "node":
+            label = st.one_of(st.none(), st.sampled_from([0, 1]), st.floats(0.0, 1.0))
+            labels = data.draw(st.lists(label, min_size=n, max_size=n)
+                               .filter(lambda labs: any(lab is not None for lab in labs)))
+            item_targets = [float(lab) for lab in labels if lab is not None]
+        elif task == "edge":
+            labels = data.draw(st.lists(st.floats(-1.0, 1.0), min_size=n - 1, max_size=n - 1))
+            item_targets = labels
+        else:
+            labels = data.draw(st.integers(0, n_classes - 1))
+            item_targets = [1.0 if c == labels else 0.0 for c in range(n_classes)]
+        items.append(DataItem(g, np.zeros(n), tuple(labels) if task != "graph" else labels))
+        targets.append(item_targets)
+    ds = Dataset(task, tuple(items))
+    rng = np.random.default_rng(seed)
+    values = []
+    for item_targets in targets:
+        vals = rng.uniform(-1.0, 1.5, (rows, len(item_targets)))
+        special = rng.random(vals.shape) < 0.2
+        vals[special] = rng.choice(_SPECIAL_READOUTS, int(special.sum()))
+        values.append(vals)
+    squared = task == "edge" or (task == "node" and loss_kind == "mse")
+    expected = row_losses_oracle(values, targets, squared)
+    assert train._row_losses(values, ds, loss_kind).tolist() == expected
+
+
+@pytest.mark.parametrize("task, loss_kind, target", [
+    ("node", "bce", 1), ("node", "bce", 0.3), ("node", "mse", 0.7), ("edge", "mse", -0.4),
+    ("graph", "bce", 0),
+])
+def test_row_losses_keep_the_bits_of_every_term(task, loss_kind, target):
+    # one readout per row, so each row's loss is one term and no sum can
+    # round a last-bit difference away: numpy's log and square differ from
+    # Python's on a fraction of a percent of these 20000 readouts
+    g = Graph.from_edges(2, [(0, 1)])
+    labels = {"node": (target, None), "edge": (target,), "graph": target}[task]
+    ds = Dataset(task, (DataItem(g, np.zeros(2), labels),))
+    vals = np.random.default_rng(7).uniform(-1.0 if task == "edge" else 0.0, 1.0, (20000, 1))
+    expected = row_losses_oracle([vals], [[1.0 if task == "graph" else float(target)]],
+                                 loss_kind == "mse")
+    assert train._row_losses([vals], ds, loss_kind).tolist() == expected
+
+
+@pytest.mark.filterwarnings("ignore:param_shift needs")
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**16), task=st.sampled_from(["Y", "Z", "edge", "graph"]),
+       grad=st.sampled_from(["fd", "pshift"]), shots=st.sampled_from([0, 40]),
+       convention=st.sampled_from(list(EdgeConvention)), m=st.integers(1, 2),
+       epochs=st.integers(1, 3))
+def test_fit_equals_the_manual_loss_accuracy_gradient_sequence(seed, task, grad, shots,
+                                                               convention, m, epochs):
+    # one executor call per epoch must score exactly as the public loss,
+    # accuracy and gradient do one after the other, sharing one rng
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 5))
+    g = Graph.from_edges(n, [(v, v + 1, float(rng.uniform(0, 2 * PI))) for v in range(n - 1)])
+    items = []
+    for k in range(3):
+        if task == "edge":
+            labels = tuple(rng.uniform(-1, 1, n - 1))
+        elif task == "graph":
+            labels = k % 2
+        else:
+            labels = tuple(None if v == k else int(rng.integers(0, 2)) for v in range(n))
+        items.append(DataItem(g, rng.uniform(0, 1, n), labels))
+    ds = Dataset("node" if task in "YZ" else task, tuple(items),
+                 node_basis=task if task in "YZ" else "Y")
+    model = initial_model(g, m)
+    model = with_params(model, rng.uniform(-1.0, 1.0, params_of(model).size))
+    cfg = TrainConfig(learning_rate=0.3, epochs=epochs, seed=seed, shots=shots, grad=grad)
+    result = fit(model, ds, cfg, convention)
+
+    shot_rng = np.random.default_rng(seed) if shots else None
+    current, params, history, accuracies = model, params_of(model), [], []
+    for _ in range(epochs):
+        history.append(loss(current, ds, cfg, convention, shot_rng))
+        accuracies.append(accuracy(current, ds, cfg, convention, shot_rng))
+        params = params - cfg.learning_rate * gradient(current, ds, cfg, convention, shot_rng)
+        current = with_params(current, params)
+    assert result.history == tuple(history)
+    assert result.accuracies == tuple(accuracies)
+    assert np.array_equal(params_of(result.model), params)
+
+
+@pytest.mark.parametrize("grad", ["fd", "pshift"])
+def test_fit_makes_one_executor_call_per_epoch(monkeypatch, grad):
+    ds = toy_node_dataset()
+    stacks = []
+
+    def counting(model, dataset, rows, *args, **kwargs):
+        stacks.append(rows.shape[0])
+        return executor.exact_readouts(model, dataset, rows, *args, **kwargs)
+
+    monkeypatch.setattr(train, "exact_readouts", counting)
+    model = initial_model(ds.items[0].graph)
+    train.fit(model, ds, TrainConfig(epochs=3, grad=grad))
+    # the toy model has 11 parameters and 11 gates: the base row, then 2 per shift
+    assert stacks == [2 * params_of(model).size + 1] * 3
