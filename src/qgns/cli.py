@@ -24,7 +24,7 @@ from .sim import dump_state, new_state, sample_counts
 from .tasks import swap_test_overlap
 from .filters import FilterSpec, apply_filter_lcu
 from .dataset import load_dataset
-from .train import TrainConfig, fit, initial_model, model_values
+from .train import TrainConfig, correct_readouts, fit, initial_model, model_values
 
 
 def _read_graph(path: str):
@@ -127,15 +127,14 @@ def _cmd_model_eval(args) -> int:
     for idx, (item, vals) in enumerate(zip(dataset.items, values)):
         scores = vals[0].tolist()
         label = item.labels if dataset.task == "graph" else list(item.labels)
-        if dataset.task == "node":
-            prediction: object = [int(p > 0.5) for p in scores]
-            correct = all(p == y for p, y in zip(prediction, label) if y is not None)
-        elif dataset.task == "edge":
-            prediction = scores
-            correct = all(abs(p - float(y)) <= 0.5 for p, y in zip(scores, label))
-        else:
-            prediction = int(np.argmax(scores))  # ties break toward the lowest class
+        if dataset.task == "graph":
+            prediction: object = int(np.argmax(scores))  # ties break toward the lowest class
             correct = prediction == label
+        else:
+            prediction = [int(p > 0.5) for p in scores] if dataset.task == "node" else scores
+            labeled = [k for k, y in enumerate(label) if y is not None]
+            correct = bool(np.all(correct_readouts(dataset.task, vals[0, labeled],
+                                                   [label[k] for k in labeled])))
         lines.append(json.dumps({"item": idx, "task": dataset.task, "scores": scores,
                                  "prediction": prediction, "label": label,
                                  "correct": correct}))

@@ -25,12 +25,6 @@ from .tasks import binomial_estimate, edge_zz, node_p1, sign_estimate, swap_test
 _STACK_BYTES = 1 << 20  # amplitude stack per chunk of circuits: 1 MiB, cache-sized
 
 
-def feature_angles(features) -> np.ndarray:
-    """An item's layer-0 Ry offsets: its angle-encoded features."""
-    _, enc = encode_features(features, "angle")
-    return np.asarray(enc)
-
-
 def gate_program(model: ModelSpec,
                  convention: EdgeConvention = EdgeConvention.CONTROLLED_PHASE
                  ) -> tuple[tuple[str, tuple[int, ...], int], ...]:
@@ -103,7 +97,7 @@ def exact_readouts(model: ModelSpec, dataset: Dataset, rows: np.ndarray,
     row-major chunks whose stack stays within _STACK_BYTES.
     """
     if offsets is None:
-        offsets = np.array([feature_angles(item.features) for item in dataset.items])
+        offsets = np.array([encode_features(item.features) for item in dataset.items])
     n_rows, items = rows.shape[0], offsets.shape[0]
     total = np.repeat(rows, items, axis=0)
     total[:, :model.graph.n_vertices] += np.tile(offsets, (n_rows, 1))

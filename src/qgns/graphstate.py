@@ -1,8 +1,9 @@
 """Graph-state construction and verification.
 
 A graph state entangles one qubit per vertex by applying a two-qubit phase
-gate along every edge of an initialized product state. Two edge-gate
-conventions are supported:
+gate along every edge of a product state: |+>^n, or Ry(angles[v])|0> on
+each vertex v for a plain array of angles (such as qgnn.encode_features
+gives). Two edge-gate conventions are supported:
 
 * ControlledPhase: Uz(u,v,w) = diag(1,1,1,e^{iw}). With w = pi this is the
   controlled-Z, and the built amplitudes obey the closed form
@@ -69,35 +70,22 @@ class PauliString:
         return dict(self.paulis)
 
 
-def _resolve_init(g: Graph, init) -> StateVector:
-    n = g.n_vertices
-    if isinstance(init, str):
-        if init != "plus":
-            raise ValueError(f"unknown init {init!r}")
-        return new_state(n, "plus")
-    tag, payload = init
-    if tag == "product":
-        pairs = list(payload)
-        if len(pairs) != n:
-            raise ValueError(f"expected {n} amplitude pairs, got {len(pairs)}")
-        return new_state(n, pairs)
-    if tag == "ry":
-        angles = list(payload)
-        if len(angles) != n:
-            raise ValueError(f"expected {n} angles, got {len(angles)}")
-        return StateVector(n, product_rows(np.asarray(angles, dtype=float)[None])[0])
-    raise ValueError(f"unknown init tag {tag!r}")
-
-
 def build_graph_state(g: Graph, convention: EdgeConvention = EdgeConvention.CONTROLLED_PHASE,
-                      init="plus", weights=None) -> StateVector:
-    """Initialize one qubit per vertex, then entangle along every edge.
+                      angles=None, weights=None) -> StateVector:
+    """Prepare one qubit per vertex, then entangle along every edge.
 
-    init is "plus", ("product", [(alpha, beta), ...]) or ("ry", [theta, ...]).
-    weights, when given, overrides the per-edge phases (aligned with g.edges);
-    the gates are diagonal so edge order is irrelevant.
+    Each qubit starts in |+>, or in Ry(angles[v])|0> when angles (one per
+    vertex) is given. weights, when given, overrides the per-edge phases
+    (aligned with g.edges); the gates are diagonal so edge order is irrelevant.
     """
-    s = _resolve_init(g, init)
+    n = g.n_vertices
+    if angles is None:
+        s = new_state(n, "plus")
+    else:
+        angles = np.asarray(angles, dtype=float)
+        if angles.shape != (n,):
+            raise ValueError(f"expected {n} angles, got shape {angles.shape}")
+        s = StateVector(n, product_rows(angles[None])[0])
     if weights is None:
         edge_weights = [w for _, _, w in g.edges]
     else:

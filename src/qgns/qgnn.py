@@ -1,7 +1,9 @@
 """Graph-state neural network assembly.
 
 A model is a graph plus per-layer rotation angles (one per vertex) and
-per-layer edge phases. Layers can be realized three ways:
+per-layer edge phases. An item's features enter as one array of Ry angles
+(encode_features), added to layer 0's rotations. Layers can be realized
+three ways:
 
 * superposed: all layer states side by side under an explicit index
   register, (1/sqrt(m)) sum_i |i>|G_i>;
@@ -149,43 +151,23 @@ class ModelSpec:
         return self.weights[0] if self.shared_weights else self.weights[i]
 
 
-def encode_features(x, method: str = "angle"):
-    """Turn a feature vector into a build_graph_state init spec.
-
-    angle: min-max normalize x to [0,1] and scale to Ry angles in [0, pi]
-    (a constant vector maps to pi/2 everywhere, i.e. |+>). amplitude_pairs:
-    consecutive (alpha, beta) pairs passed through after a norm check.
-    """
+def encode_features(x) -> np.ndarray:
+    """A feature vector's layer-0 Ry angles: x min-max normalized to [0, 1]
+    and scaled to [0, pi] (a constant vector maps to pi/2 everywhere, i.e. |+>)."""
     x = np.asarray(x, dtype=float)
     if x.size == 0:
         raise ValueError("empty feature vector")
-    if method == "angle":
-        if not np.all(np.isfinite(x)):
-            raise ValueError("features must be finite")
-        lo, hi = float(x.min()), float(x.max())
-        if hi - lo < 1e-300:
-            scaled = np.full(x.shape, 0.5)
-        else:
-            scaled = (x - lo) / (hi - lo)
-        return ("ry", [math.pi * float(t) for t in scaled])
-    if method == "amplitude_pairs":
-        if x.size % 2 != 0:
-            raise ValueError("amplitude_pairs needs an even-length vector")
-        pairs = []
-        for i in range(0, x.size, 2):
-            a, b = float(x[i]), float(x[i + 1])
-            if abs(a * a + b * b - 1.0) > 1e-9:
-                raise ValueError(f"pair ({a}, {b}) is not normalized")
-            pairs.append((a, b))
-        return ("product", pairs)
-    raise ValueError(f"unknown encoding method {method!r}")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("features must be finite")
+    lo, hi = float(x.min()), float(x.max())
+    scaled = np.full(x.shape, 0.5) if hi - lo < 1e-300 else (x - lo) / (hi - lo)
+    return math.pi * scaled
 
 
 def layer_state(model: ModelSpec, i: int,
                 convention: EdgeConvention = EdgeConvention.CONTROLLED_PHASE) -> StateVector:
     """The i-th layer's graph state |G_i> (Ry init from theta[i])."""
-    return build_graph_state(model.graph, convention, ("ry", model.theta[i]),
-                             weights=model.layer_weights(i))
+    return build_graph_state(model.graph, convention, model.theta[i], model.layer_weights(i))
 
 
 def index_register_width(m: int) -> int:

@@ -22,15 +22,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import DataItem, Dataset
-from .executor import (circuit_states, draw_readouts, exact_readouts, feature_angles,
-                       gate_program, param_rows)
+from .dataset import Dataset
+from .executor import circuit_states, draw_readouts, exact_readouts, gate_program, param_rows
 from .graph import Graph
 from .graphstate import EdgeConvention, build_graph_state
 from .qgnn import Formalism, ModelSpec, encode_features
 from .sim import StateVector
 
 _CLIP = 1e-7
+_EPS = 1e-5  # central-difference step of the fd gradient
 
 
 @dataclass(frozen=True)
@@ -40,7 +40,6 @@ class TrainConfig:
     seed: int = 0
     shots: int = 0          # 0 = exact readouts
     grad: str = "fd"        # "fd" (central differences) | "pshift"
-    eps: float = 1e-5       # finite-difference step
     loss: str = "bce"       # node task only; edge is MSE, graph is BCE
 
     def __post_init__(self) -> None:
@@ -48,8 +47,6 @@ class TrainConfig:
             raise ValueError(f"learning rate must be >= 0, got {self.learning_rate}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
-        if self.eps <= 0:
-            raise ValueError(f"eps must be > 0, got {self.eps}")
         if self.grad not in ("fd", "pshift"):
             raise ValueError(f"grad must be 'fd' or 'pshift', got {self.grad!r}")
         if self.loss not in ("bce", "mse"):
@@ -89,7 +86,7 @@ def model_circuit(model: ModelSpec, features=None,
     n = model.graph.n_vertices
     rows = param_rows(model, params_of(model)[None])
     if features is not None:
-        rows[:, :n] += feature_angles(features)
+        rows[:, :n] += encode_features(features)
     return StateVector(n, circuit_states(model, rows, convention)[0])
 
 
@@ -118,29 +115,20 @@ def _prototypes(dataset: Dataset, convention: EdgeConvention):
     return class_prototypes(dataset, convention) if dataset.task == "graph" else None
 
 
-def _bce_dp(p: float, y: float) -> float:
-    """d(BCE)/dp. Outside [_CLIP, 1 - _CLIP] the loss is clipped flat, so
-    the derivative there is 0: a readout clipped below 1e-7 gets no gradient
-    even when its label is 1. That is the gradient of the clipped loss, and
-    fd and pshift both return it."""
-    if p <= _CLIP or p >= 1.0 - _CLIP:
-        return 0.0
-    return (p - y) / (p * (1.0 - p))
-
-
-def _targets(item: DataItem, dataset: Dataset, count: int) -> list[float]:
-    """An item's readout targets, checked against its `count` readouts."""
-    if dataset.task == "node":
-        targets = [float(lab) for lab in item.labels if lab is not None]
-    elif dataset.task == "edge":
-        targets = [float(t) for t in item.labels]
+def _target_table(dataset: Dataset) -> tuple[np.ndarray, np.ndarray]:
+    """Every item's readout targets in dataset order as one flat array, and
+    each item's count: the labels of its labeled nodes, the targets of its
+    edges, or a graph item's one-hot class (one entry per class prototype)."""
+    if dataset.task == "graph":
+        classes = range(max(item.labels for item in dataset.items) + 1)
+        rows = [[float(c == item.labels) for c in classes] for item in dataset.items]
     else:
-        targets = [1.0 if c == item.labels else 0.0 for c in range(count)]
-    if len(targets) != count:
-        raise ValueError(f"{count} readouts vs {len(targets)} targets")
-    if count == 0:
+        rows = [[float(lab) for lab in item.labels if lab is not None]
+                for item in dataset.items]
+    counts = np.array([len(row) for row in rows])
+    if not counts.all():
         raise ValueError("item produced no readouts (no labeled nodes or edges)")
-    return targets
+    return np.array([t for row in rows for t in row]), counts
 
 
 def _squared(dataset: Dataset, loss_kind: str) -> bool:
@@ -148,10 +136,14 @@ def _squared(dataset: Dataset, loss_kind: str) -> bool:
     return dataset.task == "edge" or (dataset.task == "node" and loss_kind == "mse")
 
 
-def _item_grad(values: list[float], targets: list[float], squared: bool) -> np.ndarray:
-    """Gradient of an item's mean loss with respect to its readout values."""
-    grad = [2.0 * (p - y) if squared else _bce_dp(p, y) for p, y in zip(values, targets)]
-    return np.array(grad) / len(values)
+def correct_readouts(task: str, values, targets) -> np.ndarray:
+    """Which node or edge readouts are correct, entry by entry: a node p1
+    above 0.5 exactly where its target is non-zero, an edge <ZZ> within 0.5
+    of its target. The training accuracy and `model eval` both use it."""
+    values, targets = np.asarray(values, dtype=float), np.asarray(targets, dtype=float)
+    if task == "node":
+        return (values > 0.5) == (targets != 0.0)
+    return np.abs(values - targets) <= 0.5
 
 
 def _mapped(fn, x: np.ndarray) -> np.ndarray:
@@ -182,21 +174,36 @@ def _loss_terms(vals: np.ndarray, targets: np.ndarray, squared: bool) -> np.ndar
     return -(_scaled_logs(targets, q) + _scaled_logs(1.0 - targets, 1.0 - q))
 
 
-def _row_losses(values: list[np.ndarray], dataset: Dataset, loss_kind: str) -> np.ndarray:
-    """Mean per-item loss of each parameter row of `values`, summed item by
-    item in dataset order. The terms of all items form one block; each
-    item's terms add left to right (cumsum, not np.sum's pairwise order), so
-    a row has the bits of the scalar loop."""
-    counts = [vals.shape[1] for vals in values]
-    targets = np.concatenate([_targets(item, dataset, count)
-                              for item, count in zip(dataset.items, counts)])
-    terms = _loss_terms(np.concatenate(values, axis=1), targets,
-                        _squared(dataset, loss_kind))
+def _row_losses(values: list[np.ndarray], table, squared: bool) -> np.ndarray:
+    """Mean per-item loss of each parameter row of `values` against the
+    target table, summed item by item in dataset order. The terms of all
+    items form one block; each item's terms add left to right (cumsum, not
+    np.sum's pairwise order), so a row has the bits of the scalar loop."""
+    targets, counts = table
+    terms = _loss_terms(np.concatenate(values, axis=1), targets, squared)
     losses, start = np.zeros(terms.shape[0]), 0
-    for count in counts:
+    for count in counts.tolist():
         losses += np.cumsum(terms[:, start:start + count], axis=1)[:, -1] / count
         start += count
-    return losses / len(dataset.items)
+    return losses / counts.size
+
+
+def _loss_slopes(vals: np.ndarray, table, squared: bool) -> np.ndarray:
+    """The derivative of each item's mean loss with respect to its readouts,
+    for one flat row of every item's readouts: 2 (p - y), or the BCE's
+    (p - y) / (p (1 - p)), over the item's readout count. Outside [_CLIP,
+    1 - _CLIP] the BCE is clipped flat, so a readout there gets 0 even when
+    its label is 1 (the gradient of the clipped loss; fd and pshift both
+    return it). A NaN readout is not clipped and takes the formula."""
+    targets, counts = table
+    if squared:
+        slopes = 2.0 * (vals - targets)
+    else:
+        slopes = np.zeros(vals.shape)
+        kept = ~((vals <= _CLIP) | (vals >= 1.0 - _CLIP))
+        p = vals[kept]
+        slopes[kept] = (p - targets[kept]) / (p * (1.0 - p))
+    return slopes / np.repeat(counts, counts)
 
 
 def _check_compat(model: ModelSpec, dataset: Dataset) -> None:
@@ -210,7 +217,7 @@ def _fixed_inputs(model: ModelSpec, dataset: Dataset, convention: EdgeConvention
     angles (their encoded features) and, for the graph task, the class
     prototypes. fit computes them once for every epoch."""
     _check_compat(model, dataset)
-    offsets = np.array([feature_angles(item.features) for item in dataset.items])
+    offsets = np.array([encode_features(item.features) for item in dataset.items])
     return offsets, _prototypes(dataset, convention)
 
 
@@ -243,24 +250,21 @@ def model_values(model: ModelSpec, dataset: Dataset, config: TrainConfig,
 # -- scoring: every consumer reads row 0 (the model's parameters) or all rows
 # of one exact readout array, and draws its own shots in turn
 
-def _loss_of(exact: np.ndarray, dataset: Dataset, config: TrainConfig, rng) -> float:
+def _loss_of(exact: np.ndarray, dataset: Dataset, table, config: TrainConfig,
+             rng) -> float:
     values = draw_readouts(exact[:1], dataset, config.shots, rng)
-    return float(_row_losses(values, dataset, config.loss)[0])
+    return float(_row_losses(values, table, _squared(dataset, config.loss))[0])
 
 
-def _accuracy_of(exact: np.ndarray, dataset: Dataset, config: TrainConfig, rng) -> float:
-    values = draw_readouts(exact[:1], dataset, config.shots, rng)
-    if dataset.task == "graph":
-        hits = [int(np.argmax(vals[0])) == item.labels
-                for vals, item in zip(values, dataset.items)]
-        return sum(hits) / len(hits)
-    vals = np.concatenate(values, axis=1)[0]
-    targets = np.array([float(lab) for item in dataset.items for lab in item.labels
-                        if lab is not None])
-    if dataset.task == "node":
-        hits = (vals > 0.5) == (targets != 0.0)
+def _accuracy_of(exact: np.ndarray, dataset: Dataset, table, config: TrainConfig,
+                 rng) -> float:
+    vals = np.concatenate(draw_readouts(exact[:1], dataset, config.shots, rng), axis=1)[0]
+    targets, counts = table
+    if dataset.task == "graph":  # argmax class, ties toward the lowest
+        hits = (vals.reshape(counts.size, -1).argmax(1)
+                == targets.reshape(counts.size, -1).argmax(1))
     else:
-        hits = np.abs(vals - targets) <= 0.5
+        hits = correct_readouts(dataset.task, vals, targets)
     return int(np.count_nonzero(hits)) / hits.size
 
 
@@ -269,7 +273,7 @@ def loss(model: ModelSpec, dataset: Dataset, config: TrainConfig,
          rng=None) -> float:
     """Mean per-item loss; deterministic in exact mode (shots = 0)."""
     exact = _exact(model, dataset, _model_rows(model), convention)
-    return _loss_of(exact, dataset, config, _shot_rng(config, rng))
+    return _loss_of(exact, dataset, _target_table(dataset), config, _shot_rng(config, rng))
 
 
 def accuracy(model: ModelSpec, dataset: Dataset, config: TrainConfig,
@@ -278,7 +282,8 @@ def accuracy(model: ModelSpec, dataset: Dataset, config: TrainConfig,
     """Fraction of correct readouts: thresholded bits (node), targets hit
     within 0.5 (edge), or argmax class (graph)."""
     exact = _exact(model, dataset, _model_rows(model), convention)
-    return _accuracy_of(exact, dataset, config, _shot_rng(config, rng))
+    return _accuracy_of(exact, dataset, _target_table(dataset), config,
+                        _shot_rng(config, rng))
 
 
 # -- gradients ----------------------------------------------------------------
@@ -300,7 +305,7 @@ def _gradient_rows(model: ModelSpec, dataset: Dataset, config: TrainConfig,
                    convention: EdgeConvention) -> np.ndarray:
     """The per-gate angle rows of one training epoch, the model's own row
     first: the loss and the accuracy read row 0, the gradient reads them
-    all. fd follows with base +- eps in each parameter k (rows 2k+1, 2k+2),
+    all. fd follows with base +- _EPS in each parameter k (rows 2k+1, 2k+2),
     pshift with each gate j's angle +- its shift (rows 2j+1, 2j+2)."""
     if config.grad == "pshift" and dataset.task == "graph":
         warnings.warn("param_shift needs Pauli-expectation readouts; graph-task "
@@ -309,8 +314,8 @@ def _gradient_rows(model: ModelSpec, dataset: Dataset, config: TrainConfig,
     if not _uses_pshift(dataset, config):
         rows = np.tile(base, (2 * base.size + 1, 1))
         for k in range(base.size):
-            rows[2 * k + 1, k] = base[k] + config.eps
-            rows[2 * k + 2, k] = base[k] - config.eps
+            rows[2 * k + 1, k] = base[k] + _EPS
+            rows[2 * k + 2, k] = base[k] - _EPS
         return param_rows(model, rows)
     program = gate_program(model, convention)
     rows = np.tile(param_rows(model, base[None]), (2 * len(program) + 1, 1))
@@ -320,26 +325,30 @@ def _gradient_rows(model: ModelSpec, dataset: Dataset, config: TrainConfig,
     return rows
 
 
-def _gradient_of(exact: np.ndarray, model: ModelSpec, dataset: Dataset,
+def _gradient_of(exact: np.ndarray, model: ModelSpec, dataset: Dataset, table,
                  config: TrainConfig, convention: EdgeConvention, rng) -> np.ndarray:
     """The loss gradient from the exact readouts of _gradient_rows. fd draws
     rows 1.. row-major and takes central differences of their losses. pshift
-    draws every row item-major and adds each gate's shift term into its
-    parameter slot (so a shared weight sums its layers)."""
+    draws every row item-major and, item by item, adds each gate's shift
+    term into its parameter slot in program order (so a shared weight sums
+    its layers)."""
+    squared = _squared(dataset, config.loss)
     if not _uses_pshift(dataset, config):
         losses = _row_losses(draw_readouts(exact[1:], dataset, config.shots, rng),
-                             dataset, config.loss)
-        return (losses[0::2] - losses[1::2]) / (2.0 * config.eps)
+                             table, squared)
+        return (losses[0::2] - losses[1::2]) / (2.0 * _EPS)
     program = gate_program(model, convention)
+    factors = np.array([_SHIFTS[kind][1] for kind, _, _ in program])[:, None]
+    slots = [slot for _, _, slot in program]
     values = draw_readouts(exact, dataset, config.shots, rng, item_major=True)
-    squared = _squared(dataset, config.loss)
+    slopes = _loss_slopes(np.concatenate([vals[0] for vals in values]), table, squared)
     grad = np.zeros(params_of(model).size)
-    for vals, item in zip(values, dataset.items):
-        base = vals[0].tolist()
-        dvals = _item_grad(base, _targets(item, dataset, len(base)), squared)
-        for j, (kind, _, slot) in enumerate(program):
-            col = _SHIFTS[kind][1] * (vals[2 * j + 1] - vals[2 * j + 2])
-            grad[slot] += float(dvals @ col)
+    for vals, d in zip(values, np.split(slopes, np.cumsum(table[1])[:-1])):
+        # one vector dot per gate, batched. C order gives every term a unit
+        # stride, so matmul runs the BLAS dot that d @ term would; a (gates x
+        # readouts) product, einsum or strided terms round differently
+        terms = np.multiply(factors, vals[1::2] - vals[2::2], order="C")
+        np.add.at(grad, slots, np.matmul(terms[:, None, :], d[:, None])[:, 0, 0])
     return grad / len(dataset.items)
 
 
@@ -349,7 +358,8 @@ def gradient(model: ModelSpec, dataset: Dataset, config: TrainConfig,
     """Loss gradient over the flat (theta, weights) parameter vector."""
     exact = _exact(model, dataset, _gradient_rows(model, dataset, config, convention),
                    convention)
-    return _gradient_of(exact, model, dataset, config, convention, _shot_rng(config, rng))
+    return _gradient_of(exact, model, dataset, _target_table(dataset), config, convention,
+                        _shot_rng(config, rng))
 
 
 @dataclass(frozen=True)
@@ -364,6 +374,7 @@ def fit(model: ModelSpec, dataset: Dataset, config: TrainConfig,
     """Plain gradient descent, p <- p - lr * grad, for config.epochs steps."""
     rng = np.random.default_rng(config.seed) if config.shots > 0 else None
     fixed = _fixed_inputs(model, dataset, convention)
+    table = _target_table(dataset)
     params = params_of(model)
     current = model
     history, accuracies = [], []
@@ -371,12 +382,12 @@ def fit(model: ModelSpec, dataset: Dataset, config: TrainConfig,
         # one executor call per epoch; loss, accuracy and gradient draw in turn
         exact = _exact(current, dataset, _gradient_rows(current, dataset, config, convention),
                        convention, fixed)
-        epoch_loss = _loss_of(exact, dataset, config, rng)
+        epoch_loss = _loss_of(exact, dataset, table, config, rng)
         if not math.isfinite(epoch_loss):
             raise RuntimeError(f"training diverged at epoch {epoch}: loss={epoch_loss}")
         history.append(epoch_loss)
-        accuracies.append(_accuracy_of(exact, dataset, config, rng))
-        grad = _gradient_of(exact, current, dataset, config, convention, rng)
+        accuracies.append(_accuracy_of(exact, dataset, table, config, rng))
+        grad = _gradient_of(exact, current, dataset, table, config, convention, rng)
         params = params - config.learning_rate * grad
         current = with_params(current, params)
     return FitResult(current, tuple(history), tuple(accuracies))

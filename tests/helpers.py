@@ -3,8 +3,9 @@
 Everything here is deliberately written against the basis-index definition
 (explicit loops, kron products) rather than the package's vectorized
 kernels, so the two paths never share a bug. The exceptions are the last
-three groups: the scalar training loss that train._row_losses computes as
-arrays, the one-circuit-at-a-time path (apply_gate per gate, a rotated
+groups: the tuple feature encoding and the scalar training loss and
+shift-rule loop that qgns.qgnn and qgns.train compute as arrays, the
+one-circuit-at-a-time path (apply_gate per gate, a rotated
 clone per node readout, a Pauli-flipped clone per edge readout) that the
 batched trainer executor must reproduce row by row, and the simulated
 circuits (the CSWAP swap test, the dense LCU select operator, the
@@ -16,6 +17,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from hypothesis import strategies as st
 
 from qgns import (GateOp, Graph, StateVector, apply_gate, edge_gate, expectation_pauli,
                   new_state, pad_matrix, stabilizer_of, tensor)
@@ -75,6 +77,22 @@ def random_graph(rng: np.random.Generator, n: int, weighted: bool = False,
     return Graph.from_edges(n, edges)
 
 
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def graphs(draw, max_vertices: int = 8) -> Graph:
+    """Hypothesis strategy: a graph on 1..max_vertices vertices whose edges,
+    in drawn order, carry any finite weight or the default pi."""
+    n = draw(st.integers(1, max_vertices))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    weights = draw(st.lists(st.one_of(st.none(), FINITE), min_size=len(chosen),
+                            max_size=len(chosen)))
+    return Graph.from_edges(n, [(u, v) if w is None else (u, v, w)
+                                for (u, v), w in zip(chosen, weights)])
+
+
 def permute_qubits(amps: np.ndarray, perm) -> np.ndarray:
     """Relabel qubits: bit q of the input becomes bit perm[q] of the output."""
     n = len(perm)
@@ -123,6 +141,46 @@ def row_losses_oracle(values, targets, squared: bool) -> list[float]:
         for b, row in enumerate(vals.tolist()):
             losses[b] += item_loss_oracle(row, item_targets, squared)
     return [total / len(values) for total in losses]
+
+
+def encode_features_oracle(x) -> tuple[str, list[float]]:
+    """The ("ry", angles) init spec that feature encoding returned before it
+    returned a plain array: min-max scaled x, times pi entry by entry in
+    Python floats (pi/2 everywhere for a constant vector)."""
+    x = np.asarray(x, dtype=float)
+    lo, hi = float(x.min()), float(x.max())
+    scaled = np.full(x.shape, 0.5) if hi - lo < 1e-300 else (x - lo) / (hi - lo)
+    return ("ry", [math.pi * float(t) for t in scaled])
+
+
+def bce_dp_oracle(p: float, y: float) -> float:
+    """d(BCE)/dp of one readout: 0 where the loss is clipped flat."""
+    if p <= _CLIP or p >= 1.0 - _CLIP:
+        return 0.0
+    return (p - y) / (p * (1.0 - p))
+
+
+def item_grad_oracle(values, targets, squared: bool) -> np.ndarray:
+    """Gradient of an item's mean loss with respect to its readout values."""
+    grad = [2.0 * (p - y) if squared else bce_dp_oracle(p, y)
+            for p, y in zip(values, targets)]
+    return np.array(grad) / len(values)
+
+
+def pshift_gradient_oracle(values, targets, program, shifts, n_params: int,
+                           squared: bool) -> np.ndarray:
+    """The shift-rule gradient one (item, gate) pair at a time: values holds
+    each item's (2G + 1, L_i) readouts (base row, then gate j's +shift and
+    -shift rows at 2j + 1, 2j + 2), targets its readout targets, program the
+    (kind, qubits, slot) gates and shifts the (shift, prefactor) per kind."""
+    grad = np.zeros(n_params)
+    for vals, item_targets in zip(values, targets):
+        base = vals[0].tolist()
+        dvals = item_grad_oracle(base, item_targets, squared)
+        for j, (kind, _, slot) in enumerate(program):
+            col = shifts[kind][1] * (vals[2 * j + 1] - vals[2 * j + 2])
+            grad[slot] += float(dvals @ col)
+    return grad / len(values)
 
 
 def layer_params(model, params: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

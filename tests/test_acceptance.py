@@ -155,7 +155,7 @@ def test_criterion_6_gradient_check():
         else:
             ds = Dataset("edge", (DataItem(g, feats,
                                            tuple(float(t) for t in rng.uniform(-1, 1, g.n_edges))),))
-        g_fd = gradient(model, ds, TrainConfig(grad="fd", eps=1e-5))
+        g_fd = gradient(model, ds, TrainConfig(grad="fd"))
         g_ps = gradient(model, ds, TrainConfig(grad="pshift"))
         worst = max(worst, float(np.max(np.abs(g_fd - g_ps))) if g_fd.size else 0.0)
 

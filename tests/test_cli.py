@@ -156,6 +156,38 @@ def test_domain_error_exit_code_and_json(tmp_path, capsys):
     assert "self-loop" in json.loads(capsys.readouterr().err)["error"]
 
 
+def _path_node_file(tmp_path, labels) -> str:
+    """A one-item Z-basis node set on the 3-vertex path, features (0.9, 0.9, 0.5)."""
+    path = tmp_path / "path3.json"
+    g = Graph.from_edges(3, [(0, 1), (1, 2)])
+    save_dataset(Dataset("node", (DataItem(g, [0.9, 0.9, 0.5], labels),), "Z"), path)
+    return str(path)
+
+
+def test_eval_scores_fractional_labels_by_the_training_rule(tmp_path, capsys):
+    # p1 = 1 against label 0.3 is correct in training (p > 0.5 where y != 0),
+    # so eval calls the item correct too
+    data = _path_node_file(tmp_path, (0.3, 1, None))
+    assert execute(["model", "train", "--data", data, "--loss", "mse", "--epochs", "1"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1].split(",")[-1] == "1.0"
+    assert execute(["model", "eval", "--data", data]) == 0
+    item = json.loads(capsys.readouterr().out.splitlines()[1])
+    assert item["scores"] == [1.0, 1.0, 0.0] and item["prediction"] == [1, 1, 0]
+    assert item["correct"] is True
+
+
+def test_unlabeled_nodes_evaluate_but_do_not_train(tmp_path, capsys):
+    data = _path_node_file(tmp_path, (None, None, None))
+    assert execute(["model", "eval", "--data", data]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "" and json.loads(captured.out.splitlines()[1])["correct"] is True
+    assert execute(["model", "train", "--data", data, "--epochs", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {
+        "error": "item produced no readouts (no labeled nodes or edges)"}
+
+
 def test_usage_error_exit_code(capsys):
     assert execute(["state", "build"]) == 2  # --graph missing
     assert execute(["frobnicate"]) == 2

@@ -66,7 +66,7 @@ def test_every_row_matches_the_gate_by_gate_circuit(seed, n, m, rows, items, con
         assert values[i].shape[0] == rows
         for b in range(rows):
             total = angles[b].copy()
-            total[0] += encode_features(item.features)[1]
+            total[0] += encode_features(item.features)
             s = layered_circuit_oracle(model.graph, total, weights[b], convention)
             if readout == "ZZ":
                 expected = [zz_oracle(s, u, v) for u, v, _ in model.graph.edges]
@@ -164,7 +164,7 @@ def test_graph_scores_match_the_swap_circuit_and_draw_in_row_prototype_order(
     shots = readout_values(model, ds, gate_rows, convention, protos, 200,
                            np.random.default_rng(seed))
     draws = np.random.default_rng(seed)
-    offsets = np.array([executor.feature_angles(item.features) for item in ds.items])
+    offsets = np.array([encode_features(item.features) for item in ds.items])
     total = np.repeat(gate_rows, items, axis=0)
     total[:, :n] += np.tile(offsets, (rows, 1))
     states = executor.circuit_states(model, total, convention)

@@ -4,10 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from qgns import Graph, adjacency_matrix, from_edge_list, laplacian, neighborhood, to_edge_list
 
-from helpers import random_graph
+from helpers import graphs, random_graph
 
 
 def test_parse_k2_default_weight():
@@ -45,6 +46,14 @@ def test_parse_errors():
 
 def test_roundtrip_through_text(demo5):
     assert from_edge_list(to_edge_list(demo5)) == demo5
+
+
+@settings(max_examples=200, deadline=None)
+@given(g=graphs())
+def test_edge_list_roundtrip_property(g):
+    back = from_edge_list(to_edge_list(g))
+    assert back == g
+    assert [w.hex() for _, _, w in back.edges] == [w.hex() for _, _, w in g.edges]
 
 
 def test_neighborhood_demo_fixture(demo5):

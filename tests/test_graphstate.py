@@ -39,18 +39,19 @@ def test_weighted_k2_against_dense_oracle():
 
 
 def test_build_with_ry_and_product_inits(k2):
-    via_ry = build_graph_state(k2, init=("ry", [math.pi / 2, math.pi / 2]))
+    via_ry = build_graph_state(k2, angles=[math.pi / 2, math.pi / 2])
     assert np.allclose(via_ry.amps, build_graph_state(k2).amps, atol=1e-15)
-    via_product = build_graph_state(k2, init=("product", [(0.6, 0.8), (1.0, 0.0)]))
+    # Ry(2 atan2(0.8, 0.6))|0> = 0.6|0> + 0.8|1>, Ry(0)|0> = |0>
+    via_product = build_graph_state(k2, angles=[2.0 * math.atan2(0.8, 0.6), 0.0])
     # |x0> = 0.6|0> + 0.8|1>, |x1> = |0>: no 11 component, so CZ acts trivially
     assert np.allclose(via_product.amps, [0.6, 0.8, 0.0, 0.0])
 
 
 def test_build_init_errors(k2):
     with pytest.raises(ValueError, match="angles"):
-        build_graph_state(k2, init=("ry", [0.1]))
+        build_graph_state(k2, angles=[0.1])
     with pytest.raises(ValueError, match="pair"):
-        build_graph_state(k2, init=("product", [(0.6, 0.8)]))
+        sim.new_state(2, [(0.6, 0.8)])
     with pytest.raises(ValueError, match="weights"):
         build_graph_state(k2, weights=[0.1, 0.2])
 

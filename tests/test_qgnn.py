@@ -4,13 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qgns import (Formalism, Graph, LayerStep, ModelSpec, apply_interlayer,
                   build_graph_state, build_registered, build_superposed, encode_features,
                   layer_state, message_pass, model_from_dict, model_to_dict, new_state,
                   periodic_readout, pool_crot, pool_measure, pool_phase, run_sequential)
 
-from helpers import cp_matrix, cry_4x4, dense_apply
+from helpers import FINITE, cp_matrix, cry_4x4, dense_apply, encode_features_oracle, graphs
 
 PI = math.pi
 
@@ -31,31 +33,35 @@ def plus_model(g: Graph, m: int = 1, formalism=Formalism.SEQUENTIAL) -> ModelSpe
 # -- encoding -----------------------------------------------------------------
 
 def test_encode_angle_examples():
-    tag, angles = encode_features([0.0, 1.0], "angle")
-    assert tag == "ry" and angles == pytest.approx([0.0, PI])
-    s = build_graph_state(Graph(2), init=("ry", angles))
+    angles = encode_features([0.0, 1.0])
+    assert isinstance(angles, np.ndarray) and angles.tolist() == pytest.approx([0.0, PI])
+    s = build_graph_state(Graph(2), angles=angles)
     assert np.allclose(s.amps, [0, 0, 1, 0], atol=1e-15)  # |0> (x) |1> = index 2
 
-    _, const = encode_features([3.3, 3.3], "angle")
-    assert const == pytest.approx([PI / 2, PI / 2])
+    const = encode_features([3.3, 3.3])
+    assert const.tolist() == pytest.approx([PI / 2, PI / 2])
 
 
-def test_encode_amplitude_pairs():
-    tag, pairs = encode_features([1.0, 0.0], "amplitude_pairs")
-    assert tag == "product" and pairs == [(1.0, 0.0)]
-    s = build_graph_state(Graph(1), init=(tag, pairs))
-    assert np.array_equal(s.amps, [1, 0])
+_FEATURE = st.floats(-1e6, 1e6, allow_subnormal=True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=st.one_of(st.lists(_FEATURE, min_size=1, max_size=12),
+                   st.lists(st.sampled_from([0.0, -0.0, 1e-320, 3.3, -1e300, 1e300]),
+                            min_size=1, max_size=6)))
+def test_encode_features_equals_the_tuple_encoding(x):
+    # the array has the bits of the ("ry", [pi * t for t in scaled]) spec it replaced
+    angles = encode_features(x)
+    tag, expected = encode_features_oracle(x)
+    assert tag == "ry" and angles.shape == (len(x),)
+    assert np.array_equal(angles, np.array(expected), equal_nan=True)
 
 
 def test_encode_errors():
     with pytest.raises(ValueError, match="empty"):
-        encode_features([], "angle")
-    with pytest.raises(ValueError, match="normalized"):
-        encode_features([0.9, 0.9], "amplitude_pairs")
-    with pytest.raises(ValueError, match="even"):
-        encode_features([1.0, 0.0, 1.0], "amplitude_pairs")
+        encode_features([])
     with pytest.raises(ValueError, match="finite"):
-        encode_features([float("inf"), 0.0], "angle")
+        encode_features([float("inf"), 0.0])
 
 
 # -- superposed ---------------------------------------------------------------
@@ -146,7 +152,7 @@ def test_sequential_entangle_equals_direct_build(rng):
     run = run_sequential(model, rng)
     # bitwise equal along the shared Ry-init path, 1e-12 against the direct fill
     assert np.array_equal(run.final.amps,
-                          build_graph_state(g, init=("ry", [PI / 2] * 3)).amps)
+                          build_graph_state(g, angles=[PI / 2] * 3).amps)
     assert np.max(np.abs(run.final.amps - build_graph_state(g).amps)) <= 1e-12
 
 
@@ -385,6 +391,53 @@ def test_checkpoint_roundtrip(tmp_path, demo5):
     assert np.array_equal(loaded.theta, model.theta)
     assert np.array_equal(loaded.weights, model.weights)
     assert loaded.schedule == model.schedule
+
+
+@st.composite
+def models(draw) -> ModelSpec:
+    """Any model on up to 5 vertices: finite angles and phases, shared
+    weights or not, any formalism, and a schedule of every step kind."""
+    g = draw(graphs(max_vertices=5))
+    n, e, m, shared = g.n_vertices, g.n_edges, draw(st.integers(1, 3)), draw(st.booleans())
+    rows = 1 if shared else m
+    theta = draw(st.lists(FINITE, min_size=m * n, max_size=m * n))
+    weights = draw(st.lists(FINITE, min_size=rows * e, max_size=rows * e))
+    qubit = st.integers(0, n - 1)
+    group = st.lists(qubit, min_size=1, max_size=n, unique=True)
+    cond = st.one_of(st.none(), st.tuples(st.integers(0, 5), st.sampled_from([-1, 1])))
+    steps = [st.builds(LayerStep.entangle, st.just(g.edges), cond),
+             st.builds(LayerStep.message, qubit, FINITE, cond),
+             st.builds(LayerStep.measure, group, cond),
+             st.builds(LayerStep.phase_probe, group, FINITE, cond),
+             st.builds(LayerStep.phase_shift, qubit, FINITE, cond)]
+    if n > 1:  # the rotation target lies outside its control group
+        steps.append(st.builds(LayerStep.rotate, st.lists(st.integers(0, n - 2), min_size=1,
+                                                          unique=True),
+                               st.just(n - 1), FINITE, cond))
+    schedule = draw(st.lists(st.one_of(steps), max_size=4))
+    return ModelSpec(g, m, draw(st.sampled_from(list(Formalism))),
+                     np.reshape(np.array(theta, dtype=float), (m, n)),
+                     np.reshape(np.array(weights, dtype=float), (rows, e)),
+                     tuple(schedule), shared)
+
+
+@settings(max_examples=150, deadline=None)
+@given(model=models(), seed=st.integers(0, 2**31 - 1))
+def test_checkpoint_json_roundtrip_property(tmp_path_factory, model, seed):
+    # ModelSpec compares by identity (eq=False), so compare field by field
+    from qgns import load_model, save_model
+    path = tmp_path_factory.mktemp("ckpt") / "model.json"
+    save_model(model, path, seed=seed)
+    loaded = load_model(path)
+    assert loaded.graph == model.graph
+    assert [w.hex() for *_, w in loaded.graph.edges] == [w.hex() for *_, w in model.graph.edges]
+    assert loaded.m == model.m and loaded.formalism is model.formalism
+    for field in ("theta", "weights"):
+        got, want = getattr(loaded, field), getattr(model, field)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert loaded.schedule == model.schedule
+    assert loaded.shared_weights is model.shared_weights
+    assert model_to_dict(loaded, seed) == model_to_dict(model, seed)
 
 
 def test_checkpoint_version_guard():

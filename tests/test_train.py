@@ -13,10 +13,11 @@ from qgns import (DataItem, Dataset, EdgeConvention, Formalism, Graph, LayerStep
                   TrainConfig, accuracy, encode_features, fit, gradient, initial_model,
                   load_dataset, loss, model_circuit, params_of, save_dataset, to_edge_list,
                   toy_node_dataset, with_params)
-from qgns.executor import gate_program, param_rows, readout_values
+from qgns.executor import draw_readouts, exact_readouts, gate_program, param_rows, readout_values
 from qgns.graphstate import edge_kind
 
-from helpers import random_graph, row_losses_oracle
+from helpers import (FINITE, graphs, item_grad_oracle, pshift_gradient_oracle, random_graph,
+                     row_losses_oracle)
 
 PI = math.pi
 
@@ -109,7 +110,7 @@ def test_analytic_expectation_derivative():
     target = PI / 3
     model = edgeless_model(1, [target - PI / 2])  # constant feature adds pi/2
     ds = Dataset("node", (DataItem(Graph(1), [0.5], (1,)),), node_basis="Z")
-    assert model.theta[0, 0] + executor.feature_angles(ds.items[0].features)[0] == \
+    assert model.theta[0, 0] + encode_features(ds.items[0].features)[0] == \
         pytest.approx(target)
     rows = np.tile(params_of(model), (2, 1))
     rows[:, 0] += [PI / 2, -PI / 2]
@@ -133,7 +134,7 @@ def test_param_shift_matches_finite_differences(rng, task):
         else:
             labels = tuple(float(t) for t in rng.uniform(-1, 1, 4))
         ds = Dataset(task, (DataItem(g, feats, labels),))
-        g_fd = gradient(model, ds, TrainConfig(grad="fd", eps=1e-5))
+        g_fd = gradient(model, ds, TrainConfig(grad="fd"))
         g_ps = gradient(model, ds, TrainConfig(grad="pshift"))
         assert np.max(np.abs(g_fd - g_ps)) < 1e-5
 
@@ -143,7 +144,7 @@ def test_param_shift_shared_weights(rng):
     model = ModelSpec(g, 2, Formalism.SEQUENTIAL, rng.uniform(-1, 1, (2, 3)),
                       rng.uniform(0, 3, (1, 2)), shared_weights=True)
     ds = Dataset("node", (DataItem(g, rng.uniform(0, 1, 3), (1, 0, 1)),))
-    g_fd = gradient(model, ds, TrainConfig(grad="fd", eps=1e-5))
+    g_fd = gradient(model, ds, TrainConfig(grad="fd"))
     g_ps = gradient(model, ds, TrainConfig(grad="pshift"))
     assert g_fd.size == model.theta.size + 2
     assert np.max(np.abs(g_fd - g_ps)) < 1e-5
@@ -154,7 +155,7 @@ def test_param_shift_ising_convention(rng):
     model = ModelSpec(g, 1, Formalism.SEQUENTIAL, rng.uniform(-1, 1, (1, 3)),
                       rng.uniform(0, 3, (1, 2)))
     ds = Dataset("node", (DataItem(g, rng.uniform(0, 1, 3), (0, 1, 0)),))
-    g_fd = gradient(model, ds, TrainConfig(grad="fd", eps=1e-5), EdgeConvention.ISING_ZZ)
+    g_fd = gradient(model, ds, TrainConfig(grad="fd"), EdgeConvention.ISING_ZZ)
     g_ps = gradient(model, ds, TrainConfig(grad="pshift"), EdgeConvention.ISING_ZZ)
     assert np.max(np.abs(g_fd - g_ps)) < 1e-5
 
@@ -192,7 +193,7 @@ def test_gate_program_slots_and_the_shift_rule_it_drives(seed, n, m, shared, con
         ds = Dataset("node", (DataItem(g, rng.uniform(0, 1, n),
                                        tuple(int(b) for b in rng.integers(0, 2, n))),),
                      node_basis="Y" if readout == "Y" else "Z")
-    g_fd = gradient(model, ds, TrainConfig(grad="fd", eps=1e-5, loss="mse"), convention)
+    g_fd = gradient(model, ds, TrainConfig(grad="fd", loss="mse"), convention)
     g_ps = gradient(model, ds, TrainConfig(grad="pshift", loss="mse"), convention)
     assert np.max(np.abs(g_fd - g_ps)) < 1e-5
 
@@ -210,15 +211,15 @@ def test_param_shift_graph_task_falls_back_with_warning():
 def test_fd_gradient_matches_manual_recomputation():
     model = edgeless_model(2, [0.3, -0.4])
     ds = Dataset("node", (DataItem(Graph(2), [0.2, 0.8], (1, 0)),), node_basis="Z")
-    cfg = TrainConfig(grad="fd", eps=1e-5)
+    cfg = TrainConfig(grad="fd")
     grad = gradient(model, ds, cfg)
     base = params_of(model)
     for k in range(base.size):
         up, down = base.copy(), base.copy()
-        up[k] += cfg.eps
-        down[k] -= cfg.eps
+        up[k] += train._EPS
+        down[k] -= train._EPS
         manual = (loss(with_params(model, up), ds, cfg)
-                  - loss(with_params(model, down), ds, cfg)) / (2 * cfg.eps)
+                  - loss(with_params(model, down), ds, cfg)) / (2 * train._EPS)
         assert grad[k] == manual  # same formula, same evaluations
 
 
@@ -318,8 +319,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(epochs=0)
     with pytest.raises(ValueError):
-        TrainConfig(eps=0.0)
-    with pytest.raises(ValueError):
         TrainConfig(grad="adam")
     with pytest.raises(ValueError):
         TrainConfig(loss="hinge")
@@ -336,6 +335,47 @@ def test_dataset_json_roundtrip(tmp_path):
         assert a.graph == b.graph
         assert np.array_equal(a.features, b.features)
         assert a.labels == b.labels
+
+
+@st.composite
+def datasets(draw) -> Dataset:
+    """Any dataset of 1-3 items, each on its own graph: finite features, and
+    node labels mixing null, 0/1 ints and floats, edge floats or ints, or
+    class indices."""
+    task = draw(st.sampled_from(["node", "edge", "graph"]))
+    items = []
+    for _ in range(draw(st.integers(1, 3))):
+        g = draw(graphs(max_vertices=6))
+        n, e = g.n_vertices, g.n_edges
+        if task == "node":
+            labels = tuple(draw(st.lists(st.one_of(st.none(), st.integers(0, 1), FINITE),
+                                         min_size=n, max_size=n)))
+        elif task == "edge":
+            labels = tuple(draw(st.lists(st.one_of(FINITE, st.integers(-3, 3)),
+                                         min_size=e, max_size=e)))
+        else:
+            labels = draw(st.integers(0, 4))
+        items.append(DataItem(g, draw(st.lists(FINITE, min_size=n, max_size=n)), labels))
+    return Dataset(task, tuple(items), draw(st.sampled_from(["Y", "Z"])))
+
+
+@settings(max_examples=150, deadline=None)
+@given(ds=datasets())
+def test_dataset_json_roundtrip_property(tmp_path_factory, ds):
+    path = tmp_path_factory.mktemp("data") / "ds.json"
+    save_dataset(ds, path)
+    loaded = load_dataset(path)
+    assert loaded.task == ds.task and loaded.node_basis == ds.node_basis
+    assert len(loaded.items) == len(ds.items)
+    for a, b in zip(loaded.items, ds.items):
+        assert a.graph == b.graph
+        assert [w.hex() for *_, w in a.graph.edges] == [w.hex() for *_, w in b.graph.edges]
+        assert a.features.shape == b.features.shape
+        assert a.features.tobytes() == b.features.tobytes()
+        assert a.labels == b.labels
+        labels = a.labels if ds.task != "graph" else (a.labels,)
+        expected = b.labels if ds.task != "graph" else (b.labels,)
+        assert [type(lab) for lab in labels] == [type(lab) for lab in expected]
 
 
 def test_dataset_graph_by_path_and_inline_text(tmp_path, k2):
@@ -376,10 +416,12 @@ def test_fit_encodes_each_item_once(monkeypatch, grad):
     ds = toy_node_dataset()
     calls = []
 
-    def counting(features, method="angle"):
-        calls.append(method)
-        return encode_features(features, method)
+    def counting(features):
+        calls.append(features)
+        return encode_features(features)
 
+    # fit encodes through its own binding; the executor's would show a re-encode
+    monkeypatch.setattr(train, "encode_features", counting)
     monkeypatch.setattr(executor, "encode_features", counting)
     train.fit(initial_model(ds.items[0].graph), ds, TrainConfig(epochs=3, grad=grad))
     assert len(calls) == len(ds.items)
@@ -426,7 +468,12 @@ def test_row_losses_equal_the_scalar_loop(task, loss_kind, n, n_items, rows, see
         values.append(vals)
     squared = task == "edge" or (task == "node" and loss_kind == "mse")
     expected = row_losses_oracle(values, targets, squared)
-    assert train._row_losses(values, ds, loss_kind).tolist() == expected
+    table = (np.array([t for ts in targets for t in ts]), np.array([len(ts) for ts in targets]))
+    if task != "graph" or max(item.labels for item in items) == n_classes - 1:
+        # the dataset's own table, where its classes span the drawn readouts
+        built = train._target_table(ds)
+        assert built[0].tolist() == table[0].tolist() and built[1].tolist() == table[1].tolist()
+    assert train._row_losses(values, table, squared).tolist() == expected
 
 
 @pytest.mark.parametrize("task, loss_kind, target", [
@@ -443,7 +490,8 @@ def test_row_losses_keep_the_bits_of_every_term(task, loss_kind, target):
     vals = np.random.default_rng(7).uniform(-1.0 if task == "edge" else 0.0, 1.0, (20000, 1))
     expected = row_losses_oracle([vals], [[1.0 if task == "graph" else float(target)]],
                                  loss_kind == "mse")
-    assert train._row_losses([vals], ds, loss_kind).tolist() == expected
+    assert train._row_losses([vals], train._target_table(ds), loss_kind == "mse").tolist() \
+        == expected
 
 
 @pytest.mark.filterwarnings("ignore:param_shift needs")
@@ -501,3 +549,78 @@ def test_fit_makes_one_executor_call_per_epoch(monkeypatch, grad):
     train.fit(model, ds, TrainConfig(epochs=3, grad=grad))
     # the toy model has 11 parameters and 11 gates: the base row, then 2 per shift
     assert stacks == [2 * params_of(model).size + 1] * 3
+
+
+# readouts at 0 and 1, at and just inside the BCE clip, and NaN: the slope
+# is 0 where the loss is clipped flat and NaN propagates through the formula
+_SLOPE_READOUTS = [0.0, 1.0, 1e-7, 1.0 - 1e-7, 2e-7, 1.0 - 2e-7, 0.5, -0.5, 1.5, math.nan]
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_items=st.integers(1, 4),
+       squared=st.booleans(), fractional=st.booleans())
+def test_loss_slopes_equal_the_scalar_derivative(seed, n_items, squared, fractional):
+    rng = np.random.default_rng(seed)
+    counts = rng.integers(1, 9, n_items)
+    if squared:
+        targets = [rng.uniform(-1.0, 1.0, c) for c in counts]
+    elif fractional:
+        targets = [rng.uniform(0.0, 1.0, c) for c in counts]
+    else:
+        targets = [rng.integers(0, 2, c).astype(float) for c in counts]
+    vals = rng.uniform(-0.25, 1.25, int(counts.sum()))
+    special = rng.random(vals.shape) < 0.4
+    vals[special] = rng.choice(_SLOPE_READOUTS, int(special.sum()))
+    expected = np.concatenate([item_grad_oracle(v.tolist(), t.tolist(), squared)
+                               for v, t in zip(np.split(vals, np.cumsum(counts)[:-1]), targets)])
+    got = train._loss_slopes(vals, (np.concatenate(targets), counts), squared)
+    assert np.array_equal(got, expected, equal_nan=True)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 5), m=st.integers(1, 3),
+       shared=st.booleans(), convention=st.sampled_from(list(EdgeConvention)),
+       readout=st.sampled_from(["Y", "Z", "ZZ"]), loss_kind=st.sampled_from(["bce", "mse"]),
+       shots=st.sampled_from([0, 30]), special=st.booleans())
+def test_pshift_gradient_equals_the_per_gate_loop(seed, n, m, shared, convention, readout,
+                                                  loss_kind, shots, special):
+    # the batched shift terms have the bits of one float(dvals @ col) per
+    # (item, gate), added into repeated slots (shared weights) in program order
+    rng = np.random.default_rng(seed)
+    g = random_graph(rng, max(n, 2) if readout == "ZZ" else n, weighted=True, p_edge=0.7)
+    if readout == "ZZ" and not g.n_edges:
+        g = Graph.from_edges(g.n_vertices, [(0, 1, 0.4)])
+    n, e = g.n_vertices, g.n_edges
+    model = ModelSpec(g, m, Formalism.SEQUENTIAL, rng.uniform(-1.5, 1.5, (m, n)),
+                      rng.uniform(0.0, 2 * PI, (1 if shared else m, e)), shared_weights=shared)
+    items = []
+    for k in range(int(rng.integers(1, 4))):
+        if readout == "ZZ":
+            labels = tuple(rng.uniform(-1, 1, e))
+        else:
+            labels = [None if rng.random() < 0.3 else float(rng.choice([0, 1, rng.random()]))
+                      for _ in range(n)]
+            labels[k % n] = 1
+        items.append(DataItem(g, rng.uniform(0, 1, n), tuple(labels)))
+    ds = Dataset("edge" if readout == "ZZ" else "node", tuple(items),
+                 node_basis="Z" if readout == "Z" else "Y")
+    cfg = TrainConfig(grad="pshift", loss=loss_kind, shots=shots)
+    exact = exact_readouts(model, ds, train._gradient_rows(model, ds, cfg, convention),
+                           convention, None)
+    if special:
+        # shot draws need probabilities, so NaN only goes into exact readouts
+        mask = rng.random(exact.shape) < 0.3
+        pool = _SLOPE_READOUTS[:7] if shots else _SLOPE_READOUTS
+        exact[mask] = rng.choice(pool, int(mask.sum()))
+    draws = [np.random.default_rng(seed) if shots else None for _ in range(2)]
+    got = train._gradient_of(exact, model, ds, train._target_table(ds), cfg, convention,
+                             draws[0])
+    values = draw_readouts(exact, ds, shots, draws[1], item_major=True)
+    targets = [[float(lab) for lab in item.labels if lab is not None] for item in ds.items]
+    squared = readout == "ZZ" or loss_kind == "mse"
+    expected = pshift_gradient_oracle(values, targets, gate_program(model, convention),
+                                      train._SHIFTS, params_of(model).size, squared)
+    assert np.array_equal(got, expected, equal_nan=True)
+    if not special:
+        shot_rng = np.random.default_rng(seed) if shots else None
+        assert np.array_equal(gradient(model, ds, cfg, convention, shot_rng), expected)
