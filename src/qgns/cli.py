@@ -258,6 +258,8 @@ def execute(argv) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        if getattr(args, "shots", 0) < 0:
+            raise ValueError(f"shots must be >= 0, got {args.shots}")
         return args.func(args)
     except (ValueError, OSError, json.JSONDecodeError, RuntimeError, KeyError) as exc:
         sys.stderr.write(json.dumps({"error": str(exc)}) + "\n")

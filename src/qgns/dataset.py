@@ -1,7 +1,7 @@
 """Datasets for the node, edge and graph tasks.
 
 An item is a graph, a feature vector with one entry per vertex, and labels:
-per-node bits (None = unlabeled), per-edge real targets, or a class index.
+per-node targets in [0, 1] (None = unlabeled), per-edge reals, or a class index.
 Datasets load from and save to JSON, where malformed input raises
 ValueError naming the field; the bundled toy task ships as one such file.
 """
@@ -22,7 +22,7 @@ TASKS = ("node", "edge", "graph")
 class DataItem:
     graph: Graph
     features: np.ndarray
-    # node: per-node bits (None = unlabeled) | edge: per-edge reals | graph: class index
+    # node: per-node targets in [0, 1] (None = unlabeled) | edge: reals | graph: class index
     labels: object
 
     def __post_init__(self) -> None:
@@ -43,14 +43,17 @@ class Dataset:
             raise ValueError(f"task must be one of {TASKS}, got {self.task!r}")
         if not self.items:
             raise ValueError("dataset has no items")
-        for item in self.items:
-            self._check_labels(item)
+        for k, item in enumerate(self.items):
+            self._check_labels(k, item)
 
-    def _check_labels(self, item: DataItem) -> None:
+    def _check_labels(self, k: int, item: DataItem) -> None:
         n, e = item.graph.n_vertices, item.graph.n_edges
         if self.task == "node":
             if len(item.labels) != n:
                 raise ValueError(f"node task needs {n} labels, got {len(item.labels)}")
+            for v, lab in enumerate(item.labels):
+                if lab is not None and not 0.0 <= lab <= 1.0:
+                    raise ValueError(f"items[{k}].labels[{v}] must be in [0, 1], got {lab!r}")
         elif self.task == "edge":
             if len(item.labels) != e:
                 raise ValueError(f"edge task needs {e} targets, got {len(item.labels)}")

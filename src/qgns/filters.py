@@ -112,6 +112,8 @@ def apply_filter_lcu(x, L: np.ndarray, w) -> tuple[np.ndarray, float]:
     x = np.asarray(x, dtype=float)
     L = np.asarray(L, dtype=float)
     w = np.asarray([float(c) for c in w])
+    if not (np.isfinite(x).all() and np.isfinite(w).all()):
+        raise ValueError("input vector and filter coefficients must be finite")
     if L.ndim != 2 or L.shape[0] != L.shape[1]:
         raise ValueError(f"L must be square, got shape {L.shape}")
     if x.shape != (L.shape[0],):

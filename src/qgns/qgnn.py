@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import json
 import math
-import warnings
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -226,9 +225,6 @@ def message_pass(s: StateVector, g: Graph, u: int, w: float) -> StateVector:
     return s
 
 
-POOL_GROUP_SOFT_CAP = 10  # reading out n qubits costs O(2^n) in tomography
-
-
 def neighborhood_groups(g: Graph) -> list[tuple[int, ...]]:
     """Default pooling groups: each vertex together with its neighborhood."""
     return [tuple(sorted(neighborhood(g, v) | {v})) for v in range(g.n_vertices)]
@@ -243,9 +239,6 @@ def pool_measure(s: StateVector, group, rng: np.random.Generator
     group = tuple(group)
     if len(set(group)) != len(group):
         raise ValueError(f"pool group has duplicate qubits: {group}")
-    if len(group) > POOL_GROUP_SOFT_CAP:
-        warnings.warn(f"pool group of {len(group)} qubits exceeds the soft cap of "
-                      f"{POOL_GROUP_SOFT_CAP}; readout cost grows as 2^n", stacklevel=2)
     outcomes, records = [], []
     for q in sorted(group):
         rec, s = measure_qubit(s, q, "Z", rng)

@@ -45,26 +45,30 @@ def _check_width(n_qubits: int) -> None:
         raise ValueError(f"n_qubits must be in [1, {MAX_QUBITS}], got {n_qubits}")
 
 
+def _check_norm(nrm: float) -> None:
+    if not abs(nrm - 1.0) < 1e-9:
+        raise ValueError(f"operation requires a normalized state, got norm {nrm!r}")
+
+
 class StateVector:
-    """2^n complex amplitudes with a normalization flag."""
+    """2^n complex amplitudes; readouts and measurements check for unit norm."""
 
-    __slots__ = ("n_qubits", "amps", "normalized")
+    __slots__ = ("n_qubits", "amps")
 
-    def __init__(self, n_qubits: int, amps: np.ndarray, normalized: bool = True):
+    def __init__(self, n_qubits: int, amps: np.ndarray):
         _check_width(n_qubits)
         amps = np.ascontiguousarray(amps, dtype=complex)
         if amps.shape != (1 << n_qubits,):
             raise ValueError(f"expected {1 << n_qubits} amplitudes, got shape {amps.shape}")
         self.n_qubits = n_qubits
         self.amps = amps
-        self.normalized = normalized
 
     @property
     def dim(self) -> int:
         return 1 << self.n_qubits
 
     def clone(self) -> StateVector:
-        return StateVector(self.n_qubits, self.amps.copy(), self.normalized)
+        return StateVector(self.n_qubits, self.amps.copy())
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amps))
@@ -73,11 +77,10 @@ class StateVector:
         return np.abs(self.amps) ** 2
 
     def require_normalized(self) -> None:
-        if not self.normalized:
-            raise ValueError("operation requires a normalized state")
+        _check_norm(self.norm())
 
     def __repr__(self) -> str:
-        return f"StateVector(n_qubits={self.n_qubits}, normalized={self.normalized})"
+        return f"StateVector(n_qubits={self.n_qubits})"
 
 
 def new_state(n_qubits: int, init="zero") -> StateVector:
@@ -114,8 +117,7 @@ def tensor(low: StateVector, high: StateVector) -> StateVector:
     n = low.n_qubits + high.n_qubits
     if n > MAX_QUBITS:
         raise ValueError(f"combined register of {n} qubits exceeds cap {MAX_QUBITS}")
-    return StateVector(n, np.kron(high.amps, low.amps),
-                       normalized=low.normalized and high.normalized)
+    return StateVector(n, np.kron(high.amps, low.amps))
 
 
 @dataclass(frozen=True, eq=False)
@@ -380,7 +382,6 @@ def measure_qubit(s: StateVector, qubit: int, basis: str, rng: np.random.Generat
     the kept state is re-expressed in the computational frame, so only the
     record carries the basis tag. Collapses s in place.
     """
-    s.require_normalized()
     _check_qubits(s, (qubit,))
     if basis not in _BASIS_FORWARD:
         raise ValueError(f"basis must be X, Y or Z, got {basis!r}")
@@ -390,6 +391,7 @@ def measure_qubit(s: StateVector, qubit: int, basis: str, rng: np.random.Generat
     p0 = float(np.sum(np.abs(view[:, 0, :]) ** 2))
     p1 = float(np.sum(np.abs(view[:, 1, :]) ** 2))
     total = p0 + p1
+    _check_norm(math.sqrt(total))
     bit = 0 if rng.random() * total < p0 else 1
     prob = (p0 if bit == 0 else p1) / total
     view[:, 1 - bit, :] = 0.0
@@ -402,11 +404,12 @@ def measure_qubit(s: StateVector, qubit: int, basis: str, rng: np.random.Generat
 
 def sample_counts(s: StateVector, shots: int, rng: np.random.Generator) -> dict[int, int]:
     """Multinomial sample of |amp|^2; map basis index -> count (zeros omitted)."""
-    s.require_normalized()
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
     probs = s.probabilities()
-    probs = probs / probs.sum()
+    total = probs.sum()
+    _check_norm(math.sqrt(total))
+    probs = probs / total
     counts = rng.multinomial(shots, probs)
     hit = np.flatnonzero(counts)
     return dict(zip(hit.tolist(), counts[hit].tolist()))
@@ -456,9 +459,6 @@ def apply_linear_operator(s: StateVector, matrix: np.ndarray, targets,
         if nrm < 1e-12:
             raise ValueError("operator annihilated the state (zero-norm result)")
         s.amps /= nrm
-        s.normalized = True
-    else:
-        s.normalized = abs(nrm - 1.0) < 1e-9
     return s, nrm
 
 

@@ -5,11 +5,12 @@ additionally carries the angle-encoded item features) interleaved with the
 graph's edge entanglers, whose phases are the trainable edge weights.
 Gradients come from central finite differences (valid for every parameter)
 or from the two-point shift rule applied at the readout level; the
-optimizer is plain gradient descent. Each training epoch runs all of its
-circuits through one qgns.executor call (the gradient's rows, the model's
-own row first) and scores the loss, the accuracy and the gradient from
-those exact readouts; loss, accuracy, gradient and `model eval`
-(model_values) each run the same two steps on their own rows.
+optimizer is plain gradient descent. fit compiles the model and dataset
+once (executor.compile_circuit) and steps the flat parameter vector; each
+epoch runs its circuits through one executor call (the gradient's rows,
+the current row first) and scores loss, accuracy and gradient from those
+exact readouts. loss, accuracy, gradient and model_values (`model eval`)
+each compile once and run the same two steps on their own rows.
 
 Everything is deterministic: exact mode never touches an rng, shot mode
 threads one seeded generator through all estimates.
@@ -23,7 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset
-from .executor import circuit_states, draw_readouts, exact_readouts, gate_program, param_rows
+from .executor import (Circuit, circuit_states, compile_circuit, draw_readouts,
+                       exact_readouts, gate_program, param_rows)
 from .graph import Graph
 from .graphstate import EdgeConvention, build_graph_state
 from .qgnn import Formalism, ModelSpec, encode_features
@@ -84,10 +86,11 @@ def model_circuit(model: ModelSpec, features=None,
                   convention: EdgeConvention = EdgeConvention.CONTROLLED_PHASE) -> StateVector:
     """The model's state for one item (features may be None for a bare model)."""
     n = model.graph.n_vertices
-    rows = param_rows(model, params_of(model)[None])
+    program = gate_program(model, convention)
+    rows = param_rows(program, params_of(model)[None])
     if features is not None:
         rows[:, :n] += encode_features(features)
-    return StateVector(n, circuit_states(model, rows, convention)[0])
+    return StateVector(n, circuit_states(program, n, rows)[0])
 
 
 # -- readouts and losses -----------------------------------------------------
@@ -111,8 +114,11 @@ def class_prototypes(dataset: Dataset,
     return protos
 
 
-def _prototypes(dataset: Dataset, convention: EdgeConvention):
-    return class_prototypes(dataset, convention) if dataset.task == "graph" else None
+def _compile(model: ModelSpec, dataset: Dataset, convention: EdgeConvention) -> Circuit:
+    """The model compiled against the dataset, with the class prototypes of
+    the graph task: the inputs that parameter updates leave unchanged."""
+    prototypes = class_prototypes(dataset, convention) if dataset.task == "graph" else None
+    return compile_circuit(model, dataset, convention, prototypes)
 
 
 def _target_table(dataset: Dataset) -> tuple[np.ndarray, np.ndarray]:
@@ -206,31 +212,11 @@ def _loss_slopes(vals: np.ndarray, table, squared: bool) -> np.ndarray:
     return slopes / np.repeat(counts, counts)
 
 
-def _check_compat(model: ModelSpec, dataset: Dataset) -> None:
-    for item in dataset.items:
-        if item.graph != model.graph:
-            raise ValueError("dataset item graph differs from the model graph")
-
-
-def _fixed_inputs(model: ModelSpec, dataset: Dataset, convention: EdgeConvention):
-    """The inputs that parameter updates leave unchanged: the items' layer-0
-    angles (their encoded features) and, for the graph task, the class
-    prototypes. fit computes them once for every epoch."""
-    _check_compat(model, dataset)
-    offsets = np.array([encode_features(item.features) for item in dataset.items])
-    return offsets, _prototypes(dataset, convention)
-
-
-def _exact(model: ModelSpec, dataset: Dataset, rows: np.ndarray,
-           convention: EdgeConvention, fixed=None) -> np.ndarray:
-    """Exact readouts (B, I, L) of the per-gate angle rows: one executor call."""
-    offsets, prototypes = fixed or _fixed_inputs(model, dataset, convention)
-    return exact_readouts(model, dataset, rows, convention, prototypes, offsets)
-
-
-def _model_rows(model: ModelSpec) -> np.ndarray:
-    """The model's own parameters as one per-gate angle row."""
-    return param_rows(model, params_of(model)[None])
+def _own_readouts(model: ModelSpec, dataset: Dataset, convention: EdgeConvention):
+    """The compiled circuit, and its exact readouts at the model's own
+    parameters (a batch of one row)."""
+    circuit = _compile(model, dataset, convention)
+    return circuit, exact_readouts(circuit, param_rows(circuit.program, params_of(model)[None]))
 
 
 def _shot_rng(config: TrainConfig, rng):
@@ -241,30 +227,30 @@ def model_values(model: ModelSpec, dataset: Dataset, config: TrainConfig,
                  convention: EdgeConvention = EdgeConvention.CONTROLLED_PHASE,
                  rng=None, picks=None) -> list[np.ndarray]:
     """Readout values at the model's own parameters, one (1, L_i) array per
-    item: a batch of one parameter row (see executor.draw_readouts for
-    picks). Shot mode draws item by item, readout by readout."""
-    return draw_readouts(_exact(model, dataset, _model_rows(model), convention), dataset,
-                         config.shots, _shot_rng(config, rng), picks=picks)
+    item (see executor.draw_readouts for picks). Shot mode draws item by
+    item, readout by readout."""
+    circuit, exact = _own_readouts(model, dataset, convention)
+    return draw_readouts(exact, circuit, config.shots, _shot_rng(config, rng), picks=picks)
 
 
 # -- scoring: every consumer reads row 0 (the model's parameters) or all rows
 # of one exact readout array, and draws its own shots in turn
 
-def _loss_of(exact: np.ndarray, dataset: Dataset, table, config: TrainConfig,
+def _loss_of(exact: np.ndarray, circuit: Circuit, table, config: TrainConfig,
              rng) -> float:
-    values = draw_readouts(exact[:1], dataset, config.shots, rng)
-    return float(_row_losses(values, table, _squared(dataset, config.loss))[0])
+    values = draw_readouts(exact[:1], circuit, config.shots, rng)
+    return float(_row_losses(values, table, _squared(circuit.dataset, config.loss))[0])
 
 
-def _accuracy_of(exact: np.ndarray, dataset: Dataset, table, config: TrainConfig,
+def _accuracy_of(exact: np.ndarray, circuit: Circuit, table, config: TrainConfig,
                  rng) -> float:
-    vals = np.concatenate(draw_readouts(exact[:1], dataset, config.shots, rng), axis=1)[0]
+    vals = np.concatenate(draw_readouts(exact[:1], circuit, config.shots, rng), axis=1)[0]
     targets, counts = table
-    if dataset.task == "graph":  # argmax class, ties toward the lowest
+    if circuit.dataset.task == "graph":  # argmax class, ties toward the lowest
         hits = (vals.reshape(counts.size, -1).argmax(1)
                 == targets.reshape(counts.size, -1).argmax(1))
     else:
-        hits = correct_readouts(dataset.task, vals, targets)
+        hits = correct_readouts(circuit.dataset.task, vals, targets)
     return int(np.count_nonzero(hits)) / hits.size
 
 
@@ -272,8 +258,8 @@ def loss(model: ModelSpec, dataset: Dataset, config: TrainConfig,
          convention: EdgeConvention = EdgeConvention.CONTROLLED_PHASE,
          rng=None) -> float:
     """Mean per-item loss; deterministic in exact mode (shots = 0)."""
-    exact = _exact(model, dataset, _model_rows(model), convention)
-    return _loss_of(exact, dataset, _target_table(dataset), config, _shot_rng(config, rng))
+    circuit, exact = _own_readouts(model, dataset, convention)
+    return _loss_of(exact, circuit, _target_table(dataset), config, _shot_rng(config, rng))
 
 
 def accuracy(model: ModelSpec, dataset: Dataset, config: TrainConfig,
@@ -281,8 +267,8 @@ def accuracy(model: ModelSpec, dataset: Dataset, config: TrainConfig,
              rng=None) -> float:
     """Fraction of correct readouts: thresholded bits (node), targets hit
     within 0.5 (edge), or argmax class (graph)."""
-    exact = _exact(model, dataset, _model_rows(model), convention)
-    return _accuracy_of(exact, dataset, _target_table(dataset), config,
+    circuit, exact = _own_readouts(model, dataset, convention)
+    return _accuracy_of(exact, circuit, _target_table(dataset), config,
                         _shot_rng(config, rng))
 
 
@@ -301,64 +287,63 @@ def _uses_pshift(dataset: Dataset, config: TrainConfig) -> bool:
     return config.grad == "pshift" and dataset.task != "graph"
 
 
-def _gradient_rows(model: ModelSpec, dataset: Dataset, config: TrainConfig,
-                   convention: EdgeConvention) -> np.ndarray:
-    """The per-gate angle rows of one training epoch, the model's own row
-    first: the loss and the accuracy read row 0, the gradient reads them
-    all. fd follows with base +- _EPS in each parameter k (rows 2k+1, 2k+2),
-    pshift with each gate j's angle +- its shift (rows 2j+1, 2j+2)."""
-    if config.grad == "pshift" and dataset.task == "graph":
+def _gradient_rows(circuit: Circuit, params: np.ndarray, config: TrainConfig) -> np.ndarray:
+    """The per-gate angle rows of one training epoch at the flat parameters,
+    their own row first: the loss and the accuracy read row 0, the gradient
+    reads them all. fd follows with params +- _EPS in each parameter k (rows
+    2k+1, 2k+2), pshift with each gate j's angle +- its shift (rows 2j+1,
+    2j+2)."""
+    if config.grad == "pshift" and circuit.dataset.task == "graph":
         warnings.warn("param_shift needs Pauli-expectation readouts; graph-task "
                       "swap scores fall back to finite differences", stacklevel=3)
-    base = params_of(model)
-    if not _uses_pshift(dataset, config):
-        rows = np.tile(base, (2 * base.size + 1, 1))
-        for k in range(base.size):
-            rows[2 * k + 1, k] = base[k] + _EPS
-            rows[2 * k + 2, k] = base[k] - _EPS
-        return param_rows(model, rows)
-    program = gate_program(model, convention)
-    rows = np.tile(param_rows(model, base[None]), (2 * len(program) + 1, 1))
+    if not _uses_pshift(circuit.dataset, config):
+        rows = np.tile(params, (2 * params.size + 1, 1))
+        for k in range(params.size):
+            rows[2 * k + 1, k] = params[k] + _EPS
+            rows[2 * k + 2, k] = params[k] - _EPS
+        return param_rows(circuit.program, rows)
+    program = circuit.program
+    rows = np.tile(param_rows(program, params[None]), (2 * len(program) + 1, 1))
     for j, (kind, _, _) in enumerate(program):
         rows[2 * j + 1, j] += _SHIFTS[kind][0]
         rows[2 * j + 2, j] -= _SHIFTS[kind][0]
     return rows
 
 
-def _gradient_of(exact: np.ndarray, model: ModelSpec, dataset: Dataset, table,
-                 config: TrainConfig, convention: EdgeConvention, rng) -> np.ndarray:
-    """The loss gradient from the exact readouts of _gradient_rows. fd draws
-    rows 1.. row-major and takes central differences of their losses. pshift
-    draws every row item-major and, item by item, adds each gate's shift
-    term into its parameter slot in program order (so a shared weight sums
-    its layers)."""
-    squared = _squared(dataset, config.loss)
-    if not _uses_pshift(dataset, config):
-        losses = _row_losses(draw_readouts(exact[1:], dataset, config.shots, rng),
+def _gradient_of(exact: np.ndarray, circuit: Circuit, n_params: int, table,
+                 config: TrainConfig, rng) -> np.ndarray:
+    """The gradient over the n_params flat parameters from the exact
+    readouts of _gradient_rows. fd draws rows 1.. row-major and takes
+    central differences of their losses. pshift draws every row item-major
+    and, item by item, adds each gate's shift term into its parameter slot
+    in program order (so a shared weight sums its layers)."""
+    squared = _squared(circuit.dataset, config.loss)
+    if not _uses_pshift(circuit.dataset, config):
+        losses = _row_losses(draw_readouts(exact[1:], circuit, config.shots, rng),
                              table, squared)
         return (losses[0::2] - losses[1::2]) / (2.0 * _EPS)
-    program = gate_program(model, convention)
-    factors = np.array([_SHIFTS[kind][1] for kind, _, _ in program])[:, None]
-    slots = [slot for _, _, slot in program]
-    values = draw_readouts(exact, dataset, config.shots, rng, item_major=True)
+    factors = np.array([_SHIFTS[kind][1] for kind, _, _ in circuit.program])[:, None]
+    slots = [slot for _, _, slot in circuit.program]
+    values = draw_readouts(exact, circuit, config.shots, rng, item_major=True)
     slopes = _loss_slopes(np.concatenate([vals[0] for vals in values]), table, squared)
-    grad = np.zeros(params_of(model).size)
+    grad = np.zeros(n_params)
     for vals, d in zip(values, np.split(slopes, np.cumsum(table[1])[:-1])):
         # one vector dot per gate, batched. C order gives every term a unit
         # stride, so matmul runs the BLAS dot that d @ term would; a (gates x
         # readouts) product, einsum or strided terms round differently
         terms = np.multiply(factors, vals[1::2] - vals[2::2], order="C")
         np.add.at(grad, slots, np.matmul(terms[:, None, :], d[:, None])[:, 0, 0])
-    return grad / len(dataset.items)
+    return grad / len(values)
 
 
 def gradient(model: ModelSpec, dataset: Dataset, config: TrainConfig,
              convention: EdgeConvention = EdgeConvention.CONTROLLED_PHASE,
              rng=None) -> np.ndarray:
     """Loss gradient over the flat (theta, weights) parameter vector."""
-    exact = _exact(model, dataset, _gradient_rows(model, dataset, config, convention),
-                   convention)
-    return _gradient_of(exact, model, dataset, _target_table(dataset), config, convention,
+    circuit = _compile(model, dataset, convention)
+    params = params_of(model)
+    exact = exact_readouts(circuit, _gradient_rows(circuit, params, config))
+    return _gradient_of(exact, circuit, params.size, _target_table(dataset), config,
                         _shot_rng(config, rng))
 
 
@@ -371,23 +356,21 @@ class FitResult:
 
 def fit(model: ModelSpec, dataset: Dataset, config: TrainConfig,
         convention: EdgeConvention = EdgeConvention.CONTROLLED_PHASE) -> FitResult:
-    """Plain gradient descent, p <- p - lr * grad, for config.epochs steps."""
+    """Plain gradient descent, p <- p - lr * grad, for config.epochs steps.
+    The model is compiled once; the epochs update its flat parameters."""
     rng = np.random.default_rng(config.seed) if config.shots > 0 else None
-    fixed = _fixed_inputs(model, dataset, convention)
+    circuit = _compile(model, dataset, convention)
     table = _target_table(dataset)
     params = params_of(model)
-    current = model
     history, accuracies = [], []
     for epoch in range(config.epochs):
         # one executor call per epoch; loss, accuracy and gradient draw in turn
-        exact = _exact(current, dataset, _gradient_rows(current, dataset, config, convention),
-                       convention, fixed)
-        epoch_loss = _loss_of(exact, dataset, table, config, rng)
+        exact = exact_readouts(circuit, _gradient_rows(circuit, params, config))
+        epoch_loss = _loss_of(exact, circuit, table, config, rng)
         if not math.isfinite(epoch_loss):
             raise RuntimeError(f"training diverged at epoch {epoch}: loss={epoch_loss}")
         history.append(epoch_loss)
-        accuracies.append(_accuracy_of(exact, dataset, table, config, rng))
-        grad = _gradient_of(exact, current, dataset, table, config, convention, rng)
+        accuracies.append(_accuracy_of(exact, circuit, table, config, rng))
+        grad = _gradient_of(exact, circuit, params.size, table, config, rng)
         params = params - config.learning_rate * grad
-        current = with_params(current, params)
-    return FitResult(current, tuple(history), tuple(accuracies))
+    return FitResult(with_params(model, params), tuple(history), tuple(accuracies))

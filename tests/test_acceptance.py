@@ -16,7 +16,7 @@ from qgns import (EdgeConvention, Graph, StateVector, TrainConfig, build_graph_s
                   apply_filter_lcu, swap_test_overlap, toy_node_dataset,
                   verify_stabilizers, ModelSpec, Formalism, Dataset, DataItem)
 from qgns.cli import execute
-from qgns.executor import param_rows, readout_values
+from qgns.executor import compile_circuit, draw_readouts, exact_readouts, param_rows
 from qgns.train import params_of
 
 from helpers import graph_state_amp_oracle, permute_qubits, random_graph, random_state
@@ -166,8 +166,9 @@ def test_criterion_6_gradient_check():
     ds1 = Dataset("node", (DataItem(Graph(1), [0.5], (1,)),), node_basis="Z")
     rows = np.tile(params_of(tiny), (2, 1))
     rows[:, 0] += [math.pi / 2, -math.pi / 2]
-    values = readout_values(tiny, ds1, param_rows(tiny, rows),
-                            EdgeConvention.CONTROLLED_PHASE, None)[0]
+    circuit = compile_circuit(tiny, ds1, EdgeConvention.CONTROLLED_PHASE)
+    values = draw_readouts(exact_readouts(circuit, param_rows(circuit.program, rows)),
+                           circuit)[0]
     dp1 = 0.5 * (values[0, 0] - values[1, 0])
     analytic_err = abs(-2.0 * dp1 - (-math.sin(target)))
     ok = worst < 1e-5 and analytic_err < 1e-8

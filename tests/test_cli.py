@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 from qgns import (DataItem, Dataset, Formalism, Graph, LayerStep, ModelSpec, build_graph_state,
-                  class_prototypes, initial_model, load_dataset, model_circuit, new_state,
-                  save_dataset, save_model, to_edge_list, toy_dataset_path, toy_node_dataset)
+                  class_prototypes, dataset_to_dict, initial_model, load_dataset, model_circuit,
+                  new_state, save_dataset, save_model, to_edge_list, toy_dataset_path,
+                  toy_node_dataset)
 from qgns.cli import execute
 
 
@@ -142,6 +143,23 @@ def test_pool_seeded(demo_file, capsys):
     assert first == second
     assert set(first["readout"]) <= {1, -1} and len(first["readout"]) == 5
     assert first["final"] == first["readout"][-1]
+
+
+@pytest.mark.filterwarnings("error")
+def test_pool_at_twelve_vertices_writes_nothing_to_stderr(tmp_path, capsys):
+    ring = tmp_path / "ring12.qg"
+    ring.write_text(to_edge_list(Graph.from_edges(12, [(v, (v + 1) % 12) for v in range(12)])),
+                    encoding="utf-8")
+    assert execute(["pool", "--graph", str(ring), "--seed", "3"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "" and len(json.loads(captured.out)["readout"]) == 12
+
+
+def _json_error(capsys) -> dict:
+    """The one JSON line a domain error writes to stderr (stdout stays empty)."""
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    return json.loads(captured.err)
 
 
 def test_domain_error_exit_code_and_json(tmp_path, capsys):
@@ -315,6 +333,31 @@ def test_new_model_flags_with_a_checkpoint_are_json_errors(toy_file, tmp_path, v
     captured = capsys.readouterr()
     assert captured.out == ""
     assert flag[0] in json.loads(captured.err)["error"]
+
+
+@pytest.mark.parametrize("verb", ["state sample", "swap", "model train", "model eval"])
+def test_negative_shots_are_a_json_error(verb, k2_file, toy_file, capsys):
+    assert execute(_verb_argv(verb, k2_file, toy_file) + ["--shots", "-5"]) == 1
+    assert _json_error(capsys) == {"error": "shots must be >= 0, got -5"}
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_a_non_finite_filter_vector_is_a_json_error(value, k2_file, tmp_path, capsys):
+    vec = tmp_path / "x.txt"
+    vec.write_text(f"1.0\n{value}\n", encoding="utf-8")
+    assert execute(["filter", "apply", "--graph", k2_file, "--coeffs", "0,1",
+                    "--vector", str(vec)]) == 1
+    assert _json_error(capsys) == {"error": "input vector and filter coefficients must be finite"}
+
+
+@pytest.mark.parametrize("verb", ["train", "eval"])
+def test_node_labels_outside_the_unit_interval_are_a_json_error(verb, tmp_path, capsys):
+    payload = dataset_to_dict(toy_node_dataset())
+    payload["items"][1]["labels"][2] = -2
+    data = tmp_path / "bad-labels.json"
+    data.write_text(json.dumps(payload), encoding="utf-8")
+    assert execute(["model", verb, "--data", str(data), *_one_epoch(verb)]) == 1
+    assert _json_error(capsys) == {"error": "items[1].labels[2] must be in [0, 1], got -2"}
 
 
 def test_state_build_too_wide_is_a_json_error(tmp_path, capsys):

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from qgns import (DataItem, Dataset, EdgeConvention, Formalism, Graph, ModelSpec,
                   StateVector, class_prototypes, encode_features, swap_test_overlap)
 import qgns.executor as executor
-from qgns.executor import param_rows, readout_values
+from qgns.executor import compile_circuit, draw_readouts, exact_readouts, param_rows
 from qgns.sim import apply_rows
 
 from helpers import (cp_matrix, dense_apply, ising_matrix, layer_params,
@@ -46,6 +46,13 @@ def _case(seed: int, n: int, m: int, items: int, shared: bool, readout: str):
     return rng, model, ds
 
 
+def _values(model, ds, params, convention, prototypes=None, shots=0, rng=None):
+    """Readout values of every (flat parameter row, item) circuit."""
+    circuit = compile_circuit(model, ds, convention, prototypes)
+    return draw_readouts(exact_readouts(circuit, param_rows(circuit.program, params)), circuit,
+                         shots, rng)
+
+
 CASES = dict(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6), m=st.integers(1, 3),
              rows=st.integers(1, 4), items=st.integers(1, 3),
              convention=st.sampled_from(list(EdgeConvention)), shared=st.booleans(),
@@ -61,7 +68,7 @@ def test_every_row_matches_the_gate_by_gate_circuit(seed, n, m, rows, items, con
     rng, model, ds = _case(seed, n, m, items, shared, readout)
     params = rng.uniform(-math.pi, math.pi, (rows, model.theta.size + model.weights.size))
     angles, weights = layer_params(model, params)
-    values = readout_values(model, ds, param_rows(model, params), convention, None)
+    values = _values(model, ds, params, convention)
     for i, item in enumerate(ds.items):
         assert values[i].shape[0] == rows
         for b in range(rows):
@@ -83,9 +90,9 @@ def test_rows_do_not_depend_on_the_batch(seed, n, m, rows, items, convention, sh
         n = 2
     rng, model, ds = _case(seed, n, m, items, shared, readout)
     params = rng.uniform(-math.pi, math.pi, (rows, model.theta.size + model.weights.size))
-    batched = readout_values(model, ds, param_rows(model, params), convention, None)
+    batched = _values(model, ds, params, convention)
     for b in range(rows):
-        alone = readout_values(model, ds, param_rows(model, params[b:b + 1]), convention, None)
+        alone = _values(model, ds, params[b:b + 1], convention)
         for i in range(len(ds.items)):
             assert np.array_equal(batched[i][b], alone[i][0])
 
@@ -127,9 +134,8 @@ def test_chunked_circuits_match_one_stack(monkeypatch, budget, shots, readout):
         rng, model, ds = _case(7, 4, 2, 3, False, readout)
         protos = None
     params = rng.uniform(-math.pi, math.pi, (5, model.theta.size + model.weights.size))
-    rows = param_rows(model, params)
     conv = EdgeConvention.CONTROLLED_PHASE
-    whole = readout_values(model, ds, rows, conv, protos, shots, np.random.default_rng(3))
+    whole = _values(model, ds, params, conv, protos, shots, np.random.default_rng(3))
     stack_bytes = []
 
     def recording(amps, *args):
@@ -139,7 +145,7 @@ def test_chunked_circuits_match_one_stack(monkeypatch, budget, shots, readout):
     readouts = executor._readouts
     monkeypatch.setattr(executor, "_readouts", recording)
     monkeypatch.setattr(executor, "_STACK_BYTES", budget)
-    chunked = readout_values(model, ds, rows, conv, protos, shots, np.random.default_rng(3))
+    chunked = _values(model, ds, params, conv, protos, shots, np.random.default_rng(3))
     for a, b in zip(whole, chunked):
         np.testing.assert_array_equal(a, b)
     assert sum(stack_bytes) == 15 * 16 * 16
@@ -159,15 +165,14 @@ def test_graph_scores_match_the_swap_circuit_and_draw_in_row_prototype_order(
                                 for k in range(items)))
     protos = class_prototypes(ds, convention)
     params = rng.uniform(-math.pi, math.pi, (rows, model.theta.size + model.weights.size))
-    gate_rows = param_rows(model, params)
-    exact = readout_values(model, ds, gate_rows, convention, protos)
-    shots = readout_values(model, ds, gate_rows, convention, protos, 200,
-                           np.random.default_rng(seed))
+    exact = _values(model, ds, params, convention, protos)
+    shots = _values(model, ds, params, convention, protos, 200, np.random.default_rng(seed))
     draws = np.random.default_rng(seed)
     offsets = np.array([encode_features(item.features) for item in ds.items])
-    total = np.repeat(gate_rows, items, axis=0)
+    program = executor.gate_program(model, convention)
+    total = np.repeat(param_rows(program, params), items, axis=0)
     total[:, :n] += np.tile(offsets, (rows, 1))
-    states = executor.circuit_states(model, total, convention)
+    states = executor.circuit_states(program, n, total)
     for r, amps in enumerate(states):
         b, i = divmod(r, items)
         for c, proto in enumerate(protos):
@@ -186,5 +191,5 @@ def test_layer_zero_is_prepared_without_ry_passes(monkeypatch):
 
     monkeypatch.setattr(executor, "apply_rows", recording)
     params = rng.uniform(-math.pi, math.pi, (3, model.theta.size + model.weights.size))
-    readout_values(model, ds, param_rows(model, params), EdgeConvention.CONTROLLED_PHASE, None)
+    _values(model, ds, params, EdgeConvention.CONTROLLED_PHASE)
     assert model.graph.n_edges and calls == ["CP"] * model.graph.n_edges

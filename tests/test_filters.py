@@ -146,6 +146,9 @@ def test_lcu_input_validation():
         apply_filter_lcu(np.array([0.0, 0.0]), P2_LAP, [1.0])
     with pytest.raises(ValueError, match="shape"):
         apply_filter_lcu(np.array([1.0, 0.0, 0.0]), P2_LAP, [1.0])
+    for x, w in [([1.0, math.nan], [1.0]), ([1.0, math.inf], [1.0]), ([1.0, 0.0], [-math.inf])]:
+        with pytest.raises(ValueError, match="finite"):
+            apply_filter_lcu(np.array(x), P2_LAP, w)
 
 
 @settings(max_examples=60, deadline=None)

@@ -89,7 +89,7 @@ def test_verify_matches_the_clone_oracle(seed, n, p_edge, state):
     g = random_graph(rng, n, p_edge=p_edge)
     if state in ("random", "unnormalized"):
         scale = 1.0 if state == "random" else float(rng.uniform(0.1, 3.0))
-        s = StateVector(n, scale * random_state(rng, n), normalized=state == "random")
+        s = StateVector(n, scale * random_state(rng, n))
     elif state == "graph":
         s = build_graph_state(g)
     else:

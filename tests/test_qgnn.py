@@ -267,11 +267,6 @@ def test_pool_measure_duplicate_group(rng):
         pool_measure(new_state(2), (0, 0), rng)
 
 
-def test_pool_group_soft_cap_warns(rng):
-    with pytest.warns(UserWarning, match="soft cap"):
-        pool_measure(new_state(12, "zero"), range(11), rng)
-
-
 def test_neighborhood_groups_default(demo5):
     from qgns import neighborhood_groups
     groups = neighborhood_groups(demo5)

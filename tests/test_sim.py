@@ -12,6 +12,8 @@ from qgns.sim import (GateOp, StateVector, apply_gate, apply_linear_operator, ap
                       dump_state, expectation_pauli, measure_qubit, new_state, product_rows,
                       sample_counts, tensor)
 
+from qgns.tasks import edge_readout, node_readout
+
 from helpers import cp_matrix, cry_4x4, dense_apply, ising_matrix, random_state
 
 K2_STATE = np.array([1, 1, 1, -1], dtype=complex) / 2.0  # CZ|++>
@@ -260,11 +262,17 @@ def test_apply_linear_operator_examples():
         apply_linear_operator(new_state(1), np.zeros((2, 2)), (0,), renormalize=True)
 
 
-def test_linear_operator_sets_normalized_flag():
-    s, _ = apply_linear_operator(new_state(1), 2.0 * np.eye(2), (0,))
-    assert not s.normalized
-    with pytest.raises(ValueError, match="normalized"):
-        expectation_pauli(s, {0: "Z"})
+def test_readouts_refuse_a_state_without_unit_norm(rng):
+    # a non-unitary operator's result, and norm-2 amplitudes given directly
+    doubled, _ = apply_linear_operator(new_state(2), 2.0 * np.eye(2), (0,))
+    for s in (doubled, StateVector(2, np.ones(4))):
+        for read in (lambda: expectation_pauli(s, {0: "Z"}), lambda: node_readout(s, 0, "Z"),
+                     lambda: edge_readout(s, 0, 1), lambda: measure_qubit(s, 0, "Y", rng),
+                     lambda: sample_counts(s, 10, rng)):
+            with pytest.raises(ValueError, match="normalized"):
+                read()
+    # within the 1e-9 norm tolerance is normalized
+    assert sample_counts(StateVector(1, [1.0 + 1e-10, 0.0]), 5, rng) == {0: 5}
 
 
 def test_norm_preserved_over_long_random_sequence(rng):

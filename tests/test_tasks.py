@@ -106,7 +106,7 @@ def test_swap_closed_form_matches_the_cswap_circuit(seed, n, scales):
     # scales other than (1, 1) give a pair that is not normalized, where the
     # circuit's p0 is (|a|^2 |b|^2 + |<a|b>|^2) / 2
     rng = np.random.default_rng(seed)
-    a, b = (StateVector(n, k * random_state(rng, n), normalized=k == 1.0) for k in scales)
+    a, b = (StateVector(n, k * random_state(rng, n)) for k in scales)
     p0, overlap = swap_test_overlap(a, b)
     circuit = swap_circuit_p0(a, b)
     scale = max(1.0, (scales[0] * scales[1]) ** 2)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -13,7 +14,8 @@ from qgns import (DataItem, Dataset, EdgeConvention, Formalism, Graph, LayerStep
                   TrainConfig, accuracy, encode_features, fit, gradient, initial_model,
                   load_dataset, loss, model_circuit, params_of, save_dataset, to_edge_list,
                   toy_node_dataset, with_params)
-from qgns.executor import draw_readouts, exact_readouts, gate_program, param_rows, readout_values
+from qgns.executor import (compile_circuit, draw_readouts, exact_readouts, gate_program,
+                           param_rows)
 from qgns.graphstate import edge_kind
 
 from helpers import (FINITE, graphs, item_grad_oracle, pshift_gradient_oracle, random_graph,
@@ -95,6 +97,17 @@ def test_label_arity_checked(k2):
         Dataset("graph", (DataItem(k2, [0.0, 1.0], (1,)),))
 
 
+def test_node_labels_must_lie_in_the_unit_interval(k2):
+    g = Graph.from_edges(3, [(0, 1), (1, 2)])
+    for labels, bad in [((5, -2, 1), "items[1].labels[0]"), ((0, 1.5, None), "labels[1]"),
+                        ((None, 0, math.nan), "labels[2]")]:
+        items = (DataItem(g, [0.1, 0.2, 0.3], (0, 1, None)), DataItem(g, [0.3, 0.2, 0.1], labels))
+        with pytest.raises(ValueError, match=re.escape(bad) + r" must be in \[0, 1\]"):
+            Dataset("node", items, node_basis="Z")
+    Dataset("node", (DataItem(g, [0.1, 0.2, 0.3], (0, 0.25, 1.0)),))
+    Dataset("edge", (DataItem(k2, [0.1, 0.2], (5.0,)),))  # edge targets are any reals
+
+
 def test_gradient_zero_for_unused_parameter():
     # only node 0 is labeled on an edgeless graph, so theta[0, 1] is inert
     model = edgeless_model(2, [0.3, 1.1])
@@ -114,8 +127,9 @@ def test_analytic_expectation_derivative():
         pytest.approx(target)
     rows = np.tile(params_of(model), (2, 1))
     rows[:, 0] += [PI / 2, -PI / 2]
-    values = readout_values(model, ds, param_rows(model, rows),
-                            EdgeConvention.CONTROLLED_PHASE, None)[0]
+    circuit = compile_circuit(model, ds)
+    values = draw_readouts(exact_readouts(circuit, param_rows(circuit.program, rows)),
+                           circuit)[0]
     dp1 = 0.5 * (values[0, 0] - values[1, 0])
     d_expectation = -2.0 * dp1
     assert d_expectation == pytest.approx(-math.sin(target), abs=1e-8)
@@ -340,15 +354,16 @@ def test_dataset_json_roundtrip(tmp_path):
 @st.composite
 def datasets(draw) -> Dataset:
     """Any dataset of 1-3 items, each on its own graph: finite features, and
-    node labels mixing null, 0/1 ints and floats, edge floats or ints, or
-    class indices."""
+    node labels mixing null, 0/1 ints and floats in [0, 1], edge floats or
+    ints, or class indices."""
     task = draw(st.sampled_from(["node", "edge", "graph"]))
     items = []
     for _ in range(draw(st.integers(1, 3))):
         g = draw(graphs(max_vertices=6))
         n, e = g.n_vertices, g.n_edges
         if task == "node":
-            labels = tuple(draw(st.lists(st.one_of(st.none(), st.integers(0, 1), FINITE),
+            labels = tuple(draw(st.lists(st.one_of(st.none(), st.integers(0, 1),
+                                                   st.floats(0.0, 1.0)),
                                          min_size=n, max_size=n)))
         elif task == "edge":
             labels = tuple(draw(st.lists(st.one_of(FINITE, st.integers(-3, 3)),
@@ -540,15 +555,52 @@ def test_fit_makes_one_executor_call_per_epoch(monkeypatch, grad):
     ds = toy_node_dataset()
     stacks = []
 
-    def counting(model, dataset, rows, *args, **kwargs):
+    def counting(circuit, rows):
         stacks.append(rows.shape[0])
-        return executor.exact_readouts(model, dataset, rows, *args, **kwargs)
+        return executor.exact_readouts(circuit, rows)
 
     monkeypatch.setattr(train, "exact_readouts", counting)
     model = initial_model(ds.items[0].graph)
     train.fit(model, ds, TrainConfig(epochs=3, grad=grad))
     # the toy model has 11 parameters and 11 gates: the base row, then 2 per shift
     assert stacks == [2 * params_of(model).size + 1] * 3
+
+
+@pytest.mark.filterwarnings("ignore:param_shift")
+@pytest.mark.parametrize("task", ["node", "graph"])
+@pytest.mark.parametrize("grad", ["fd", "pshift"])
+@pytest.mark.parametrize("epochs", [1, 4])
+def test_fit_compiles_once_and_builds_one_model(monkeypatch, task, grad, epochs):
+    if task == "node":
+        ds = toy_node_dataset()
+    else:
+        g = Graph.from_edges(3, [(0, 1), (1, 2)])
+        ds = Dataset("graph", tuple(DataItem(g, [0.1 * k, 0.9, 0.3 * k], k % 2)
+                                    for k in range(1, 5)))
+    calls = {"gate_program": 0, "encode_features": 0, "class_prototypes": 0}
+    built = []
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    def counting_spec(*args, **kwargs):
+        built.append(ModelSpec(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(executor, "gate_program", counting("gate_program", gate_program))
+    monkeypatch.setattr(executor, "encode_features",
+                        counting("encode_features", encode_features))
+    monkeypatch.setattr(train, "class_prototypes",
+                        counting("class_prototypes", train.class_prototypes))
+    model = initial_model(ds.items[0].graph)
+    monkeypatch.setattr(train, "ModelSpec", counting_spec)
+    result = fit(model, ds, TrainConfig(epochs=epochs, grad=grad))
+    assert calls == {"gate_program": 1, "encode_features": len(ds.items),
+                     "class_prototypes": int(task == "graph")}
+    assert len(built) == 1 and built[0] is result.model
 
 
 # readouts at 0 and 1, at and just inside the BCE clip, and NaN: the slope
@@ -605,17 +657,17 @@ def test_pshift_gradient_equals_the_per_gate_loop(seed, n, m, shared, convention
     ds = Dataset("edge" if readout == "ZZ" else "node", tuple(items),
                  node_basis="Z" if readout == "Z" else "Y")
     cfg = TrainConfig(grad="pshift", loss=loss_kind, shots=shots)
-    exact = exact_readouts(model, ds, train._gradient_rows(model, ds, cfg, convention),
-                           convention, None)
+    circuit = compile_circuit(model, ds, convention)
+    exact = exact_readouts(circuit, train._gradient_rows(circuit, params_of(model), cfg))
     if special:
         # shot draws need probabilities, so NaN only goes into exact readouts
         mask = rng.random(exact.shape) < 0.3
         pool = _SLOPE_READOUTS[:7] if shots else _SLOPE_READOUTS
         exact[mask] = rng.choice(pool, int(mask.sum()))
     draws = [np.random.default_rng(seed) if shots else None for _ in range(2)]
-    got = train._gradient_of(exact, model, ds, train._target_table(ds), cfg, convention,
-                             draws[0])
-    values = draw_readouts(exact, ds, shots, draws[1], item_major=True)
+    got = train._gradient_of(exact, circuit, params_of(model).size, train._target_table(ds),
+                             cfg, draws[0])
+    values = draw_readouts(exact, circuit, shots, draws[1], item_major=True)
     targets = [[float(lab) for lab in item.labels if lab is not None] for item in ds.items]
     squared = readout == "ZZ" or loss_kind == "mse"
     expected = pshift_gradient_oracle(values, targets, gate_program(model, convention),
