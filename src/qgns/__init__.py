@@ -7,7 +7,7 @@ from .sim import (MAX_QUBITS, GateOp, MeasurementRecord, StateVector,
                   measure_qubit, new_state, sample_counts, tensor)
 from .graphstate import (ConstraintRound, EdgeConvention, PauliString, StabilizerReport,
                          build_graph_state, constraint_round, decomposition_amplitude,
-                         edge_gate, stabilizer_of, verify_stabilizers)
+                         edge_program, stabilizer_of, verify_stabilizers)
 from .qgnn import (Formalism, LayerStep, ModelSpec, SequentialRun, apply_interlayer,
                    build_registered, build_superposed, encode_features,
                    layer_state, load_model, message_pass, model_from_dict, model_to_dict,
@@ -15,7 +15,7 @@ from .qgnn import (Formalism, LayerStep, ModelSpec, SequentialRun, apply_interla
                    pool_phase, run_sequential, save_model)
 from .tasks import (classify_graph, edge_phase_estimate, edge_readout, node_readout,
                     swap_test_overlap)
-from .filters import FilterSpec, apply_filter_lcu, pad_matrix, polynomial_filter_matrix
+from .filters import apply_filter_lcu, pad_matrix, polynomial_filter_matrix
 from .dataset import (DataItem, Dataset, dataset_from_dict, dataset_to_dict, demo_graph,
                       load_dataset, save_dataset, toy_dataset_path, toy_node_dataset)
 from .train import (FitResult, TrainConfig, accuracy, class_prototypes, fit, gradient,

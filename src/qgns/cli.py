@@ -22,7 +22,7 @@ from .graphstate import EdgeConvention, build_graph_state, verify_stabilizers
 from .qgnn import Formalism, load_model, pool_measure, save_model
 from .sim import dump_state, new_state, sample_counts
 from .tasks import swap_test_overlap
-from .filters import FilterSpec, apply_filter_lcu
+from .filters import apply_filter_lcu
 from .dataset import load_dataset
 from .train import TrainConfig, correct_readouts, fit, initial_model, model_values
 
@@ -144,9 +144,8 @@ def _cmd_model_eval(args) -> int:
 
 def _cmd_filter_apply(args) -> int:
     g = _read_graph(args.graph)
-    coeffs = FilterSpec(tuple(float(c) for c in args.coeffs.split(",")))
-    x = _read_vector(args.vector)
-    y, scale = apply_filter_lcu(x, laplacian(g), coeffs.coefficients)
+    coeffs = [float(c) for c in args.coeffs.split(",")]
+    y, scale = apply_filter_lcu(_read_vector(args.vector), laplacian(g), coeffs)
     lines = [f"# scale={scale!r}"] + [f"{float(val)!r}" for val in y]
     _emit("\n".join(lines) + "\n", args.out)
     return 0

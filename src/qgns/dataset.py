@@ -143,17 +143,9 @@ def demo_graph() -> Graph:
 
 def toy_node_dataset() -> Dataset:
     """Node bipartition benchmark on the demo graph: vertices {0, 2, 4}
-    labeled 1 against {1, 3} labeled 0, with class-correlated features."""
-    labels = (1, 0, 1, 0, 1)
-    feature_sets = [
-        [0.90, 0.15, 0.80, 0.10, 0.95],
-        [0.85, 0.20, 0.70, 0.25, 0.80],
-        [0.95, 0.10, 0.85, 0.05, 0.90],
-        [0.75, 0.30, 0.90, 0.20, 0.85],
-    ]
-    g = demo_graph()
-    items = tuple(DataItem(g, np.array(f), labels) for f in feature_sets)
-    return Dataset("node", items, node_basis="Y")
+    labeled 1 against {1, 3} labeled 0, with class-correlated features. It
+    is the bundled toy dataset file (toy_dataset_path), loaded."""
+    return load_dataset(toy_dataset_path())
 
 
 def toy_dataset_path() -> Path:

@@ -4,12 +4,13 @@ compile_circuit compiles a model and a dataset once into a Circuit: the
 sequential layered circuit (per layer, Ry on every vertex, then each edge's
 entangler) as one gate program of (kind, qubits, parameter slot) entries,
 plus the items' encoded features and the readout spec. exact_readouts runs
-it for every (parameter row, item) pair, as (circuits, 2^n) amplitude stacks
-of at most _STACK_BYTES each (or one state, when larger), and reads every
-circuit out exactly with the closed forms of qgns.tasks; draw_readouts picks
-each consumer's readouts and draws its shots. Layer 0's Ry passes act on
-|0...0>, so their product state is prepared directly (sim.product_rows). A
-circuit's result never depends on the rest of its stack.
+the program (sim.run_program) for every (parameter row, item) pair, as
+(circuits, 2^n) amplitude stacks of at most _STACK_BYTES each (or one state,
+when larger), and reads every circuit out exactly with the closed forms of
+qgns.tasks; draw_readouts picks each consumer's readouts and draws its
+shots. Layer 0's Ry passes act on |0...0>, so their product state is
+prepared directly (sim.product_rows). A circuit's result never depends on
+the rest of its stack.
 """
 from __future__ import annotations
 
@@ -19,9 +20,9 @@ import numpy as np
 
 from .dataset import Dataset
 from .graph import Graph
-from .graphstate import EdgeConvention, edge_kind
+from .graphstate import EdgeConvention, edge_program
 from .qgnn import Formalism, ModelSpec, encode_features
-from .sim import apply_rows, product_rows
+from .sim import product_rows, run_program
 from .tasks import binomial_estimate, edge_zz, node_p1, sign_estimate, swap_tests
 
 _STACK_BYTES = 1 << 20  # amplitude stack per chunk of circuits: 1 MiB, cache-sized
@@ -33,8 +34,8 @@ def gate_program(model: ModelSpec,
     """The sequential circuit in run order, one (kind, qubits, slot) per gate:
     per layer, Ry on every vertex, then each edge's entangler. slot indexes
     the flat parameter vector (theta entries, then edge weights), so a shared
-    edge weight gives its gate in every layer one slot. Only the entangler
-    kind depends on the convention."""
+    edge weight gives its gate in every layer one slot. The entanglers are
+    graphstate.edge_program's, so only their kind depends on the convention."""
     if model.formalism is not Formalism.SEQUENTIAL:
         raise ValueError(f"training and evaluation run the sequential circuit only, "
                          f"not the {model.formalism.value!r} formalism")
@@ -42,13 +43,12 @@ def gate_program(model: ModelSpec,
         raise ValueError(f"training and evaluation do not run schedules; the model "
                          f"has {len(model.schedule)} schedule steps")
     n, edges = model.graph.n_vertices, model.graph.edges
-    kind = edge_kind(convention)
-    program = []
+    program = ()
     for layer in range(model.m):
-        program += [("Ry", (v,), layer * n + v) for v in range(n)]
+        program += tuple(("Ry", (v,), layer * n + v) for v in range(n))
         first = model.theta.size + (0 if model.shared_weights else layer * len(edges))
-        program += [(kind, (u, v), first + k) for k, (u, v, _) in enumerate(edges)]
-    return tuple(program)
+        program += edge_program(edges, convention, first)
+    return program
 
 
 def param_rows(program, params: np.ndarray) -> np.ndarray:
@@ -64,10 +64,7 @@ def circuit_states(program, n: int, rows: np.ndarray) -> np.ndarray:
     exactly as it would be alone, whatever C.
     """
     # layer 0's Ry passes on |0...0> leave a product state: prepare it directly
-    amps = product_rows(rows[:, :n])
-    for j, (kind, qubits, _) in enumerate(program[n:], n):
-        apply_rows(amps, kind, qubits, rows[:, j])
-    return amps
+    return run_program(product_rows(rows[:, :n]), program[n:], rows[:, n:])
 
 
 @dataclass(frozen=True, eq=False)

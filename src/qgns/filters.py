@@ -11,42 +11,18 @@ of a unitary dilation.
 
 apply_filter_lcu applies the select operator block by block; the dense
 select_powers_operator (a cascade in which index qubit k controls L^(2^k))
-is the reference it is tested against.
+is the reference it is tested against. apply_filter_lcu checks its own
+inputs: finite values, and a non-empty, non-zero coefficient vector.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .sim import MAX_QUBITS
 
 _ZERO_NORM_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class FilterSpec:
-    """Polynomial coefficients (w_0 ... w_d); degree d = len - 1."""
-
-    coefficients: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if not self.coefficients:
-            raise ValueError("filter needs at least one coefficient")
-        if not all(math.isfinite(c) for c in self.coefficients):
-            raise ValueError("filter coefficients must be finite")
-        if not any(c != 0.0 for c in self.coefficients):
-            raise ValueError("filter needs at least one nonzero coefficient")
-
-    @property
-    def degree(self) -> int:
-        return len(self.coefficients) - 1
-
-    @property
-    def index_width(self) -> int:
-        """Smallest register width a with degree <= 2^a - 1."""
-        return max(len(self.coefficients) - 1, 0).bit_length()
 
 
 def polynomial_filter_matrix(L: np.ndarray, w) -> np.ndarray:

@@ -3,7 +3,10 @@
 A graph state entangles one qubit per vertex by applying a two-qubit phase
 gate along every edge of a product state: |+>^n, or Ry(angles[v])|0> on
 each vertex v for a plain array of angles (such as qgnn.encode_features
-gives). Two edge-gate conventions are supported:
+gives). edge_program describes the entanglers of a list of edges as a gate
+program that sim.run_program applies, the same description the trainer's
+circuits use (qgns.executor.gate_program). Two edge-gate conventions are
+supported:
 
 * ControlledPhase: Uz(u,v,w) = diag(1,1,1,e^{iw}). With w = pi this is the
   controlled-Z, and the built amplitudes obey the closed form
@@ -27,7 +30,7 @@ import numpy as np
 
 from .graph import Graph, adjacency_matrix, neighborhood
 from .sim import (GateOp, MeasurementRecord, StateVector, apply_gate, measure_qubit, new_state,
-                  product_rows)
+                  product_rows, run_program)
 
 
 class EdgeConvention(Enum):
@@ -45,9 +48,13 @@ def edge_kind(convention: EdgeConvention) -> str:
     return _EDGE_KINDS[convention]
 
 
-def edge_gate(convention: EdgeConvention, u: int, v: int, w: float) -> GateOp:
-    """The two-qubit entangler for one edge under the given convention."""
-    return GateOp(edge_kind(convention), (u, v), float(w))
+def edge_program(edges, convention: EdgeConvention, first: int = 0
+                 ) -> tuple[tuple[str, tuple[int, int], int], ...]:
+    """The entanglers of (u, v, w) edges under the given convention, as a
+    gate program: edge k becomes (kind, (u, v), first + k). The weights
+    are not part of it; the program's angle rows carry them."""
+    kind = edge_kind(convention)
+    return tuple((kind, (u, v), first + k) for k, (u, v, _) in enumerate(edges))
 
 
 @dataclass(frozen=True)
@@ -92,8 +99,7 @@ def build_graph_state(g: Graph, convention: EdgeConvention = EdgeConvention.CONT
         edge_weights = [float(w) for w in weights]
         if len(edge_weights) != g.n_edges:
             raise ValueError(f"expected {g.n_edges} edge weights, got {len(edge_weights)}")
-    for (u, v, _), w in zip(g.edges, edge_weights):
-        apply_gate(s, edge_gate(convention, u, v, w))
+    run_program(s.amps.reshape(1, -1), edge_program(g.edges, convention), [edge_weights])
     return s
 
 

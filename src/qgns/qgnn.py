@@ -14,8 +14,10 @@ three ways:
   later steps.
 
 Pooling comes in three flavors: collapse-and-read (Z measurements), phase
-probing (an exact Hadamard-test inner product), and controlled rotations
-onto a collector qubit.
+probing (the exact Hadamard-test expectation of a diagonal phase, read in
+closed form), and controlled rotations onto a collector qubit. Edge
+entanglers, in graph states and in the entangle step, run as
+graphstate.edge_program gate programs.
 """
 from __future__ import annotations
 
@@ -29,9 +31,9 @@ import numpy as np
 
 from .dataset import _check_fields
 from .graph import Graph, neighborhood
-from .graphstate import EdgeConvention, build_graph_state, edge_gate
+from .graphstate import EdgeConvention, build_graph_state, edge_program
 from .sim import (MAX_QUBITS, GateOp, MeasurementRecord, StateVector, apply_gate,
-                  hadamard_test, measure_qubit)
+                  diagonal_expectation, measure_qubit, run_program)
 
 
 class Formalism(Enum):
@@ -145,6 +147,8 @@ class ModelSpec:
             for q in step.qubits + endpoints + ((step.target,) if step.target >= 0 else ()):
                 if not 0 <= q < n:
                     raise ValueError(f"schedule step {step.kind} references qubit {q}, n={n}")
+            if any(u == v for u, v, _ in step.edges):
+                raise ValueError(f"schedule step {step.kind} has an edge with equal endpoints")
 
     def layer_weights(self, i: int) -> np.ndarray:
         return self.weights[0] if self.shared_weights else self.weights[i]
@@ -257,8 +261,9 @@ def pool_phase(s: StateVector, g: Graph, group, w: float) -> tuple[float, float]
     group = set(group)
     if not group:
         raise ValueError("pool group must be nonempty")
-    re = hadamard_test(s, [GateOp.cp(u, v, w) for u, v, _ in g.edges
-                           if u in group and v in group]).real
+    inner = [edge for edge in g.edges if edge[0] in group and edge[1] in group]
+    re = diagonal_expectation(s, edge_program(inner, EdgeConvention.CONTROLLED_PHASE),
+                              [w] * len(inner))
     return 0.5 * (1.0 + re), re
 
 
@@ -315,8 +320,8 @@ def run_sequential(model: ModelSpec, rng: np.random.Generator,
             if trace[idx].outcome != wanted:
                 continue
         if step.kind == "entangle":
-            for u, v, w in step.edges:
-                apply_gate(state, edge_gate(convention, u, v, w))
+            run_program(state.amps.reshape(1, -1), edge_program(step.edges, convention),
+                        [[w for _, _, w in step.edges]])
         elif step.kind == "message":
             message_pass(state, model.graph, step.qubits[0], step.phase)
         elif step.kind == "pool_measure":

@@ -3,10 +3,15 @@
 Basis convention: qubit q is bit q of the basis index, qubit 0 least
 significant. Amplitudes live in one contiguous complex128 vector of length
 2^n; diagonal gates act by masked phase multiplication, dense gates by
-tensor contraction, so no gate ever materializes a 2^n x 2^n matrix. The
-parametrised Ry, CP and IsingZZ kernels also run on a (B, 2^n) stack of
-states with one angle per row (apply_rows), and product_rows prepares the
-Ry product states of a whole stack in closed form; qgns.executor uses both.
+tensor contraction, so no gate ever materializes a 2^n x 2^n matrix.
+
+A gate program is a sequence of (kind, qubits, slot) entries of the
+parametrised kinds Ry, CP and IsingZZ. run_program applies one to a (B, 2^n)
+stack of states, gate j turning row b by rows[b, j]; it is the one runner
+behind the trainer's circuits (qgns.executor), graph states and their edge
+entanglers (qgns.graphstate.edge_program). product_rows prepares the Ry
+product states of a whole stack in closed form, and diagonal_expectation
+reads Re<s|U|s> of a diagonal program U without a transformed copy of s.
 
 States mutate in place; clone() before applying gates if the original is
 still needed. Randomness always comes from an explicit numpy Generator.
@@ -295,7 +300,7 @@ def product_rows(theta) -> np.ndarray:
     pairs, qubit 0 least significant.
 
     The factors multiply in qubit order, as the Ry gates would, so every
-    amplitude is bit-identical to apply_rows("Ry") on |0...0>, one qubit
+    amplitude is bit-identical to run_program's Ry on |0...0>, one qubit
     after the other. The width is checked before anything is allocated.
     """
     theta = np.asarray(theta, dtype=float)
@@ -311,11 +316,15 @@ def product_rows(theta) -> np.ndarray:
     return amps.astype(complex)
 
 
-def apply_rows(amps: np.ndarray, kind: str, qubits: tuple[int, ...], params) -> None:
-    """Apply a Ry, CP or IsingZZ gate to every row of a contiguous (B, 2^n)
-    amplitude stack in place, row b with angle params[b]. The qubits are
-    trusted: check them once per circuit, not once per gate."""
-    _ROW_KERNELS[kind](amps, qubits, np.asarray(params, dtype=float))
+def run_program(amps: np.ndarray, program, rows) -> np.ndarray:
+    """Run a gate program on every row of a contiguous (B, 2^n) amplitude
+    stack in place and return the stack: gate j, a (kind, qubits, slot)
+    entry of kind Ry, CP or IsingZZ, turns row b by angle rows[b, j]. The
+    qubits are trusted: check them once per program, not once per gate."""
+    rows = np.asarray(rows, dtype=float)
+    for j, (kind, qubits, _) in enumerate(program):
+        _ROW_KERNELS[kind](amps, qubits, rows[:, j])
+    return amps
 
 
 def apply_gate(s: StateVector, g: GateOp) -> StateVector:
@@ -415,22 +424,29 @@ def sample_counts(s: StateVector, shots: int, rng: np.random.Generator) -> dict[
     return dict(zip(hit.tolist(), counts[hit].tolist()))
 
 
-def hadamard_test(s: StateVector, gates) -> complex:
-    """<s|U|s>, U the product of gates in order: the exact Hadamard-test
-    expectations as real and imaginary parts. s is not modified."""
-    transformed = s.clone()
-    for g in gates:
-        apply_gate(transformed, g)
-    return complex(np.vdot(s.amps, transformed.amps))
+def diagonal_expectation(s: StateVector, program, params) -> float:
+    """Re<s|U|s> for U a program of diagonal (CP, IsingZZ) gates, gate j
+    with angle params[j]: the real part of the exact Hadamard-test
+    expectation. A diagonal U gives sum_x |a_x|^2 Re U_xx, and U's diagonal
+    is the program run on all-ones amplitudes, so s is neither modified
+    nor copied."""
+    for _, qubits, _ in program:
+        _check_qubits(s, qubits)
+    diag = run_program(np.ones((1, s.dim), dtype=complex), program, [params])[0]
+    return float(s.probabilities() @ diag.real)
 
 
 def expectation_pauli(s: StateVector, pauli_string: dict[int, str]) -> float:
-    """<s|P|s> for a Pauli product given as {qubit: "X"|"Y"|"Z"}."""
+    """<s|P|s> for a Pauli product given as {qubit: "X"|"Y"|"Z"}, read
+    against a Pauli-flipped clone of s."""
     s.require_normalized()
     for p in pauli_string.values():
         if p not in ("X", "Y", "Z"):
             raise ValueError(f"Pauli must be X, Y or Z, got {p!r}")
-    val = hadamard_test(s, [GateOp(p, (q,)) for q, p in pauli_string.items()])
+    flipped = s.clone()
+    for q, p in pauli_string.items():
+        apply_gate(flipped, GateOp(p, (q,)))
+    val = complex(np.vdot(s.amps, flipped.amps))
     if abs(val.imag) > 1e-10:
         raise ValueError(f"Pauli expectation has imaginary part {val.imag}")
     return val.real

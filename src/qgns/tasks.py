@@ -7,14 +7,16 @@ record is drawn binomially from it. Input states are never modified.
 The readouts are closed forms on amplitudes: node_p1, edge_zz and
 swap_tests read whole stacks of states without rotated copies or a 2n+1
 qubit swap register, and the single-state readouts apply them to one state.
+edge_phase_estimate reads its Hadamard test from the diagonal of the edge
+entangler, without a transformed copy of the state.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from .graph import Graph
-from .graphstate import EdgeConvention, edge_gate
-from .sim import _SQRT2_INV, StateVector, _check_qubits, hadamard_test
+from .graphstate import EdgeConvention, edge_program
+from .sim import _SQRT2_INV, StateVector, _check_qubits, diagonal_expectation
 
 _READOUT_BASES = ("Y", "Z")
 
@@ -101,9 +103,10 @@ def edge_readout(s: StateVector, u: int, v: int, shots: int = 0,
 def edge_phase_estimate(s: StateVector, g: Graph, u: int, v: int, shots: int = 0,
                         rng: np.random.Generator | None = None,
                         convention: EdgeConvention = EdgeConvention.CONTROLLED_PHASE) -> float:
-    """Hadamard-test estimate of Re<s|Uz(u,v,w_uv)|s> for an existing edge."""
+    """Hadamard-test estimate of Re<s|Uz(u,v,w_uv)|s> for an existing edge,
+    from the closed form of a diagonal U (sim.diagonal_expectation)."""
     w = g.weight(u, v)  # raises for a missing edge
-    re = hadamard_test(s, (edge_gate(convention, u, v, w),)).real
+    re = diagonal_expectation(s, edge_program([(u, v, w)], convention), [w])
     if shots == 0:
         return re
     return float(sign_estimate(re, shots, rng))

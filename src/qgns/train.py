@@ -3,14 +3,15 @@
 The trainable model is the layered circuit: per-layer Ry rotations (layer 0
 additionally carries the angle-encoded item features) interleaved with the
 graph's edge entanglers, whose phases are the trainable edge weights.
-Gradients come from central finite differences (valid for every parameter)
-or from the two-point shift rule applied at the readout level; the
-optimizer is plain gradient descent. fit compiles the model and dataset
-once (executor.compile_circuit) and steps the flat parameter vector; each
-epoch runs its circuits through one executor call (the gradient's rows,
-the current row first) and scores loss, accuracy and gradient from those
-exact readouts. loss, accuracy, gradient and model_values (`model eval`)
-each compile once and run the same two steps on their own rows.
+Gradients come from central finite differences or from the two-point
+shift rule applied at the readout level; both hold for every parameter and
+every task. The optimizer is plain gradient descent. fit compiles the model
+and dataset once (executor.compile_circuit) and steps the flat parameter
+vector; each epoch runs its circuits through one executor call (the
+gradient's rows, the current row first) and scores loss, accuracy and
+gradient from those exact readouts. loss, accuracy, gradient and
+model_values (`model eval`) each compile once and run the same two steps on
+their own rows.
 
 Everything is deterministic: exact mode never touches an rng, shot mode
 threads one seeded generator through all estimates.
@@ -18,7 +19,6 @@ threads one seeded generator through all estimates.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -282,21 +282,13 @@ _SHIFTS = {
 }
 
 
-def _uses_pshift(dataset: Dataset, config: TrainConfig) -> bool:
-    """pshift needs Pauli-expectation readouts, so the graph task uses fd."""
-    return config.grad == "pshift" and dataset.task != "graph"
-
-
 def _gradient_rows(circuit: Circuit, params: np.ndarray, config: TrainConfig) -> np.ndarray:
     """The per-gate angle rows of one training epoch at the flat parameters,
     their own row first: the loss and the accuracy read row 0, the gradient
     reads them all. fd follows with params +- _EPS in each parameter k (rows
     2k+1, 2k+2), pshift with each gate j's angle +- its shift (rows 2j+1,
     2j+2)."""
-    if config.grad == "pshift" and circuit.dataset.task == "graph":
-        warnings.warn("param_shift needs Pauli-expectation readouts; graph-task "
-                      "swap scores fall back to finite differences", stacklevel=3)
-    if not _uses_pshift(circuit.dataset, config):
+    if config.grad == "fd":
         rows = np.tile(params, (2 * params.size + 1, 1))
         for k in range(params.size):
             rows[2 * k + 1, k] = params[k] + _EPS
@@ -316,9 +308,13 @@ def _gradient_of(exact: np.ndarray, circuit: Circuit, n_params: int, table,
     readouts of _gradient_rows. fd draws rows 1.. row-major and takes
     central differences of their losses. pshift draws every row item-major
     and, item by item, adds each gate's shift term into its parameter slot
-    in program order (so a shared weight sums its layers)."""
+    in program order (so a shared weight sums its layers). Every readout is
+    the expectation of a fixed observable, so the shift rule holds for all
+    three tasks: a node p1, an edge <ZZ>, or a graph score 2 p0 - 1, where
+    the swap-test p0 is the expectation of (1 + SWAP) / 2 against a fixed
+    prototype."""
     squared = _squared(circuit.dataset, config.loss)
-    if not _uses_pshift(circuit.dataset, config):
+    if config.grad == "fd":
         losses = _row_losses(draw_readouts(exact[1:], circuit, config.shots, rng),
                              table, squared)
         return (losses[0::2] - losses[1::2]) / (2.0 * _EPS)

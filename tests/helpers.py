@@ -7,10 +7,10 @@ groups: the tuple feature encoding and the scalar training loss and
 shift-rule loop that qgns.qgnn and qgns.train compute as arrays, the
 one-circuit-at-a-time path (apply_gate per gate, a rotated
 clone per node readout, a Pauli-flipped clone per edge readout) that the
-batched trainer executor must reproduce row by row, and the simulated
-circuits (the CSWAP swap test, the dense LCU select operator, the
-stabilizer applied to a clone) whose closed forms the package computes
-instead.
+batched trainer executor and the graph-state builder must reproduce bit for
+bit, and the simulated circuits (the CSWAP swap test, the dense LCU select
+operator, the stabilizer applied to a clone, the Hadamard test on a
+transformed clone) whose closed forms the package computes instead.
 """
 from __future__ import annotations
 
@@ -19,9 +19,10 @@ import math
 import numpy as np
 from hypothesis import strategies as st
 
-from qgns import (GateOp, Graph, StateVector, apply_gate, edge_gate, expectation_pauli,
-                  new_state, pad_matrix, stabilizer_of, tensor)
+from qgns import (GateOp, Graph, StateVector, apply_gate, expectation_pauli, new_state,
+                  pad_matrix, stabilizer_of, tensor)
 from qgns.filters import select_powers_operator
+from qgns.graphstate import edge_kind
 
 
 def dense_apply(mat: np.ndarray, targets, n: int, vec: np.ndarray) -> np.ndarray:
@@ -205,8 +206,32 @@ def layered_circuit_oracle(g: Graph, angles: np.ndarray, weights: np.ndarray,
         for v in range(g.n_vertices):
             apply_gate(s, GateOp.ry(v, angles[i, v]))
         for k, (u, v, _) in enumerate(g.edges):
-            apply_gate(s, edge_gate(convention, u, v, weights[i, k]))
+            apply_gate(s, GateOp(edge_kind(convention), (u, v), weights[i, k]))
     return s
+
+
+def graph_state_oracle(g: Graph, convention, angles=None, weights=None) -> StateVector:
+    """build_graph_state one apply_gate call per gate: |+>^n, or Ry(angles[v])
+    on |0> for every vertex v, then each edge's entangler with its weight
+    (or weights[k] for edge k)."""
+    if angles is None:
+        s = new_state(g.n_vertices, "plus")
+    else:
+        s = new_state(g.n_vertices)
+        for v, theta in enumerate(angles):
+            apply_gate(s, GateOp.ry(v, theta))
+    for k, (u, v, w) in enumerate(g.edges):
+        apply_gate(s, GateOp(edge_kind(convention), (u, v), w if weights is None else weights[k]))
+    return s
+
+
+def hadamard_test(s: StateVector, gates) -> complex:
+    """<s|U|s>, U the product of gates in order, against a transformed clone
+    of s: the exact Hadamard-test expectations as real and imaginary parts."""
+    transformed = s.clone()
+    for g in gates:
+        apply_gate(transformed, g)
+    return complex(np.vdot(s.amps, transformed.amps))
 
 
 def rotated_p1(s: StateVector, qubit: int, basis: str) -> float:

@@ -115,6 +115,14 @@ def test_filter_apply(k2_file, tmp_path, capsys):
     assert np.allclose(scale * y, [math.pi, -math.pi], atol=1e-10)
 
 
+def test_all_zero_filter_coefficients_are_one_json_error(k2_file, tmp_path, capsys):
+    vec = tmp_path / "x.txt"
+    vec.write_text("1.0\n0.0\n", encoding="utf-8")
+    assert execute(["filter", "apply", "--graph", k2_file, "--coeffs", "0,0",
+                    "--vector", str(vec)]) == 1
+    assert "nonzero" in _json_error(capsys)["error"]
+
+
 def test_filter_output_refeedable(k2_file, tmp_path, capsys):
     vec = tmp_path / "x.txt"
     vec.write_text("0.25\n-1.5\n", encoding="utf-8")
@@ -410,6 +418,15 @@ def test_seeded_swap_shots_match_recorded_output(demo_file, tmp_path, second, ca
         name = "swap_shots1000_seed3_pair.json"
     assert execute(argv) == 0
     assert capsys.readouterr().out.encode() == (GOLDEN / name).read_bytes()
+
+
+@pytest.mark.parametrize("shots", ["0", "64"])
+def test_pshift_trains_the_graph_task_with_an_empty_stderr(tmp_path, capsys, shots):
+    data = _graph_task_file(tmp_path, WEIGHTED5)
+    assert execute(["model", "train", "--data", data, "--grad", "pshift", "--epochs", "2",
+                    "--shots", shots]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "" and len(captured.out.splitlines()) == 4
 
 
 def test_seeded_graph_eval_shots_match_recorded_output(tmp_path, capsys):

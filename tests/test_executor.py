@@ -17,7 +17,7 @@ from qgns import (DataItem, Dataset, EdgeConvention, Formalism, Graph, ModelSpec
                   StateVector, class_prototypes, encode_features, swap_test_overlap)
 import qgns.executor as executor
 from qgns.executor import compile_circuit, draw_readouts, exact_readouts, param_rows
-from qgns.sim import apply_rows
+from qgns.sim import run_program
 
 from helpers import (cp_matrix, dense_apply, ising_matrix, layer_params,
                      layered_circuit_oracle, random_graph, random_state, rotated_p1,
@@ -108,7 +108,7 @@ def test_row_kernels_match_the_dense_gate_per_row(seed, n, rows, kind):
     params = rng.uniform(-2 * math.pi, 2 * math.pi, rows)
     start = np.array([random_state(rng, n) for _ in range(rows)])
     amps = start.copy()
-    apply_rows(amps, kind, qubits, params)
+    run_program(amps, ((kind, qubits, 0),), params[:, None])
     for b in range(rows):
         if kind == "Ry":
             c, s = math.cos(params[b] / 2), math.sin(params[b] / 2)
@@ -185,11 +185,11 @@ def test_layer_zero_is_prepared_without_ry_passes(monkeypatch):
     rng, model, ds = _case(11, 5, 1, 2, False, "Y")
     calls = []
 
-    def recording(amps, kind, qubits, params):
-        calls.append(kind)
-        apply_rows(amps, kind, qubits, params)
+    def recording(amps, program, rows):
+        calls.extend(kind for kind, _, _ in program)
+        return run_program(amps, program, rows)
 
-    monkeypatch.setattr(executor, "apply_rows", recording)
+    monkeypatch.setattr(executor, "run_program", recording)
     params = rng.uniform(-math.pi, math.pi, (3, model.theta.size + model.weights.size))
     _values(model, ds, params, EdgeConvention.CONTROLLED_PHASE)
     assert model.graph.n_edges and calls == ["CP"] * model.graph.n_edges

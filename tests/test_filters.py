@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qgns import (FilterSpec, Graph, apply_filter_lcu, laplacian, pad_matrix,
+from qgns import (Graph, apply_filter_lcu, laplacian, pad_matrix,
                   polynomial_filter_matrix)
 from qgns.filters import select_powers_operator
 
@@ -53,16 +53,6 @@ def test_polynomial_errors():
         polynomial_filter_matrix(np.ones((2, 3)), [1.0])
     with pytest.raises(ValueError, match="empty"):
         polynomial_filter_matrix(np.eye(2), [])
-
-
-def test_filter_spec_validation():
-    spec = FilterSpec((1.0, 0.0, 2.0))
-    assert spec.degree == 2 and spec.index_width == 2
-    assert FilterSpec((1.0,)).index_width == 0
-    with pytest.raises(ValueError, match="nonzero"):
-        FilterSpec((0.0, 0.0))
-    with pytest.raises(ValueError, match="coefficient"):
-        FilterSpec(())
 
 
 def test_pad_matrix():

@@ -14,8 +14,8 @@ from qgns import (EdgeConvention, Graph, PauliString, StateVector, build_graph_s
 import qgns.graphstate as graphstate
 import qgns.sim as sim
 
-from helpers import (cp_matrix, dense_apply, graph_state_amp_oracle, permute_qubits,
-                     random_graph, random_state, stabilizer_residuals)
+from helpers import (FINITE, cp_matrix, dense_apply, graph_state_amp_oracle, graph_state_oracle,
+                     graphs, permute_qubits, random_graph, random_state, stabilizer_residuals)
 
 SQ2 = math.sqrt(2.0)
 
@@ -45,6 +45,20 @@ def test_build_with_ry_and_product_inits(k2):
     via_product = build_graph_state(k2, angles=[2.0 * math.atan2(0.8, 0.6), 0.0])
     # |x0> = 0.6|0> + 0.8|1>, |x1> = |0>: no 11 component, so CZ acts trivially
     assert np.allclose(via_product.amps, [0.6, 0.8, 0.0, 0.0])
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), g=graphs(max_vertices=10),
+       convention=st.sampled_from(list(EdgeConvention)))
+def test_build_matches_the_gate_by_gate_oracle_bit_for_bit(data, g, convention):
+    # the plus or the Ry start, with the graph's weights or an override
+    n, e = g.n_vertices, g.n_edges
+    angles = data.draw(st.one_of(st.none(), st.lists(st.floats(-4 * math.pi, 4 * math.pi),
+                                                     min_size=n, max_size=n)))
+    weights = data.draw(st.one_of(st.none(), st.lists(FINITE, min_size=e, max_size=e)))
+    built = build_graph_state(g, convention, angles, weights)
+    np.testing.assert_array_equal(built.amps,
+                                  graph_state_oracle(g, convention, angles, weights).amps)
 
 
 def test_build_init_errors(k2):

@@ -209,6 +209,9 @@ def test_schedule_validation():
     with pytest.raises(ValueError, match="kind"):
         ModelSpec(g, 1, Formalism.SEQUENTIAL, np.zeros((1, 2)), np.zeros((1, 1)),
                   (LayerStep("bogus"),))
+    with pytest.raises(ValueError, match="equal endpoints"):
+        ModelSpec(g, 1, Formalism.SEQUENTIAL, np.zeros((1, 2)), np.zeros((1, 1)),
+                  (LayerStep.entangle([(1, 1, 0.3)]),))
 
 
 # -- message passing ----------------------------------------------------------

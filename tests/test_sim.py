@@ -8,13 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qgns import sim
-from qgns.sim import (GateOp, StateVector, apply_gate, apply_linear_operator, apply_rows,
-                      dump_state, expectation_pauli, measure_qubit, new_state, product_rows,
-                      sample_counts, tensor)
+from qgns.sim import (GateOp, StateVector, apply_gate, apply_linear_operator,
+                      diagonal_expectation, dump_state, expectation_pauli, measure_qubit,
+                      new_state, product_rows, run_program, sample_counts, tensor)
 
 from qgns.tasks import edge_readout, node_readout
 
-from helpers import cp_matrix, cry_4x4, dense_apply, ising_matrix, random_state
+from helpers import cp_matrix, cry_4x4, dense_apply, hadamard_test, ising_matrix, random_state
 
 K2_STATE = np.array([1, 1, 1, -1], dtype=complex) / 2.0  # CZ|++>
 
@@ -221,9 +221,34 @@ def test_product_rows_equal_ry_passes_on_zero(data, rows, n):
                                         min_size=rows, max_size=rows)))
     amps = np.zeros((rows, 1 << n), dtype=complex)
     amps[:, 0] = 1.0
-    for q in range(n):
-        apply_rows(amps, "Ry", (q,), theta[:, q])
+    run_program(amps, [("Ry", (q,), q) for q in range(n)], theta)
     np.testing.assert_array_equal(product_rows(theta), amps)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 7), gates=st.integers(0, 6))
+def test_diagonal_expectation_matches_the_clone_hadamard_test(seed, n, gates):
+    rng = np.random.default_rng(seed)
+    s = StateVector(n, random_state(rng, n))
+    before = s.amps.copy()
+    program, params, ops = [], [], []
+    for j in range(gates):
+        kind = str(rng.choice(["CP", "IsingZZ"]))
+        qubits = tuple(int(q) for q in rng.choice(n, 2, replace=False))
+        w = float(rng.uniform(-2 * math.pi, 2 * math.pi))
+        program.append((kind, qubits, j))
+        params.append(w)
+        ops.append(GateOp(kind, qubits, w))
+    assert abs(diagonal_expectation(s, program, params) - hadamard_test(s, ops).real) <= 1e-12
+    np.testing.assert_array_equal(s.amps, before)
+
+
+def test_diagonal_expectation_checks_its_qubits():
+    s = new_state(2, "plus")
+    with pytest.raises(ValueError, match="distinct"):
+        diagonal_expectation(s, [("CP", (1, 1), 0)], [0.3])
+    with pytest.raises(ValueError, match="out of range"):
+        diagonal_expectation(s, [("CP", (0, 2), 0)], [0.3])
 
 
 def test_product_rows_checks_the_width_first():

@@ -5,7 +5,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import qgns.executor as executor
@@ -212,14 +212,25 @@ def test_gate_program_slots_and_the_shift_rule_it_drives(seed, n, m, shared, con
     assert np.max(np.abs(g_fd - g_ps)) < 1e-5
 
 
-def test_param_shift_graph_task_falls_back_with_warning():
-    g = Graph.from_edges(2, [(0, 1)])
-    ds = Dataset("graph", (DataItem(g, [0.1, 0.9], 0), DataItem(g, [0.9, 0.1], 1)))
-    model = initial_model(g)
-    with pytest.warns(UserWarning, match="finite differences"):
-        g_ps = gradient(model, ds, TrainConfig(grad="pshift"))
-    g_fd = gradient(model, ds, TrainConfig(grad="fd"))
-    assert np.array_equal(g_ps, g_fd)
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4), m=st.integers(1, 2),
+       items=st.integers(2, 4), shared=st.booleans(),
+       convention=st.sampled_from(list(EdgeConvention)))
+def test_param_shift_matches_fd_on_the_graph_task(seed, n, m, items, shared, convention):
+    # the swap-test p0 is the expectation of a fixed observable, so the shift
+    # rule holds; models with a score near the BCE clip are skipped, where
+    # central differences are known to miss the exact gradient
+    rng = np.random.default_rng(seed)
+    g = random_graph(rng, n, weighted=True, p_edge=0.6)
+    ds = Dataset("graph", tuple(DataItem(g, rng.uniform(0, 1, n), k % 2)
+                                for k in range(items)))
+    model = initial_model(g, m, shared_weights=shared)
+    model = with_params(model, rng.uniform(-PI, PI, params_of(model).size))
+    scores = np.concatenate(train.model_values(model, ds, TrainConfig(), convention), axis=1)
+    assume(np.all((scores >= 0.05) & (scores <= 0.95)))
+    g_fd = gradient(model, ds, TrainConfig(grad="fd"), convention)
+    g_ps = gradient(model, ds, TrainConfig(grad="pshift"), convention)
+    assert np.max(np.abs(g_fd - g_ps)) < 1e-5
 
 
 def test_fd_gradient_matches_manual_recomputation():
@@ -416,16 +427,6 @@ def test_toy_dataset_shape():
     assert ds.items[0].graph.n_vertices == 5
 
 
-def test_bundled_toy_file_matches_builder():
-    from qgns import toy_dataset_path
-    bundled = load_dataset(toy_dataset_path())
-    built = toy_node_dataset()
-    assert bundled.task == built.task and bundled.node_basis == built.node_basis
-    for a, b in zip(bundled.items, built.items):
-        assert a.graph == b.graph and a.labels == b.labels
-        assert np.array_equal(a.features, b.features)
-
-
 @pytest.mark.parametrize("grad", ["fd", "pshift"])
 def test_fit_encodes_each_item_once(monkeypatch, grad):
     ds = toy_node_dataset()
@@ -509,7 +510,6 @@ def test_row_losses_keep_the_bits_of_every_term(task, loss_kind, target):
         == expected
 
 
-@pytest.mark.filterwarnings("ignore:param_shift needs")
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**16), task=st.sampled_from(["Y", "Z", "edge", "graph"]),
        grad=st.sampled_from(["fd", "pshift"]), shots=st.sampled_from([0, 40]),
@@ -566,7 +566,6 @@ def test_fit_makes_one_executor_call_per_epoch(monkeypatch, grad):
     assert stacks == [2 * params_of(model).size + 1] * 3
 
 
-@pytest.mark.filterwarnings("ignore:param_shift")
 @pytest.mark.parametrize("task", ["node", "graph"])
 @pytest.mark.parametrize("grad", ["fd", "pshift"])
 @pytest.mark.parametrize("epochs", [1, 4])
