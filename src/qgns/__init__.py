@@ -8,11 +8,10 @@ from .sim import (MAX_QUBITS, GateOp, MeasurementRecord, StateVector,
 from .graphstate import (ConstraintRound, EdgeConvention, PauliString, StabilizerReport,
                          build_graph_state, constraint_round, decomposition_amplitude,
                          edge_program, stabilizer_of, verify_stabilizers)
-from .qgnn import (Formalism, LayerStep, ModelSpec, SequentialRun, apply_interlayer,
-                   build_registered, build_superposed, encode_features,
-                   layer_state, load_model, message_pass, model_from_dict, model_to_dict,
-                   neighborhood_groups, periodic_readout, pool_crot, pool_measure,
-                   pool_phase, run_sequential, save_model)
+from .qgnn import (ModelSpec, apply_interlayer, build_registered, build_superposed,
+                   encode_features, layer_state, load_model, message_pass, model_from_dict,
+                   model_to_dict, neighborhood_groups, periodic_readout, pool_crot,
+                   pool_measure, pool_phase, save_model)
 from .tasks import (classify_graph, edge_phase_estimate, edge_readout, node_readout,
                     swap_test_overlap)
 from .filters import apply_filter_lcu, pad_matrix, polynomial_filter_matrix

@@ -19,7 +19,7 @@ import numpy as np
 from . import __version__
 from .graph import from_edge_list, laplacian
 from .graphstate import EdgeConvention, build_graph_state, verify_stabilizers
-from .qgnn import Formalism, load_model, pool_measure, save_model
+from .qgnn import load_model, pool_measure, save_model
 from .sim import dump_state, new_state, sample_counts
 from .tasks import swap_test_overlap
 from .filters import apply_filter_lcu
@@ -94,13 +94,10 @@ def _cmd_state_sample(args) -> int:
 def _model(args, dataset):
     """The --model checkpoint, or an initial model on the dataset's graph."""
     if args.model:
-        for flag in ("layers", "formalism"):
-            if getattr(args, flag) is not None:
-                raise ValueError(f"--{flag} does not apply with --model: the checkpoint "
-                                 f"sets it")
+        if args.layers is not None:
+            raise ValueError("--layers does not apply with --model: the checkpoint sets it")
         return load_model(args.model)
-    return initial_model(dataset.items[0].graph, m=1 if args.layers is None else args.layers,
-                         formalism=Formalism(args.formalism or "sequential"))
+    return initial_model(dataset.items[0].graph, m=1 if args.layers is None else args.layers)
 
 
 def _cmd_model_train(args) -> int:
@@ -219,8 +216,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--model", default=None, help="checkpoint JSON to load")
         p.add_argument("--layers", type=int, default=None,
                        help="layers of a new model (default 1; not with --model)")
-        p.add_argument("--formalism", choices=[f.value for f in Formalism], default=None,
-                       help="formalism of a new model (default sequential; not with --model)")
         if name == "train":
             p.add_argument("--epochs", type=int, default=100)
             p.add_argument("--lr", type=float, default=0.1)

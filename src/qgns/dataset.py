@@ -43,6 +43,8 @@ class Dataset:
             raise ValueError(f"task must be one of {TASKS}, got {self.task!r}")
         if not self.items:
             raise ValueError("dataset has no items")
+        if self.node_basis not in ("Y", "Z"):
+            raise ValueError(f"node_basis must be 'Y' or 'Z', got {self.node_basis!r}")
         for k, item in enumerate(self.items):
             self._check_labels(k, item)
 
@@ -106,8 +108,11 @@ def dataset_from_dict(d: dict, base_dir: Path | None = None) -> Dataset:
                 raise ValueError(f"{where}.labels must hold numbers"
                                  + (" or null" if d["task"] == "node" else ""))
             labels = tuple(labels)
-        items.append(DataItem(_graph_from_entry(entry["graph"], base_dir),
-                              np.asarray(features, dtype=float), labels))
+        try:
+            graph = _graph_from_entry(entry["graph"], base_dir)
+        except ValueError as exc:
+            raise ValueError(f"{where}.graph: {exc}") from None
+        items.append(DataItem(graph, np.asarray(features, dtype=float), labels))
     return Dataset(d["task"], tuple(items), d.get("node_basis", "Y"))
 
 

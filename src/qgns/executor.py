@@ -1,9 +1,10 @@
 """The one circuit executor behind training and evaluation.
 
 compile_circuit compiles a model and a dataset once into a Circuit: the
-sequential layered circuit (per layer, Ry on every vertex, then each edge's
-entangler) as one gate program of (kind, qubits, parameter slot) entries,
-plus the items' encoded features and the readout spec. exact_readouts runs
+model's layered circuit (per layer, Ry on every vertex, then each edge's
+entangler), which is all a ModelSpec describes, as one gate program of
+(kind, qubits, parameter slot) entries, plus the items' encoded features
+and the readout spec. exact_readouts runs
 the program (sim.run_program) for every (parameter row, item) pair, as
 (circuits, 2^n) amplitude stacks of at most _STACK_BYTES each (or one state,
 when larger), and reads every circuit out exactly with the closed forms of
@@ -21,7 +22,7 @@ import numpy as np
 from .dataset import Dataset
 from .graph import Graph
 from .graphstate import EdgeConvention, edge_program
-from .qgnn import Formalism, ModelSpec, encode_features
+from .qgnn import ModelSpec, encode_features
 from .sim import product_rows, run_program
 from .tasks import binomial_estimate, edge_zz, node_p1, sign_estimate, swap_tests
 
@@ -31,17 +32,11 @@ _STACK_BYTES = 1 << 20  # amplitude stack per chunk of circuits: 1 MiB, cache-si
 def gate_program(model: ModelSpec,
                  convention: EdgeConvention = EdgeConvention.CONTROLLED_PHASE
                  ) -> tuple[tuple[str, tuple[int, ...], int], ...]:
-    """The sequential circuit in run order, one (kind, qubits, slot) per gate:
+    """The layered circuit in run order, one (kind, qubits, slot) per gate:
     per layer, Ry on every vertex, then each edge's entangler. slot indexes
     the flat parameter vector (theta entries, then edge weights), so a shared
     edge weight gives its gate in every layer one slot. The entanglers are
     graphstate.edge_program's, so only their kind depends on the convention."""
-    if model.formalism is not Formalism.SEQUENTIAL:
-        raise ValueError(f"training and evaluation run the sequential circuit only, "
-                         f"not the {model.formalism.value!r} formalism")
-    if model.schedule:
-        raise ValueError(f"training and evaluation do not run schedules; the model "
-                         f"has {len(model.schedule)} schedule steps")
     n, edges = model.graph.n_vertices, model.graph.edges
     program = ()
     for layer in range(model.m):

@@ -91,7 +91,20 @@ class Graph:
 
     @classmethod
     def from_dict(cls, d: dict) -> Graph:
-        return cls.from_edges(d["n"], d.get("edges", []))
+        """Graph from its JSON form {"n": n, "edges": [[u, v] or [u, v, w], ...]}.
+        n and the endpoints must be JSON integers and w a number (a bool is
+        neither); anything else raises ValueError rather than being truncated."""
+        n, edges = d.get("n"), d.get("edges", [])
+        if type(n) is not int:
+            raise ValueError(f"graph field 'n' must be an integer, got {n!r}")
+        if not isinstance(edges, list):
+            raise ValueError(f"graph field 'edges' must be a list, got {edges!r}")
+        for k, e in enumerate(edges):
+            if not (isinstance(e, list) and len(e) in (2, 3) and type(e[0]) is int
+                    and type(e[1]) is int and (len(e) == 2 or type(e[2]) in (int, float))):
+                raise ValueError(f"graph edges[{k}] must be [u, v] or [u, v, w] with integer "
+                                 f"endpoints and a numeric weight, got {e!r}")
+        return cls.from_edges(n, edges)
 
 
 def from_edge_list(text: str) -> Graph:

@@ -1,30 +1,25 @@
 """Graph-state neural network assembly.
 
 A model is a graph plus per-layer rotation angles (one per vertex) and
-per-layer edge phases. An item's features enter as one array of Ry angles
-(encode_features), added to layer 0's rotations. Layers can be realized
-three ways:
+per-layer edge phases, and it is the sequential layered circuit: per layer,
+Ry on every vertex, then each edge's entangler (executor.gate_program). An
+item's features enter as one array of Ry angles (encode_features), added
+to layer 0's rotations.
 
-* superposed: all layer states side by side under an explicit index
-  register, (1/sqrt(m)) sum_i |i>|G_i>;
-* registered: layer states on m disjoint qubit registers, coupled on demand
-  by vertex-aligned controlled-phase gates between consecutive registers;
-* sequential: a single register evolved step by step through a schedule of
-  entangle / message / pool operations, where measurement outcomes may gate
-  later steps.
-
-Pooling comes in three flavors: collapse-and-read (Z measurements), phase
-probing (the exact Hadamard-test expectation of a diagonal phase, read in
-closed form), and controlled rotations onto a collector qubit. Edge
-entanglers, in graph states and in the entangle step, run as
-graphstate.edge_program gate programs.
+The module also keeps the other graph-state layers as library functions,
+each with its own tests: the superposed state of the layer states under an
+explicit index register, (1/sqrt(m)) sum_i |i>|G_i>; the registered state
+on m disjoint qubit registers, coupled on demand by vertex-aligned
+controlled-phase gates; neighborhood message passing; and three pooling
+flavors: collapse-and-read (Z measurements), phase probing (the exact
+Hadamard-test expectation of a diagonal phase, read in closed form), and
+controlled rotations onto a collector qubit.
 """
 from __future__ import annotations
 
 import json
 import math
 from dataclasses import dataclass
-from enum import Enum
 from pathlib import Path
 
 import numpy as np
@@ -33,89 +28,13 @@ from .dataset import _check_fields
 from .graph import Graph, neighborhood
 from .graphstate import EdgeConvention, build_graph_state, edge_program
 from .sim import (MAX_QUBITS, GateOp, MeasurementRecord, StateVector, apply_gate,
-                  diagonal_expectation, measure_qubit, run_program)
-
-
-class Formalism(Enum):
-    SUPERPOSED = "superposed"
-    REGISTERED = "registered"
-    SEQUENTIAL = "sequential"
-
-
-@dataclass(frozen=True)
-class LayerStep:
-    """One schedule entry for the sequential formalism.
-
-    condition, when set, is (record_index, outcome): the step runs only if
-    the measurement trace entry at record_index produced that outcome.
-    """
-
-    kind: str
-    qubits: tuple[int, ...] = ()
-    target: int = -1
-    phase: float = 0.0
-    edges: tuple[tuple[int, int, float], ...] = ()
-    condition: tuple[int, int] | None = None
-
-    @classmethod
-    def entangle(cls, edges, condition=None) -> LayerStep:
-        edges = tuple((int(u), int(v), float(w)) for u, v, w in edges)
-        return cls("entangle", edges=edges, condition=condition)
-
-    @classmethod
-    def message(cls, u: int, phase: float, condition=None) -> LayerStep:
-        return cls("message", qubits=(int(u),), phase=float(phase), condition=condition)
-
-    @classmethod
-    def measure(cls, group, condition=None) -> LayerStep:
-        return cls("pool_measure", qubits=tuple(int(q) for q in group), condition=condition)
-
-    @classmethod
-    def phase_probe(cls, group, phase: float, condition=None) -> LayerStep:
-        return cls("pool_phase", qubits=tuple(int(q) for q in group),
-                   phase=float(phase), condition=condition)
-
-    @classmethod
-    def rotate(cls, group, target: int, angle: float, condition=None) -> LayerStep:
-        return cls("pool_crot", qubits=tuple(int(q) for q in group),
-                   target=int(target), phase=float(angle), condition=condition)
-
-    @classmethod
-    def phase_shift(cls, qubit: int, phase: float, condition=None) -> LayerStep:
-        """Single-qubit diag(1, e^{i phase}); phase = pi is a plain Z."""
-        return cls("phase", qubits=(int(qubit),), phase=float(phase), condition=condition)
-
-    def to_dict(self) -> dict:
-        d: dict = {"kind": self.kind}
-        if self.qubits:
-            d["qubits"] = list(self.qubits)
-        if self.target >= 0:
-            d["target"] = self.target
-        if self.phase != 0.0:
-            d["phase"] = self.phase
-        if self.edges:
-            d["edges"] = [[u, v, w] for u, v, w in self.edges]
-        if self.condition is not None:
-            d["condition"] = list(self.condition)
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> LayerStep:
-        cond = d.get("condition")
-        return cls(kind=d["kind"],
-                   qubits=tuple(d.get("qubits", ())),
-                   target=d.get("target", -1),
-                   phase=d.get("phase", 0.0),
-                   edges=tuple((u, v, w) for u, v, w in d.get("edges", ())),
-                   condition=(cond[0], cond[1]) if cond is not None else None)
-
-
-_KNOWN_STEPS = ("entangle", "message", "pool_measure", "pool_phase", "pool_crot", "phase")
+                  diagonal_expectation, measure_qubit)
 
 
 @dataclass(frozen=True, eq=False)
 class ModelSpec:
-    """Trainable model: graph, layer count, per-layer angles and edge phases.
+    """Trainable model: graph, layer count, per-layer angles and edge phases,
+    run as the layered circuit that executor.gate_program compiles.
 
     theta has shape (m, n_vertices); weights has shape (m, n_edges), or
     (1, n_edges) when shared_weights ties the edge phases across layers.
@@ -123,10 +42,8 @@ class ModelSpec:
 
     graph: Graph
     m: int
-    formalism: Formalism
     theta: np.ndarray
     weights: np.ndarray
-    schedule: tuple[LayerStep, ...] = ()
     shared_weights: bool = False
 
     def __post_init__(self) -> None:
@@ -140,15 +57,6 @@ class ModelSpec:
         rows = 1 if self.shared_weights else self.m
         if self.weights.shape != (rows, e):
             raise ValueError(f"weights shape {self.weights.shape} != ({rows}, {e})")
-        for step in self.schedule:
-            if step.kind not in _KNOWN_STEPS:
-                raise ValueError(f"unknown schedule step kind {step.kind!r}")
-            endpoints = tuple(q for u, v, _ in step.edges for q in (u, v))
-            for q in step.qubits + endpoints + ((step.target,) if step.target >= 0 else ()):
-                if not 0 <= q < n:
-                    raise ValueError(f"schedule step {step.kind} references qubit {q}, n={n}")
-            if any(u == v for u, v, _ in step.edges):
-                raise ValueError(f"schedule step {step.kind} has an edge with equal endpoints")
 
     def layer_weights(self, i: int) -> np.ndarray:
         return self.weights[0] if self.shared_weights else self.weights[i]
@@ -295,51 +203,10 @@ def periodic_readout(phase: float, post: str | None = None) -> float:
     raise ValueError(f"unknown post map {post!r}")
 
 
-@dataclass(frozen=True)
-class SequentialRun:
-    final: StateVector
-    trace: tuple[MeasurementRecord, ...]
-    pool_values: tuple[float, ...]  # phase-probe estimates, in schedule order
-
-
-def run_sequential(model: ModelSpec, rng: np.random.Generator,
-                   convention: EdgeConvention = EdgeConvention.CONTROLLED_PHASE
-                   ) -> SequentialRun:
-    """Evolve |G_1> through the schedule; measurement outcomes gate
-    condition-carrying steps. Returns the final state and the full trace."""
-    state = layer_state(model, 0, convention)
-    trace: list[MeasurementRecord] = []
-    pool_values: list[float] = []
-    for step in model.schedule:
-        if step.condition is not None:
-            idx, wanted = step.condition
-            if not 0 <= idx < len(trace):
-                raise ValueError(
-                    f"step {step.kind} conditioned on record {idx}, "
-                    f"but only {len(trace)} records exist")
-            if trace[idx].outcome != wanted:
-                continue
-        if step.kind == "entangle":
-            run_program(state.amps.reshape(1, -1), edge_program(step.edges, convention),
-                        [[w for _, _, w in step.edges]])
-        elif step.kind == "message":
-            message_pass(state, model.graph, step.qubits[0], step.phase)
-        elif step.kind == "pool_measure":
-            _, records = pool_measure(state, step.qubits, rng)
-            trace.extend(records)
-        elif step.kind == "pool_phase":
-            _, estimate = pool_phase(state, model.graph, step.qubits, step.phase)
-            pool_values.append(estimate)
-        elif step.kind == "pool_crot":
-            pool_crot(state, step.qubits, step.target, step.phase)
-        elif step.kind == "phase":
-            apply_gate(state, GateOp.phase(step.qubits[0], step.phase))
-        else:  # unreachable: ModelSpec validates kinds
-            raise ValueError(f"unknown schedule step kind {step.kind!r}")
-    return SequentialRun(state, tuple(trace), tuple(pool_values))
-
-
 CHECKPOINT_VERSION = "qgns-1"
+
+# checkpoint fields that hold one value in every model; the format keeps them
+_CONSTANT_FIELDS = (("formalism", "sequential"), ("schedule", []))
 
 
 def model_to_dict(model: ModelSpec, seed: int = 0) -> dict:
@@ -347,33 +214,51 @@ def model_to_dict(model: ModelSpec, seed: int = 0) -> dict:
         "version": CHECKPOINT_VERSION,
         "graph": model.graph.to_dict(),
         "m": model.m,
-        "formalism": model.formalism.value,
+        "formalism": "sequential",
         "theta": model.theta.tolist(),
         "weights": model.weights.tolist(),
-        "schedule": [step.to_dict() for step in model.schedule],
+        "schedule": [],
         "shared_weights": model.shared_weights,
         "seed": seed,
     }
 
 
-# checkpoint fields and their readers; the last two are optional (read from ())
+def _exactly(kind: type):
+    """A reader that passes a JSON value of exactly this type through (so a
+    bool is not an int, and 1.9 or "1" is not one either)."""
+    def read(value):
+        if type(value) is not kind:
+            raise TypeError(f"expected a JSON {kind.__name__}, got {value!r}")
+        return value
+    return read
+
+
+def _floats(value) -> np.ndarray:
+    return np.asarray(value, dtype=float)
+
+
+# checkpoint fields and their readers; shared_weights is optional (default false)
 _CHECKPOINT_FIELDS = (
-    ("graph", Graph.from_dict), ("m", int), ("formalism", Formalism),
-    ("theta", lambda t: np.asarray(t, dtype=float)),
-    ("weights", lambda t: np.asarray(t, dtype=float)),
-    ("schedule", lambda s: tuple(LayerStep.from_dict(sd) for sd in s)), ("shared_weights", bool))
+    ("graph", Graph.from_dict), ("m", _exactly(int)), ("theta", _floats),
+    ("weights", _floats), ("shared_weights", _exactly(bool)))
 
 
 def model_from_dict(d: dict) -> ModelSpec:
-    """Model from its checkpoint form; a malformed field raises ValueError naming it."""
+    """Model from its checkpoint form; a malformed field raises ValueError
+    naming it, and so does a formalism other than "sequential" or a
+    non-empty schedule."""
     _check_fields(d, "checkpoint", ())
     if d.get("version") != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {d.get('version')!r}")
-    _check_fields(d, "checkpoint", tuple(key for key, _ in _CHECKPOINT_FIELDS[:5]))
+    _check_fields(d, "checkpoint", ("graph", "m", "formalism", "theta", "weights"))
+    for key, value in _CONSTANT_FIELDS:
+        if d.get(key, value) != value:
+            raise ValueError(f"checkpoint field {key!r} must be {value!r}, got {d[key]!r}: "
+                             f"a model is its layered circuit")
     fields = {}
     for key, read in _CHECKPOINT_FIELDS:
         try:
-            fields[key] = read(d.get(key, ()))
+            fields[key] = read(d.get(key, False))
         except (TypeError, ValueError, KeyError, AttributeError) as exc:
             raise ValueError(f"checkpoint field {key!r} is malformed: {exc}") from None
     return ModelSpec(**fields)

@@ -167,11 +167,6 @@ class GateOp:
         return cls("Rz", (q,), float(theta))
 
     @classmethod
-    def phase(cls, q: int, w: float) -> GateOp:
-        """diag(1, e^{iw}) on one qubit, as a LinOp (w = pi gives Z)."""
-        return cls.linop(np.diag([1.0, cmath.exp(1j * w)]), (q,))
-
-    @classmethod
     def cp(cls, control: int, target: int, w: float) -> GateOp:
         """Controlled phase diag(1,1,1,e^{iw}); CP(pi) is controlled-Z."""
         return cls("CP", (control, target), float(w))

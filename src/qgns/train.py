@@ -1,8 +1,9 @@
 """Classical optimization of the circuit parameters.
 
-The trainable model is the layered circuit: per-layer Ry rotations (layer 0
-additionally carries the angle-encoded item features) interleaved with the
-graph's edge entanglers, whose phases are the trainable edge weights.
+A model (qgnn.ModelSpec) is exactly the circuit the executor runs, the
+layered circuit: per-layer Ry rotations (layer 0 additionally carries the
+angle-encoded item features) interleaved with the graph's edge entanglers,
+whose phases are the trainable edge weights.
 Gradients come from central finite differences or from the two-point
 shift rule applied at the readout level; both hold for every parameter and
 every task. The optimizer is plain gradient descent. fit compiles the model
@@ -28,7 +29,7 @@ from .executor import (Circuit, circuit_states, compile_circuit, draw_readouts,
                        exact_readouts, gate_program, param_rows)
 from .graph import Graph
 from .graphstate import EdgeConvention, build_graph_state
-from .qgnn import Formalism, ModelSpec, encode_features
+from .qgnn import ModelSpec, encode_features
 from .sim import StateVector
 
 _CLIP = 1e-7
@@ -68,18 +69,15 @@ def with_params(model: ModelSpec, params: np.ndarray) -> ModelSpec:
     nt = model.theta.size
     theta = np.asarray(params[:nt], dtype=float).reshape(model.theta.shape)
     weights = np.asarray(params[nt:], dtype=float).reshape(model.weights.shape)
-    return ModelSpec(model.graph, model.m, model.formalism, theta, weights,
-                     model.schedule, model.shared_weights)
+    return ModelSpec(model.graph, model.m, theta, weights, model.shared_weights)
 
 
-def initial_model(graph: Graph, m: int = 1, formalism: Formalism = Formalism.SEQUENTIAL,
-                  shared_weights: bool = False) -> ModelSpec:
+def initial_model(graph: Graph, m: int = 1, shared_weights: bool = False) -> ModelSpec:
     """Training start: zero angle offsets, edge phases from the graph itself."""
     rows = 1 if shared_weights else m
     weights = (np.tile([w for _, _, w in graph.edges], (rows, 1))
                if graph.n_edges else np.zeros((rows, 0)))
-    return ModelSpec(graph, m, formalism, np.zeros((m, graph.n_vertices)), weights,
-                     (), shared_weights)
+    return ModelSpec(graph, m, np.zeros((m, graph.n_vertices)), weights, shared_weights)
 
 
 def model_circuit(model: ModelSpec, features=None,

@@ -14,7 +14,7 @@ from qgns import (EdgeConvention, Graph, StateVector, TrainConfig, build_graph_s
                   constraint_round, decomposition_amplitude, demo_graph, fit,
                   gradient, initial_model, laplacian, polynomial_filter_matrix,
                   apply_filter_lcu, swap_test_overlap, toy_node_dataset,
-                  verify_stabilizers, ModelSpec, Formalism, Dataset, DataItem)
+                  verify_stabilizers, ModelSpec, Dataset, DataItem)
 from qgns.cli import execute
 from qgns.executor import compile_circuit, draw_readouts, exact_readouts, param_rows
 from qgns.train import params_of
@@ -145,7 +145,7 @@ def test_criterion_6_gradient_check():
         g = random_graph(rng, n, p_edge=0.7)
         while g.n_edges == 0:
             g = random_graph(rng, n, p_edge=0.7)
-        model = ModelSpec(g, m, Formalism.SEQUENTIAL,
+        model = ModelSpec(g, m,
                           rng.uniform(-1.5, 1.5, (m, n)),
                           rng.uniform(0, 2 * math.pi, (m, g.n_edges)))
         feats = rng.uniform(0, 1, n)
@@ -161,7 +161,7 @@ def test_criterion_6_gradient_check():
 
     # analytic single-qubit case: d<Z>/dtheta = -sin(theta) at theta = pi/3
     target = math.pi / 3
-    tiny = ModelSpec(Graph(1), 1, Formalism.SEQUENTIAL,
+    tiny = ModelSpec(Graph(1), 1,
                      np.array([[target - math.pi / 2]]), np.zeros((1, 0)))
     ds1 = Dataset("node", (DataItem(Graph(1), [0.5], (1,)),), node_basis="Z")
     rows = np.tile(params_of(tiny), (2, 1))

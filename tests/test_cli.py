@@ -7,10 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qgns import (DataItem, Dataset, Formalism, Graph, LayerStep, ModelSpec, build_graph_state,
-                  class_prototypes, dataset_to_dict, initial_model, load_dataset, model_circuit,
-                  new_state, save_dataset, save_model, to_edge_list, toy_dataset_path,
-                  toy_node_dataset)
+from qgns import (DataItem, Dataset, Graph, ModelSpec, build_graph_state, class_prototypes,
+                  dataset_to_dict, demo_graph, initial_model, load_dataset, model_circuit,
+                  model_to_dict, new_state, save_dataset, save_model, to_edge_list,
+                  toy_dataset_path, toy_node_dataset)
 from qgns.cli import execute
 
 
@@ -251,25 +251,38 @@ def _one_epoch(verb: str) -> list[str]:
     return ["--epochs", "1"] if verb == "train" else []
 
 
+def _toy_checkpoint_dict(**fields) -> dict:
+    """The checkpoint of the toy graph's initial model, some fields replaced."""
+    return {**model_to_dict(initial_model(demo_graph())), **fields}
+
+
+def _toy_checkpoint(tmp_path, **fields) -> str:
+    ckpt = tmp_path / "ck.json"
+    ckpt.write_text(json.dumps(_toy_checkpoint_dict(**fields)), encoding="utf-8")
+    return str(ckpt)
+
+
 @pytest.mark.parametrize("verb", ["train", "eval"])
-def test_model_rejects_a_non_sequential_formalism(toy_file, verb, capsys):
+def test_model_rejects_a_non_sequential_formalism(toy_file, tmp_path, verb, capsys):
+    # a model is its layered circuit: a checkpoint that claims another
+    # formalism is refused at load, and there is no --formalism flag
+    for formalism in ("superposed", "registered", None):
+        ckpt = _toy_checkpoint(tmp_path, formalism=formalism)
+        assert execute(["model", verb, "--data", toy_file, "--model", ckpt,
+                        *_one_epoch(verb)]) == 1
+        assert "checkpoint field 'formalism'" in _json_error(capsys)["error"]
     assert execute(["model", verb, "--data", toy_file, "--formalism", "superposed",
-                    *_one_epoch(verb)]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "superposed" in json.loads(captured.err)["error"]
+                    *_one_epoch(verb)]) == 2
+    assert capsys.readouterr().out == ""
 
 
 @pytest.mark.parametrize("verb", ["train", "eval"])
 def test_model_rejects_a_checkpoint_with_a_schedule(toy_file, tmp_path, verb, capsys):
-    base = initial_model(toy_node_dataset().items[0].graph)
-    scheduled = ModelSpec(base.graph, base.m, base.formalism, base.theta, base.weights,
-                          schedule=(LayerStep.message(0, 0.5),))
-    ckpt = tmp_path / "scheduled.json"
-    save_model(scheduled, ckpt)
-    assert execute(["model", verb, "--data", toy_file, "--model", str(ckpt),
-                    *_one_epoch(verb)]) == 1
-    assert "schedule" in json.loads(capsys.readouterr().err)["error"]
+    for schedule in ([{"kind": "message", "qubits": [0], "phase": 0.5}], {}, None):
+        ckpt = _toy_checkpoint(tmp_path, schedule=schedule)
+        assert execute(["model", verb, "--data", toy_file, "--model", ckpt,
+                        *_one_epoch(verb)]) == 1
+        assert "checkpoint field 'schedule'" in _json_error(capsys)["error"]
 
 
 @pytest.mark.parametrize("verb", ["train", "eval"])
@@ -306,7 +319,10 @@ UNREAD_FLAGS = [("state build", ["--shots", "5"]), ("state build", ["--tol", "3"
                 ("state build", ["--seed", "1"]), ("state verify", ["--shots", "5"]),
                 ("state verify", ["--seed", "1"]), ("state sample", ["--tol", "3"]),
                 ("swap", ["--tol", "3"]), ("pool", ["--shots", "5"]), ("pool", ["--tol", "3"]),
-                ("model train", ["--tol", "3"]), ("model eval", ["--tol", "3"])]
+                ("model train", ["--tol", "3"]), ("model eval", ["--tol", "3"]),
+                ("model train", ["--formalism", "sequential"]),
+                ("model eval", ["--formalism", "superposed"]),
+                ("model train", ["--formalism", "registered"])]
 
 
 def _verb_argv(verb: str, k2_file: str, toy_file: str) -> list[str]:
@@ -329,8 +345,8 @@ def test_a_flag_the_verb_does_not_read_is_a_usage_error(verb, flag, k2_file, toy
     assert capsys.readouterr().out == ""
 
 
-@pytest.mark.parametrize("flag", [["--layers", "3"], ["--formalism", "superposed"],
-                                  ["--layers", "1"], ["--formalism", "sequential"]])
+@pytest.mark.parametrize("flag", [["--layers", "3"], ["--layers", "2"],
+                                  ["--layers", "1"], ["--layers", "0"]])
 @pytest.mark.parametrize("verb", ["train", "eval"])
 def test_new_model_flags_with_a_checkpoint_are_json_errors(toy_file, tmp_path, verb, flag,
                                                            capsys):
@@ -381,6 +397,30 @@ def test_state_build_too_wide_is_a_json_error(tmp_path, capsys):
     ({"task": "node", "items": [{"graph": "qgraph v1 n=2\n0 1\n", "features": [0.1, 0.9],
                                  "labels": 1}]}, "items[0].labels"),
     ([{"task": "node", "items": []}], "dataset must be a JSON object"),
+    # graph sizes and endpoints are JSON integers and weights numbers, never truncated
+    ({"task": "node", "items": [{"graph": {"n": 3.7, "edges": [[0.9, 2.2]]},
+                                 "features": [0.1, 0.5, 0.9], "labels": [0, 1, 0]}]},
+     "items[0].graph: graph field 'n' must be an integer, got 3.7"),
+    ({"task": "node", "items": [{"graph": {"n": 3, "edges": [[0.9, 2.2]]},
+                                 "features": [0.1, 0.5, 0.9], "labels": [0, 1, 0]}]},
+     "items[0].graph: graph edges[0]"),
+    ({"task": "node", "items": [{"graph": {"n": 5.9}, "features": [0.1] * 5,
+                                 "labels": [0] * 5}]}, "graph field 'n'"),
+    ({"task": "edge", "items": [{"graph": {"n": 2, "edges": [[0, 1, True]]},
+                                 "features": [0.1, 0.9], "labels": [0.5]}]},
+     "graph edges[0]"),
+    ({"task": "edge", "items": [{"graph": {"n": 2, "edges": [[False, 1]]},
+                                 "features": [0.1, 0.9], "labels": [0.5]}]},
+     "graph edges[0]"),
+    ({"task": "graph", "items": [{"graph": {"n": "2"}, "features": [0.1, 0.9],
+                                  "labels": 0}]}, "graph field 'n'"),
+    # node_basis is checked on every task
+    ({"task": "edge", "node_basis": "Q", "items": [{"graph": {"n": 2, "edges": [[0, 1]]},
+                                                    "features": [0.1, 0.9], "labels": [0.5]}]},
+     "node_basis must be 'Y' or 'Z', got 'Q'"),
+    ({"task": "node", "node_basis": "X", "items": [{"graph": {"n": 2, "edges": [[0, 1]]},
+                                                    "features": [0.1, 0.9], "labels": [0, 1]}]},
+     "node_basis must be 'Y' or 'Z', got 'X'"),
 ])
 def test_malformed_dataset_is_a_json_error(tmp_path, payload, field, capsys):
     data = tmp_path / "bad.json"
@@ -466,6 +506,17 @@ def test_the_cached_parser_keeps_no_state_between_calls(k2_file, demo_file, tmp_
       "theta": [[0.0]], "weights": [[]]}, "checkpoint field 'graph'"),
     ({"version": "qgns-1", "m": 1, "formalism": "sequential", "theta": [[0.0]],
       "weights": [[]]}, "missing the field 'graph'"),
+    # m is a JSON integer and shared_weights a JSON bool, never coerced
+    (_toy_checkpoint_dict(m=1.9), "checkpoint field 'm'"),
+    (_toy_checkpoint_dict(m="1"), "checkpoint field 'm'"),
+    (_toy_checkpoint_dict(m=True), "checkpoint field 'm'"),
+    (_toy_checkpoint_dict(shared_weights="false"), "checkpoint field 'shared_weights'"),
+    (_toy_checkpoint_dict(shared_weights=0), "checkpoint field 'shared_weights'"),
+    # a model is its layered circuit
+    (_toy_checkpoint_dict(formalism="superposed"), "checkpoint field 'formalism'"),
+    (_toy_checkpoint_dict(schedule=[{"kind": "phase", "qubits": [1], "phase": 3.14}]),
+     "checkpoint field 'schedule'"),
+    (_toy_checkpoint_dict(graph={"n": 5.0, "edges": []}), "checkpoint field 'graph'"),
 ])
 @pytest.mark.parametrize("verb", ["train", "eval"])
 def test_malformed_checkpoint_is_a_json_error(toy_file, tmp_path, verb, payload, field,
@@ -534,7 +585,7 @@ def _wide_case(name: str, tmp_path: Path) -> list[str]:
     theta = 0.3 * np.cos(np.arange(2 * n).reshape(2, n) * 1.7)
     weights = np.pi - 0.2 * np.sin(np.arange(2 * e).reshape(2, e))
     ckpt = tmp_path / "node10-model.json"
-    save_model(ModelSpec(RING10, 2, Formalism.SEQUENTIAL, theta, weights), ckpt)
+    save_model(ModelSpec(RING10, 2, theta, weights), ckpt)
     return ["model", "eval", "--data", str(data), "--model", str(ckpt)]
 
 
@@ -558,7 +609,7 @@ def _eval_case(name: str, tmp_path: Path) -> list[str]:
         save_dataset(Dataset("node", items, "Y"), tmp_path / "node8.json")
         theta = 0.4 * np.sin(np.arange(2 * n).reshape(2, n) * 1.3)
         weights = np.pi - 0.3 * np.cos(np.arange(2 * e).reshape(2, e))
-        save_model(ModelSpec(RING8, 2, Formalism.SEQUENTIAL, theta, weights),
+        save_model(ModelSpec(RING8, 2, theta, weights),
                    tmp_path / "node8-model.json")
         return ["model", "eval", "--data", str(tmp_path / "node8.json"), "--model",
                 str(tmp_path / "node8-model.json"), "--shots", "300", "--seed", "13"]
@@ -569,7 +620,7 @@ def _eval_case(name: str, tmp_path: Path) -> list[str]:
         save_dataset(Dataset("edge", items), tmp_path / "edge5.json")
         theta = 0.5 * np.cos(np.arange(2 * n).reshape(2, n) * 0.7)
         weights = 1.5 + 0.4 * np.sin(np.arange(e)).reshape(1, e)
-        save_model(ModelSpec(WEIGHTED5, 2, Formalism.SEQUENTIAL, theta, weights,
+        save_model(ModelSpec(WEIGHTED5, 2, theta, weights,
                              shared_weights=True), tmp_path / "edge5-model.json")
         return ["model", "eval", "--data", str(tmp_path / "edge5.json"), "--model",
                 str(tmp_path / "edge5-model.json"), "--shots", "200", "--seed", "9"]
@@ -581,7 +632,7 @@ def _eval_case(name: str, tmp_path: Path) -> list[str]:
     save_dataset(Dataset("node", items, "Z"), tmp_path / "node10z.json")
     theta = 0.7 * np.sin(np.arange(2 * n).reshape(2, n) * 0.9)
     weights = 0.8 + 0.1 * np.arange(2 * e).reshape(2, e)
-    save_model(ModelSpec(RING10, 2, Formalism.SEQUENTIAL, theta, weights),
+    save_model(ModelSpec(RING10, 2, theta, weights),
                tmp_path / "node10z-model.json")
     return ["model", "eval", "--data", str(tmp_path / "node10z.json"), "--model",
             str(tmp_path / "node10z-model.json"), "--convention", "ising"]
@@ -612,7 +663,7 @@ def _pshift_case(name: str, tmp_path: Path) -> list[str]:
     save_dataset(Dataset("node", items, "Y"), tmp_path / "node5.json")
     theta = 0.6 * np.sin(np.arange(2 * n).reshape(2, n) * 1.1)
     weights = 1.2 + 0.5 * np.cos(np.arange(e)).reshape(1, e)
-    save_model(ModelSpec(WEIGHTED5, 2, Formalism.SEQUENTIAL, theta, weights,
+    save_model(ModelSpec(WEIGHTED5, 2, theta, weights,
                          shared_weights=True), tmp_path / "node5-model.json")
     argv = ["model", "train", "--data", str(tmp_path / "node5.json"), "--model",
             str(tmp_path / "node5-model.json"), "--grad", "pshift", "--convention", "ising",
@@ -644,7 +695,7 @@ def _fd_case(name: str, tmp_path: Path) -> list[str]:
         g = toy_node_dataset().items[0].graph
         theta = np.sin(np.arange(g.n_vertices).reshape(1, -1) * 1.3 + 0.4)
         weights = np.pi - 0.5 * np.cos(np.arange(g.n_edges).reshape(1, -1))
-        save_model(ModelSpec(g, 1, Formalism.SEQUENTIAL, theta, weights), tmp_path / "toy.json")
+        save_model(ModelSpec(g, 1, theta, weights), tmp_path / "toy.json")
         return ["model", "train", "--data", str(toy_dataset_path()), "--model",
                 str(tmp_path / "toy.json"), "--epochs", "5", "--seed", "3", "--grad", "fd", *save]
     if name == "node_train_exact_fd_mse_ising_m2":

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qgns import (DataItem, Dataset, EdgeConvention, Formalism, Graph, ModelSpec,
+from qgns import (DataItem, Dataset, EdgeConvention, Graph, ModelSpec,
                   StateVector, class_prototypes, encode_features, swap_test_overlap)
 import qgns.executor as executor
 from qgns.executor import compile_circuit, draw_readouts, exact_readouts, param_rows
@@ -34,7 +34,7 @@ def _case(seed: int, n: int, m: int, items: int, shared: bool, readout: str):
     if readout == "ZZ" and g.n_edges == 0:
         g = Graph.from_edges(n, [(0, n - 1, float(rng.uniform(0.0, 2 * math.pi)))])
     rows = 1 if shared else m
-    model = ModelSpec(g, m, Formalism.SEQUENTIAL, rng.uniform(-math.pi, math.pi, (m, n)),
+    model = ModelSpec(g, m, rng.uniform(-math.pi, math.pi, (m, n)),
                       rng.uniform(0.0, 2 * math.pi, (rows, g.n_edges)), shared_weights=shared)
     if readout == "ZZ":
         data = tuple(DataItem(g, rng.uniform(0, 1, n), tuple(rng.uniform(-1, 1, g.n_edges)))
@@ -159,7 +159,7 @@ def test_graph_scores_match_the_swap_circuit_and_draw_in_row_prototype_order(
         seed, n, rows, items, convention):
     rng = np.random.default_rng(seed)
     g = random_graph(rng, n, weighted=True)
-    model = ModelSpec(g, 1, Formalism.SEQUENTIAL, rng.uniform(-math.pi, math.pi, (1, n)),
+    model = ModelSpec(g, 1, rng.uniform(-math.pi, math.pi, (1, n)),
                       rng.uniform(0.0, 2 * math.pi, (1, g.n_edges)))
     ds = Dataset("graph", tuple(DataItem(g, rng.uniform(0, 1, n), k % 2)
                                 for k in range(items)))

@@ -121,3 +121,18 @@ def test_weight_lookup(demo5):
 
 def test_dict_roundtrip(demo5):
     assert Graph.from_dict(demo5.to_dict()) == demo5
+
+
+def test_from_dict_takes_integers_and_numbers_only():
+    # JSON input is never truncated: 3.7 vertices or a 0.9 endpoint is an error
+    assert Graph.from_dict({"n": 3, "edges": [[0, 2], [1, 2, 7]]}) == Graph(
+        3, ((0, 2, math.pi), (1, 2, 7.0)))
+    for d, bad in [({"n": 3.7}, "'n'"), ({"n": 3.0}, "'n'"), ({"n": "3"}, "'n'"),
+                   ({"n": True}, "'n'"), ({"n": 3, "edges": [[0.9, 2.2]]}, r"edges\[0\]"),
+                   ({"n": 3, "edges": [[0, 1], [True, 2]]}, r"edges\[1\]"),
+                   ({"n": 3, "edges": [[0, 1, False]]}, r"edges\[0\]"),
+                   ({"n": 3, "edges": [[0, 1, "1.0"]]}, r"edges\[0\]"),
+                   ({"n": 3, "edges": [[0]]}, r"edges\[0\]"),
+                   ({"n": 3, "edges": {"0": 1}}, "'edges'")]:
+        with pytest.raises(ValueError, match=bad):
+            Graph.from_dict(d)

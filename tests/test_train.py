@@ -10,10 +10,10 @@ from hypothesis import strategies as st
 
 import qgns.executor as executor
 import qgns.train as train
-from qgns import (DataItem, Dataset, EdgeConvention, Formalism, Graph, LayerStep, ModelSpec,
-                  TrainConfig, accuracy, encode_features, fit, gradient, initial_model,
-                  load_dataset, loss, model_circuit, params_of, save_dataset, to_edge_list,
-                  toy_node_dataset, with_params)
+from qgns import (DataItem, Dataset, EdgeConvention, Graph, ModelSpec, TrainConfig, accuracy,
+                  encode_features, fit, gradient, initial_model, load_dataset, loss,
+                  model_circuit, params_of, save_dataset, to_edge_list, toy_node_dataset,
+                  with_params)
 from qgns.executor import (compile_circuit, draw_readouts, exact_readouts, gate_program,
                            param_rows)
 from qgns.graphstate import edge_kind
@@ -27,7 +27,7 @@ PI = math.pi
 def edgeless_model(n: int, theta_row=None) -> ModelSpec:
     g = Graph(n)
     theta = np.zeros((1, n)) if theta_row is None else np.array([theta_row])
-    return ModelSpec(g, 1, Formalism.SEQUENTIAL, theta, np.zeros((1, 0)))
+    return ModelSpec(g, 1, theta, np.zeros((1, 0)))
 
 
 def test_loss_zero_on_perfect_mse_predictions():
@@ -108,6 +108,16 @@ def test_node_labels_must_lie_in_the_unit_interval(k2):
     Dataset("edge", (DataItem(k2, [0.1, 0.2], (5.0,)),))  # edge targets are any reals
 
 
+def test_node_basis_must_be_y_or_z(k2):
+    # checked for every task: the dataset file writes the field for each one
+    for task, labels in [("node", (0, 1)), ("edge", (0.5,)), ("graph", 0)]:
+        for basis in ("X", "Q", "z", None):
+            with pytest.raises(ValueError, match=f"node_basis must be 'Y' or 'Z', got {basis!r}"):
+                Dataset(task, (DataItem(k2, [0.1, 0.2], labels),), node_basis=basis)
+        for basis in ("Y", "Z"):
+            assert Dataset(task, (DataItem(k2, [0.1, 0.2], labels),), node_basis=basis)
+
+
 def test_gradient_zero_for_unused_parameter():
     # only node 0 is labeled on an edgeless graph, so theta[0, 1] is inert
     model = edgeless_model(2, [0.3, 1.1])
@@ -141,7 +151,7 @@ def test_param_shift_matches_finite_differences(rng, task):
     for _ in range(4):
         theta = rng.uniform(-1.5, 1.5, (2, 4))
         weights = rng.uniform(0.0, 2 * PI, (2, 4))
-        model = ModelSpec(g, 2, Formalism.SEQUENTIAL, theta, weights)
+        model = ModelSpec(g, 2, theta, weights)
         feats = rng.uniform(0.0, 1.0, 4)
         if task == "node":
             labels = tuple(int(b) for b in rng.integers(0, 2, 4))
@@ -155,7 +165,7 @@ def test_param_shift_matches_finite_differences(rng, task):
 
 def test_param_shift_shared_weights(rng):
     g = Graph.from_edges(3, [(0, 1), (1, 2)])
-    model = ModelSpec(g, 2, Formalism.SEQUENTIAL, rng.uniform(-1, 1, (2, 3)),
+    model = ModelSpec(g, 2, rng.uniform(-1, 1, (2, 3)),
                       rng.uniform(0, 3, (1, 2)), shared_weights=True)
     ds = Dataset("node", (DataItem(g, rng.uniform(0, 1, 3), (1, 0, 1)),))
     g_fd = gradient(model, ds, TrainConfig(grad="fd"))
@@ -166,7 +176,7 @@ def test_param_shift_shared_weights(rng):
 
 def test_param_shift_ising_convention(rng):
     g = Graph.from_edges(3, [(0, 1), (0, 2)])
-    model = ModelSpec(g, 1, Formalism.SEQUENTIAL, rng.uniform(-1, 1, (1, 3)),
+    model = ModelSpec(g, 1, rng.uniform(-1, 1, (1, 3)),
                       rng.uniform(0, 3, (1, 2)))
     ds = Dataset("node", (DataItem(g, rng.uniform(0, 1, 3), (0, 1, 0)),))
     g_fd = gradient(model, ds, TrainConfig(grad="fd"), EdgeConvention.ISING_ZZ)
@@ -183,7 +193,7 @@ def test_gate_program_slots_and_the_shift_rule_it_drives(seed, n, m, shared, con
     rng = np.random.default_rng(seed)
     g = random_graph(rng, n, weighted=True)
     e = g.n_edges
-    model = ModelSpec(g, m, Formalism.SEQUENTIAL, rng.uniform(-1.5, 1.5, (m, n)),
+    model = ModelSpec(g, m, rng.uniform(-1.5, 1.5, (m, n)),
                       rng.uniform(0.0, 2 * PI, (1 if shared else m, e)), shared_weights=shared)
     program = gate_program(model, convention)
     # run order: per layer, Ry on every vertex, then each edge's entangler
@@ -257,26 +267,6 @@ def test_clipped_readout_gets_zero_gradient():
     assert loss(model, ds, TrainConfig()) == pytest.approx(-math.log(1e-7))
     for method in ("fd", "pshift"):
         assert np.array_equal(gradient(model, ds, TrainConfig(grad=method)), [0.0])
-
-
-@pytest.mark.parametrize("formalism", [Formalism.SUPERPOSED, Formalism.REGISTERED])
-def test_non_sequential_formalism_is_rejected(k2, formalism):
-    ds = Dataset("node", (DataItem(k2, [0.2, 0.8], (1, 0)),))
-    model = initial_model(k2, formalism=formalism)
-    with pytest.raises(ValueError, match=formalism.value):
-        loss(model, ds, TrainConfig())
-    with pytest.raises(ValueError, match=formalism.value):
-        model_circuit(model)
-
-
-def test_schedule_is_rejected(k2):
-    ds = Dataset("node", (DataItem(k2, [0.2, 0.8], (1, 0)),))
-    base = initial_model(k2)
-    model = ModelSpec(k2, 1, Formalism.SEQUENTIAL, base.theta, base.weights,
-                      schedule=(LayerStep.message(0, 0.5),))
-    for method in ("fd", "pshift"):
-        with pytest.raises(ValueError, match="schedule"):
-            gradient(model, ds, TrainConfig(grad=method))
 
 
 def test_fit_zero_learning_rate_is_a_no_op(k2):
@@ -642,7 +632,7 @@ def test_pshift_gradient_equals_the_per_gate_loop(seed, n, m, shared, convention
     if readout == "ZZ" and not g.n_edges:
         g = Graph.from_edges(g.n_vertices, [(0, 1, 0.4)])
     n, e = g.n_vertices, g.n_edges
-    model = ModelSpec(g, m, Formalism.SEQUENTIAL, rng.uniform(-1.5, 1.5, (m, n)),
+    model = ModelSpec(g, m, rng.uniform(-1.5, 1.5, (m, n)),
                       rng.uniform(0.0, 2 * PI, (1 if shared else m, e)), shared_weights=shared)
     items = []
     for k in range(int(rng.integers(1, 4))):
