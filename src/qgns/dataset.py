@@ -49,19 +49,26 @@ class Dataset:
             self._check_labels(k, item)
 
     def _check_labels(self, k: int, item: DataItem) -> None:
-        n, e = item.graph.n_vertices, item.graph.n_edges
+        """Label counts and ranges; a bool is never a label, though Python
+        counts it as an int."""
+        n, e, where = item.graph.n_vertices, item.graph.n_edges, f"items[{k}].labels"
+        if self.task == "graph":
+            label = item.labels
+            if isinstance(label, bool) or not isinstance(label, int) or label < 0:
+                raise ValueError(f"{where} must be a nonnegative class index for the graph "
+                                 f"task, got {label!r}")
+            return
+        for v, lab in enumerate(item.labels):
+            if isinstance(lab, bool):
+                raise ValueError(f"{where}[{v}] must be a number, got {lab!r}")
         if self.task == "node":
             if len(item.labels) != n:
                 raise ValueError(f"node task needs {n} labels, got {len(item.labels)}")
             for v, lab in enumerate(item.labels):
                 if lab is not None and not 0.0 <= lab <= 1.0:
-                    raise ValueError(f"items[{k}].labels[{v}] must be in [0, 1], got {lab!r}")
-        elif self.task == "edge":
-            if len(item.labels) != e:
-                raise ValueError(f"edge task needs {e} targets, got {len(item.labels)}")
-        else:
-            if not isinstance(item.labels, int) or item.labels < 0:
-                raise ValueError("graph task needs a nonnegative class index label")
+                    raise ValueError(f"{where}[{v}] must be in [0, 1], got {lab!r}")
+        elif len(item.labels) != e:
+            raise ValueError(f"edge task needs {e} targets, got {len(item.labels)}")
 
 
 # -- dataset files -------------------------------------------------------------
@@ -97,13 +104,14 @@ def dataset_from_dict(d: dict, base_dir: Path | None = None) -> Dataset:
         where = f"items[{k}]"
         _check_fields(entry, where, ("graph", "features", "labels"))
         features, labels = entry["features"], entry["labels"]
-        if not isinstance(features, list) or not all(isinstance(x, (int, float)) for x in features):
+        # a JSON number is an int or a float; true and false are not numbers
+        if not isinstance(features, list) or not all(type(x) in (int, float) for x in features):
             raise ValueError(f"{where}.features must be a list of numbers")
         if d["task"] in ("node", "edge"):
             if not isinstance(labels, list):
                 raise ValueError(f"{where}.labels must be a list for the {d['task']} task, "
                                  f"got {type(labels).__name__}")
-            if not all(isinstance(lab, (int, float)) or (lab is None and d["task"] == "node")
+            if not all(type(lab) in (int, float) or (lab is None and d["task"] == "node")
                        for lab in labels):
                 raise ValueError(f"{where}.labels must hold numbers"
                                  + (" or null" if d["task"] == "node" else ""))

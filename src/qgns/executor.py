@@ -24,7 +24,7 @@ from .graph import Graph
 from .graphstate import EdgeConvention, edge_program
 from .qgnn import ModelSpec, encode_features
 from .sim import product_rows, run_program
-from .tasks import binomial_estimate, edge_zz, node_p1, sign_estimate, swap_tests
+from .tasks import binomial_estimate, edge_zzs, node_p1, sign_estimate, swap_tests
 
 _STACK_BYTES = 1 << 20  # amplitude stack per chunk of circuits: 1 MiB, cache-sized
 
@@ -99,11 +99,8 @@ def _readouts(amps: np.ndarray, circuit: Circuit) -> np.ndarray:
     if circuit.dataset.task == "graph":
         return swap_tests(amps, circuit.prototypes)[0]
     if circuit.dataset.task == "node":
-        columns = [node_p1(amps, v, circuit.dataset.node_basis)
-                   for v in range(circuit.graph.n_vertices)]
-    else:
-        columns = [edge_zz(amps, u, v) for u, v, _ in circuit.graph.edges]
-    return np.stack(columns, axis=-1) if columns else np.zeros((amps.shape[0], 0))
+        return node_p1(amps, range(circuit.graph.n_vertices), circuit.dataset.node_basis)
+    return edge_zzs(amps, [(u, v) for u, v, _ in circuit.graph.edges])
 
 
 def exact_readouts(circuit: Circuit, rows: np.ndarray) -> np.ndarray:

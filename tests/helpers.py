@@ -8,9 +8,11 @@ shift-rule loop that qgns.qgnn and qgns.train compute as arrays, the
 one-circuit-at-a-time path (apply_gate per gate, a rotated
 clone per node readout, a Pauli-flipped clone per edge readout) that the
 batched trainer executor and the graph-state builder must reproduce bit for
-bit, and the simulated circuits (the CSWAP swap test, the dense LCU select
-operator, the stabilizer applied to a clone, the Hadamard test on a
-transformed clone) whose closed forms the package computes instead.
+bit, the one-pass-per-edge <ZZ> that the shared block sums of qgns.tasks
+must reproduce bit for bit, and the simulated circuits (the CSWAP swap
+test, the dense LCU select operator, the stabilizer applied to a clone, the
+Hadamard test on a transformed clone) whose closed forms the package
+computes instead.
 """
 from __future__ import annotations
 
@@ -243,6 +245,18 @@ def rotated_p1(s: StateVector, qubit: int, basis: str) -> float:
         apply_gate(work, GateOp.h(qubit))
     view = work.amps.reshape(-1, 2, 1 << qubit)
     return float(np.sum(np.abs(view[:, 1, :]) ** 2))
+
+
+def edge_zz_oracle(amps: np.ndarray, u: int, v: int) -> np.ndarray:
+    """<Z_u Z_v> for every state of a contiguous (..., 2^n) stack, one pass
+    per edge: square the interleaved floats, flip the signs of the odd-parity
+    ones in place and sum them all."""
+    hi, lo = max(u, v), min(u, v)
+    sq = amps.view(np.float64) ** 2
+    view = sq.reshape(amps.shape[:-1] + (-1, 2, 1 << (hi - lo - 1), 2, 2 << lo))
+    view[..., 0, :, 1, :] *= -1.0
+    view[..., 1, :, 0, :] *= -1.0
+    return sq.sum(axis=-1)
 
 
 def zz_oracle(s: StateVector, u: int, v: int) -> float:

@@ -429,6 +429,31 @@ def test_malformed_dataset_is_a_json_error(tmp_path, payload, field, capsys):
     assert field in json.loads(capsys.readouterr().err)["error"]
 
 
+_P2 = "qgraph v1 n=2\n0 1\n"
+
+
+# JSON true and false are not numbers, though Python's bool is an int: each of
+# these was echoed back (or scored as class 1) instead of being refused
+@pytest.mark.parametrize("payload, error", [
+    ({"task": "node", "items": [{"graph": _P2, "features": [True, False],
+                                 "labels": [True, False]}]},
+     "items[0].features must be a list of numbers"),
+    ({"task": "node", "items": [{"graph": _P2, "features": [0.1, 0.9],
+                                 "labels": [True, None]}]},
+     "items[0].labels must hold numbers or null"),
+    ({"task": "edge", "items": [{"graph": _P2, "features": [0.1, 0.9], "labels": [False]}]},
+     "items[0].labels must hold numbers"),
+    ({"task": "graph", "items": [{"graph": _P2, "features": [0.1, 0.9], "labels": 0},
+                                 {"graph": _P2, "features": [0.9, 0.1], "labels": True}]},
+     "items[1].labels must be a nonnegative class index for the graph task, got True"),
+], ids=["node-features", "node-labels", "edge-labels", "graph-label"])
+def test_json_booleans_are_not_dataset_numbers(tmp_path, payload, error, capsys):
+    data = tmp_path / "bools.json"
+    data.write_text(json.dumps(payload), encoding="utf-8")
+    assert execute(["model", "eval", "--data", str(data)]) == 1
+    assert _json_error(capsys) == {"error": error}
+
+
 GOLDEN = Path(__file__).parent / "golden"
 WEIGHTED5 = Graph.from_edges(5, [(0, 1, 0.7), (1, 2, 1.9), (2, 3, 2.4), (3, 4, 0.3),
                                  (0, 4, 1.1), (1, 3, 2.8)])

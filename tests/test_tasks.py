@@ -10,8 +10,10 @@ from hypothesis import strategies as st
 from qgns import (Graph, StateVector, build_graph_state, classify_graph,
                   edge_phase_estimate, edge_readout, new_state, node_readout,
                   swap_test_overlap)
+from qgns.tasks import edge_zzs, node_p1
 
-from helpers import random_graph, random_state, swap_circuit_p0
+from helpers import (edge_zz_oracle, random_graph, random_state, rotated_p1,
+                     swap_circuit_p0)
 
 
 def test_node_readout_z_basis():
@@ -51,6 +53,93 @@ def test_edge_readout_examples(k2):
     assert edge_readout(build_graph_state(k2), 0, 1) == pytest.approx(0.0, abs=1e-12)
     with pytest.raises(ValueError, match="distinct"):
         edge_readout(new_state(2), 1, 1)
+
+
+def _stack(rng: np.random.Generator, batch: int, n: int) -> np.ndarray:
+    return np.array([random_state(rng, n) for _ in range(batch)])
+
+
+def _oracle_columns(columns, batch: int) -> np.ndarray:
+    return np.stack(columns, axis=-1) if columns else np.zeros((batch, 0))
+
+
+@settings(max_examples=120, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 14), batch=st.integers(1, 3))
+def test_shared_block_sums_have_the_bits_of_one_pass_per_edge(seed, n, batch):
+    # edge blocks hold 64 amplitudes, so n up to 14 puts 0, 1 or 2 endpoints
+    # inside a block; pairs come in either order and may repeat
+    rng = np.random.default_rng(seed)
+    amps = _stack(rng, batch, n)
+    before = amps.copy()
+    pairs = [] if n == 1 else [tuple(int(q) for q in rng.choice(n, 2, replace=False))
+                               for _ in range(rng.integers(0, 3 * n + 1))]
+    pairs += pairs[:2]
+    zz = edge_zzs(amps, pairs)
+    assert zz.shape == (batch, len(pairs))
+    assert np.array_equal(zz, _oracle_columns([edge_zz_oracle(amps, u, v) for u, v in pairs],
+                                              batch))
+    assert np.array_equal(amps, before)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 10), batch=st.integers(1, 3),
+       basis=st.sampled_from(["Y", "Z"]))
+def test_node_p1_of_a_qubit_list_matches_the_rotated_clone(seed, n, batch, basis):
+    rng = np.random.default_rng(seed)
+    amps = _stack(rng, batch, n)
+    qubits = [int(q) for q in rng.integers(0, n, rng.integers(0, 2 * n + 1))]
+    p1 = node_p1(amps, qubits, basis)
+    assert p1.shape == (batch, len(qubits))
+    expected = np.array([[rotated_p1(StateVector(n, a), q, basis) for q in qubits]
+                         for a in amps]).reshape(p1.shape)
+    if basis == "Z":
+        assert np.array_equal(p1, expected)
+    else:
+        # the Sdg, H clone rounds its sums of pairs differently from the closed form
+        assert np.max(np.abs(p1 - expected), initial=0.0) <= 1e-14
+
+
+def test_shared_block_sums_at_sixteen_qubits_with_random_edges():
+    rng = np.random.default_rng(16)
+    n = 16
+    amps = _stack(rng, 2, n)
+    edges = [tuple(int(q) for q in rng.choice(n, 2, replace=False)) for _ in range(2 * n)]
+    assert np.array_equal(edge_zzs(amps, edges),
+                          _oracle_columns([edge_zz_oracle(amps, u, v) for u, v in edges], 2))
+
+
+def test_empty_readout_lists_give_empty_columns(rng):
+    amps = _stack(rng, 3, 9)
+    assert edge_zzs(amps, []).shape == (3, 0)
+    for basis in ("Y", "Z"):
+        assert node_p1(amps, [], basis).shape == (3, 0)
+
+
+def _adjacent_pairs_tree(x: np.ndarray, block: int) -> np.ndarray:
+    """Sum each aligned block of the last axis, then add the block sums in
+    adjacent pairs until one is left."""
+    sums = x.reshape(x.shape[:-1] + (-1, block)).sum(axis=-1)
+    while sums.shape[-1] > 1:
+        sums = sums[..., 0::2] + sums[..., 1::2]
+    return sums[..., 0]
+
+
+def test_numpy_sums_pairwise_over_aligned_blocks_of_128_or_more():
+    # the block-sum edge readout (edge_zzs) reproduces the bits of one np.sum
+    # only because of this property of numpy's float64 sum
+    rng = np.random.default_rng(7)
+    orders_differ = False
+    for k in range(7, 21):
+        # magnitudes over 16 decades, so that the order of the additions shows
+        x = rng.standard_normal((2, 1 << k)) * 10.0 ** rng.uniform(-8, 8, (2, 1 << k))
+        total = x.sum(axis=-1)
+        for j in range(7, k + 1):
+            assert np.array_equal(total, _adjacent_pairs_tree(x, 1 << j)), (
+                f"numpy {np.__version__}: the sum of 2^{k} float64 values is not the "
+                f"adjacent-pairs tree of its aligned blocks of 2^{j}; the block-sum "
+                f"edge readout qgns.tasks.edge_zzs depends on this")
+        orders_differ |= not np.array_equal(total, _adjacent_pairs_tree(x, 64))
+    assert orders_differ, "blocks of 64 summed alike: this check cannot tell orders apart"
 
 
 def test_edge_phase_estimate_examples(k2):

@@ -108,6 +108,14 @@ def test_node_labels_must_lie_in_the_unit_interval(k2):
     Dataset("edge", (DataItem(k2, [0.1, 0.2], (5.0,)),))  # edge targets are any reals
 
 
+def test_a_bool_is_never_a_label(k2):
+    for task, labels, bad in [("node", (True, 0), "items[0].labels[0] must be a number"),
+                              ("edge", (False,), "items[0].labels[0] must be a number"),
+                              ("graph", True, "items[0].labels must be a nonnegative class")]:
+        with pytest.raises(ValueError, match=re.escape(bad)):
+            Dataset(task, (DataItem(k2, [0.1, 0.2], labels),))
+
+
 def test_node_basis_must_be_y_or_z(k2):
     # checked for every task: the dataset file writes the field for each one
     for task, labels in [("node", (0, 1)), ("edge", (0.5,)), ("graph", 0)]:
