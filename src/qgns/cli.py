@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -61,6 +62,8 @@ def _cmd_state_build(args) -> int:
 
 
 def _cmd_state_verify(args) -> int:
+    if not (math.isfinite(args.tol) and args.tol > 0):
+        raise ValueError(f"tol must be a finite number > 0, got {args.tol}")
     g = _read_graph(args.graph)
     s = build_graph_state(g, _convention(args))
     report = verify_stabilizers(g, s, tol=args.tol)
@@ -102,8 +105,10 @@ def _model(args, dataset):
 
 def _cmd_model_train(args) -> int:
     dataset = load_dataset(args.data)
+    if args.loss is not None and dataset.task != "node":
+        raise ValueError(f"--loss applies to the node task only, not the {dataset.task} task")
     config = TrainConfig(learning_rate=args.lr, epochs=args.epochs, seed=args.seed,
-                         shots=args.shots, grad=args.grad, loss=args.loss)
+                         shots=args.shots, grad=args.grad, loss=args.loss or "bce")
     result = fit(_model(args, dataset), dataset, config, _convention(args))
     lines = [f"# seed={args.seed}", "epoch,loss,accuracy"]
     for epoch, (value, acc) in enumerate(zip(result.history, result.accuracies)):
@@ -220,7 +225,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--epochs", type=int, default=100)
             p.add_argument("--lr", type=float, default=0.1)
             p.add_argument("--grad", choices=["fd", "pshift"], default="fd")
-            p.add_argument("--loss", choices=["bce", "mse"], default="bce")
+            p.add_argument("--loss", choices=["bce", "mse"], default=None,
+                           help="node-task loss (default bce)")
             p.add_argument("--save-model", default=None,
                            help="write the trained checkpoint here")
         p.set_defaults(func=fn)

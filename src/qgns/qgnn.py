@@ -123,7 +123,7 @@ def apply_interlayer(s: StateVector, model: ModelSpec, i: int, w) -> StateVector
         raise ValueError(f"interlayer index must be in [1, {model.m}), got {i}")
     phases = np.broadcast_to(np.asarray(w, dtype=float), (n,))
     for v in range(n):
-        apply_gate(s, GateOp.cp((i - 1) * n + v, i * n + v, float(phases[v])))
+        apply_gate(s, GateOp("CP", ((i - 1) * n + v, i * n + v), float(phases[v])))
     return s
 
 
@@ -133,7 +133,7 @@ def message_pass(s: StateVector, g: Graph, u: int, w: float) -> StateVector:
     w = pi makes each pair coupling a plain controlled-Z; an isolated vertex
     is a no-op."""
     for v in sorted(neighborhood(g, u)):
-        apply_gate(s, GateOp.cp(u, v, w))
+        apply_gate(s, GateOp("CP", (u, v), w))
     return s
 
 
@@ -184,7 +184,7 @@ def pool_crot(s: StateVector, group, target: int, theta: float) -> StateVector:
     if target in group:
         raise ValueError(f"pool target {target} must not be in the group")
     for c in sorted(group):
-        apply_gate(s, GateOp.cry(c, target, theta))
+        apply_gate(s, GateOp("CRy", (c, target), theta))
     return s
 
 

@@ -2,8 +2,9 @@
 
 Basis convention: qubit q is bit q of the basis index, qubit 0 least
 significant. Amplitudes live in one contiguous complex128 vector of length
-2^n; diagonal gates act by masked phase multiplication, dense gates by
-tensor contraction, so no gate ever materializes a 2^n x 2^n matrix.
+2^n; diagonal gates act by phase multiplication on strided views, dense
+gates by tensor contraction, so no gate ever materializes a 2^n x 2^n
+matrix.
 
 A gate program is a sequence of (kind, qubits, slot) entries of the
 parametrised kinds Ry, CP and IsingZZ. run_program applies one to a (B, 2^n)
@@ -18,7 +19,6 @@ still needed. Randomness always comes from an explicit numpy Generator.
 """
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -88,33 +88,21 @@ class StateVector:
         return f"StateVector(n_qubits={self.n_qubits})"
 
 
-def new_state(n_qubits: int, init="zero") -> StateVector:
-    """Fresh state: "zero", "plus", or a sequence of per-qubit (alpha, beta) pairs.
+def new_state(n_qubits: int, init: str = "zero") -> StateVector:
+    """Fresh |0...0> ("zero") or |+...+> ("plus") state.
 
     The width is checked before anything is allocated.
     """
     _check_width(n_qubits)
-    if isinstance(init, str):
-        if init == "zero":
-            amps = np.zeros(1 << n_qubits, dtype=complex)
-            amps[0] = 1.0
-            return StateVector(n_qubits, amps)
-        if init == "plus":
-            dim = 1 << n_qubits
-            amps = np.full(dim, 1.0 / math.sqrt(dim), dtype=complex)
-            return StateVector(n_qubits, amps)
-        raise ValueError(f"unknown init {init!r}")
-    pairs = list(init)
-    if len(pairs) != n_qubits:
-        raise ValueError(f"expected {n_qubits} amplitude pairs, got {len(pairs)}")
-    acc = np.ones(1, dtype=complex)
-    for alpha, beta in reversed(pairs):
-        vec = np.array([alpha, beta], dtype=complex)
-        nrm = abs(alpha) ** 2 + abs(beta) ** 2
-        if abs(nrm - 1.0) > 1e-9:
-            raise ValueError(f"amplitude pair ({alpha}, {beta}) has |a|^2+|b|^2 = {nrm}")
-        acc = np.kron(acc, vec)
-    return StateVector(n_qubits, acc)
+    if init == "zero":
+        amps = np.zeros(1 << n_qubits, dtype=complex)
+        amps[0] = 1.0
+        return StateVector(n_qubits, amps)
+    if init == "plus":
+        dim = 1 << n_qubits
+        amps = np.full(dim, 1.0 / math.sqrt(dim), dtype=complex)
+        return StateVector(n_qubits, amps)
+    raise ValueError(f"unknown init {init!r}")
 
 
 def tensor(low: StateVector, high: StateVector) -> StateVector:
@@ -127,70 +115,13 @@ def tensor(low: StateVector, high: StateVector) -> StateVector:
 
 @dataclass(frozen=True, eq=False)
 class GateOp:
-    """Gate descriptor: kind, qubit tuple, optional angle/phase, optional matrix."""
+    """Gate descriptor: kind, qubit tuple, optional angle, optional matrix,
+    written as a program entry is, e.g. GateOp("CP", (u, v), w)."""
 
     kind: str
     qubits: tuple[int, ...]
     param: float = 0.0
     matrix: np.ndarray | None = None
-
-    @classmethod
-    def h(cls, q: int) -> GateOp:
-        return cls("H", (q,))
-
-    @classmethod
-    def x(cls, q: int) -> GateOp:
-        return cls("X", (q,))
-
-    @classmethod
-    def y(cls, q: int) -> GateOp:
-        return cls("Y", (q,))
-
-    @classmethod
-    def z(cls, q: int) -> GateOp:
-        return cls("Z", (q,))
-
-    @classmethod
-    def s(cls, q: int) -> GateOp:
-        return cls("S", (q,))
-
-    @classmethod
-    def sdg(cls, q: int) -> GateOp:
-        return cls("Sdg", (q,))
-
-    @classmethod
-    def ry(cls, q: int, theta: float) -> GateOp:
-        return cls("Ry", (q,), float(theta))
-
-    @classmethod
-    def rz(cls, q: int, theta: float) -> GateOp:
-        return cls("Rz", (q,), float(theta))
-
-    @classmethod
-    def cp(cls, control: int, target: int, w: float) -> GateOp:
-        """Controlled phase diag(1,1,1,e^{iw}); CP(pi) is controlled-Z."""
-        return cls("CP", (control, target), float(w))
-
-    @classmethod
-    def ising_zz(cls, u: int, v: int, w: float) -> GateOp:
-        """e^{-iw Z(x)Z} = diag(e^{-iw}, e^{iw}, e^{iw}, e^{-iw})."""
-        return cls("IsingZZ", (u, v), float(w))
-
-    @classmethod
-    def cry(cls, control: int, target: int, theta: float) -> GateOp:
-        return cls("CRy", (control, target), float(theta))
-
-    @classmethod
-    def mcz(cls, *qubits: int) -> GateOp:
-        return cls("MCZ", tuple(qubits))
-
-    @classmethod
-    def swap(cls, u: int, v: int) -> GateOp:
-        return cls("SWAP", (u, v))
-
-    @classmethod
-    def linop(cls, matrix: np.ndarray, targets) -> GateOp:
-        return cls("LinOp", tuple(targets), matrix=np.asarray(matrix, dtype=complex))
 
 
 @dataclass(frozen=True)
@@ -212,11 +143,6 @@ def _check_qubits(s: StateVector, qubits: tuple[int, ...]) -> None:
 def _view1(amps: np.ndarray, q: int) -> np.ndarray:
     # axis 1 of the view is bit q
     return amps.reshape(-1, 2, 1 << q)
-
-
-def _view2(amps: np.ndarray, hi: int, lo: int) -> np.ndarray:
-    # axes 1 and 3 are bits hi and lo (hi > lo)
-    return amps.reshape(-1, 2, 1 << (hi - lo - 1), 2, 1 << lo)
 
 
 def _apply_matrix_inplace(s: StateVector, mat: np.ndarray, targets: tuple[int, ...]) -> None:
@@ -323,7 +249,14 @@ def run_program(amps: np.ndarray, program, rows) -> np.ndarray:
 
 
 def apply_gate(s: StateVector, g: GateOp) -> StateVector:
-    """Apply g to s in place and return s."""
+    """Apply g to s in place and return s.
+
+    Kinds: H, X, Y, Z, S, Sdg on one qubit; Ry(param) on one qubit;
+    CP(param) = diag(1, 1, 1, e^{i param}), so CP(pi) is controlled-Z;
+    IsingZZ(param) = e^{-i param Z(x)Z}; CRy(param) on qubits (control,
+    target); LinOp applies g.matrix through apply_linear_operator, operator
+    bit j on qubits[j].
+    """
     _check_qubits(s, g.qubits)
     kind = g.kind
     if kind in _ROW_KERNELS:
@@ -340,25 +273,9 @@ def apply_gate(s: StateVector, g: GateOp) -> StateVector:
         _view1(s.amps, g.qubits[0])[:, 1, :] *= 1j
     elif kind == "Sdg":
         _view1(s.amps, g.qubits[0])[:, 1, :] *= -1j
-    elif kind == "Rz":
-        view = _view1(s.amps, g.qubits[0])
-        view[:, 0, :] *= cmath.exp(-0.5j * g.param)
-        view[:, 1, :] *= cmath.exp(0.5j * g.param)
     elif kind == "CRy":
         control, target = g.qubits
         _apply_matrix_inplace(s, cry_matrix(g.param), (target, control))
-    elif kind == "MCZ":
-        mask = 0
-        for q in g.qubits:
-            mask |= 1 << q
-        idx = np.arange(s.dim)
-        s.amps[(idx & mask) == mask] *= -1.0
-    elif kind == "SWAP":
-        # exchange the blocks where the two bits read (1, 0) and (0, 1)
-        view = _view2(s.amps, max(g.qubits), min(g.qubits))
-        tmp = view[:, 1, :, 0, :].copy()
-        view[:, 1, :, 0, :] = view[:, 0, :, 1, :]
-        view[:, 0, :, 1, :] = tmp
     elif kind == "LinOp":
         apply_linear_operator(s, g.matrix, g.qubits)
     else:
@@ -447,13 +364,12 @@ def expectation_pauli(s: StateVector, pauli_string: dict[int, str]) -> float:
     return val.real
 
 
-def apply_linear_operator(s: StateVector, matrix: np.ndarray, targets,
-                          renormalize: bool = False) -> tuple[StateVector, float]:
+def apply_linear_operator(s: StateVector, matrix: np.ndarray, targets
+                          ) -> tuple[StateVector, float]:
     """Apply an arbitrary (possibly non-unitary) matrix to the target qubits.
 
-    Returns (state, norm) where norm is the result's length before any
-    rescaling; with renormalize the state is scaled back to unit norm and a
-    zero-norm result (operator annihilates the state) raises.
+    Returns (state, norm), norm the result's length; the state is not
+    rescaled.
     """
     targets = tuple(targets)
     _check_qubits(s, targets)
@@ -465,12 +381,7 @@ def apply_linear_operator(s: StateVector, matrix: np.ndarray, targets,
             f"operator is {matrix.shape[0]}-dim but {len(targets)} targets "
             f"span {1 << len(targets)}")
     _apply_matrix_inplace(s, matrix, targets)
-    nrm = float(np.linalg.norm(s.amps))
-    if renormalize:
-        if nrm < 1e-12:
-            raise ValueError("operator annihilated the state (zero-norm result)")
-        s.amps /= nrm
-    return s, nrm
+    return s, float(np.linalg.norm(s.amps))
 
 
 def dump_state(s: StateVector) -> str:

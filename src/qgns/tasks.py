@@ -89,8 +89,9 @@ def node_p1(amps: np.ndarray, qubits, basis: str = "Y") -> np.ndarray:
     With (a0, a1) the amplitude pairs that differ only in a qubit's bit, the
     Z-basis p1 is sum |a1|^2 and the Y-basis p1 is sum |a0 + i a1|^2 / 2,
     the Z read after the Sdg, H basis change. The 1/2 enters as a rounded
-    1/sqrt(2) on each term, as applying H rounds it, so p1 agrees bit for
-    bit with the gate path and seeded shot draws at p1 ~ 1/2 do too.
+    1/sqrt(2) on each term, as applying H rounds it. The Y-basis goldens pin
+    this form's bits; the Sdg, H gate path rounds differently in the last
+    bits and agrees with it within 1e-14.
     """
     if basis not in _READOUT_BASES:
         raise ValueError(f"node readout basis must be Y or Z, got {basis!r}")

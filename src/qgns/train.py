@@ -46,8 +46,9 @@ class TrainConfig:
     loss: str = "bce"       # node task only; edge is MSE, graph is BCE
 
     def __post_init__(self) -> None:
-        if self.learning_rate < 0:
-            raise ValueError(f"learning rate must be >= 0, got {self.learning_rate}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0):
+            raise ValueError(f"learning rate must be a finite number >= 0, "
+                             f"got {self.learning_rate}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if self.grad not in ("fd", "pshift"):

@@ -206,7 +206,7 @@ def layered_circuit_oracle(g: Graph, angles: np.ndarray, weights: np.ndarray,
     s = new_state(g.n_vertices)
     for i in range(angles.shape[0]):
         for v in range(g.n_vertices):
-            apply_gate(s, GateOp.ry(v, angles[i, v]))
+            apply_gate(s, GateOp("Ry", (v,), angles[i, v]))
         for k, (u, v, _) in enumerate(g.edges):
             apply_gate(s, GateOp(edge_kind(convention), (u, v), weights[i, k]))
     return s
@@ -221,7 +221,7 @@ def graph_state_oracle(g: Graph, convention, angles=None, weights=None) -> State
     else:
         s = new_state(g.n_vertices)
         for v, theta in enumerate(angles):
-            apply_gate(s, GateOp.ry(v, theta))
+            apply_gate(s, GateOp("Ry", (v,), theta))
     for k, (u, v, w) in enumerate(g.edges):
         apply_gate(s, GateOp(edge_kind(convention), (u, v), w if weights is None else weights[k]))
     return s
@@ -241,8 +241,8 @@ def rotated_p1(s: StateVector, qubit: int, basis: str) -> float:
     summing |a1|^2 over the qubit's 1 half."""
     work = s.clone()
     if basis == "Y":
-        apply_gate(work, GateOp.sdg(qubit))
-        apply_gate(work, GateOp.h(qubit))
+        apply_gate(work, GateOp("Sdg", (qubit,)))
+        apply_gate(work, GateOp("H", (qubit,)))
     view = work.amps.reshape(-1, 2, 1 << qubit)
     return float(np.sum(np.abs(view[:, 1, :]) ** 2))
 
@@ -276,10 +276,10 @@ def swap_circuit_p0(s1: StateVector, s2: StateVector) -> float:
     n = s1.n_qubits
     ancilla = 2 * n
     full = tensor(tensor(s1, s2), new_state(1, "zero"))
-    apply_gate(full, GateOp.h(ancilla))
+    apply_gate(full, GateOp("H", (ancilla,)))
     for i in range(n):
-        apply_gate(full, GateOp.linop(CSWAP_MATRIX, (i, n + i, ancilla)))
-    apply_gate(full, GateOp.h(ancilla))
+        apply_gate(full, GateOp("LinOp", (i, n + i, ancilla), matrix=CSWAP_MATRIX))
+    apply_gate(full, GateOp("H", (ancilla,)))
     view = full.amps.reshape(-1, 2, 1 << ancilla)
     return float(np.sum(np.abs(view[:, 0, :]) ** 2))
 

@@ -374,6 +374,28 @@ def test_a_non_finite_filter_vector_is_a_json_error(value, k2_file, tmp_path, ca
     assert _json_error(capsys) == {"error": "input vector and filter coefficients must be finite"}
 
 
+def _no_circuit(*_args, **_kwargs):
+    raise AssertionError("a state or circuit was built before the flags were checked")
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+def test_a_tolerance_that_is_not_finite_and_positive_is_a_json_error(value, k2_file,
+                                                                    monkeypatch, capsys):
+    monkeypatch.setattr("qgns.cli.build_graph_state", _no_circuit)
+    assert execute(["state", "verify", "--graph", k2_file, f"--tol={value}"]) == 1
+    assert _json_error(capsys) == {
+        "error": f"tol must be a finite number > 0, got {float(value)}"}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_a_non_finite_learning_rate_is_a_json_error(value, toy_file, monkeypatch, capsys):
+    monkeypatch.setattr("qgns.executor.circuit_states", _no_circuit)
+    assert execute(["model", "train", "--data", toy_file, "--lr", value]) == 1
+    assert _json_error(capsys) == {
+        "error": f"learning rate must be a finite number >= 0, got {value}"}
+
+
 @pytest.mark.parametrize("verb", ["train", "eval"])
 def test_node_labels_outside_the_unit_interval_are_a_json_error(verb, tmp_path, capsys):
     payload = dataset_to_dict(toy_node_dataset())
@@ -492,6 +514,20 @@ def test_pshift_trains_the_graph_task_with_an_empty_stderr(tmp_path, capsys, sho
                     "--shots", shots]) == 0
     captured = capsys.readouterr()
     assert captured.err == "" and len(captured.out.splitlines()) == 4
+
+
+@pytest.mark.parametrize("task, loss", [("graph", "mse"), ("edge", "bce")])
+def test_loss_outside_the_node_task_is_a_json_error(tmp_path, task, loss, monkeypatch, capsys):
+    if task == "graph":
+        data = _graph_task_file(tmp_path, WEIGHTED5)
+    else:
+        data = str(tmp_path / "edge.json")
+        labels = [0.5] * WEIGHTED5.n_edges
+        save_dataset(Dataset("edge", (DataItem(WEIGHTED5, [0.2] * 5, labels),)), data)
+    monkeypatch.setattr("qgns.executor.circuit_states", _no_circuit)
+    assert execute(["model", "train", "--data", data, "--loss", loss, "--epochs", "1"]) == 1
+    assert _json_error(capsys) == {
+        "error": f"--loss applies to the node task only, not the {task} task"}
 
 
 def test_seeded_graph_eval_shots_match_recorded_output(tmp_path, capsys):

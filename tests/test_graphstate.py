@@ -64,8 +64,6 @@ def test_build_matches_the_gate_by_gate_oracle_bit_for_bit(data, g, convention):
 def test_build_init_errors(k2):
     with pytest.raises(ValueError, match="angles"):
         build_graph_state(k2, angles=[0.1])
-    with pytest.raises(ValueError, match="pair"):
-        sim.new_state(2, [(0.6, 0.8)])
     with pytest.raises(ValueError, match="weights"):
         build_graph_state(k2, weights=[0.1, 0.2])
 

@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qgns import (Graph, ModelSpec, apply_interlayer, build_graph_state, build_registered,
-                  build_superposed, encode_features, layer_state, message_pass,
-                  model_circuit, model_from_dict, model_to_dict, new_state, periodic_readout,
-                  pool_crot, pool_measure, pool_phase)
+from qgns import (Graph, ModelSpec, StateVector, apply_interlayer, build_graph_state,
+                  build_registered, build_superposed, encode_features, layer_state,
+                  message_pass, model_circuit, model_from_dict, model_to_dict, new_state,
+                  periodic_readout, pool_crot, pool_measure, pool_phase)
 
 from helpers import FINITE, cp_matrix, cry_4x4, dense_apply, encode_features_oracle, graphs
 
@@ -196,7 +196,7 @@ def test_pool_measure_examples(rng, k2):
     assert outcomes == [1, 1, 1]
     assert [r.probability for r in records] == [pytest.approx(1.0)] * 3
 
-    s = new_state(2, [(0.0, 1.0), (1 / math.sqrt(2), 1 / math.sqrt(2))])
+    s = StateVector(2, np.array([0, 1, 0, 1]) / math.sqrt(2))  # |1> on qubit 0, |+> on qubit 1
     outcomes, _ = pool_measure(s, (0,), rng)
     assert outcomes == [-1]
     assert np.allclose(np.abs(s.amps) ** 2, [0, 0.5, 0, 0.5], atol=1e-12)
@@ -228,7 +228,7 @@ def test_pool_phase_examples(k2):
     p0, est = pool_phase(s, Graph(2), (0, 1), 1.3)  # no internal edges
     assert p0 == pytest.approx(1.0) and est == pytest.approx(1.0)
 
-    ones = new_state(2, [(0.0, 1.0), (0.0, 1.0)])  # |11>, eigenstate of CP(w)
+    ones = StateVector(2, [0, 0, 0, 1])  # |11>, eigenstate of CP(w)
     for w in (0.4, 2.0):
         p0, est = pool_phase(ones, k2, (0, 1), w)
         assert p0 == pytest.approx((1 + math.cos(w)) / 2)
@@ -256,7 +256,7 @@ def test_pool_crot_examples(k2):
     pool_crot(s, (0,), 1, 0.0)
     assert np.allclose(s.amps, new_state(2, "plus").amps)
 
-    s = new_state(2, [(0.0, 1.0), (1.0, 0.0)])  # control |1>, target |0>
+    s = StateVector(2, [0, 1, 0, 0])  # control |1>, target |0>
     pool_crot(s, (0,), 1, PI)
     assert np.allclose(s.amps, [0, 0, 0, 1], atol=1e-15)  # target flipped to |1>
 

@@ -21,8 +21,6 @@ K2_STATE = np.array([1, 1, 1, -1], dtype=complex) / 2.0  # CZ|++>
 
 def test_new_state_examples():
     assert np.allclose(new_state(2, "plus").amps, 0.5)
-    assert np.array_equal(new_state(1, [(1, 0)]).amps, [1, 0])
-    assert np.allclose(new_state(1, [(0.6, 0.8)]).amps, [0.6, 0.8])
     zero = new_state(3, "zero")
     assert zero.amps[0] == 1 and np.count_nonzero(zero.amps) == 1
 
@@ -30,10 +28,8 @@ def test_new_state_examples():
 def test_new_state_errors():
     with pytest.raises(ValueError, match="cap|n_qubits"):
         new_state(25)
-    with pytest.raises(ValueError, match="normalized|pair"):
-        new_state(1, [(0.6, 0.7)])
-    with pytest.raises(ValueError):
-        new_state(2, [(1, 0)])  # wrong pair count
+    with pytest.raises(ValueError, match="unknown init"):
+        new_state(1, [(0.6, 0.8)])
 
 
 class _NoAllocation:
@@ -53,28 +49,28 @@ def test_width_is_checked_before_allocation(monkeypatch, init):
 
 
 def test_h_on_zero():
-    s = apply_gate(new_state(1), GateOp.h(0))
+    s = apply_gate(new_state(1), GateOp("H", (0,)))
     assert np.allclose(s.amps, [1 / math.sqrt(2)] * 2)
 
 
 def test_cp_pi_on_plus_plus_is_k2_state():
-    s = apply_gate(new_state(2, "plus"), GateOp.cp(0, 1, math.pi))
+    s = apply_gate(new_state(2, "plus"), GateOp("CP", (0, 1), math.pi))
     assert np.allclose(s.amps, K2_STATE, atol=1e-15)
 
 
 def test_ising_zz_diagonal_action():
     for w in (0.3, math.pi / 2, 2.2):
-        s = apply_gate(new_state(2, "zero"), GateOp.ising_zz(0, 1, w))
+        s = apply_gate(new_state(2, "zero"), GateOp("IsingZZ", (0, 1), w))
         assert np.allclose(s.amps[0], np.exp(-1j * w))
 
 
-# qubits each apply_gate kind acts on; None: any number (MCZ, LinOp up to 3)
-GATE_ARITY = {"H": 1, "X": 1, "Y": 1, "Z": 1, "S": 1, "Sdg": 1, "Ry": 1, "Rz": 1,
-              "CP": 2, "IsingZZ": 2, "CRy": 2, "SWAP": 2, "MCZ": None, "LinOp": None}
+# qubits each apply_gate kind acts on; None: LinOp, on 1 to 3 qubits
+GATE_ARITY = {"H": 1, "X": 1, "Y": 1, "Z": 1, "S": 1, "Sdg": 1, "Ry": 1,
+              "CP": 2, "IsingZZ": 2, "CRy": 2, "LinOp": None}
 
 
-def _dense_gate(kind: str, k: int, param: float, matrix) -> np.ndarray:
-    """The gate's matrix on its k qubits, operator bit j on qubits[j]."""
+def _dense_gate(kind: str, param: float, matrix) -> np.ndarray:
+    """The gate's matrix on its qubits, operator bit j on qubits[j]."""
     c, s = math.cos(param / 2), math.sin(param / 2)
     mats = {
         "H": np.array([[1, 1], [1, -1]]) / math.sqrt(2),
@@ -84,29 +80,30 @@ def _dense_gate(kind: str, k: int, param: float, matrix) -> np.ndarray:
         "S": np.diag([1, 1j]),
         "Sdg": np.diag([1, -1j]),
         "Ry": np.array([[c, -s], [s, c]]),
-        "Rz": np.diag([np.exp(-0.5j * param), np.exp(0.5j * param)]),
         # operator bit order is irrelevant for the symmetric diagonals
         "CP": cp_matrix(param),
         "IsingZZ": ising_matrix(param),
-        "SWAP": np.eye(4)[[0, 2, 1, 3]],
         "LinOp": matrix,
     }
     if kind == "CRy":
         # qubits are (control, target): the target is operator bit 0 of cry_4x4
         return cry_4x4(param)[np.ix_([0, 2, 1, 3], [0, 2, 1, 3])]
-    if kind == "MCZ":
-        mat = np.eye(1 << k, dtype=complex)
-        mat[-1, -1] = -1
-        return mat
     return np.asarray(mats[kind], dtype=complex)
 
 
-@pytest.mark.parametrize("kind,qubits,param", [
-    ("H", (0,), 0.0), ("X", (1,), 0.0), ("Y", (0,), 0.0), ("Z", (2,), 0.0),
-    ("S", (1,), 0.0), ("Sdg", (2,), 0.0), ("Ry", (0,), 0.7), ("Rz", (1,), -1.3),
-    ("CP", (0, 2), 0.9), ("IsingZZ", (1, 2), 1.7), ("CRy", (2, 0), 0.5),
-    ("SWAP", (0, 2), 0.0), ("MCZ", (0, 1, 2), 0.0), ("LinOp", (2, 0), 0.0),
-])
+# keyed by the case ids the suite reports, which name a qubit tuple by its
+# case number; the numbers stay fixed so a case keeps its name
+GATE_CASES = {
+    "H-qubits0-0.0": ("H", (0,), 0.0), "X-qubits1-0.0": ("X", (1,), 0.0),
+    "Y-qubits2-0.0": ("Y", (0,), 0.0), "Z-qubits3-0.0": ("Z", (2,), 0.0),
+    "S-qubits4-0.0": ("S", (1,), 0.0), "Sdg-qubits5-0.0": ("Sdg", (2,), 0.0),
+    "Ry-qubits6-0.7": ("Ry", (0,), 0.7), "CP-qubits8-0.9": ("CP", (0, 2), 0.9),
+    "IsingZZ-qubits9-1.7": ("IsingZZ", (1, 2), 1.7), "CRy-qubits10-0.5": ("CRy", (2, 0), 0.5),
+    "LinOp-qubits13-0.0": ("LinOp", (2, 0), 0.0),
+}
+
+
+@pytest.mark.parametrize("kind,qubits,param", list(GATE_CASES.values()), ids=list(GATE_CASES))
 @settings(max_examples=100, deadline=None)
 @given(random_case=st.booleans(), seed=st.integers(0, 2**32 - 1))
 def test_gates_match_dense_oracle(kind, qubits, param, random_case, seed):
@@ -128,7 +125,7 @@ def test_gates_match_dense_oracle(kind, qubits, param, random_case, seed):
     vec = random_state(rng, n)
     s = StateVector(n, vec.copy())
     apply_gate(s, GateOp(kind, qubits, param, matrix))
-    expected = dense_apply(_dense_gate(kind, len(qubits), param, matrix), qubits, n, vec)
+    expected = dense_apply(_dense_gate(kind, param, matrix), qubits, n, vec)
     np.testing.assert_allclose(s.amps, expected, rtol=0, atol=1e-12)
     assert abs(np.linalg.norm(s.amps) - 1.0) <= 1e-12
 
@@ -136,17 +133,20 @@ def test_gates_match_dense_oracle(kind, qubits, param, random_case, seed):
 def test_gate_index_validation():
     s = new_state(2)
     with pytest.raises(ValueError, match="distinct"):
-        apply_gate(s, GateOp.cp(1, 1, 0.5))
+        apply_gate(s, GateOp("CP", (1, 1), 0.5))
     with pytest.raises(ValueError, match="out of range"):
-        apply_gate(s, GateOp.h(2))
+        apply_gate(s, GateOp("H", (2,)))
     with pytest.raises(ValueError, match="square"):
-        apply_gate(s, GateOp.linop(np.ones((2, 3)), (0,)))
+        apply_gate(s, GateOp("LinOp", (0,), matrix=np.ones((2, 3))))
     with pytest.raises(ValueError, match="dim"):
-        apply_gate(s, GateOp.linop(np.eye(4), (0,)))
+        apply_gate(s, GateOp("LinOp", (0,), matrix=np.eye(4)))
+    for kind, qubits in (("Rz", (0,)), ("MCZ", (0, 1)), ("SWAP", (0, 1))):
+        with pytest.raises(ValueError, match="unknown gate kind"):
+            apply_gate(s, GateOp(kind, qubits, 0.3))
 
 
 def test_measure_plus_in_x_is_deterministic(rng):
-    s = apply_gate(new_state(1), GateOp.h(0))
+    s = apply_gate(new_state(1), GateOp("H", (0,)))
     rec, s = measure_qubit(s, 0, "X", rng)
     assert rec.outcome == 1 and rec.probability == pytest.approx(1.0)
 
@@ -182,7 +182,7 @@ def test_measure_repeat_same_basis_is_stable(rng):
 
 def test_sample_counts_examples(rng):
     assert sample_counts(new_state(1), 100, rng) == {0: 100}
-    plus = apply_gate(new_state(1), GateOp.h(0))
+    plus = apply_gate(new_state(1), GateOp("H", (0,)))
     counts = sample_counts(plus, 10_000, rng)
     assert abs(counts.get(0, 0) / 10_000 - 0.5) < 0.05
     k2 = StateVector(2, K2_STATE.copy())
@@ -279,12 +279,9 @@ def test_apply_linear_operator_examples():
     assert np.allclose(s.amps, 0.5) and nrm == pytest.approx(1.0)
 
     lap = np.array([[1.0, -1.0], [-1.0, 1.0]])
-    s, nrm = apply_linear_operator(new_state(1), lap, (0,), renormalize=True)
-    assert np.allclose(s.amps, [1 / math.sqrt(2), -1 / math.sqrt(2)])
+    s, nrm = apply_linear_operator(new_state(1), lap, (0,))
+    assert np.allclose(s.amps, [1, -1])  # not rescaled
     assert nrm == pytest.approx(math.sqrt(2))
-
-    with pytest.raises(ValueError, match="annihilated|zero-norm"):
-        apply_linear_operator(new_state(1), np.zeros((2, 2)), (0,), renormalize=True)
 
 
 def test_readouts_refuse_a_state_without_unit_norm(rng):
@@ -303,10 +300,10 @@ def test_readouts_refuse_a_state_without_unit_norm(rng):
 def test_norm_preserved_over_long_random_sequence(rng):
     n = 10
     s = StateVector(n, random_state(rng, n))
-    kinds = ["H", "X", "Y", "Z", "S", "Sdg", "Ry", "Rz", "CP", "IsingZZ", "CRy", "SWAP"]
+    kinds = ["H", "X", "Y", "Z", "S", "Sdg", "Ry", "CP", "IsingZZ", "CRy"]
     for _ in range(1000):
         kind = kinds[int(rng.integers(len(kinds)))]
-        if kind in ("CP", "IsingZZ", "CRy", "SWAP"):
+        if kind in ("CP", "IsingZZ", "CRy"):
             q = rng.choice(n, size=2, replace=False)
             g = GateOp(kind, (int(q[0]), int(q[1])), float(rng.uniform(0, 2 * math.pi)))
         else:
@@ -336,8 +333,8 @@ def test_diagonal_gates_commute(rng):
 
 
 def test_tensor_layout():
-    low = new_state(1, [(0, 1)])   # |1>
-    high = new_state(1, [(1, 0)])  # |0>
+    low = StateVector(1, [0, 1])   # |1>
+    high = StateVector(1, [1, 0])  # |0>
     combined = tensor(low, high)
     expected = np.zeros(4)
     expected[1] = 1.0  # qubit 0 (low) set
@@ -345,7 +342,7 @@ def test_tensor_layout():
 
 
 def test_dump_state_format():
-    text = dump_state(new_state(1, [(0.6, 0.8)]))
+    text = dump_state(StateVector(1, [0.6, 0.8]))
     lines = text.strip().splitlines()
     assert lines[0].split() == ["0", "0.59999999999999998", "0"]
     assert lines[1].startswith("1 0.8")
@@ -354,5 +351,5 @@ def test_dump_state_format():
 def test_clone_is_independent():
     s = new_state(1)
     c = s.clone()
-    apply_gate(c, GateOp.x(0))
+    apply_gate(c, GateOp("X", (0,)))
     assert s.amps[0] == 1.0 and c.amps[1] == 1.0

@@ -18,7 +18,7 @@ from helpers import (edge_zz_oracle, random_graph, random_state, rotated_p1,
 
 def test_node_readout_z_basis():
     assert node_readout(new_state(1), 0, "Z") == (pytest.approx(0.0), 0)
-    assert node_readout(new_state(1, [(0, 1)]), 0, "Z") == (pytest.approx(1.0), 1)
+    assert node_readout(StateVector(1, [0, 1]), 0, "Z") == (pytest.approx(1.0), 1)
 
 
 def test_node_readout_y_eigenstate():
@@ -147,7 +147,7 @@ def test_edge_phase_estimate_examples(k2):
     assert edge_phase_estimate(new_state(2, "plus"), flat, 0, 1) == pytest.approx(1.0)
 
     # |11>-supported eigenstate picks up exactly the edge phase
-    ones = new_state(2, [(0.0, 1.0), (0.0, 1.0)])
+    ones = StateVector(2, [0, 0, 0, 1])  # |11>
     for w in (0.3, 1.1, 2.9):
         g = Graph.from_edges(2, [(0, 1, w)])
         assert edge_phase_estimate(ones, g, 0, 1) == pytest.approx(math.cos(w))
@@ -166,7 +166,7 @@ def test_swap_test_examples(k2):
     p0, overlap = swap_test_overlap(s, s.clone())
     assert p0 == pytest.approx(1.0) and overlap == pytest.approx(1.0)
 
-    p0, overlap = swap_test_overlap(new_state(1), new_state(1, [(0, 1)]))
+    p0, overlap = swap_test_overlap(new_state(1), StateVector(1, [0, 1]))
     assert p0 == pytest.approx(0.5) and overlap == pytest.approx(0.0, abs=1e-12)
 
     p0, overlap = swap_test_overlap(s, new_state(2, "plus"))

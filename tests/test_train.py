@@ -337,8 +337,9 @@ def test_accuracy_definitions(k2):
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        TrainConfig(learning_rate=-0.1)
+    for rate in (-0.1, math.inf, math.nan):
+        with pytest.raises(ValueError, match="learning rate"):
+            TrainConfig(learning_rate=rate)
     with pytest.raises(ValueError):
         TrainConfig(epochs=0)
     with pytest.raises(ValueError):
