@@ -20,12 +20,12 @@ import numpy as np
 from . import __version__
 from .graph import from_edge_list, laplacian
 from .graphstate import EdgeConvention, build_graph_state, verify_stabilizers
-from .qgnn import load_model, pool_measure, save_model
 from .sim import dump_state, new_state, sample_counts
 from .tasks import swap_test_overlap
 from .filters import apply_filter_lcu
-from .dataset import load_dataset
-from .train import TrainConfig, correct_readouts, fit, initial_model, model_values
+# The trainer half, used only through its module objects: each module compiles
+# and runs on first attribute access, which only `model` and `pool` make.
+from . import dataset as datasets, qgnn, train
 
 
 def _read_graph(path: str):
@@ -50,8 +50,21 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _indented_json(payload: dict) -> str:
+    """json.dumps(payload, indent=2) byte for byte, for a dict of scalars and
+    flat dicts of scalars. json.dumps runs its C encoder only without indent,
+    so each value is written compactly with the indented item separator."""
+    items = []
+    for key, value in payload.items():
+        text = json.dumps(value, separators=(",\n    ", ": "))
+        if isinstance(value, dict) and value:
+            text = "{\n    " + text[1:-1] + "\n  }"
+        items.append(f"  {json.dumps(key)}: {text}")
+    return "{\n" + ",\n".join(items) + "\n}" if items else "{}"
+
+
 def _convention(args) -> EdgeConvention:
-    return EdgeConvention(args.convention)
+    return EdgeConvention(args.convention or "cp")
 
 
 def _cmd_state_build(args) -> int:
@@ -65,11 +78,12 @@ def _cmd_state_verify(args) -> int:
     if not (math.isfinite(args.tol) and args.tol > 0):
         raise ValueError(f"tol must be a finite number > 0, got {args.tol}")
     g = _read_graph(args.graph)
-    s = build_graph_state(g, _convention(args))
+    convention = _convention(args)
+    s = build_graph_state(g, convention)
     report = verify_stabilizers(g, s, tol=args.tol)
     payload = {
         "graph": g.to_dict(),
-        "convention": args.convention,
+        "convention": convention.value,
         "residuals": list(report.residuals),
         "pass": report.passed,
         "tol": args.tol,
@@ -90,41 +104,50 @@ def _cmd_state_sample(args) -> int:
         rng = np.random.default_rng(args.seed)
         counts = sample_counts(s, args.shots, rng)
         payload["counts"] = {str(k): c for k, c in sorted(counts.items())}
-    _emit(json.dumps(payload, indent=2) + "\n", args.out)
+    _emit(_indented_json(payload) + "\n", args.out)
     return 0
 
 
-def _model(args, dataset):
-    """The --model checkpoint, or an initial model on the dataset's graph."""
-    if args.model:
-        if args.layers is not None:
-            raise ValueError("--layers does not apply with --model: the checkpoint sets it")
-        return load_model(args.model)
-    return initial_model(dataset.items[0].graph, m=1 if args.layers is None else args.layers)
+def _model(args, dataset) -> tuple:
+    """The --model checkpoint, or an initial model on the dataset's graph, and
+    its edge convention: the checkpoint's when it records one (a --convention
+    that disagrees is an error), else --convention, else cp."""
+    if not args.model:
+        m = 1 if args.layers is None else args.layers
+        return train.initial_model(dataset.items[0].graph, m=m), _convention(args)
+    if args.layers is not None:
+        raise ValueError("--layers does not apply with --model: the checkpoint sets it")
+    model, trained = qgnn.load_model(args.model)
+    if trained is not None and args.convention not in (None, trained.value):
+        raise ValueError(f"--convention {args.convention} disagrees with the checkpoint, "
+                         f"which was trained with {trained.value}")
+    return model, trained or _convention(args)
 
 
 def _cmd_model_train(args) -> int:
-    dataset = load_dataset(args.data)
+    dataset = datasets.load_dataset(args.data)
     if args.loss is not None and dataset.task != "node":
         raise ValueError(f"--loss applies to the node task only, not the {dataset.task} task")
-    config = TrainConfig(learning_rate=args.lr, epochs=args.epochs, seed=args.seed,
-                         shots=args.shots, grad=args.grad, loss=args.loss or "bce")
-    result = fit(_model(args, dataset), dataset, config, _convention(args))
+    config = train.TrainConfig(learning_rate=args.lr, epochs=args.epochs, seed=args.seed,
+                               shots=args.shots, grad=args.grad, loss=args.loss or "bce")
+    model, convention = _model(args, dataset)
+    result = train.fit(model, dataset, config, convention)
     lines = [f"# seed={args.seed}", "epoch,loss,accuracy"]
     for epoch, (value, acc) in enumerate(zip(result.history, result.accuracies)):
         lines.append(f"{epoch},{value!r},{acc!r}")
     _emit("\n".join(lines) + "\n", args.out)
     if args.save_model:
-        save_model(result.model, args.save_model, seed=args.seed)
+        qgnn.save_model(result.model, args.save_model, seed=args.seed, convention=convention)
     return 0
 
 
 def _cmd_model_eval(args) -> int:
-    dataset = load_dataset(args.data)
-    config = TrainConfig(seed=args.seed, shots=args.shots)
+    dataset = datasets.load_dataset(args.data)
+    config = train.TrainConfig(seed=args.seed, shots=args.shots)
     # every vertex of a node item is read out, labeled or not
-    values = model_values(_model(args, dataset), dataset, config, _convention(args),
-                          picks=[slice(None)] * len(dataset.items))
+    model, convention = _model(args, dataset)
+    values = train.model_values(model, dataset, config, convention,
+                                picks=[slice(None)] * len(dataset.items))
     lines = [json.dumps({"seed": args.seed, "shots": args.shots, "task": dataset.task})]
     for idx, (item, vals) in enumerate(zip(dataset.items, values)):
         scores = vals[0].tolist()
@@ -135,8 +158,8 @@ def _cmd_model_eval(args) -> int:
         else:
             prediction = [int(p > 0.5) for p in scores] if dataset.task == "node" else scores
             labeled = [k for k, y in enumerate(label) if y is not None]
-            correct = bool(np.all(correct_readouts(dataset.task, vals[0, labeled],
-                                                   [label[k] for k in labeled])))
+            correct = bool(np.all(train.correct_readouts(dataset.task, vals[0, labeled],
+                                                         [label[k] for k in labeled])))
         lines.append(json.dumps({"item": idx, "task": dataset.task, "scores": scores,
                                  "prediction": prediction, "label": label,
                                  "correct": correct}))
@@ -173,7 +196,7 @@ def _cmd_pool(args) -> int:
     g = _read_graph(args.graph)
     s = build_graph_state(g, _convention(args))
     rng = np.random.default_rng(args.seed)
-    outcomes, _ = pool_measure(s, range(g.n_vertices), rng)
+    outcomes, _ = qgnn.pool_measure(s, range(g.n_vertices), rng)
     payload = {"seed": args.seed, "readout": outcomes, "final": outcomes[-1]}
     _emit(json.dumps(payload, indent=2) + "\n", args.out)
     return 0
@@ -192,8 +215,8 @@ def build_parser() -> argparse.ArgumentParser:
     shots = flag("--shots", type=int, default=0, help="sample count, 0 = exact (default 0)")
     tol = flag("--tol", type=float, default=1e-10,
                help="verification tolerance (default 1e-10)")
-    convention = flag("--convention", choices=["cp", "ising"], default="cp",
-                      help="edge gate convention (default cp)")
+    convention = flag("--convention", choices=["cp", "ising"], default=None,
+                      help="edge gate convention (default cp; with --model, the checkpoint's)")
     sampled = [out, convention, seed, shots]
 
     parser = argparse.ArgumentParser(prog="qgns", description=__doc__,

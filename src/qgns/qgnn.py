@@ -209,12 +209,14 @@ CHECKPOINT_VERSION = "qgns-1"
 _CONSTANT_FIELDS = (("formalism", "sequential"), ("schedule", []))
 
 
-def model_to_dict(model: ModelSpec, seed: int = 0) -> dict:
+def model_to_dict(model: ModelSpec, seed: int = 0,
+                  convention: EdgeConvention = EdgeConvention.CONTROLLED_PHASE) -> dict:
     return {
         "version": CHECKPOINT_VERSION,
         "graph": model.graph.to_dict(),
         "m": model.m,
         "formalism": "sequential",
+        "convention": convention.value,
         "theta": model.theta.tolist(),
         "weights": model.weights.tolist(),
         "schedule": [],
@@ -264,10 +266,22 @@ def model_from_dict(d: dict) -> ModelSpec:
     return ModelSpec(**fields)
 
 
-def save_model(model: ModelSpec, path, seed: int = 0) -> None:
-    Path(path).write_text(json.dumps(model_to_dict(model, seed), indent=2) + "\n",
+def save_model(model: ModelSpec, path, seed: int = 0,
+               convention: EdgeConvention = EdgeConvention.CONTROLLED_PHASE) -> None:
+    """Write the checkpoint of a model trained under `convention`."""
+    Path(path).write_text(json.dumps(model_to_dict(model, seed, convention), indent=2) + "\n",
                           encoding="utf-8")
 
 
-def load_model(path) -> ModelSpec:
-    return model_from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+def load_model(path) -> tuple[ModelSpec, EdgeConvention | None]:
+    """A checkpoint's model and the edge convention it was trained under
+    (None for a checkpoint written without the field)."""
+    d = json.loads(Path(path).read_text(encoding="utf-8"))
+    model = model_from_dict(d)
+    if "convention" not in d:
+        return model, None
+    try:
+        return model, EdgeConvention(d["convention"])
+    except ValueError:
+        raise ValueError(f"checkpoint field 'convention' must be 'cp' or 'ising', "
+                         f"got {d['convention']!r}") from None

@@ -7,11 +7,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qgns import (DataItem, Dataset, Graph, ModelSpec, build_graph_state, class_prototypes,
-                  dataset_to_dict, demo_graph, initial_model, load_dataset, model_circuit,
-                  model_to_dict, new_state, save_dataset, save_model, to_edge_list,
-                  toy_dataset_path, toy_node_dataset)
-from qgns.cli import execute
+from qgns import (DataItem, Dataset, EdgeConvention, Graph, ModelSpec, build_graph_state,
+                  class_prototypes, dataset_to_dict, demo_graph, initial_model, load_dataset,
+                  model_circuit, model_to_dict, new_state, save_dataset, save_model,
+                  to_edge_list, toy_dataset_path, toy_node_dataset)
+from qgns.cli import _indented_json, execute
 
 
 @pytest.fixture
@@ -65,6 +65,26 @@ def test_state_sample_seeded_and_exact(k2_file, capsys):
     assert execute(["state", "sample", "--graph", k2_file]) == 0
     exact = json.loads(capsys.readouterr().out)
     assert exact["probabilities"]["3"] == pytest.approx(0.25)
+
+
+@pytest.mark.parametrize("shots", ["300", "0"])
+def test_state_sample_writes_the_bytes_of_the_indented_encoder(shots, demo_file, capsys):
+    assert execute(["state", "sample", "--graph", demo_file, "--shots", shots,
+                    "--seed", "4"]) == 0
+    out = capsys.readouterr().out
+    payload = json.loads(out)
+    assert list(payload) == ["seed", "shots", "counts" if int(shots) else "probabilities"]
+    assert len(payload[list(payload)[-1]]) > 1
+    assert out == json.dumps(payload, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("payload", [
+    {}, {"seed": 0, "shots": 5, "counts": {}},
+    {"seed": 1, "shots": 0, "probabilities": {"0": 0.5, "31": 1e-300, "7": float("nan")}},
+    {"counts": {"1": 2, "0": 3}, "note": "a \"quoted\"\nline \u00e9", "flag": True,
+     "none": None, "x": -0.0}])
+def test_indented_json_has_the_bytes_of_json_dumps(payload):
+    assert _indented_json(payload) == json.dumps(payload, indent=2)
 
 
 def test_model_train_csv_reproducible(toy_file, tmp_path, capsys):
@@ -359,6 +379,46 @@ def test_new_model_flags_with_a_checkpoint_are_json_errors(toy_file, tmp_path, v
     assert flag[0] in json.loads(captured.err)["error"]
 
 
+@pytest.mark.parametrize("verb", ["train", "eval"])
+def test_a_checkpoint_sets_the_default_convention(verb, toy_file, tmp_path, capsys):
+    def run(ckpt: dict, *flags: str) -> str:
+        path = tmp_path / "ck.json"
+        path.write_text(json.dumps(ckpt), encoding="utf-8")
+        saved = tmp_path / "saved.json"
+        save = ["--save-model", str(saved)] if verb == "train" else []
+        assert execute(["model", verb, "--data", toy_file, "--model", str(path),
+                        *_one_epoch(verb), *save, *flags]) == 0
+        if save:  # a trained checkpoint records the convention it ran under
+            assert json.loads(saved.read_text(encoding="utf-8"))["convention"] == (
+                flags[-1] if flags else ckpt.get("convention", "cp"))
+        return capsys.readouterr().out
+
+    ising, cp = (_toy_checkpoint_dict(convention=c) for c in ("ising", "cp"))
+    ising_out = run(ising, "--convention", "ising")
+    assert run(ising) == ising_out
+    cp_out = run(cp)
+    assert cp_out != ising_out  # the toy model's readouts tell the circuits apart
+    assert run(cp, "--convention", "cp") == cp_out
+    # a checkpoint without the field runs cp unless --convention says otherwise
+    legacy = {key: value for key, value in cp.items() if key != "convention"}
+    assert run(legacy) == cp_out
+    assert run(legacy, "--convention", "ising") == ising_out
+
+
+@pytest.mark.parametrize("verb", ["train", "eval"])
+def test_a_convention_that_disagrees_with_the_checkpoint_is_a_json_error(verb, toy_file,
+                                                                         tmp_path, monkeypatch,
+                                                                         capsys):
+    monkeypatch.setattr("qgns.executor.circuit_states", _no_circuit)
+    for trained, given in (("ising", "cp"), ("cp", "ising")):
+        ckpt = _toy_checkpoint(tmp_path, convention=trained)
+        assert execute(["model", verb, "--data", toy_file, "--model", ckpt,
+                        "--convention", given, *_one_epoch(verb)]) == 1
+        assert _json_error(capsys) == {
+            "error": f"--convention {given} disagrees with the checkpoint, "
+                     f"which was trained with {trained}"}
+
+
 @pytest.mark.parametrize("verb", ["state sample", "swap", "model train", "model eval"])
 def test_negative_shots_are_a_json_error(verb, k2_file, toy_file, capsys):
     assert execute(_verb_argv(verb, k2_file, toy_file) + ["--shots", "-5"]) == 1
@@ -578,6 +638,7 @@ def test_the_cached_parser_keeps_no_state_between_calls(k2_file, demo_file, tmp_
     (_toy_checkpoint_dict(schedule=[{"kind": "phase", "qubits": [1], "phase": 3.14}]),
      "checkpoint field 'schedule'"),
     (_toy_checkpoint_dict(graph={"n": 5.0, "edges": []}), "checkpoint field 'graph'"),
+    (_toy_checkpoint_dict(convention="zz"), "checkpoint field 'convention' must be"),
 ])
 @pytest.mark.parametrize("verb", ["train", "eval"])
 def test_malformed_checkpoint_is_a_json_error(toy_file, tmp_path, verb, payload, field,
@@ -694,7 +755,7 @@ def _eval_case(name: str, tmp_path: Path) -> list[str]:
     theta = 0.7 * np.sin(np.arange(2 * n).reshape(2, n) * 0.9)
     weights = 0.8 + 0.1 * np.arange(2 * e).reshape(2, e)
     save_model(ModelSpec(RING10, 2, theta, weights),
-               tmp_path / "node10z-model.json")
+               tmp_path / "node10z-model.json", convention=EdgeConvention.ISING_ZZ)
     return ["model", "eval", "--data", str(tmp_path / "node10z.json"), "--model",
             str(tmp_path / "node10z-model.json"), "--convention", "ising"]
 
@@ -724,8 +785,8 @@ def _pshift_case(name: str, tmp_path: Path) -> list[str]:
     save_dataset(Dataset("node", items, "Y"), tmp_path / "node5.json")
     theta = 0.6 * np.sin(np.arange(2 * n).reshape(2, n) * 1.1)
     weights = 1.2 + 0.5 * np.cos(np.arange(e)).reshape(1, e)
-    save_model(ModelSpec(WEIGHTED5, 2, theta, weights,
-                         shared_weights=True), tmp_path / "node5-model.json")
+    save_model(ModelSpec(WEIGHTED5, 2, theta, weights, shared_weights=True),
+               tmp_path / "node5-model.json", convention=EdgeConvention.ISING_ZZ)
     argv = ["model", "train", "--data", str(tmp_path / "node5.json"), "--model",
             str(tmp_path / "node5-model.json"), "--grad", "pshift", "--convention", "ising",
             "--epochs", "4", "--lr", "0.3"]

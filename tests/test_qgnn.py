@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -7,10 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qgns import (Graph, ModelSpec, StateVector, apply_interlayer, build_graph_state,
-                  build_registered, build_superposed, encode_features, layer_state,
-                  message_pass, model_circuit, model_from_dict, model_to_dict, new_state,
-                  periodic_readout, pool_crot, pool_measure, pool_phase)
+from qgns import (EdgeConvention, Graph, ModelSpec, StateVector, apply_interlayer,
+                  build_graph_state, build_registered, build_superposed, encode_features,
+                  layer_state, message_pass, model_circuit, model_from_dict, model_to_dict,
+                  new_state, periodic_readout, pool_crot, pool_measure, pool_phase)
 
 from helpers import FINITE, cp_matrix, cry_4x4, dense_apply, encode_features_oracle, graphs
 
@@ -322,7 +323,8 @@ def test_checkpoint_roundtrip(tmp_path, demo5):
     model = plus_model(demo5, m=2)
     path = tmp_path / "model.json"
     save_model(model, path, seed=7)
-    loaded = load_model(path)
+    loaded, convention = load_model(path)
+    assert convention is EdgeConvention.CONTROLLED_PHASE
     assert loaded.graph == model.graph
     assert loaded.m == model.m
     assert np.array_equal(loaded.theta, model.theta)
@@ -343,13 +345,14 @@ def models(draw) -> ModelSpec:
 
 
 @settings(max_examples=150, deadline=None)
-@given(model=models(), seed=st.integers(0, 2**31 - 1))
-def test_checkpoint_json_roundtrip_property(tmp_path_factory, model, seed):
+@given(model=models(), seed=st.integers(0, 2**31 - 1), convention=st.sampled_from(EdgeConvention))
+def test_checkpoint_json_roundtrip_property(tmp_path_factory, model, seed, convention):
     # ModelSpec compares by identity (eq=False), so compare field by field
     from qgns import load_model, save_model
     path = tmp_path_factory.mktemp("ckpt") / "model.json"
-    save_model(model, path, seed=seed)
-    loaded = load_model(path)
+    save_model(model, path, seed=seed, convention=convention)
+    loaded, loaded_convention = load_model(path)
+    assert loaded_convention is convention
     assert loaded.graph == model.graph
     assert [w.hex() for *_, w in loaded.graph.edges] == [w.hex() for *_, w in model.graph.edges]
     assert loaded.m == model.m
@@ -357,9 +360,30 @@ def test_checkpoint_json_roundtrip_property(tmp_path_factory, model, seed):
         got, want = getattr(loaded, field), getattr(model, field)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
     assert loaded.shared_weights is model.shared_weights
-    saved = model_to_dict(model, seed)
+    saved = model_to_dict(model, seed, convention)
     assert (saved["formalism"], saved["schedule"]) == ("sequential", [])
-    assert model_to_dict(loaded, seed) == saved
+    assert model_to_dict(loaded, seed, loaded_convention) == saved
+
+
+def test_a_checkpoint_without_a_convention_loads_without_one(tmp_path):
+    from qgns import load_model
+    d = model_to_dict(k2_model(), seed=1)
+    assert d["convention"] == "cp"
+    del d["convention"]
+    path = tmp_path / "old.json"
+    path.write_text(json.dumps(d), encoding="utf-8")
+    model, convention = load_model(path)
+    assert convention is None and model.m == 1
+
+
+@pytest.mark.parametrize("value", ["CP", "zz", None, 1, ["cp"]])
+def test_a_malformed_checkpoint_convention_is_refused(tmp_path, value):
+    from qgns import load_model
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({**model_to_dict(k2_model()), "convention": value}),
+                    encoding="utf-8")
+    with pytest.raises(ValueError, match="checkpoint field 'convention' must be"):
+        load_model(path)
 
 
 def test_checkpoint_version_guard():
