@@ -9,7 +9,8 @@ under --work, then for each workload and seed runs
 
     python3 perfbench/run.py --workload W --seed S --seconds N --trace 0
 
-in both trees back to back, parent first on even pairs and change first on
+in both trees back to back (by default for every workload that
+BENCHMARK.json declares), parent first on even pairs and change first on
 odd ones, because the host runs in slow and fast phases. Each run's last
 two output lines (machine facts and metrics) are appended to --runs, so an
 interrupted set of runs resumes where it stopped; --fold-only writes the
@@ -36,9 +37,13 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-WORKLOADS = ("toy_train", "wide_states", "swap_filter")
 MACHINE_KEYS = ("nproc", "cpu_model", "python", "numpy", "blas", "blas_threads",
                 "cpu0_data_caches")
+
+
+def benchmark() -> dict:
+    """The repository's benchmark declaration: its workloads and end-to-end metrics."""
+    return json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
 
 
 def git(*args: str) -> str:
@@ -120,7 +125,7 @@ def fold_metric(spec: dict, unit: str, par: list[float], chg: list[float]) -> di
 
 
 def fold(args, shas: dict) -> dict:
-    specs = json.load(open(ROOT / "BENCHMARK.json"))["end_to_end"]
+    specs = benchmark()["end_to_end"]
     recs = read_runs(args.runs)
     workloads = {}
     for w in args.workloads:
@@ -181,7 +186,9 @@ def main() -> None:
     ap.add_argument("--seeds", type=seed_list, default=seed_list("11-20"),
                     help="first-last, one pair per seed (default 11-20)")
     ap.add_argument("--seconds", type=int, default=35)
-    ap.add_argument("--workloads", type=lambda s: s.split(","), default=list(WORKLOADS))
+    ap.add_argument("--workloads", type=lambda s: s.split(","),
+                    default=[w["name"] for w in benchmark()["workloads"]],
+                    help="comma-separated (default: every workload of BENCHMARK.json)")
     ap.add_argument("--work", type=Path, default=None,
                     help="directory for the two exported trees (default: a temporary one)")
     ap.add_argument("--runs", type=Path, default=None,

@@ -38,14 +38,11 @@ _EXPORTS = {name: module for module, names in (
               "to_edge_list"),
     ("sim", "MAX_QUBITS GateOp MeasurementRecord StateVector apply_gate apply_linear_operator "
             "dump_state expectation_pauli measure_qubit new_state sample_counts tensor"),
-    ("graphstate", "ConstraintRound EdgeConvention PauliString StabilizerReport "
-                   "build_graph_state constraint_round decomposition_amplitude edge_program "
-                   "stabilizer_of verify_stabilizers"),
-    ("qgnn", "ModelSpec apply_interlayer build_registered build_superposed encode_features "
-             "layer_state load_model message_pass model_from_dict model_to_dict "
-             "neighborhood_groups periodic_readout pool_crot pool_measure pool_phase "
-             "save_model"),
-    ("tasks", "classify_graph edge_phase_estimate edge_readout node_readout swap_test_overlap"),
+    ("graphstate", "ConstraintRound EdgeConvention StabilizerReport build_graph_state "
+                   "constraint_round decomposition_amplitude edge_program pool_measure "
+                   "verify_stabilizers"),
+    ("qgnn", "ModelSpec encode_features load_model model_from_dict model_to_dict save_model"),
+    ("tasks", "classify_graph edge_readout node_readout swap_test_overlap"),
     ("filters", "apply_filter_lcu pad_matrix polynomial_filter_matrix"),
     ("dataset", "DataItem Dataset dataset_from_dict dataset_to_dict demo_graph load_dataset "
                 "save_dataset toy_dataset_path toy_node_dataset"),

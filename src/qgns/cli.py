@@ -19,12 +19,12 @@ import numpy as np
 
 from . import __version__
 from .graph import from_edge_list, laplacian
-from .graphstate import EdgeConvention, build_graph_state, verify_stabilizers
+from .graphstate import EdgeConvention, build_graph_state, pool_measure, verify_stabilizers
 from .sim import dump_state, new_state, sample_counts
 from .tasks import swap_test_overlap
 from .filters import apply_filter_lcu
 # The trainer half, used only through its module objects: each module compiles
-# and runs on first attribute access, which only `model` and `pool` make.
+# and runs on first attribute access, which only the `model` verbs make.
 from . import dataset as datasets, qgnn, train
 
 
@@ -196,7 +196,7 @@ def _cmd_pool(args) -> int:
     g = _read_graph(args.graph)
     s = build_graph_state(g, _convention(args))
     rng = np.random.default_rng(args.seed)
-    outcomes, _ = qgnn.pool_measure(s, range(g.n_vertices), rng)
+    outcomes, _ = pool_measure(s, range(g.n_vertices), rng)
     payload = {"seed": args.seed, "readout": outcomes, "final": outcomes[-1]}
     _emit(json.dumps(payload, indent=2) + "\n", args.out)
     return 0

@@ -75,6 +75,15 @@ class Circuit:
     picks: tuple                     # each item's default readouts (draw_readouts)
 
 
+def check_graphs(model: ModelSpec, dataset: Dataset) -> None:
+    """Raise ValueError naming the first dataset item (by its 0-based index)
+    whose graph is not the model's. Run it before any array work on the
+    items: their features have one entry per vertex of their own graph."""
+    for k, item in enumerate(dataset.items):
+        if item.graph != model.graph:
+            raise ValueError(f"dataset item {k} graph differs from the model graph")
+
+
 def compile_circuit(model: ModelSpec, dataset: Dataset,
                     convention: EdgeConvention = EdgeConvention.CONTROLLED_PHASE,
                     prototypes=None) -> Circuit:
@@ -82,9 +91,7 @@ def compile_circuit(model: ModelSpec, dataset: Dataset,
     model's gate program, every item's encoded features, the graph task's
     class prototypes (StateVectors, required there) and each item's default
     picks: the labeled nodes of a node item, every readout otherwise."""
-    for item in dataset.items:
-        if item.graph != model.graph:
-            raise ValueError("dataset item graph differs from the model graph")
+    check_graphs(model, dataset)
     program = gate_program(model, convention)
     angles = np.array([encode_features(item.features) for item in dataset.items])
     stack = None if prototypes is None else np.array([p.amps for p in prototypes])

@@ -1,4 +1,4 @@
-"""Graph-state construction and verification.
+"""Graph-state construction, verification and measurement.
 
 A graph state entangles one qubit per vertex by applying a two-qubit phase
 gate along every edge of a product state: |+>^n, or Ry(angles[v])|0> on
@@ -17,7 +17,10 @@ supported:
   with a reweighting: IsingZZ(w) matches CP(-4w) that way.
 
 Stabilizer checks apply only to unweighted graphs (weight pi, CP
-convention); weighted edge phases leave the Pauli stabilizer group.
+convention); weighted edge phases leave the Pauli stabilizer group. The
+measurements on a built state are the stabilizer pattern of one vertex
+(constraint_round) and Z-basis pooling over a group of qubits
+(pool_measure).
 """
 from __future__ import annotations
 
@@ -29,8 +32,8 @@ from enum import Enum
 import numpy as np
 
 from .graph import Graph, adjacency_matrix, neighborhood
-from .sim import (GateOp, MeasurementRecord, StateVector, apply_gate, measure_qubit, new_state,
-                  product_rows, run_program)
+from .sim import (MeasurementRecord, StateVector, measure_qubit, new_state, product_rows,
+                  run_program)
 
 
 class EdgeConvention(Enum):
@@ -57,26 +60,6 @@ def edge_program(edges, convention: EdgeConvention, first: int = 0
     return tuple((kind, (u, v), first + k) for k, (u, v, _) in enumerate(edges))
 
 
-@dataclass(frozen=True)
-class PauliString:
-    """Signed Pauli product, {qubit: "X"|"Y"|"Z"} with identity elsewhere."""
-
-    paulis: tuple[tuple[int, str], ...]
-    sign: int = 1
-
-    def apply_to(self, s: StateVector) -> StateVector:
-        """Return a fresh state P|s> (s is left untouched)."""
-        out = s.clone()
-        for q, p in self.paulis:
-            apply_gate(out, GateOp(p, (q,)))
-        if self.sign == -1:
-            out.amps *= -1.0
-        return out
-
-    def as_dict(self) -> dict[int, str]:
-        return dict(self.paulis)
-
-
 def build_graph_state(g: Graph, convention: EdgeConvention = EdgeConvention.CONTROLLED_PHASE,
                       angles=None, weights=None) -> StateVector:
     """Prepare one qubit per vertex, then entangle along every edge.
@@ -101,14 +84,6 @@ def build_graph_state(g: Graph, convention: EdgeConvention = EdgeConvention.CONT
             raise ValueError(f"expected {g.n_edges} edge weights, got {len(edge_weights)}")
     run_program(s.amps.reshape(1, -1), edge_program(g.edges, convention), [edge_weights])
     return s
-
-
-def stabilizer_of(g: Graph, v: int) -> PauliString:
-    """X on v, Z on each neighbor of v: the generator whose +1 eigenspace
-    contains the (unweighted) graph state."""
-    hood = neighborhood(g, v)  # validates v
-    paulis = [(v, "X")] + [(u, "Z") for u in sorted(hood)]
-    return PauliString(tuple(paulis), sign=1)
 
 
 @dataclass(frozen=True)
@@ -190,3 +165,20 @@ def constraint_round(g: Graph, v: int, rng: np.random.Generator) -> ConstraintRo
         records.append(rec)
         product *= rec.outcome
     return ConstraintRound(tuple(records), product)
+
+
+def pool_measure(s: StateVector, group, rng: np.random.Generator
+                 ) -> tuple[list[int], list[MeasurementRecord]]:
+    """Z-measure each group qubit in ascending order, collapsing s in place.
+
+    Returns (outcomes, records); the last outcome is the global readout when
+    the group exhausts the register."""
+    group = tuple(group)
+    if len(set(group)) != len(group):
+        raise ValueError(f"pool group has duplicate qubits: {group}")
+    outcomes, records = [], []
+    for q in sorted(group):
+        rec, s = measure_qubit(s, q, "Z", rng)
+        outcomes.append(rec.outcome)
+        records.append(rec)
+    return outcomes, records

@@ -1,19 +1,10 @@
-"""Graph-state neural network assembly.
+"""Graph-state neural network models and their checkpoints.
 
 A model is a graph plus per-layer rotation angles (one per vertex) and
 per-layer edge phases, and it is the sequential layered circuit: per layer,
 Ry on every vertex, then each edge's entangler (executor.gate_program). An
 item's features enter as one array of Ry angles (encode_features), added
-to layer 0's rotations.
-
-The module also keeps the other graph-state layers as library functions,
-each with its own tests: the superposed state of the layer states under an
-explicit index register, (1/sqrt(m)) sum_i |i>|G_i>; the registered state
-on m disjoint qubit registers, coupled on demand by vertex-aligned
-controlled-phase gates; neighborhood message passing; and three pooling
-flavors: collapse-and-read (Z measurements), phase probing (the exact
-Hadamard-test expectation of a diagonal phase, read in closed form), and
-controlled rotations onto a collector qubit.
+to layer 0's rotations. A checkpoint is a model's JSON form.
 """
 from __future__ import annotations
 
@@ -25,10 +16,8 @@ from pathlib import Path
 import numpy as np
 
 from .dataset import _check_fields
-from .graph import Graph, neighborhood
-from .graphstate import EdgeConvention, build_graph_state, edge_program
-from .sim import (MAX_QUBITS, GateOp, MeasurementRecord, StateVector, apply_gate,
-                  diagonal_expectation, measure_qubit)
+from .graph import Graph
+from .graphstate import EdgeConvention
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,134 +62,6 @@ def encode_features(x) -> np.ndarray:
     lo, hi = float(x.min()), float(x.max())
     scaled = np.full(x.shape, 0.5) if hi - lo < 1e-300 else (x - lo) / (hi - lo)
     return math.pi * scaled
-
-
-def layer_state(model: ModelSpec, i: int,
-                convention: EdgeConvention = EdgeConvention.CONTROLLED_PHASE) -> StateVector:
-    """The i-th layer's graph state |G_i> (Ry init from theta[i])."""
-    return build_graph_state(model.graph, convention, model.theta[i], model.layer_weights(i))
-
-
-def index_register_width(m: int) -> int:
-    return (m - 1).bit_length()
-
-
-def build_superposed(model: ModelSpec,
-                     convention: EdgeConvention = EdgeConvention.CONTROLLED_PHASE) -> StateVector:
-    """(1/sqrt(m)) sum_i |i>|G_i> with an explicit ceil(log2 m)-qubit index
-    register above the data qubits (m=1 degenerates to |G_1> alone)."""
-    n = model.graph.n_vertices
-    a = index_register_width(model.m)
-    if a + n > MAX_QUBITS:
-        raise ValueError(f"superposed model needs {a + n} qubits, cap is {MAX_QUBITS}")
-    dim = 1 << (a + n)
-    amps = np.zeros(dim, dtype=complex)
-    scale = 1.0 / math.sqrt(model.m)
-    for i in range(model.m):
-        block = layer_state(model, i, convention)
-        amps[i << n:(i << n) + (1 << n)] = block.amps * scale
-    return StateVector(a + n, amps)
-
-
-def build_registered(model: ModelSpec,
-                     convention: EdgeConvention = EdgeConvention.CONTROLLED_PHASE) -> StateVector:
-    """|G_1> ... |G_m> on m disjoint n-qubit registers (register i on qubits
-    i*n .. i*n + n - 1)."""
-    n = model.graph.n_vertices
-    if model.m * n > MAX_QUBITS:
-        raise ValueError(f"registered model needs {model.m * n} qubits, cap is {MAX_QUBITS}")
-    acc = np.ones(1, dtype=complex)
-    for i in reversed(range(model.m)):
-        acc = np.kron(acc, layer_state(model, i, convention).amps)
-    return StateVector(model.m * n, acc)
-
-
-def apply_interlayer(s: StateVector, model: ModelSpec, i: int, w) -> StateVector:
-    """Couple registers i-1 and i of a registered state: CP(w_v) from
-    register i-1's qubit v to register i's qubit v, for every vertex v."""
-    n = model.graph.n_vertices
-    if not 1 <= i < model.m:
-        raise ValueError(f"interlayer index must be in [1, {model.m}), got {i}")
-    phases = np.broadcast_to(np.asarray(w, dtype=float), (n,))
-    for v in range(n):
-        apply_gate(s, GateOp("CP", ((i - 1) * n + v, i * n + v), float(phases[v])))
-    return s
-
-
-def message_pass(s: StateVector, g: Graph, u: int, w: float) -> StateVector:
-    """Pairwise neighborhood update: CP(w) from u to every neighbor of u.
-
-    w = pi makes each pair coupling a plain controlled-Z; an isolated vertex
-    is a no-op."""
-    for v in sorted(neighborhood(g, u)):
-        apply_gate(s, GateOp("CP", (u, v), w))
-    return s
-
-
-def neighborhood_groups(g: Graph) -> list[tuple[int, ...]]:
-    """Default pooling groups: each vertex together with its neighborhood."""
-    return [tuple(sorted(neighborhood(g, v) | {v})) for v in range(g.n_vertices)]
-
-
-def pool_measure(s: StateVector, group, rng: np.random.Generator
-                 ) -> tuple[list[int], list[MeasurementRecord]]:
-    """Z-measure each group qubit in ascending order, collapsing s in place.
-
-    Returns (outcomes, records); the last outcome is the global readout when
-    the group exhausts the register."""
-    group = tuple(group)
-    if len(set(group)) != len(group):
-        raise ValueError(f"pool group has duplicate qubits: {group}")
-    outcomes, records = [], []
-    for q in sorted(group):
-        rec, s = measure_qubit(s, q, "Z", rng)
-        outcomes.append(rec.outcome)
-        records.append(rec)
-    return outcomes, records
-
-
-def pool_phase(s: StateVector, g: Graph, group, w: float) -> tuple[float, float]:
-    """Exact Hadamard-test statistics for the phase accumulated inside a group.
-
-    U is the product of CP(w) over every graph edge with both endpoints in
-    the group; returns (p0, estimate) with p0 = (1 + Re<s|U|s>)/2 and
-    estimate = Re<s|U|s>. The state is not modified.
-    """
-    group = set(group)
-    if not group:
-        raise ValueError("pool group must be nonempty")
-    inner = [edge for edge in g.edges if edge[0] in group and edge[1] in group]
-    re = diagonal_expectation(s, edge_program(inner, EdgeConvention.CONTROLLED_PHASE),
-                              [w] * len(inner))
-    return 0.5 * (1.0 + re), re
-
-
-def pool_crot(s: StateVector, group, target: int, theta: float) -> StateVector:
-    """CRy(theta) from each group qubit onto target, ascending control order.
-
-    Controls with a shared target do not commute in general, so the order is
-    part of the contract."""
-    group = tuple(group)
-    if target in group:
-        raise ValueError(f"pool target {target} must not be in the group")
-    for c in sorted(group):
-        apply_gate(s, GateOp("CRy", (c, target), theta))
-    return s
-
-
-def periodic_readout(phase: float, post: str | None = None) -> float:
-    """Cosine readout (1 + cos(phase))/2 in [0, 1].
-
-    post composes a classical aperiodic map on the same signal: "sigmoid"
-    returns the logistic of cos(phase), "step" thresholds it at zero.
-    """
-    if post is None:
-        return 0.5 * (1.0 + math.cos(phase))
-    if post == "sigmoid":
-        return 1.0 / (1.0 + math.exp(-math.cos(phase)))
-    if post == "step":
-        return 1.0 if math.cos(phase) > 0.0 else 0.0
-    raise ValueError(f"unknown post map {post!r}")
 
 
 CHECKPOINT_VERSION = "qgns-1"

@@ -11,8 +11,8 @@ parametrised kinds Ry, CP and IsingZZ. run_program applies one to a (B, 2^n)
 stack of states, gate j turning row b by rows[b, j]; it is the one runner
 behind the trainer's circuits (qgns.executor), graph states and their edge
 entanglers (qgns.graphstate.edge_program). product_rows prepares the Ry
-product states of a whole stack in closed form, and diagonal_expectation
-reads Re<s|U|s> of a diagonal program U without a transformed copy of s.
+product states of a whole stack in closed form. apply_gate applies one named
+gate to one state; apply_linear_operator applies any matrix.
 
 States mutate in place; clone() before applying gates if the original is
 still needed. Randomness always comes from an explicit numpy Generator.
@@ -30,19 +30,6 @@ _SQRT2_INV = 1.0 / math.sqrt(2.0)
 _H = np.array([[1, 1], [1, -1]], dtype=complex) * _SQRT2_INV
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
 _Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-
-
-def ry_matrix(theta: float) -> np.ndarray:
-    """Ry(theta) with Ry(theta)|0> = cos(theta/2)|0> + sin(theta/2)|1>."""
-    c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
-    return np.array([[c, -s], [s, c]], dtype=complex)
-
-
-def cry_matrix(theta: float) -> np.ndarray:
-    """Controlled-Ry on operator bits (bit0 = target, bit1 = control)."""
-    m = np.eye(4, dtype=complex)
-    m[2:, 2:] = ry_matrix(theta)
-    return m
 
 
 def _check_width(n_qubits: int) -> None:
@@ -115,13 +102,12 @@ def tensor(low: StateVector, high: StateVector) -> StateVector:
 
 @dataclass(frozen=True, eq=False)
 class GateOp:
-    """Gate descriptor: kind, qubit tuple, optional angle, optional matrix,
-    written as a program entry is, e.g. GateOp("CP", (u, v), w)."""
+    """Gate descriptor: kind, qubit tuple, optional angle, written as a
+    program entry is, e.g. GateOp("CP", (u, v), w)."""
 
     kind: str
     qubits: tuple[int, ...]
     param: float = 0.0
-    matrix: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -253,9 +239,7 @@ def apply_gate(s: StateVector, g: GateOp) -> StateVector:
 
     Kinds: H, X, Y, Z, S, Sdg on one qubit; Ry(param) on one qubit;
     CP(param) = diag(1, 1, 1, e^{i param}), so CP(pi) is controlled-Z;
-    IsingZZ(param) = e^{-i param Z(x)Z}; CRy(param) on qubits (control,
-    target); LinOp applies g.matrix through apply_linear_operator, operator
-    bit j on qubits[j].
+    IsingZZ(param) = e^{-i param Z(x)Z}.
     """
     _check_qubits(s, g.qubits)
     kind = g.kind
@@ -273,11 +257,6 @@ def apply_gate(s: StateVector, g: GateOp) -> StateVector:
         _view1(s.amps, g.qubits[0])[:, 1, :] *= 1j
     elif kind == "Sdg":
         _view1(s.amps, g.qubits[0])[:, 1, :] *= -1j
-    elif kind == "CRy":
-        control, target = g.qubits
-        _apply_matrix_inplace(s, cry_matrix(g.param), (target, control))
-    elif kind == "LinOp":
-        apply_linear_operator(s, g.matrix, g.qubits)
     else:
         raise ValueError(f"unknown gate kind {kind!r}")
     return s
@@ -334,18 +313,6 @@ def sample_counts(s: StateVector, shots: int, rng: np.random.Generator) -> dict[
     counts = rng.multinomial(shots, probs)
     hit = np.flatnonzero(counts)
     return dict(zip(hit.tolist(), counts[hit].tolist()))
-
-
-def diagonal_expectation(s: StateVector, program, params) -> float:
-    """Re<s|U|s> for U a program of diagonal (CP, IsingZZ) gates, gate j
-    with angle params[j]: the real part of the exact Hadamard-test
-    expectation. A diagonal U gives sum_x |a_x|^2 Re U_xx, and U's diagonal
-    is the program run on all-ones amplitudes, so s is neither modified
-    nor copied."""
-    for _, qubits, _ in program:
-        _check_qubits(s, qubits)
-    diag = run_program(np.ones((1, s.dim), dtype=complex), program, [params])[0]
-    return float(s.probabilities() @ diag.real)
 
 
 def expectation_pauli(s: StateVector, pauli_string: dict[int, str]) -> float:

@@ -7,8 +7,6 @@ record is drawn binomially from it. Input states are never modified.
 The readouts are closed forms on amplitudes: node_p1, edge_zzs and
 swap_tests read whole stacks of states without rotated copies or a 2n+1
 qubit swap register, and the single-state readouts apply them to one state.
-edge_phase_estimate reads its Hadamard test from the diagonal of the edge
-entangler, without a transformed copy of the state.
 
 edge_zzs squares a stack once and reads every edge from shared sums of
 aligned blocks of 128 floats. numpy's float64 sum is pairwise and splits
@@ -21,9 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .graph import Graph
-from .graphstate import EdgeConvention, edge_program
-from .sim import _SQRT2_INV, StateVector, _check_qubits, diagonal_expectation
+from .sim import _SQRT2_INV, StateVector, _check_qubits
 
 _READOUT_BASES = ("Y", "Z")
 
@@ -167,18 +163,6 @@ def edge_readout(s: StateVector, u: int, v: int, shots: int = 0,
     if shots == 0:
         return exact
     return float(sign_estimate(exact, shots, rng))
-
-
-def edge_phase_estimate(s: StateVector, g: Graph, u: int, v: int, shots: int = 0,
-                        rng: np.random.Generator | None = None,
-                        convention: EdgeConvention = EdgeConvention.CONTROLLED_PHASE) -> float:
-    """Hadamard-test estimate of Re<s|Uz(u,v,w_uv)|s> for an existing edge,
-    from the closed form of a diagonal U (sim.diagonal_expectation)."""
-    w = g.weight(u, v)  # raises for a missing edge
-    re = diagonal_expectation(s, edge_program([(u, v, w)], convention), [w])
-    if shots == 0:
-        return re
-    return float(sign_estimate(re, shots, rng))
 
 
 def swap_tests(a: np.ndarray, b: np.ndarray, shots: int = 0,

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset
-from .executor import (Circuit, circuit_states, compile_circuit, draw_readouts,
+from .executor import (Circuit, check_graphs, circuit_states, compile_circuit, draw_readouts,
                        exact_readouts, gate_program, param_rows)
 from .graph import Graph
 from .graphstate import EdgeConvention, build_graph_state
@@ -115,7 +115,9 @@ def class_prototypes(dataset: Dataset,
 
 def _compile(model: ModelSpec, dataset: Dataset, convention: EdgeConvention) -> Circuit:
     """The model compiled against the dataset, with the class prototypes of
-    the graph task: the inputs that parameter updates leave unchanged."""
+    the graph task: the inputs that parameter updates leave unchanged. The
+    item graphs are checked before the prototypes average any features."""
+    check_graphs(model, dataset)
     prototypes = class_prototypes(dataset, convention) if dataset.task == "graph" else None
     return compile_circuit(model, dataset, convention, prototypes)
 

@@ -9,10 +9,10 @@ one-circuit-at-a-time path (apply_gate per gate, a rotated
 clone per node readout, a Pauli-flipped clone per edge readout) that the
 batched trainer executor and the graph-state builder must reproduce bit for
 bit, the one-pass-per-edge <ZZ> that the shared block sums of qgns.tasks
-must reproduce bit for bit, and the simulated circuits (the CSWAP swap
-test, the dense LCU select operator, the stabilizer applied to a clone, the
-Hadamard test on a transformed clone) whose closed forms the package
-computes instead.
+must reproduce bit for bit, the simulated circuits (the CSWAP swap test,
+the dense LCU select operator, the stabilizer applied to a clone) whose
+closed forms the package computes instead, and the superposed state of a
+model's layer states under an explicit index register.
 """
 from __future__ import annotations
 
@@ -21,8 +21,9 @@ import math
 import numpy as np
 from hypothesis import strategies as st
 
-from qgns import (GateOp, Graph, StateVector, apply_gate, expectation_pauli, new_state,
-                  pad_matrix, stabilizer_of, tensor)
+from qgns import (MAX_QUBITS, EdgeConvention, GateOp, Graph, StateVector, apply_gate,
+                  apply_linear_operator, build_graph_state, expectation_pauli, neighborhood,
+                  new_state, pad_matrix, tensor)
 from qgns.filters import select_powers_operator
 from qgns.graphstate import edge_kind
 
@@ -53,13 +54,6 @@ def cp_matrix(w: float) -> np.ndarray:
 
 def ising_matrix(w: float) -> np.ndarray:
     return np.diag([np.exp(-1j * w), np.exp(1j * w), np.exp(1j * w), np.exp(-1j * w)])
-
-
-def cry_4x4(theta: float) -> np.ndarray:
-    c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
-    m = np.eye(4, dtype=complex)
-    m[2:, 2:] = [[c, -s], [s, c]]
-    return m
 
 
 def random_state(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -227,15 +221,6 @@ def graph_state_oracle(g: Graph, convention, angles=None, weights=None) -> State
     return s
 
 
-def hadamard_test(s: StateVector, gates) -> complex:
-    """<s|U|s>, U the product of gates in order, against a transformed clone
-    of s: the exact Hadamard-test expectations as real and imaginary parts."""
-    transformed = s.clone()
-    for g in gates:
-        apply_gate(transformed, g)
-    return complex(np.vdot(s.amps, transformed.amps))
-
-
 def rotated_p1(s: StateVector, qubit: int, basis: str) -> float:
     """Node p1 by rotating a clone into the Z basis (Sdg then H for Y) and
     summing |a1|^2 over the qubit's 1 half."""
@@ -272,13 +257,14 @@ CSWAP_MATRIX = np.eye(8, dtype=complex)[[0, 1, 2, 3, 4, 6, 5, 7]]
 def swap_circuit_p0(s1: StateVector, s2: StateVector) -> float:
     """Ancilla-|0> probability of the simulated swap test: s1 on qubits
     0..n-1, s2 on n..2n-1, the ancilla on 2n; H, CSWAP(ancilla, i, n+i) for
-    every i (an 8x8 LinOp), H, then sum |amp|^2 over the ancilla's 0 half."""
+    every i (an 8x8 linear operator), H, then sum |amp|^2 over the ancilla's 0
+    half."""
     n = s1.n_qubits
     ancilla = 2 * n
     full = tensor(tensor(s1, s2), new_state(1, "zero"))
     apply_gate(full, GateOp("H", (ancilla,)))
     for i in range(n):
-        apply_gate(full, GateOp("LinOp", (i, n + i, ancilla), matrix=CSWAP_MATRIX))
+        apply_linear_operator(full, CSWAP_MATRIX, (i, n + i, ancilla))
     apply_gate(full, GateOp("H", (ancilla,)))
     view = full.amps.reshape(-1, 2, 1 << ancilla)
     return float(np.sum(np.abs(view[:, 0, :]) ** 2))
@@ -303,7 +289,33 @@ def dense_lcu_filter(x, L, w) -> tuple[np.ndarray, float]:
 
 
 def stabilizer_residuals(g: Graph, s: StateVector) -> list[float]:
-    """Per-vertex ||S_v s - s|| with S_v = X_v prod Z_u applied gate by gate
-    to a clone of s (PauliString.apply_to)."""
-    return [float(np.linalg.norm(stabilizer_of(g, v).apply_to(s).amps - s.amps))
-            for v in range(g.n_vertices)]
+    """Per-vertex ||S_v s - s|| with S_v = X_v prod_{u in N(v)} Z_u applied
+    gate by gate to a clone of s."""
+    residuals = []
+    for v in range(g.n_vertices):
+        flipped = apply_gate(s.clone(), GateOp("X", (v,)))
+        for u in sorted(neighborhood(g, v)):
+            apply_gate(flipped, GateOp("Z", (u,)))
+        residuals.append(float(np.linalg.norm(flipped.amps - s.amps)))
+    return residuals
+
+
+def layer_state(model, i: int,
+                convention=EdgeConvention.CONTROLLED_PHASE) -> StateVector:
+    """The i-th layer's graph state |G_i> of a model (Ry init from theta[i])."""
+    return build_graph_state(model.graph, convention, model.theta[i], model.layer_weights(i))
+
+
+def build_superposed(model, convention=EdgeConvention.CONTROLLED_PHASE) -> StateVector:
+    """(1/sqrt(m)) sum_i |i>|G_i> with an explicit ceil(log2 m)-qubit index
+    register above the data qubits (m=1 degenerates to |G_1> alone): the
+    superposed formalism's state, each branch one layer of the model."""
+    n = model.graph.n_vertices
+    a = (model.m - 1).bit_length()
+    if a + n > MAX_QUBITS:
+        raise ValueError(f"superposed model needs {a + n} qubits, cap is {MAX_QUBITS}")
+    amps = np.zeros(1 << (a + n), dtype=complex)
+    scale = 1.0 / math.sqrt(model.m)
+    for i in range(model.m):
+        amps[i << n:(i + 1) << n] = layer_state(model, i, convention).amps * scale
+    return StateVector(a + n, amps)

@@ -181,6 +181,8 @@ def test_pool_at_twelve_vertices_writes_nothing_to_stderr(tmp_path, capsys):
     assert execute(["pool", "--graph", str(ring), "--seed", "3"]) == 0
     captured = capsys.readouterr()
     assert captured.err == "" and len(json.loads(captured.out)["readout"]) == 12
+    # and stdout is the recorded output, byte for byte
+    assert captured.out.encode() == (GOLDEN / "pool_seed3_ring12.json").read_bytes()
 
 
 def _json_error(capsys) -> dict:
@@ -313,7 +315,31 @@ def test_model_rejects_a_dataset_on_another_graph(toy_file, tmp_path, verb, caps
                     *_one_epoch(verb)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert json.loads(captured.err) == {"error": "dataset item graph differs from the model graph"}
+    assert json.loads(captured.err) == {
+        "error": "dataset item 0 graph differs from the model graph"}
+
+
+# items on graphs of 3 and 4 vertices: the first item sets a new model's graph
+RAGGED = {
+    "node": [(3, (0.0, 1.0, None)), (4, (1.0, 0.0, 1.0, 0.0))],
+    "graph": [(3, 0), (4, 0), (3, 1)],
+    "graph-one-per-class": [(3, 0), (4, 1)],
+}
+
+
+@pytest.mark.parametrize("case", sorted(RAGGED))
+@pytest.mark.parametrize("verb", ["train", "eval"])
+def test_a_dataset_on_graphs_of_two_sizes_names_the_item(tmp_path, monkeypatch, case, verb,
+                                                         capsys):
+    items = tuple(DataItem(Graph.from_edges(n, [(v, v + 1) for v in range(n - 1)]),
+                           np.linspace(0.1, 0.9, n), labels) for n, labels in RAGGED[case])
+    data = tmp_path / "ragged.json"
+    save_dataset(Dataset(case.split("-")[0], items), data)
+    monkeypatch.setattr("qgns.executor.circuit_states", _no_circuit)
+    monkeypatch.setattr("qgns.train.build_graph_state", _no_circuit)  # nor a prototype
+    assert execute(["model", verb, "--data", str(data), *_one_epoch(verb)]) == 1
+    assert _json_error(capsys) == {
+        "error": "dataset item 1 graph differs from the model graph"}
 
 
 def test_flags_a_verb_does_not_read_are_usage_errors(toy_file, k2_file, tmp_path, capsys):

@@ -8,9 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qgns import (EdgeConvention, Graph, PauliString, StateVector, build_graph_state,
-                  constraint_round, decomposition_amplitude, new_state, stabilizer_of,
-                  verify_stabilizers)
+from qgns import (EdgeConvention, Graph, StateVector, build_graph_state, constraint_round,
+                  decomposition_amplitude, new_state, pool_measure, verify_stabilizers)
 import qgns.graphstate as graphstate
 import qgns.sim as sim
 
@@ -68,14 +67,6 @@ def test_build_init_errors(k2):
         build_graph_state(k2, weights=[0.1, 0.2])
 
 
-def test_stabilizer_of_k2_and_fixture(k2, demo5):
-    assert stabilizer_of(k2, 0).as_dict() == {0: "X", 1: "Z"}
-    assert stabilizer_of(demo5, 0).as_dict() == {0: "X", 1: "Z", 3: "Z", 4: "Z"}
-    assert stabilizer_of(Graph(2), 1).as_dict() == {1: "X"}
-    with pytest.raises(ValueError):
-        stabilizer_of(k2, 5)
-
-
 def test_verify_k2_and_fixture_pass(k2, demo5):
     for g in (k2, demo5):
         report = verify_stabilizers(g, build_graph_state(g))
@@ -126,7 +117,8 @@ def test_verify_uses_no_clone_and_no_gate(monkeypatch):
 
     monkeypatch.setattr(sim.StateVector, "clone", refuse)
     monkeypatch.setattr(sim, "apply_gate", refuse)
-    monkeypatch.setattr(graphstate, "apply_gate", refuse)
+    # graphstate binds no apply_gate of its own; refuse one if it ever does
+    monkeypatch.setattr(graphstate, "apply_gate", refuse, raising=False)
     report = verify_stabilizers(g, s)
     assert report.passed and len(report.residuals) == 12
 
@@ -207,14 +199,33 @@ def test_constraint_round_requires_unweighted():
         constraint_round(g, 0, np.random.default_rng(0))
 
 
+def test_pool_measure_examples(rng, k2):
+    outcomes, records = pool_measure(new_state(3, "zero"), range(3), rng)
+    assert outcomes == [1, 1, 1]
+    assert [r.probability for r in records] == [pytest.approx(1.0)] * 3
+
+    s = StateVector(2, np.array([0, 1, 0, 1]) / math.sqrt(2))  # |1> on qubit 0, |+> on qubit 1
+    outcomes, _ = pool_measure(s, (0,), rng)
+    assert outcomes == [-1]
+    assert np.allclose(np.abs(s.amps) ** 2, [0, 0.5, 0, 0.5], atol=1e-12)
+
+    joint = {}
+    for seed in range(10_000):
+        state = build_graph_state(k2)
+        o, _ = pool_measure(state, (0, 1), np.random.default_rng(seed))
+        joint[tuple(o)] = joint.get(tuple(o), 0) + 1
+    for count in joint.values():
+        assert abs(count / 10_000 - 0.25) < 0.02
+
+
+def test_pool_measure_duplicate_group(rng):
+    with pytest.raises(ValueError, match="duplicate"):
+        pool_measure(new_state(2), (0, 0), rng)
+
+
 def test_ising_convention_k2():
     g = Graph.from_edges(2, [(0, 1, 0.9)])
     s = build_graph_state(g, EdgeConvention.ISING_ZZ)
     expected = np.array([cmath.exp(-0.9j), cmath.exp(0.9j),
                          cmath.exp(0.9j), cmath.exp(-0.9j)]) / 2.0
     assert np.allclose(s.amps, expected, atol=1e-14)
-
-
-def test_pauli_string_sign():
-    flipped = PauliString(((0, "X"),), sign=-1).apply_to(new_state(1, "plus"))
-    assert np.allclose(flipped.amps, -new_state(1, "plus").amps)

@@ -8,13 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qgns import sim
-from qgns.sim import (GateOp, StateVector, apply_gate, apply_linear_operator,
-                      diagonal_expectation, dump_state, expectation_pauli, measure_qubit,
-                      new_state, product_rows, run_program, sample_counts, tensor)
+from qgns.sim import (GateOp, StateVector, apply_gate, apply_linear_operator, dump_state,
+                      expectation_pauli, measure_qubit, new_state, product_rows, run_program,
+                      sample_counts, tensor)
 
 from qgns.tasks import edge_readout, node_readout
 
-from helpers import cp_matrix, cry_4x4, dense_apply, hadamard_test, ising_matrix, random_state
+from helpers import cp_matrix, dense_apply, ising_matrix, random_state
 
 K2_STATE = np.array([1, 1, 1, -1], dtype=complex) / 2.0  # CZ|++>
 
@@ -64,9 +64,10 @@ def test_ising_zz_diagonal_action():
         assert np.allclose(s.amps[0], np.exp(-1j * w))
 
 
-# qubits each apply_gate kind acts on; None: LinOp, on 1 to 3 qubits
+# qubits each apply_gate kind acts on; None: LinOp, a random unitary that
+# apply_linear_operator applies to 1 to 3 qubits
 GATE_ARITY = {"H": 1, "X": 1, "Y": 1, "Z": 1, "S": 1, "Sdg": 1, "Ry": 1,
-              "CP": 2, "IsingZZ": 2, "CRy": 2, "LinOp": None}
+              "CP": 2, "IsingZZ": 2, "LinOp": None}
 
 
 def _dense_gate(kind: str, param: float, matrix) -> np.ndarray:
@@ -85,9 +86,6 @@ def _dense_gate(kind: str, param: float, matrix) -> np.ndarray:
         "IsingZZ": ising_matrix(param),
         "LinOp": matrix,
     }
-    if kind == "CRy":
-        # qubits are (control, target): the target is operator bit 0 of cry_4x4
-        return cry_4x4(param)[np.ix_([0, 2, 1, 3], [0, 2, 1, 3])]
     return np.asarray(mats[kind], dtype=complex)
 
 
@@ -98,7 +96,7 @@ GATE_CASES = {
     "Y-qubits2-0.0": ("Y", (0,), 0.0), "Z-qubits3-0.0": ("Z", (2,), 0.0),
     "S-qubits4-0.0": ("S", (1,), 0.0), "Sdg-qubits5-0.0": ("Sdg", (2,), 0.0),
     "Ry-qubits6-0.7": ("Ry", (0,), 0.7), "CP-qubits8-0.9": ("CP", (0, 2), 0.9),
-    "IsingZZ-qubits9-1.7": ("IsingZZ", (1, 2), 1.7), "CRy-qubits10-0.5": ("CRy", (2, 0), 0.5),
+    "IsingZZ-qubits9-1.7": ("IsingZZ", (1, 2), 1.7),
     "LinOp-qubits13-0.0": ("LinOp", (2, 0), 0.0),
 }
 
@@ -124,7 +122,10 @@ def test_gates_match_dense_oracle(kind, qubits, param, random_case, seed):
         matrix = np.linalg.qr(raw[0] + 1j * raw[1])[0]
     vec = random_state(rng, n)
     s = StateVector(n, vec.copy())
-    apply_gate(s, GateOp(kind, qubits, param, matrix))
+    if matrix is None:
+        apply_gate(s, GateOp(kind, qubits, param))
+    else:
+        apply_linear_operator(s, matrix, qubits)
     expected = dense_apply(_dense_gate(kind, param, matrix), qubits, n, vec)
     np.testing.assert_allclose(s.amps, expected, rtol=0, atol=1e-12)
     assert abs(np.linalg.norm(s.amps) - 1.0) <= 1e-12
@@ -137,10 +138,11 @@ def test_gate_index_validation():
     with pytest.raises(ValueError, match="out of range"):
         apply_gate(s, GateOp("H", (2,)))
     with pytest.raises(ValueError, match="square"):
-        apply_gate(s, GateOp("LinOp", (0,), matrix=np.ones((2, 3))))
+        apply_linear_operator(s, np.ones((2, 3)), (0,))
     with pytest.raises(ValueError, match="dim"):
-        apply_gate(s, GateOp("LinOp", (0,), matrix=np.eye(4)))
-    for kind, qubits in (("Rz", (0,)), ("MCZ", (0, 1)), ("SWAP", (0, 1))):
+        apply_linear_operator(s, np.eye(4), (0,))
+    for kind, qubits in (("Rz", (0,)), ("MCZ", (0, 1)), ("SWAP", (0, 1)), ("CRy", (0, 1)),
+                         ("LinOp", (0,))):
         with pytest.raises(ValueError, match="unknown gate kind"):
             apply_gate(s, GateOp(kind, qubits, 0.3))
 
@@ -225,32 +227,6 @@ def test_product_rows_equal_ry_passes_on_zero(data, rows, n):
     np.testing.assert_array_equal(product_rows(theta), amps)
 
 
-@settings(max_examples=60, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 7), gates=st.integers(0, 6))
-def test_diagonal_expectation_matches_the_clone_hadamard_test(seed, n, gates):
-    rng = np.random.default_rng(seed)
-    s = StateVector(n, random_state(rng, n))
-    before = s.amps.copy()
-    program, params, ops = [], [], []
-    for j in range(gates):
-        kind = str(rng.choice(["CP", "IsingZZ"]))
-        qubits = tuple(int(q) for q in rng.choice(n, 2, replace=False))
-        w = float(rng.uniform(-2 * math.pi, 2 * math.pi))
-        program.append((kind, qubits, j))
-        params.append(w)
-        ops.append(GateOp(kind, qubits, w))
-    assert abs(diagonal_expectation(s, program, params) - hadamard_test(s, ops).real) <= 1e-12
-    np.testing.assert_array_equal(s.amps, before)
-
-
-def test_diagonal_expectation_checks_its_qubits():
-    s = new_state(2, "plus")
-    with pytest.raises(ValueError, match="distinct"):
-        diagonal_expectation(s, [("CP", (1, 1), 0)], [0.3])
-    with pytest.raises(ValueError, match="out of range"):
-        diagonal_expectation(s, [("CP", (0, 2), 0)], [0.3])
-
-
 def test_product_rows_checks_the_width_first():
     with pytest.raises(ValueError, match="n_qubits"):
         product_rows(np.zeros((1, 25)))
@@ -300,10 +276,10 @@ def test_readouts_refuse_a_state_without_unit_norm(rng):
 def test_norm_preserved_over_long_random_sequence(rng):
     n = 10
     s = StateVector(n, random_state(rng, n))
-    kinds = ["H", "X", "Y", "Z", "S", "Sdg", "Ry", "CP", "IsingZZ", "CRy"]
+    kinds = ["H", "X", "Y", "Z", "S", "Sdg", "Ry", "CP", "IsingZZ"]
     for _ in range(1000):
         kind = kinds[int(rng.integers(len(kinds)))]
-        if kind in ("CP", "IsingZZ", "CRy"):
+        if kind in ("CP", "IsingZZ"):
             q = rng.choice(n, size=2, replace=False)
             g = GateOp(kind, (int(q[0]), int(q[1])), float(rng.uniform(0, 2 * math.pi)))
         else:

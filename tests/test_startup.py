@@ -24,19 +24,17 @@ TRAINER = {"dataset.py", "qgnn.py", "executor.py", "train.py"}
 GRAPH_STATE = {"__init__.py", "cli.py", "graph.py", "sim.py", "graphstate.py", "tasks.py",
                "filters.py"}
 
-# The package's exports, by defining module, as the eager __init__ listed them.
+# The package's exports, by defining module.
 EXPORTS = {
     "graph": "DEFAULT_WEIGHT Graph adjacency_matrix from_edge_list laplacian neighborhood "
              "to_edge_list",
     "sim": "MAX_QUBITS GateOp MeasurementRecord StateVector apply_gate apply_linear_operator "
            "dump_state expectation_pauli measure_qubit new_state sample_counts tensor",
-    "graphstate": "ConstraintRound EdgeConvention PauliString StabilizerReport "
-                  "build_graph_state constraint_round decomposition_amplitude edge_program "
-                  "stabilizer_of verify_stabilizers",
-    "qgnn": "ModelSpec apply_interlayer build_registered build_superposed encode_features "
-            "layer_state load_model message_pass model_from_dict model_to_dict "
-            "neighborhood_groups periodic_readout pool_crot pool_measure pool_phase save_model",
-    "tasks": "classify_graph edge_phase_estimate edge_readout node_readout swap_test_overlap",
+    "graphstate": "ConstraintRound EdgeConvention StabilizerReport build_graph_state "
+                  "constraint_round decomposition_amplitude edge_program pool_measure "
+                  "verify_stabilizers",
+    "qgnn": "ModelSpec encode_features load_model model_from_dict model_to_dict save_model",
+    "tasks": "classify_graph edge_readout node_readout swap_test_overlap",
     "filters": "apply_filter_lcu pad_matrix polynomial_filter_matrix",
     "dataset": "DataItem Dataset dataset_from_dict dataset_to_dict demo_graph load_dataset "
                "save_dataset toy_dataset_path toy_node_dataset",
@@ -97,7 +95,8 @@ def test_only_the_model_verbs_run_the_trainer_half(tmp_path):
     non_model = [["state", "build", *graph], ["state", "verify", *graph],
                  ["state", "sample", *graph, "--shots", "5"], ["state", "sample", *graph],
                  ["swap", *graph], ["swap", *graph, "--graph", "g.qg", "--shots", "9"],
-                 ["filter", "apply", *graph, "--coeffs", "0.5,1", "--vector", "x.txt"]]
+                 ["filter", "apply", *graph, "--coeffs", "0.5,1", "--vector", "x.txt"],
+                 ["pool", *graph, "--seed", "3"]]
     model_eval = ["model", "eval", "--data", str(qgns.toy_dataset_path()), "--out", "out.txt"]
     report = json.loads(_python(_RUN_VERBS, json.dumps(non_model + [model_eval]), str(SRC),
                                 cwd=tmp_path))
@@ -128,5 +127,7 @@ def test_an_unknown_name_is_an_attribute_error():
     with pytest.raises(AttributeError, match="'qgns' has no attribute 'no_such_name'"):
         qgns.no_such_name  # noqa: B018
     assert not hasattr(qgns, "select_powers_operator")
+    for deleted in ("message_pass", "build_superposed", "PauliString", "edge_phase_estimate"):
+        assert not hasattr(qgns, deleted), deleted
     with pytest.raises(ImportError, match="no_such_name"):
         exec("from qgns import no_such_name", {})

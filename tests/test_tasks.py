@@ -7,9 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qgns import (Graph, StateVector, build_graph_state, classify_graph,
-                  edge_phase_estimate, edge_readout, new_state, node_readout,
-                  swap_test_overlap)
+from qgns import (StateVector, build_graph_state, classify_graph, edge_readout, new_state,
+                  node_readout, swap_test_overlap)
 from qgns.tasks import edge_zzs, node_p1
 
 from helpers import (edge_zz_oracle, random_graph, random_state, rotated_p1,
@@ -140,25 +139,6 @@ def test_numpy_sums_pairwise_over_aligned_blocks_of_128_or_more():
                 f"edge readout qgns.tasks.edge_zzs depends on this")
         orders_differ |= not np.array_equal(total, _adjacent_pairs_tree(x, 64))
     assert orders_differ, "blocks of 64 summed alike: this check cannot tell orders apart"
-
-
-def test_edge_phase_estimate_examples(k2):
-    flat = Graph.from_edges(2, [(0, 1, 0.0)])
-    assert edge_phase_estimate(new_state(2, "plus"), flat, 0, 1) == pytest.approx(1.0)
-
-    # |11>-supported eigenstate picks up exactly the edge phase
-    ones = StateVector(2, [0, 0, 0, 1])  # |11>
-    for w in (0.3, 1.1, 2.9):
-        g = Graph.from_edges(2, [(0, 1, w)])
-        assert edge_phase_estimate(ones, g, 0, 1) == pytest.approx(math.cos(w))
-
-    g = Graph.from_edges(2, [(0, 1, math.pi / 2)])
-    s = build_graph_state(g)
-    # 4-dim oracle: sum |amp_k|^2 e^{i w [k=11]} -> 3/4 + i/4
-    assert edge_phase_estimate(s, g, 0, 1) == pytest.approx(0.75)
-
-    with pytest.raises(ValueError, match="no edge"):
-        edge_phase_estimate(s, Graph(2), 0, 1)
 
 
 def test_swap_test_examples(k2):
