@@ -33,7 +33,8 @@ import numpy as np
 
 from .graph import Graph, adjacency_matrix, neighborhood
 from .sim import (MeasurementRecord, StateVector, measure_qubit, new_state, product_rows,
-                  run_program)
+                  run_parts, run_program, split_parts)
+from .tasks import _PAIRWISE_LEAF, _block_sums, _pair_part, _pairwise_tree
 
 
 class EdgeConvention(Enum):
@@ -106,23 +107,40 @@ def verify_stabilizers(g: Graph, s: StateVector, tol: float = 1e-10) -> Stabiliz
     S_v = X_v prod_{u in N(v)} Z_u maps the amplitude pair (a0, a1) that
     differs only in bit v to (z a1, z a0), with z = +-1 the parity sign of
     the neighbour bits, so both halves of the residual have the magnitude
-    |z a1 - a0| and ||S_v s - s|| = sqrt(2) ||z a1 - a0||. That is one copy
-    of half the state per vertex, with no Pauli-applied clone.
+    |z a1 - a0| and ||S_v s - s|| = sqrt(2) ||z a1 - a0||. The norm is the
+    square root of the pairwise np.sum of the squared real and imaginary
+    parts of z a1 - a0, whatever BLAS is linked and however many threads it
+    runs. Each of the sim.split_parts parts writes its run of the pairs
+    into one buffer of half the state, reused for every vertex.
     """
     if s.n_qubits != g.n_vertices:
         raise ValueError(
             f"state has {s.n_qubits} qubits but graph has {g.n_vertices} vertices")
-    residuals = []
-    for v in range(g.n_vertices):
-        pairs = s.amps.reshape(-1, 2, 1 << v)
-        diff = pairs[:, 1, :].copy()
-        # flat index of the a1 half: bit u of the state index for u < v,
-        # bit u + 1 for u > v
-        for u in neighborhood(g, v):
-            diff.reshape(-1, 2, 1 << (u if u < v else u - 1))[:, 1, :] *= -1.0
-        diff -= pairs[:, 0, :]
-        residuals.append(math.sqrt(2.0) * float(np.linalg.norm(diff)))
-    return StabilizerReport(tuple(residuals), tol)
+    parts = split_parts(s.dim)
+    runs = np.empty(s.dim // 2, dtype=complex).reshape(parts, -1)
+    # flat pair index of the a1 half: bit u of the state index for u < v,
+    # bit u + 1 for u > v
+    flips = [[u if u < v else u - 1 for u in neighborhood(g, v)] for v in range(g.n_vertices)]
+    inside = runs.shape[1].bit_length() - 1     # pair-index bits within one part
+    sums = np.empty((g.n_vertices, parts, -(-2 * runs.shape[1] // _PAIRWISE_LEAF)))
+
+    def part(p):
+        for v, bits in enumerate(flips):
+            pairs = _pair_part(s.amps, v, parts, p)
+            diff = runs[p].reshape(pairs[..., 1, :].shape)
+            np.copyto(diff, pairs[..., 1, :])
+            for b in bits:
+                if b < inside:
+                    runs[p].reshape(-1, 2, 1 << b)[:, 1, :] *= -1.0
+                elif p >> (b - inside) & 1:    # the part's own pair-index bits
+                    diff *= -1.0
+            diff -= pairs[..., 0, :]
+            squares = runs[p].view(np.float64)
+            _block_sums(np.square(squares, out=squares), sums[v, p])
+
+    run_parts(part, parts)
+    totals = _pairwise_tree(sums.reshape(g.n_vertices, -1))
+    return StabilizerReport(tuple(math.sqrt(2.0) * math.sqrt(t) for t in totals.tolist()), tol)
 
 
 def decomposition_amplitude(g: Graph, basis_index: int) -> complex:

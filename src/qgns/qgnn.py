@@ -47,9 +47,6 @@ class ModelSpec:
         if self.weights.shape != (rows, e):
             raise ValueError(f"weights shape {self.weights.shape} != ({rows}, {e})")
 
-    def layer_weights(self, i: int) -> np.ndarray:
-        return self.weights[0] if self.shared_weights else self.weights[i]
-
 
 def encode_features(x) -> np.ndarray:
     """A feature vector's layer-0 Ry angles: x min-max normalized to [0, 1]

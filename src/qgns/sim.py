@@ -14,12 +14,19 @@ entanglers (qgns.graphstate.edge_program). product_rows prepares the Ry
 product states of a whole stack in closed form. apply_gate applies one named
 gate to one state; apply_linear_operator applies any matrix.
 
+States of 2^16 amplitudes or more are cut into split_parts equal runs that
+run_parts works on in parallel threads: run_program here, node_p1 and
+edge_zzs (qgns.tasks) and verify_stabilizers (qgns.graphstate). Each part
+does the same numpy operations on its amplitudes as one serial pass would,
+so no result depends on the number of parts.
+
 States mutate in place; clone() before applying gates if the original is
 still needed. Randomness always comes from an explicit numpy Generator.
 """
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -183,22 +190,94 @@ def _turn(block: np.ndarray, phase: np.ndarray) -> None:
     block += turned
 
 
-def _cp_rows(amps: np.ndarray, qubits: tuple[int, ...], w: np.ndarray) -> None:
-    _turn(_pair_view(amps, qubits)[:, :, 1, :, 1, :], np.exp(1j * w).reshape(-1, 1, 1, 1))
+# The diagonal kinds: each pattern of their (hi, lo) bits with the sign s of
+# its phase e^{i s w}. IsingZZ turns by e^{-iw} where the two bits agree and
+# by e^{iw} where they differ.
+_PHASES = {"CP": (((1, 1), 1),),
+           "IsingZZ": (((0, 0), -1), ((1, 1), -1), ((0, 1), 1), ((1, 0), 1))}
 
 
-def _ising_zz_rows(amps: np.ndarray, qubits: tuple[int, ...], w: np.ndarray) -> None:
-    # e^{-iw} where the two bits agree, e^{iw} where they differ
-    view = _pair_view(amps, qubits)
-    same = np.exp(-1j * w).reshape(-1, 1, 1, 1)
-    diff = np.exp(1j * w).reshape(-1, 1, 1, 1)
-    _turn(view[:, :, 0, :, 0, :], same)
-    _turn(view[:, :, 1, :, 1, :], same)
-    _turn(view[:, :, 0, :, 1, :], diff)
-    _turn(view[:, :, 1, :, 0, :], diff)
+def _turns(program, rows: np.ndarray) -> dict:
+    """{s: e^{i s rows}} for each sign s of the program's diagonal gates."""
+    signs = {sign for kind, _, _ in program for _, sign in _PHASES.get(kind, ())}
+    return {sign: np.exp(sign * 1j * rows) for sign in signs}
 
 
-_ROW_KERNELS = {"Ry": _ry_rows, "CP": _cp_rows, "IsingZZ": _ising_zz_rows}
+def _phase_rows(amps: np.ndarray, kind: str, qubits: tuple[int, ...], turns: dict, j: int,
+                top: int = 0) -> None:
+    """Apply diagonal gate j, whose phases are column j of turns (_turns), to
+    a (B, 2^m) stack, or to part `top` of a wider one (run_program): that
+    part's qubits m and up, which may include gate qubits, hold the bits of
+    top. Each block of amplitudes whose gate bits match a pattern is turned
+    by that pattern's phase."""
+    m = amps.shape[-1].bit_length() - 1
+    hi, lo = max(qubits), min(qubits)
+    for (bit_hi, bit_lo), sign in _PHASES[kind]:
+        if hi < m:
+            block = _pair_view(amps, (hi, lo))[:, :, bit_hi, :, bit_lo, :]
+        elif (top >> (hi - m) & 1) != bit_hi:
+            continue
+        elif lo < m:
+            block = amps.reshape(amps.shape[0], -1, 2, 1 << lo)[:, :, bit_lo, :]
+        elif (top >> (lo - m) & 1) != bit_lo:
+            continue
+        else:
+            block = amps
+        _turn(block, turns[sign][:, j].reshape((-1,) + (1,) * (block.ndim - 1)))
+
+
+# States of at least _SPLIT_AMPS amplitudes are read and run in parts, one
+# per thread; smaller ones run serially and never start the pool.
+_SPLIT_AMPS = 1 << 16
+_MAX_WORKERS = 8
+_pool = None
+
+
+def _worker_count() -> int:
+    return min(len(os.sched_getaffinity(0)), _MAX_WORKERS)
+
+
+def split_parts(dim: int) -> int:
+    """How many equal parts run_parts cuts a state of dim amplitudes into:
+    1 below _SPLIT_AMPS, else a power of two covering the usable cores, with
+    at least _SPLIT_AMPS / 2 amplitudes per part."""
+    parts = 1
+    if dim >= _SPLIT_AMPS:
+        workers = _worker_count()
+        while parts < workers and dim // (2 * parts) >= _SPLIT_AMPS // 2:
+            parts *= 2
+    return parts
+
+
+def run_parts(part, parts: int) -> None:
+    """Call part(p) for every p in range(parts): part 0 on the calling thread
+    and the rest on a thread pool created on first use. Each part must write
+    to its own slice of memory only and call nothing that holds the GIL
+    long; numpy releases it inside its loops."""
+    if parts == 1:
+        part(0)
+        return
+    global _pool
+    if _pool is None:
+        from concurrent.futures import ThreadPoolExecutor
+        _pool = ThreadPoolExecutor(max(1, _worker_count() - 1), thread_name_prefix="qgns-part")
+    futures = [_pool.submit(part, p) for p in range(1, parts)]
+    try:
+        part(0)
+    finally:
+        for future in futures:
+            future.exception()     # wait: no part outlives the call
+    for future in futures:
+        future.result()
+
+
+def _forget_pool() -> None:
+    # a forked child inherits the pool object but none of its threads
+    global _pool
+    _pool = None
+
+
+os.register_at_fork(after_in_child=_forget_pool)
 
 
 def product_rows(theta) -> np.ndarray:
@@ -227,10 +306,39 @@ def run_program(amps: np.ndarray, program, rows) -> np.ndarray:
     """Run a gate program on every row of a contiguous (B, 2^n) amplitude
     stack in place and return the stack: gate j, a (kind, qubits, slot)
     entry of kind Ry, CP or IsingZZ, turns row b by angle rows[b, j]. The
-    qubits are trusted: check them once per program, not once per gate."""
+    qubits are trusted: check them once per program, not once per gate.
+
+    A state of split_parts(2^n) > 1 parts runs as that many runs of
+    amplitudes, split on its top qubits, each applying every gate restricted
+    to itself in program order; an Ry on a split qubit, which mixes parts,
+    runs on the whole stack between them. Every amplitude is computed by the
+    same multiplies whatever the number of parts."""
     rows = np.asarray(rows, dtype=float)
-    for j, (kind, qubits, _) in enumerate(program):
-        _ROW_KERNELS[kind](amps, qubits, rows[:, j])
+    turns = _turns(program, rows)
+    parts = split_parts(amps.shape[-1])
+    runs = amps.reshape(amps.shape[0], parts, -1)
+
+    def part(p, gates):
+        run = runs[:, p, :]
+        for j in gates:
+            kind, qubits, _ = program[j]
+            if kind == "Ry":
+                _ry_rows(run, qubits, rows[:, j])
+            else:
+                _phase_rows(run, kind, qubits, turns, j, p)
+
+    if parts == 1:
+        part(0, range(len(program)))
+        return amps
+    split = runs.shape[-1].bit_length() - 1     # the qubits from this one up are split
+    start = 0
+    for stop in [j for j, (kind, qubits, _) in enumerate(program)
+                 if kind == "Ry" and qubits[0] >= split] + [len(program)]:
+        if stop > start:
+            run_parts(lambda p, gates=range(start, stop): part(p, gates), parts)
+        if stop < len(program):
+            _ry_rows(amps, program[stop][1], rows[:, stop])
+        start = stop + 1
     return amps
 
 
@@ -243,8 +351,11 @@ def apply_gate(s: StateVector, g: GateOp) -> StateVector:
     """
     _check_qubits(s, g.qubits)
     kind = g.kind
-    if kind in _ROW_KERNELS:
-        _ROW_KERNELS[kind](s.amps.reshape(1, -1), g.qubits, np.array([g.param]))
+    if kind == "Ry":
+        _ry_rows(s.amps.reshape(1, -1), g.qubits, np.array([g.param]))
+    elif kind in _PHASES:
+        turns = _turns([(kind, g.qubits, 0)], np.array([[g.param]]))
+        _phase_rows(s.amps.reshape(1, -1), kind, g.qubits, turns, 0)
     elif kind == "H":
         _apply_matrix_inplace(s, _H, g.qubits)
     elif kind == "X":

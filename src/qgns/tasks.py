@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .sim import _SQRT2_INV, StateVector, _check_qubits
+from .sim import _SQRT2_INV, StateVector, _check_qubits, run_parts, split_parts
 
 _READOUT_BASES = ("Y", "Z")
 
@@ -36,12 +36,6 @@ def sign_estimate(expectation, shots: int, rng: np.random.Generator | None):
     """Shot estimate of the expectation of a +-1-valued observable, from the
     probability (1 + expectation) / 2 of the +1 outcome."""
     return 2.0 * binomial_estimate(0.5 * (1.0 + expectation), shots, rng) - 1.0
-
-
-def _summed_sq(x: np.ndarray) -> np.ndarray:
-    """sum |x|^2 over the last two axes. The pairwise sums of each row are
-    the same whatever the leading (batch) axes are."""
-    return (np.abs(x) ** 2).sum(axis=(-2, -1))
 
 
 # numpy adds float64 pairwise: a run of at most 128 values is one unrolled
@@ -61,13 +55,27 @@ def _pairwise_tree(sums: np.ndarray) -> np.ndarray:
     return sums[..., 0]
 
 
-def _signed_row_sums(rows: np.ndarray, signs: np.ndarray) -> np.ndarray:
-    """The sum of each row of rows * signs, for a contiguous (R, L) array,
-    taken over slices of rows so that each signed copy stays cache-sized
-    rather than a second stack-sized array."""
-    step = max(1, _SLICE_FLOATS // rows.shape[-1])
-    return np.concatenate([(rows[k:k + step] * signs).sum(axis=-1)
-                           for k in range(0, len(rows), step)])
+def _block_sums(values: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The sums of the aligned blocks of _PAIRWISE_LEAF values (or of all
+    of them, if fewer) of each contiguous (..., L) row, into out (..., blocks)."""
+    width = min(_PAIRWISE_LEAF, values.shape[-1])
+    return np.add.reduce(values.reshape(values.shape[:-1] + (-1, width)), axis=-1, out=out)
+
+
+def _pair_part(amps: np.ndarray, q: int, parts: int, p: int) -> np.ndarray:
+    """Part p of `parts` equal runs of the amplitude pairs (a0, a1) of qubit
+    q in a (..., 2^n) stack, as a (..., R, 2, C) view: its flat (R, C)
+    order is the order of those pairs in the stack, so the parts' pairs in
+    turn are all pairs in order."""
+    lead = amps.shape[:-1]
+    if parts == 1:
+        return amps.reshape(lead + (-1, 2, 1 << q))
+    outer = amps.shape[-1] >> (q + 1)     # runs of 2^q pairs, one per setting of the bits above q
+    if outer >= parts:
+        return amps.reshape(lead + (parts, outer // parts, 2, 1 << q))[..., p, :, :, :]
+    cut = parts // outer                  # each run is cut into this many parts
+    runs = amps.reshape(lead + (outer, 2, cut, (1 << q) // cut))
+    return runs[..., p // cut, None, :, p % cut, :]
 
 
 def _parity_signs(index: np.ndarray, bits) -> np.ndarray:
@@ -88,21 +96,36 @@ def node_p1(amps: np.ndarray, qubits, basis: str = "Y") -> np.ndarray:
     1/sqrt(2) on each term, as applying H rounds it. The Y-basis goldens pin
     this form's bits; the Sdg, H gate path rounds differently in the last
     bits and agrees with it within 1e-14.
+
+    Each of the sim.split_parts parts squares its run of every qubit's pairs
+    into buffers allocated here and sums them in aligned blocks, and the
+    pairwise tree of all the blocks gives the bits of one np.sum.
     """
     if basis not in _READOUT_BASES:
         raise ValueError(f"node readout basis must be Y or Z, got {basis!r}")
+    qubits = list(qubits)
     lead = amps.shape[:-1]
-    out = np.empty(lead + (len(qubits),))
-    for k, q in enumerate(qubits):
-        pairs = amps.reshape(lead + (-1, 2, 1 << q))
-        if basis == "Z":
-            out[..., k] = _summed_sq(pairs[..., 1, :])
-            continue
-        rotated = pairs[..., 1, :] * 1j
-        rotated *= _SQRT2_INV
-        rotated += pairs[..., 0, :] * _SQRT2_INV
-        out[..., k] = _summed_sq(rotated)
-    return out
+    parts = split_parts(amps.shape[-1])
+    run = lead + (amps.shape[-1] // 2 // parts,)       # each part's pairs per state
+    squares = np.empty((parts,) + run)
+    rotated, scaled = np.empty((2, parts) + run, complex) if basis == "Y" else (None, None)
+    sums = np.empty(lead + (len(qubits), parts, -(-run[-1] // _PAIRWISE_LEAF)))
+
+    def part(p):
+        mine, block_sums = squares[p], sums[..., p, :]
+        turned = (rotated[p], scaled[p]) if basis == "Y" else ()
+        for k, q in enumerate(qubits):
+            pairs = _pair_part(amps, q, parts, p)
+            half = pairs[..., 1, :]
+            if turned:
+                half = np.multiply(half, 1j, out=turned[0].reshape(half.shape))
+                half *= _SQRT2_INV
+                half += np.multiply(pairs[..., 0, :], _SQRT2_INV, out=turned[1].reshape(half.shape))
+            np.abs(half, out=mine.reshape(half.shape))
+            _block_sums(np.square(mine, out=mine), block_sums[..., k, :])
+
+    run_parts(part, parts)
+    return _pairwise_tree(sums.reshape(sums.shape[:-2] + (sums.shape[-2] * sums.shape[-1],)))
 
 
 def edge_zzs(amps: np.ndarray, pairs) -> np.ndarray:
@@ -116,27 +139,48 @@ def edge_zzs(amps: np.ndarray, pairs) -> np.ndarray:
     an endpoint above the block bits only signs whole blocks. Negation is
     exact and (-x) + (-y) = -(x + y) in rounded arithmetic, so the pairwise
     tree of the signed block sums has the bits of summing the signed squares
-    in one pass.
+    in one pass. The blocks of the whole stack are cut into sim.split_parts
+    runs, each squared and summed by one part.
     """
     lead = amps.shape[:-1]
-    # squares of the interleaved real and imaginary parts, 2 floats per amplitude
-    rows = (amps.view(np.float64) ** 2).reshape(-1, min(_PAIRWISE_LEAF, 2 * amps.shape[-1]))
-    inner = rows.shape[-1].bit_length() - 2     # qubits below this lie inside a block
-    offsets = np.arange(rows.shape[-1]) >> 1     # amplitude index within a block
-    index = np.arange(2 * amps.shape[-1] // rows.shape[-1])    # block index within a state
-    columns_of, sums, columns, signs = {}, [], [], []
+    floats = amps.reshape(-1).view(np.float64)
+    width = min(_PAIRWISE_LEAF, 2 * amps.shape[-1])
+    inner = width.bit_length() - 2               # qubits below this lie inside a block
+    offsets = np.arange(width) >> 1              # amplitude index within a block
+    index = np.arange(2 * amps.shape[-1] // width)    # block index within a state
+    lows, columns, signs = [], [], []
     for pair in pairs:
         low = tuple(sorted(q for q in pair if q < inner))
-        if low not in columns_of:
-            columns_of[low] = len(sums)
-            sums.append((_signed_row_sums(rows, _parity_signs(offsets, low)) if low
-                         else rows.sum(axis=-1)).reshape(lead + (-1,)))
-        columns.append(columns_of[low])
+        if low not in lows:
+            lows.append(low)
+        columns.append(lows.index(low))
         signs.append(_parity_signs(index, [q - inner for q in pair if q >= inner]))
     if not columns:
         return np.zeros(lead + (0,))
-    del rows    # the signed block sums below take the squares' place
-    return _pairwise_tree(np.stack(sums, axis=-2)[..., columns, :] * np.array(signs))
+    low_signs = [_parity_signs(offsets, low) if low else None for low in lows]
+    parts = split_parts(amps.shape[-1])
+    blocks = floats.reshape(parts, -1, width)
+    squares = np.empty(blocks.shape)
+    step = max(1, _SLICE_FLOATS // width)
+    scratch = np.empty((parts, min(step, blocks.shape[1]), width))
+    sums = np.empty((len(lows),) + blocks.shape[:2])
+
+    def part(p):
+        rows = np.square(blocks[p], out=squares[p])
+        for k, low_sign in enumerate(low_signs):
+            if low_sign is None:
+                np.add.reduce(rows, axis=-1, out=sums[k, p])
+                continue
+            # signed copies of cache-sized slices, not of the whole run
+            for start in range(0, len(rows), step):
+                chunk = rows[start:start + step]
+                signed = np.multiply(chunk, low_sign, out=scratch[p, :len(chunk)])
+                np.add.reduce(signed, axis=-1, out=sums[k, p, start:start + len(chunk)])
+
+    run_parts(part, parts)
+    del squares, scratch    # the signed block sums below take the squares' place
+    sums = sums.reshape((len(lows),) + lead + (-1,))
+    return _pairwise_tree(np.moveaxis(sums, 0, -2)[..., columns, :] * np.array(signs))
 
 
 def node_readout(s: StateVector, qubit: int, basis: str = "Y", shots: int = 0,

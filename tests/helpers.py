@@ -9,7 +9,9 @@ one-circuit-at-a-time path (apply_gate per gate, a rotated
 clone per node readout, a Pauli-flipped clone per edge readout) that the
 batched trainer executor and the graph-state builder must reproduce bit for
 bit, the one-pass-per-edge <ZZ> that the shared block sums of qgns.tasks
-must reproduce bit for bit, the simulated circuits (the CSWAP swap test,
+must reproduce bit for bit, the serial kernels that the part-split kernels of qgns.sim, qgns.tasks
+and qgns.graphstate must reproduce bit for bit at any worker count, the
+simulated circuits (the CSWAP swap test,
 the dense LCU select operator, the stabilizer applied to a clone) whose
 closed forms the package computes instead, and the superposed state of a
 model's layer states under an explicit index register.
@@ -26,6 +28,7 @@ from qgns import (MAX_QUBITS, EdgeConvention, GateOp, Graph, StateVector, apply_
                   new_state, pad_matrix, tensor)
 from qgns.filters import select_powers_operator
 from qgns.graphstate import edge_kind
+from qgns.sim import _SQRT2_INV, _pair_view, _ry_rows, _turn
 
 
 def dense_apply(mat: np.ndarray, targets, n: int, vec: np.ndarray) -> np.ndarray:
@@ -244,6 +247,89 @@ def edge_zz_oracle(amps: np.ndarray, u: int, v: int) -> np.ndarray:
     return sq.sum(axis=-1)
 
 
+# -- the serial kernels, one pass over the whole stack ----------------------
+
+def _cp_rows(amps: np.ndarray, qubits, w: np.ndarray) -> None:
+    _turn(_pair_view(amps, qubits)[:, :, 1, :, 1, :], np.exp(1j * w).reshape(-1, 1, 1, 1))
+
+
+def _ising_zz_rows(amps: np.ndarray, qubits, w: np.ndarray) -> None:
+    view = _pair_view(amps, qubits)
+    same = np.exp(-1j * w).reshape(-1, 1, 1, 1)
+    diff = np.exp(1j * w).reshape(-1, 1, 1, 1)
+    _turn(view[:, :, 0, :, 0, :], same)
+    _turn(view[:, :, 1, :, 1, :], same)
+    _turn(view[:, :, 0, :, 1, :], diff)
+    _turn(view[:, :, 1, :, 0, :], diff)
+
+
+_SERIAL_KERNELS = {"Ry": _ry_rows, "CP": _cp_rows, "IsingZZ": _ising_zz_rows}
+
+
+def serial_run_program(amps: np.ndarray, program, rows) -> np.ndarray:
+    """sim.run_program as one pass of each gate over the whole stack."""
+    rows = np.asarray(rows, dtype=float)
+    for j, (kind, qubits, _) in enumerate(program):
+        _SERIAL_KERNELS[kind](amps, qubits, rows[:, j])
+    return amps
+
+
+def serial_node_p1(amps: np.ndarray, qubits, basis: str) -> np.ndarray:
+    """tasks.node_p1 as one np.sum per qubit over the whole stack."""
+    lead = amps.shape[:-1]
+    out = np.empty(lead + (len(qubits),))
+    for k, q in enumerate(qubits):
+        pairs = amps.reshape(lead + (-1, 2, 1 << q))
+        half = pairs[..., 1, :]
+        if basis == "Y":
+            half = pairs[..., 1, :] * 1j
+            half *= _SQRT2_INV
+            half += pairs[..., 0, :] * _SQRT2_INV
+        out[..., k] = (np.abs(half) ** 2).sum(axis=(-2, -1))
+    return out
+
+
+def serial_edge_zzs(amps: np.ndarray, pairs) -> np.ndarray:
+    """tasks.edge_zzs as one pass per edge over the squares of the whole
+    stack: the signed sums of its blocks of 128 floats, each signed again by
+    the endpoints above the blocks, then their adjacent-pairs tree."""
+    def parity(index, bits):
+        signs = np.ones(index.size)
+        for b in bits:
+            signs *= 1 - 2 * ((index >> b) & 1)
+        return signs
+
+    lead = amps.shape[:-1]
+    rows = (amps.view(np.float64) ** 2).reshape(-1, min(128, 2 * amps.shape[-1]))
+    inner = rows.shape[-1].bit_length() - 2
+    offsets = np.arange(rows.shape[-1]) >> 1
+    index = np.arange(2 * amps.shape[-1] // rows.shape[-1])
+    out = []
+    for pair in pairs:
+        low = [q for q in pair if q < inner]
+        sums = ((rows * parity(offsets, low)).sum(axis=-1).reshape(lead + (-1,))
+                * parity(index, [q - inner for q in pair if q >= inner]))
+        while sums.shape[-1] > 1:
+            sums = sums[..., 0::2] + sums[..., 1::2]
+        out.append(sums[..., 0])
+    return np.stack(out, axis=-1) if out else np.zeros(lead + (0,))
+
+
+def pairwise_residuals(g: Graph, s: StateVector) -> list[float]:
+    """verify_stabilizers' residuals by their definition: sqrt(2) times the
+    square root of one np.sum over the squared real and imaginary parts of
+    z a1 - a0, with z the sign of the neighbour bits."""
+    residuals = []
+    for v in range(g.n_vertices):
+        pairs = s.amps.reshape(-1, 2, 1 << v)
+        diff = pairs[:, 1, :].copy()
+        for u in neighborhood(g, v):
+            diff.reshape(-1, 2, 1 << (u if u < v else u - 1))[:, 1, :] *= -1.0
+        diff -= pairs[:, 0, :]
+        residuals.append(math.sqrt(2.0) * math.sqrt(float(np.sum(diff.view(np.float64) ** 2))))
+    return residuals
+
+
 def zz_oracle(s: StateVector, u: int, v: int) -> float:
     """<Z_u Z_v> as <s| Z_u Z_v |s> on a Z-flipped clone."""
     return expectation_pauli(s, {u: "Z", v: "Z"})
@@ -303,7 +389,8 @@ def stabilizer_residuals(g: Graph, s: StateVector) -> list[float]:
 def layer_state(model, i: int,
                 convention=EdgeConvention.CONTROLLED_PHASE) -> StateVector:
     """The i-th layer's graph state |G_i> of a model (Ry init from theta[i])."""
-    return build_graph_state(model.graph, convention, model.theta[i], model.layer_weights(i))
+    weights = model.weights[0] if model.shared_weights else model.weights[i]
+    return build_graph_state(model.graph, convention, model.theta[i], weights)
 
 
 def build_superposed(model, convention=EdgeConvention.CONTROLLED_PHASE) -> StateVector:

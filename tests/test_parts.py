@@ -1,0 +1,185 @@
+"""The part-split kernels give the same bits whatever the thread counts.
+
+States of 2^16 amplitudes or more run in sim.split_parts parts, one per
+worker thread. Each kernel is checked bit for bit against its serial pass
+(tests/helpers.py) with the pool forced to one worker and to more, at
+n = 15 (always serial) to 18; and `state verify` prints the same bytes
+whatever number of threads OpenBLAS runs.
+"""
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import qgns.sim as sim
+from qgns import (EdgeConvention, Graph, ModelSpec, StateVector, build_graph_state, new_state,
+                  to_edge_list, verify_stabilizers)
+from qgns.executor import gate_program, param_rows
+from qgns.graphstate import edge_program
+from qgns.tasks import edge_zzs, node_p1
+
+from helpers import (pairwise_residuals, random_graph, random_state, serial_edge_zzs,
+                     serial_node_p1, serial_run_program)
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+WIDTHS = (15, 16, 17, 18)
+WORKERS = (1, 2, 4)
+
+
+def bits(x) -> bytes:
+    x = np.asarray(x)
+    return str(x.shape).encode() + x.tobytes()
+
+
+def force_workers(monkeypatch, workers: int) -> None:
+    monkeypatch.setattr(sim, "_worker_count", lambda: workers)
+
+
+def wide_graph(rng: np.random.Generator, n: int, weighted: bool) -> Graph:
+    """A random graph on n vertices that also joins the top qubits, which
+    the parts split on, to each other and to qubit 0."""
+    g = random_graph(rng, n, weighted=weighted, p_edge=2.0 / n)
+    extra = [(0, n - 1), (n - 2, n - 1), (1, n - 3), (n - 3, n - 1)]
+    edges = {(u, v): w for u, v, w in g.edges}
+    for u, v in extra:
+        edges.setdefault((u, v), float(rng.uniform(0.1, 3.0)) if weighted else np.pi)
+    return Graph.from_edges(n, [(u, v, w) for (u, v), w in sorted(edges.items())])
+
+
+@pytest.mark.parametrize("n", WIDTHS)
+def test_states_from_two_to_the_sixteen_amplitudes_split_over_the_workers(monkeypatch, n):
+    for workers in WORKERS + (8,):
+        force_workers(monkeypatch, workers)
+        expected = 1 if n < 16 else min(workers, 1 << (n - 15))
+        assert sim.split_parts(1 << n) == expected, workers
+    force_workers(monkeypatch, 8)
+    assert sim.split_parts(1 << 10) == 1
+
+
+@pytest.mark.parametrize("n", WIDTHS)
+@pytest.mark.parametrize("basis", ["Y", "Z"])
+def test_node_p1_has_the_serial_bits_at_any_worker_count(monkeypatch, n, basis):
+    rng = np.random.default_rng(n)
+    amps = np.stack([random_state(rng, n) for _ in range(2)])
+    expected = bits(serial_node_p1(amps, range(n), basis))
+    for workers in WORKERS:
+        force_workers(monkeypatch, workers)
+        assert bits(node_p1(amps, range(n), basis)) == expected, workers
+        assert bits(node_p1(amps[:1], range(n), basis)) == bits(
+            serial_node_p1(amps[:1], range(n), basis)), workers
+
+
+@pytest.mark.parametrize("n", WIDTHS)
+def test_edge_zzs_has_the_serial_bits_at_any_worker_count(monkeypatch, n):
+    rng = np.random.default_rng(100 + n)
+    amps = np.stack([random_state(rng, n) for _ in range(2)])
+    # qubits 0-5 lie inside a block of 128 floats: edges with both, one or
+    # no endpoint there, the split top qubits among them
+    pairs = [(0, 3), (2, 5), (4, 1), (1, 9), (5, n - 1), (0, n - 1), (7, 11), (6, 13),
+             (n - 2, n - 1), (8, n - 3), (n - 3, 2)]
+    expected = bits(serial_edge_zzs(amps, pairs))
+    for workers in WORKERS:
+        force_workers(monkeypatch, workers)
+        assert bits(edge_zzs(amps, pairs)) == expected, workers
+        assert bits(edge_zzs(amps[0], pairs)) == bits(serial_edge_zzs(amps[0], pairs)), workers
+
+
+def programs(rng: np.random.Generator, n: int):
+    """(name, program, angle rows): the CP and IsingZZ entanglers of a
+    weighted graph, and an m = 2 model whose second layer runs Ry on the
+    split qubits between its entanglers."""
+    g = wide_graph(rng, n, weighted=True)
+    weights = [[w for _, _, w in g.edges]]
+    for convention in EdgeConvention:
+        yield convention.value, edge_program(g.edges, convention), weights
+    model = ModelSpec(g, 2, rng.uniform(0.0, np.pi, (2, n)), rng.uniform(0.1, 3.0, (2, g.n_edges)))
+    program = gate_program(model)
+    params = np.concatenate([model.theta.ravel(), model.weights.ravel()])
+    yield "m2", program, param_rows(program, params[None])
+
+
+@pytest.mark.parametrize("n", WIDTHS)
+def test_run_program_has_the_serial_bits_at_any_worker_count(monkeypatch, n):
+    rng = np.random.default_rng(200 + n)
+    start = np.stack([random_state(rng, n) for _ in range(2)])
+    for name, program, rows in programs(rng, n):
+        rows = np.repeat(np.asarray(rows), 2, axis=0)
+        rows[1] *= 0.5
+        expected = bits(serial_run_program(start.copy(), program, rows))
+        for workers in WORKERS:
+            force_workers(monkeypatch, workers)
+            got = sim.run_program(start.copy(), program, rows)
+            assert bits(got) == expected, (name, workers)
+
+
+@pytest.mark.parametrize("n", WIDTHS)
+def test_sampled_probabilities_have_the_serial_bits_at_any_worker_count(monkeypatch, n):
+    g = wide_graph(np.random.default_rng(300 + n), n, weighted=True)
+    serial = new_state(n, "plus").amps[None]
+    serial_run_program(serial, edge_program(g.edges, EdgeConvention.CONTROLLED_PHASE),
+                       [[w for _, _, w in g.edges]])
+    expected = bits(StateVector(n, serial[0]).probabilities())
+    for workers in WORKERS:
+        force_workers(monkeypatch, workers)
+        assert bits(build_graph_state(g).probabilities()) == expected, workers
+
+
+@pytest.mark.parametrize("n", WIDTHS)
+def test_verify_residuals_follow_the_pairwise_sum_at_any_worker_count(monkeypatch, n):
+    rng = np.random.default_rng(400 + n)
+    g = wide_graph(rng, n, weighted=False)
+    exact = build_graph_state(g)
+    noisy = StateVector(n, exact.amps + 1e-6 * random_state(rng, n))
+    for s in (exact, noisy):
+        expected = bits(pairwise_residuals(g, s))
+        for workers in WORKERS:
+            force_workers(monkeypatch, workers)
+            assert bits(verify_stabilizers(g, s).residuals) == expected, workers
+
+
+def test_state_verify_prints_the_same_bytes_for_any_blas_thread_count(tmp_path):
+    # np.linalg.norm runs BLAS ddot, whose sum above 10,000 elements splits
+    # over OpenBLAS's threads, so its last digits depend on their number
+    g = random_graph(np.random.default_rng(16), 16, p_edge=0.25)
+    (tmp_path / "g16.qg").write_text(to_edge_list(g), encoding="utf-8")
+    outputs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": str(SRC), "OPENBLAS_NUM_THREADS": threads}
+        proc = subprocess.run([sys.executable, "-m", "qgns", "state", "verify", "--graph",
+                               "g16.qg"], cwd=tmp_path, env=env, capture_output=True,
+                              timeout=120, check=True)
+        outputs.append(proc.stdout)
+    assert b'"pass": true' in outputs[0]
+    assert outputs[0] == outputs[1]
+
+
+def test_parts_keep_their_bits_with_more_threads_than_cores(monkeypatch):
+    # a fresh pool of seven threads, switching between them every microsecond
+    monkeypatch.setattr(sim, "_pool", None)
+    force_workers(monkeypatch, 8)
+    rng = np.random.default_rng(500)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for n in (17, 18):
+            g = wide_graph(rng, n, weighted=False)
+            amps = random_state(rng, n)[None]
+            program = edge_program(g.edges, EdgeConvention.ISING_ZZ)
+            rows = rng.uniform(0.1, 3.0, (1, len(program)))
+            assert bits(sim.run_program(amps.copy(), program, rows)) == bits(
+                serial_run_program(amps.copy(), program, rows))
+            assert bits(node_p1(amps, range(n), "Y")) == bits(serial_node_p1(amps, range(n), "Y"))
+            pairs = [(u, v) for u, v, _ in g.edges]
+            assert bits(edge_zzs(amps, pairs)) == bits(serial_edge_zzs(amps, pairs))
+            s = StateVector(n, amps[0])
+            assert bits(verify_stabilizers(g, s).residuals) == bits(pairwise_residuals(g, s))
+    finally:
+        sys.setswitchinterval(interval)
+        if sim._pool is not None:
+            sim._pool.shutdown(wait=True)
+    assert sim.split_parts(1 << 18) == 8

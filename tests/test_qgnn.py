@@ -143,7 +143,9 @@ def test_model_validation():
         ModelSpec(g, 2, np.zeros((2, 2)), np.zeros((1, 1)))
     shared = ModelSpec(g, 2, np.zeros((2, 2)), np.zeros((1, 1)),
                        shared_weights=True)
-    assert np.array_equal(shared.layer_weights(0), shared.layer_weights(1))
+    assert shared.weights.shape == (1, g.n_edges)    # one row that every layer reads
+    unshared = ModelSpec(g, 2, np.zeros((2, 2)), np.array([[0.5], [1.5]]))
+    assert np.array_equal(unshared.weights[1], [1.5])
 
 
 def test_checkpoint_roundtrip(tmp_path, demo5):

@@ -80,6 +80,17 @@ print("ok")
 """
 
 
+# Runs each argv of sys.argv[1] in turn, then prints the exit codes, whether
+# concurrent.futures (the part pool's module) was imported, and how many
+# threads are alive.
+_THREADS = r"""
+import json, sys, threading
+from qgns.cli import execute
+codes = [execute(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps([codes, "concurrent.futures" in sys.modules, threading.active_count()]))
+"""
+
+
 def _python(code: str, *args: str, cwd: Path) -> str:
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     proc = subprocess.run([sys.executable, "-c", code, *args], cwd=cwd, env=env,
@@ -105,6 +116,30 @@ def test_only_the_model_verbs_run_the_trainer_half(tmp_path):
         assert GRAPH_STATE <= set(ran), argv  # the hook sees module bodies run
         assert not TRAINER & set(ran), argv
     assert TRAINER <= set(report[-1][1])
+
+
+def test_states_below_two_to_the_sixteen_start_no_pool(tmp_path):
+    def ring(n: int) -> str:
+        return f"qgraph v1 n={n}\n" + "".join(f"{v} {(v + 1) % n} 0.5\n" for v in range(n))
+
+    (tmp_path / "g9.qg").write_text(ring(9), encoding="utf-8")
+    (tmp_path / "h9.qg").write_text(ring(9).replace("0.5", "1.25"), encoding="utf-8")
+    (tmp_path / "x9.txt").write_text("1.0\n" * 9, encoding="utf-8")
+    (tmp_path / "g16.qg").write_text(ring(16).replace(" 0.5", ""), encoding="utf-8")
+    out = ["--out", "out.txt"]
+    small = [["filter", "apply", "--graph", "g9.qg", "--coeffs", "0.5,1", "--vector", "x9.txt",
+              *out],
+             ["swap", "--graph", "g9.qg", *out],
+             ["swap", "--graph", "g9.qg", "--graph", "h9.qg", "--shots", "9", *out],
+             ["model", "train", "--data", str(qgns.toy_dataset_path()), "--epochs", "3", *out]]
+    codes, pooled, threads = json.loads(_python(_THREADS, json.dumps(small), cwd=tmp_path))
+    assert codes == [0] * len(small)
+    assert not pooled and threads == 1
+    # a 16-qubit state splits wherever a second core can take a part
+    codes, pooled, threads = json.loads(_python(
+        _THREADS, json.dumps([["state", "verify", "--graph", "g16.qg", *out]]), cwd=tmp_path))
+    assert codes == [0]
+    assert pooled == (threads > 1) == (len(os.sched_getaffinity(0)) > 1)
 
 
 def test_a_trainer_module_has_one_module_object(tmp_path):
