@@ -47,7 +47,7 @@ _EXPORTS = {name: module for module, names in (
     ("dataset", "DataItem Dataset dataset_from_dict dataset_to_dict demo_graph load_dataset "
                 "save_dataset toy_dataset_path toy_node_dataset"),
     ("train", "FitResult TrainConfig accuracy class_prototypes fit gradient initial_model "
-              "loss model_circuit params_of with_params"),
+              "loss params_of with_params"),
 ) for name in names.split()}
 __all__ = list(_EXPORTS)
 

@@ -68,20 +68,6 @@ class Graph:
     def n_edges(self) -> int:
         return len(self.edges)
 
-    def weight(self, u: int, v: int) -> float:
-        """Weight of edge (u, v); raises if the edge is absent."""
-        if u > v:
-            u, v = v, u
-        for a, b, w in self.edges:
-            if (a, b) == (u, v):
-                return w
-        raise ValueError(f"no edge ({u},{v}) in graph")
-
-    def has_edge(self, u: int, v: int) -> bool:
-        if u > v:
-            u, v = v, u
-        return any((a, b) == (u, v) for a, b, _ in self.edges)
-
     def is_unweighted(self, tol: float = 1e-12) -> bool:
         """True when every edge carries the default weight pi."""
         return all(abs(w - DEFAULT_WEIGHT) <= tol for _, _, w in self.edges)

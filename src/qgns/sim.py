@@ -11,8 +11,9 @@ parametrised kinds Ry, CP and IsingZZ. run_program applies one to a (B, 2^n)
 stack of states, gate j turning row b by rows[b, j]; it is the one runner
 behind the trainer's circuits (qgns.executor), graph states and their edge
 entanglers (qgns.graphstate.edge_program). product_rows prepares the Ry
-product states of a whole stack in closed form. apply_gate applies one named
-gate to one state; apply_linear_operator applies any matrix.
+product states of a whole stack in closed form. apply_gate applies one gate
+of those kinds to one state, apply_linear_operator any matrix (fixed gates
+and Paulis included); measure_qubit projects the amplitude pairs of a qubit.
 
 States of 2^16 amplitudes or more are cut into split_parts equal runs that
 run_parts works on in parallel threads: run_program here, node_p1 and
@@ -34,9 +35,6 @@ import numpy as np
 MAX_QUBITS = 24  # 2^24 complex128 amplitudes ~ 256 MB
 
 _SQRT2_INV = 1.0 / math.sqrt(2.0)
-_H = np.array([[1, 1], [1, -1]], dtype=complex) * _SQRT2_INV
-_X = np.array([[0, 1], [1, 0]], dtype=complex)
-_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 
 
 def _check_width(n_qubits: int) -> None:
@@ -131,25 +129,6 @@ def _check_qubits(s: StateVector, qubits: tuple[int, ...]) -> None:
     for q in qubits:
         if not 0 <= q < s.n_qubits:
             raise ValueError(f"qubit {q} out of range for {s.n_qubits}-qubit state")
-
-
-def _view1(amps: np.ndarray, q: int) -> np.ndarray:
-    # axis 1 of the view is bit q
-    return amps.reshape(-1, 2, 1 << q)
-
-
-def _apply_matrix_inplace(s: StateVector, mat: np.ndarray, targets: tuple[int, ...]) -> None:
-    """Contract a 2^k x 2^k matrix into the state; operator bit j is targets[j]."""
-    n, k = s.n_qubits, len(targets)
-    tensor_view = s.amps.reshape((2,) * n)
-    # state axis of qubit q is n-1-q; trailing block axes ordered so targets[0] is fastest
-    src = [n - 1 - q for q in reversed(targets)]
-    dest = list(range(n - k, n))
-    moved = np.moveaxis(tensor_view, src, dest)
-    flat = moved.reshape(-1, 1 << k)
-    out = flat @ mat.T
-    out = np.moveaxis(out.reshape((2,) * n), dest, src)
-    s.amps = np.ascontiguousarray(out).reshape(-1)
 
 
 # Batched kernels for the parametrised gates. Each acts in place on a
@@ -345,9 +324,9 @@ def run_program(amps: np.ndarray, program, rows) -> np.ndarray:
 def apply_gate(s: StateVector, g: GateOp) -> StateVector:
     """Apply g to s in place and return s.
 
-    Kinds: H, X, Y, Z, S, Sdg on one qubit; Ry(param) on one qubit;
-    CP(param) = diag(1, 1, 1, e^{i param}), so CP(pi) is controlled-Z;
-    IsingZZ(param) = e^{-i param Z(x)Z}.
+    Kinds: Ry(param) on one qubit; CP(param) = diag(1, 1, 1, e^{i param}),
+    so CP(pi) is controlled-Z; IsingZZ(param) = e^{-i param Z(x)Z}. Any other
+    kind raises; a fixed matrix goes through apply_linear_operator.
     """
     _check_qubits(s, g.qubits)
     kind = g.kind
@@ -356,61 +335,48 @@ def apply_gate(s: StateVector, g: GateOp) -> StateVector:
     elif kind in _PHASES:
         turns = _turns([(kind, g.qubits, 0)], np.array([[g.param]]))
         _phase_rows(s.amps.reshape(1, -1), kind, g.qubits, turns, 0)
-    elif kind == "H":
-        _apply_matrix_inplace(s, _H, g.qubits)
-    elif kind == "X":
-        _apply_matrix_inplace(s, _X, g.qubits)
-    elif kind == "Y":
-        _apply_matrix_inplace(s, _Y, g.qubits)
-    elif kind == "Z":
-        _view1(s.amps, g.qubits[0])[:, 1, :] *= -1.0
-    elif kind == "S":
-        _view1(s.amps, g.qubits[0])[:, 1, :] *= 1j
-    elif kind == "Sdg":
-        _view1(s.amps, g.qubits[0])[:, 1, :] *= -1j
     else:
         raise ValueError(f"unknown gate kind {kind!r}")
     return s
 
 
-_BASIS_FORWARD = {
-    "Z": (),
-    "X": ("H",),
-    "Y": ("Sdg", "H"),
-}
-_BASIS_BACKWARD = {
-    "Z": (),
-    "X": ("H",),
-    "Y": ("H", "S"),
-}
+# u of each basis, whose +-1 eigenvectors are (|0> +- u|1>)/sqrt(2); Z reads the pairs as they are
+_BASIS_U = {"X": 1.0, "Y": 1j, "Z": None}
 
 
 def measure_qubit(s: StateVector, qubit: int, basis: str, rng: np.random.Generator
                   ) -> tuple[MeasurementRecord, StateVector]:
     """Projective measurement in the X, Y, or Z basis.
 
-    The outcome is sampled from Born probabilities after the basis change;
-    the kept state is re-expressed in the computational frame, so only the
-    record carries the basis tag. Collapses s in place.
+    The outcome is sampled from the Born probabilities of the basis's two
+    eigenvectors on the amplitude pairs of the qubit; each pair is replaced
+    by its projection onto the observed one, so s stays in the computational
+    frame and only the record carries the basis tag. Collapses s in place.
     """
     _check_qubits(s, (qubit,))
-    if basis not in _BASIS_FORWARD:
+    if basis not in _BASIS_U:
         raise ValueError(f"basis must be X, Y or Z, got {basis!r}")
-    for kind in _BASIS_FORWARD[basis]:
-        apply_gate(s, GateOp(kind, (qubit,)))
-    view = _view1(s.amps, qubit)
-    p0 = float(np.sum(np.abs(view[:, 0, :]) ** 2))
-    p1 = float(np.sum(np.abs(view[:, 1, :]) ** 2))
+    u = _BASIS_U[basis]
+    pairs = s.amps.reshape(-1, 2, 1 << qubit)
+    a0, a1 = halves = pairs[:, 0, :], pairs[:, 1, :]
+    if u is not None:
+        # overlaps (a0 +- conj(u) a1)/sqrt(2) with the two eigenvectors
+        turned = a1 * np.conj(u)
+        halves = ((a0 + turned) * _SQRT2_INV, (a0 - turned) * _SQRT2_INV)
+    p0, p1 = (float(np.sum(np.abs(half) ** 2)) for half in halves)
     total = p0 + p1
     _check_norm(math.sqrt(total))
     bit = 0 if rng.random() * total < p0 else 1
-    prob = (p0 if bit == 0 else p1) / total
-    view[:, 1 - bit, :] = 0.0
-    s.amps /= math.sqrt(p0 if bit == 0 else p1)
-    for kind in _BASIS_BACKWARD[basis]:
-        apply_gate(s, GateOp(kind, (qubit,)))
+    kept = p0 if bit == 0 else p1
+    if u is None:
+        pairs[:, 1 - bit, :] = 0.0
+        s.amps /= math.sqrt(kept)
+    else:
+        overlap = halves[bit] * (_SQRT2_INV / math.sqrt(kept))
+        a0[...] = overlap
+        a1[...] = overlap * (u if bit == 0 else -u)
     outcome = 1 if bit == 0 else -1
-    return MeasurementRecord(qubit, basis, outcome, prob), s
+    return MeasurementRecord(qubit, basis, outcome, kept / total), s
 
 
 def sample_counts(s: StateVector, shots: int, rng: np.random.Generator) -> dict[int, int]:
@@ -426,16 +392,19 @@ def sample_counts(s: StateVector, shots: int, rng: np.random.Generator) -> dict[
     return dict(zip(hit.tolist(), counts[hit].tolist()))
 
 
+_PAULIS = {"X": [[0, 1], [1, 0]], "Y": [[0, -1j], [1j, 0]], "Z": [[1, 0], [0, -1]]}
+
+
 def expectation_pauli(s: StateVector, pauli_string: dict[int, str]) -> float:
     """<s|P|s> for a Pauli product given as {qubit: "X"|"Y"|"Z"}, read
     against a Pauli-flipped clone of s."""
     s.require_normalized()
     for p in pauli_string.values():
-        if p not in ("X", "Y", "Z"):
+        if p not in _PAULIS:
             raise ValueError(f"Pauli must be X, Y or Z, got {p!r}")
     flipped = s.clone()
     for q, p in pauli_string.items():
-        apply_gate(flipped, GateOp(p, (q,)))
+        apply_linear_operator(flipped, _PAULIS[p], (q,))
     val = complex(np.vdot(s.amps, flipped.amps))
     if abs(val.imag) > 1e-10:
         raise ValueError(f"Pauli expectation has imaginary part {val.imag}")
@@ -444,7 +413,8 @@ def expectation_pauli(s: StateVector, pauli_string: dict[int, str]) -> float:
 
 def apply_linear_operator(s: StateVector, matrix: np.ndarray, targets
                           ) -> tuple[StateVector, float]:
-    """Apply an arbitrary (possibly non-unitary) matrix to the target qubits.
+    """Apply an arbitrary (possibly non-unitary) 2^k x 2^k matrix to the k
+    target qubits in place, operator bit j on targets[j], by one contraction.
 
     Returns (state, norm), norm the result's length; the state is not
     rescaled.
@@ -458,7 +428,11 @@ def apply_linear_operator(s: StateVector, matrix: np.ndarray, targets
         raise ValueError(
             f"operator is {matrix.shape[0]}-dim but {len(targets)} targets "
             f"span {1 << len(targets)}")
-    _apply_matrix_inplace(s, matrix, targets)
+    n, k = s.n_qubits, len(targets)
+    # state axis of qubit q is n-1-q; the trailing axes put targets[0] fastest
+    moved = np.moveaxis(s.amps.reshape((2,) * n), [n - 1 - q for q in reversed(targets)],
+                        list(range(n - k, n)))
+    moved[...] = (moved.reshape(-1, 1 << k) @ matrix.T).reshape(moved.shape)
     return s, float(np.linalg.norm(s.amps))
 
 

@@ -25,8 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset
-from .executor import (Circuit, check_graphs, circuit_states, compile_circuit, draw_readouts,
-                       exact_readouts, gate_program, param_rows)
+from .executor import (Circuit, check_graphs, compile_circuit, draw_readouts, exact_readouts,
+                       param_rows)
 from .graph import Graph
 from .graphstate import EdgeConvention, build_graph_state
 from .qgnn import ModelSpec, encode_features
@@ -79,17 +79,6 @@ def initial_model(graph: Graph, m: int = 1, shared_weights: bool = False) -> Mod
     weights = (np.tile([w for _, _, w in graph.edges], (rows, 1))
                if graph.n_edges else np.zeros((rows, 0)))
     return ModelSpec(graph, m, np.zeros((m, graph.n_vertices)), weights, shared_weights)
-
-
-def model_circuit(model: ModelSpec, features=None,
-                  convention: EdgeConvention = EdgeConvention.CONTROLLED_PHASE) -> StateVector:
-    """The model's state for one item (features may be None for a bare model)."""
-    n = model.graph.n_vertices
-    program = gate_program(model, convention)
-    rows = param_rows(program, params_of(model)[None])
-    if features is not None:
-        rows[:, :n] += encode_features(features)
-    return StateVector(n, circuit_states(program, n, rows)[0])
 
 
 # -- readouts and losses -----------------------------------------------------

@@ -14,7 +14,11 @@ and qgns.graphstate must reproduce bit for bit at any worker count, the
 simulated circuits (the CSWAP swap test,
 the dense LCU select operator, the stabilizer applied to a clone) whose
 closed forms the package computes instead, and the superposed state of a
-model's layer states under an explicit index register.
+model's layer states under an explicit index register. model_circuit is no
+oracle: it runs one item's circuit through the trainer's own executor for
+tests that need the state. The fixed gates (H, Sdg, X, Z) are explicit
+matrices applied with apply_linear_operator, as apply_gate takes only the
+parametrised kinds.
 """
 from __future__ import annotations
 
@@ -24,11 +28,18 @@ import numpy as np
 from hypothesis import strategies as st
 
 from qgns import (MAX_QUBITS, EdgeConvention, GateOp, Graph, StateVector, apply_gate,
-                  apply_linear_operator, build_graph_state, expectation_pauli, neighborhood,
-                  new_state, pad_matrix, tensor)
+                  apply_linear_operator, build_graph_state, encode_features, expectation_pauli,
+                  neighborhood, new_state, pad_matrix, params_of, tensor)
+from qgns.executor import circuit_states, gate_program, param_rows
 from qgns.filters import select_powers_operator
 from qgns.graphstate import edge_kind
 from qgns.sim import _SQRT2_INV, _pair_view, _ry_rows, _turn
+
+# the fixed one-qubit gates, applied as matrices through apply_linear_operator
+H_MATRIX = np.array([[1, 1], [1, -1]]) * _SQRT2_INV
+SDG_MATRIX = np.diag([1, -1j])
+X_MATRIX = np.array([[0, 1], [1, 0]])
+Z_MATRIX = np.diag([1, -1])
 
 
 def dense_apply(mat: np.ndarray, targets, n: int, vec: np.ndarray) -> np.ndarray:
@@ -209,6 +220,18 @@ def layered_circuit_oracle(g: Graph, angles: np.ndarray, weights: np.ndarray,
     return s
 
 
+def model_circuit(model, features=None,
+                  convention=EdgeConvention.CONTROLLED_PHASE) -> StateVector:
+    """The model's state for one item (features may be None for a bare
+    model), run through the trainer's own program and runner."""
+    n = model.graph.n_vertices
+    program = gate_program(model, convention)
+    rows = param_rows(program, params_of(model)[None])
+    if features is not None:
+        rows[:, :n] += encode_features(features)
+    return StateVector(n, circuit_states(program, n, rows)[0])
+
+
 def graph_state_oracle(g: Graph, convention, angles=None, weights=None) -> StateVector:
     """build_graph_state one apply_gate call per gate: |+>^n, or Ry(angles[v])
     on |0> for every vertex v, then each edge's entangler with its weight
@@ -229,8 +252,8 @@ def rotated_p1(s: StateVector, qubit: int, basis: str) -> float:
     summing |a1|^2 over the qubit's 1 half."""
     work = s.clone()
     if basis == "Y":
-        apply_gate(work, GateOp("Sdg", (qubit,)))
-        apply_gate(work, GateOp("H", (qubit,)))
+        apply_linear_operator(work, SDG_MATRIX, (qubit,))
+        apply_linear_operator(work, H_MATRIX, (qubit,))
     view = work.amps.reshape(-1, 2, 1 << qubit)
     return float(np.sum(np.abs(view[:, 1, :]) ** 2))
 
@@ -348,10 +371,10 @@ def swap_circuit_p0(s1: StateVector, s2: StateVector) -> float:
     n = s1.n_qubits
     ancilla = 2 * n
     full = tensor(tensor(s1, s2), new_state(1, "zero"))
-    apply_gate(full, GateOp("H", (ancilla,)))
+    apply_linear_operator(full, H_MATRIX, (ancilla,))
     for i in range(n):
         apply_linear_operator(full, CSWAP_MATRIX, (i, n + i, ancilla))
-    apply_gate(full, GateOp("H", (ancilla,)))
+    apply_linear_operator(full, H_MATRIX, (ancilla,))
     view = full.amps.reshape(-1, 2, 1 << ancilla)
     return float(np.sum(np.abs(view[:, 0, :]) ** 2))
 
@@ -376,12 +399,12 @@ def dense_lcu_filter(x, L, w) -> tuple[np.ndarray, float]:
 
 def stabilizer_residuals(g: Graph, s: StateVector) -> list[float]:
     """Per-vertex ||S_v s - s|| with S_v = X_v prod_{u in N(v)} Z_u applied
-    gate by gate to a clone of s."""
+    matrix by matrix to a clone of s."""
     residuals = []
     for v in range(g.n_vertices):
-        flipped = apply_gate(s.clone(), GateOp("X", (v,)))
+        flipped, _ = apply_linear_operator(s.clone(), X_MATRIX, (v,))
         for u in sorted(neighborhood(g, v)):
-            apply_gate(flipped, GateOp("Z", (u,)))
+            apply_linear_operator(flipped, Z_MATRIX, (u,))
         residuals.append(float(np.linalg.norm(flipped.amps - s.amps)))
     return residuals
 

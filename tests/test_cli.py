@@ -9,9 +9,11 @@ import pytest
 
 from qgns import (DataItem, Dataset, EdgeConvention, Graph, ModelSpec, build_graph_state,
                   class_prototypes, dataset_to_dict, demo_graph, initial_model, load_dataset,
-                  model_circuit, model_to_dict, new_state, save_dataset, save_model,
-                  to_edge_list, toy_dataset_path, toy_node_dataset)
+                  model_to_dict, new_state, save_dataset, save_model, to_edge_list,
+                  toy_dataset_path, toy_node_dataset)
 from qgns.cli import _indented_json, execute
+
+from helpers import model_circuit
 
 
 @pytest.fixture

@@ -111,14 +111,6 @@ def test_graph_is_immutable(k2):
         k2.n_vertices = 5
 
 
-def test_weight_lookup(demo5):
-    assert demo5.weight(1, 0) == math.pi
-    assert demo5.has_edge(4, 3)
-    assert not demo5.has_edge(1, 3)
-    with pytest.raises(ValueError, match="no edge"):
-        demo5.weight(1, 3)
-
-
 def test_dict_roundtrip(demo5):
     assert Graph.from_dict(demo5.to_dict()) == demo5
 

@@ -9,9 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qgns import (EdgeConvention, Graph, ModelSpec, build_graph_state, encode_features,
-                  model_circuit, model_from_dict, model_to_dict)
+                  model_from_dict, model_to_dict)
 
-from helpers import FINITE, build_superposed, encode_features_oracle, graphs, layer_state
+from helpers import (FINITE, build_superposed, encode_features_oracle, graphs, layer_state,
+                     model_circuit)
 
 PI = math.pi
 

@@ -14,7 +14,7 @@ from qgns.sim import (GateOp, StateVector, apply_gate, apply_linear_operator, du
 
 from qgns.tasks import edge_readout, node_readout
 
-from helpers import cp_matrix, dense_apply, ising_matrix, random_state
+from helpers import H_MATRIX, X_MATRIX, cp_matrix, dense_apply, ising_matrix, random_state
 
 K2_STATE = np.array([1, 1, 1, -1], dtype=complex) / 2.0  # CZ|++>
 
@@ -49,7 +49,7 @@ def test_width_is_checked_before_allocation(monkeypatch, init):
 
 
 def test_h_on_zero():
-    s = apply_gate(new_state(1), GateOp("H", (0,)))
+    s, _ = apply_linear_operator(new_state(1), H_MATRIX, (0,))
     assert np.allclose(s.amps, [1 / math.sqrt(2)] * 2)
 
 
@@ -64,10 +64,13 @@ def test_ising_zz_diagonal_action():
         assert np.allclose(s.amps[0], np.exp(-1j * w))
 
 
-# qubits each apply_gate kind acts on; None: LinOp, a random unitary that
-# apply_linear_operator applies to 1 to 3 qubits
+# qubits each kind acts on; None: LinOp, a random unitary on 1 to 3 qubits.
+# apply_gate takes GATE_KINDS; the other kinds are matrices that
+# apply_linear_operator applies.
 GATE_ARITY = {"H": 1, "X": 1, "Y": 1, "Z": 1, "S": 1, "Sdg": 1, "Ry": 1,
               "CP": 2, "IsingZZ": 2, "LinOp": None}
+GATE_KINDS = ("Ry", "CP", "IsingZZ")
+FIXED_KINDS = ("H", "X", "Y", "Z", "S", "Sdg")
 
 
 def _dense_gate(kind: str, param: float, matrix) -> np.ndarray:
@@ -122,11 +125,12 @@ def test_gates_match_dense_oracle(kind, qubits, param, random_case, seed):
         matrix = np.linalg.qr(raw[0] + 1j * raw[1])[0]
     vec = random_state(rng, n)
     s = StateVector(n, vec.copy())
-    if matrix is None:
+    dense = _dense_gate(kind, param, matrix)
+    if kind in GATE_KINDS:
         apply_gate(s, GateOp(kind, qubits, param))
     else:
-        apply_linear_operator(s, matrix, qubits)
-    expected = dense_apply(_dense_gate(kind, param, matrix), qubits, n, vec)
+        apply_linear_operator(s, dense, qubits)
+    expected = dense_apply(dense, qubits, n, vec)
     np.testing.assert_allclose(s.amps, expected, rtol=0, atol=1e-12)
     assert abs(np.linalg.norm(s.amps) - 1.0) <= 1e-12
 
@@ -136,19 +140,77 @@ def test_gate_index_validation():
     with pytest.raises(ValueError, match="distinct"):
         apply_gate(s, GateOp("CP", (1, 1), 0.5))
     with pytest.raises(ValueError, match="out of range"):
-        apply_gate(s, GateOp("H", (2,)))
+        apply_gate(s, GateOp("Ry", (2,), 0.5))
     with pytest.raises(ValueError, match="square"):
         apply_linear_operator(s, np.ones((2, 3)), (0,))
     with pytest.raises(ValueError, match="dim"):
         apply_linear_operator(s, np.eye(4), (0,))
-    for kind, qubits in (("Rz", (0,)), ("MCZ", (0, 1)), ("SWAP", (0, 1)), ("CRy", (0, 1)),
-                         ("LinOp", (0,))):
+    for kind, qubits in ([(fixed, (0,)) for fixed in FIXED_KINDS]
+                         + [("Rz", (0,)), ("MCZ", (0, 1)), ("SWAP", (0, 1)), ("CRy", (0, 1)),
+                            ("LinOp", (0,))]):
         with pytest.raises(ValueError, match="unknown gate kind"):
             apply_gate(s, GateOp(kind, qubits, 0.3))
+    assert np.array_equal(s.amps, new_state(2).amps)
+
+
+def test_kernels_write_into_the_state_array(rng):
+    # the module's contract: states mutate in place, so the amplitude array
+    # a caller holds is the one that changes
+    s = StateVector(3, random_state(rng, 3))
+    amps = s.amps
+    for g in (GateOp("Ry", (1,), 0.4), GateOp("CP", (0, 2), 0.9), GateOp("IsingZZ", (2, 1), 1.1)):
+        assert apply_gate(s, g) is s and s.amps is amps
+    for matrix, targets in ((H_MATRIX, (2,)), (X_MATRIX, (0,)), (np.eye(4), (1, 0))):
+        assert apply_linear_operator(s, matrix, targets)[0] is s and s.amps is amps
+    for q, basis in enumerate("XYZ"):
+        assert measure_qubit(s, q, basis, rng)[1] is s and s.amps is amps
+
+
+# the +1 and -1 eigenvectors of each measurement basis
+_EIGENVECTORS = {"X": ([1, 1], [1, -1]), "Y": ([1, 1j], [1, -1j]), "Z": ([1, 0], [0, 1])}
+
+
+def _measure_oracle(vec, q, basis, draw):
+    """measure_qubit by the dense projectors |e><e| of the basis's
+    eigenvectors, applied by explicit index loops: the outcome whose
+    fsum-summed Born weight the draw falls under, its probability, and the
+    projection with its squared norm."""
+    n = len(vec).bit_length() - 1
+    projected, weights = [], []
+    for e in _EIGENVECTORS[basis]:
+        e = np.array(e, dtype=complex) / np.linalg.norm(e)
+        out = dense_apply(np.outer(e, e.conj()), (q,), n, vec)
+        projected.append(out)
+        weights.append(math.fsum(np.abs(out) ** 2))
+    total = weights[0] + weights[1]
+    bit = 0 if draw * total < weights[0] else 1
+    return 1 - 2 * bit, weights[bit] / total, projected[bit], weights[bit]
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 8), basis=st.sampled_from("XYZ"),
+       data=st.data())
+def test_measure_matches_the_dense_projector(seed, n, basis, data):
+    q = data.draw(st.integers(0, n - 1))
+    vec = random_state(np.random.default_rng(seed), n)
+    rec, s = measure_qubit(StateVector(n, vec.copy()), q, basis, np.random.default_rng(seed))
+    outcome, prob, projected, weight = _measure_oracle(vec, q, basis,
+                                                       np.random.default_rng(seed).random())
+    assert (rec.qubit, rec.basis, rec.outcome) == (q, basis, outcome)
+    assert abs(rec.probability - prob) <= 1e-12
+    np.testing.assert_allclose(s.amps, projected / math.sqrt(weight), rtol=0, atol=1e-12)
+    assert abs(s.norm() - 1.0) <= 1e-12
+    if basis == "Z":
+        # the Z projection is exact; the state is it divided by the root of
+        # the kept half's squared sum as np.sum forms it over the qubit's
+        # pairs, the arithmetic the recorded pool outputs were written with
+        half = vec.reshape(-1, 2, 1 << q)[:, (1 - outcome) // 2, :]
+        np.testing.assert_array_equal(s.amps,
+                                      projected / math.sqrt(float(np.sum(np.abs(half) ** 2))))
 
 
 def test_measure_plus_in_x_is_deterministic(rng):
-    s = apply_gate(new_state(1), GateOp("H", (0,)))
+    s = new_state(1, "plus")
     rec, s = measure_qubit(s, 0, "X", rng)
     assert rec.outcome == 1 and rec.probability == pytest.approx(1.0)
 
@@ -184,8 +246,7 @@ def test_measure_repeat_same_basis_is_stable(rng):
 
 def test_sample_counts_examples(rng):
     assert sample_counts(new_state(1), 100, rng) == {0: 100}
-    plus = apply_gate(new_state(1), GateOp("H", (0,)))
-    counts = sample_counts(plus, 10_000, rng)
+    counts = sample_counts(new_state(1, "plus"), 10_000, rng)
     assert abs(counts.get(0, 0) / 10_000 - 0.5) < 0.05
     k2 = StateVector(2, K2_STATE.copy())
     counts = sample_counts(k2, 10_000, rng)
@@ -276,15 +337,18 @@ def test_readouts_refuse_a_state_without_unit_norm(rng):
 def test_norm_preserved_over_long_random_sequence(rng):
     n = 10
     s = StateVector(n, random_state(rng, n))
-    kinds = ["H", "X", "Y", "Z", "S", "Sdg", "Ry", "CP", "IsingZZ"]
+    kinds = FIXED_KINDS + GATE_KINDS
     for _ in range(1000):
         kind = kinds[int(rng.integers(len(kinds)))]
         if kind in ("CP", "IsingZZ"):
             q = rng.choice(n, size=2, replace=False)
-            g = GateOp(kind, (int(q[0]), int(q[1])), float(rng.uniform(0, 2 * math.pi)))
+            apply_gate(s, GateOp(kind, (int(q[0]), int(q[1])), float(rng.uniform(0, 2 * math.pi))))
+            continue
+        qubits, param = (int(rng.integers(n)),), float(rng.uniform(0, 2 * math.pi))
+        if kind == "Ry":
+            apply_gate(s, GateOp(kind, qubits, param))
         else:
-            g = GateOp(kind, (int(rng.integers(n)),), float(rng.uniform(0, 2 * math.pi)))
-        apply_gate(s, g)
+            apply_linear_operator(s, _dense_gate(kind, param, None), qubits)
     assert abs(s.norm() - 1.0) < 1e-12
 
 
@@ -327,5 +391,5 @@ def test_dump_state_format():
 def test_clone_is_independent():
     s = new_state(1)
     c = s.clone()
-    apply_gate(c, GateOp("X", (0,)))
+    apply_linear_operator(c, X_MATRIX, (0,))
     assert s.amps[0] == 1.0 and c.amps[1] == 1.0

@@ -39,7 +39,7 @@ EXPORTS = {
     "dataset": "DataItem Dataset dataset_from_dict dataset_to_dict demo_graph load_dataset "
                "save_dataset toy_dataset_path toy_node_dataset",
     "train": "FitResult TrainConfig accuracy class_prototypes fit gradient initial_model loss "
-             "model_circuit params_of with_params",
+             "params_of with_params",
 }
 
 # Runs each argv of sys.argv[1] in turn and prints, after each, the exit code
@@ -162,7 +162,8 @@ def test_an_unknown_name_is_an_attribute_error():
     with pytest.raises(AttributeError, match="'qgns' has no attribute 'no_such_name'"):
         qgns.no_such_name  # noqa: B018
     assert not hasattr(qgns, "select_powers_operator")
-    for deleted in ("message_pass", "build_superposed", "PauliString", "edge_phase_estimate"):
+    for deleted in ("message_pass", "build_superposed", "PauliString", "edge_phase_estimate",
+                    "model_circuit"):
         assert not hasattr(qgns, deleted), deleted
     with pytest.raises(ImportError, match="no_such_name"):
         exec("from qgns import no_such_name", {})

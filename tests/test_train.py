@@ -12,14 +12,13 @@ import qgns.executor as executor
 import qgns.train as train
 from qgns import (DataItem, Dataset, EdgeConvention, Graph, ModelSpec, TrainConfig, accuracy,
                   encode_features, fit, gradient, initial_model, load_dataset, loss,
-                  model_circuit, params_of, save_dataset, to_edge_list, toy_node_dataset,
-                  with_params)
+                  params_of, save_dataset, to_edge_list, toy_node_dataset, with_params)
 from qgns.executor import (compile_circuit, draw_readouts, exact_readouts, gate_program,
                            param_rows)
 from qgns.graphstate import edge_kind
 
-from helpers import (FINITE, graphs, item_grad_oracle, pshift_gradient_oracle, random_graph,
-                     row_losses_oracle)
+from helpers import (FINITE, graphs, item_grad_oracle, model_circuit, pshift_gradient_oracle,
+                     random_graph, row_losses_oracle)
 
 PI = math.pi
 
