@@ -46,8 +46,9 @@ _EXPORTS = {name: module for module, names in (
     ("filters", "apply_filter_lcu pad_matrix polynomial_filter_matrix"),
     ("dataset", "DataItem Dataset dataset_from_dict dataset_to_dict demo_graph load_dataset "
                 "save_dataset toy_dataset_path toy_node_dataset"),
-    ("train", "FitResult TrainConfig accuracy class_prototypes fit gradient initial_model "
-              "loss params_of with_params"),
+    ("executor", "class_prototypes"),
+    ("train", "FitResult TrainConfig accuracy fit gradient initial_model loss params_of "
+              "with_params"),
 ) for name in names.split()}
 __all__ = list(_EXPORTS)
 

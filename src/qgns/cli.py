@@ -169,7 +169,10 @@ def _cmd_model_eval(args) -> int:
 
 def _cmd_filter_apply(args) -> int:
     g = _read_graph(args.graph)
-    coeffs = [float(c) for c in args.coeffs.split(",")]
+    try:
+        coeffs = [float(c) for c in args.coeffs.split(",")]
+    except ValueError as exc:  # names the bad entry
+        raise ValueError(f"--coeffs {args.coeffs!r}: {exc}") from None
     y, scale = apply_filter_lcu(_read_vector(args.vector), laplacian(g), coeffs)
     lines = [f"# scale={scale!r}"] + [f"{float(val)!r}" for val in y]
     _emit("\n".join(lines) + "\n", args.out)
@@ -178,6 +181,8 @@ def _cmd_filter_apply(args) -> int:
 
 def _cmd_swap(args) -> int:
     paths = args.graph
+    if len(paths) > 2:
+        raise ValueError(f"--graph given {len(paths)} times; swap compares at most two graphs")
     g1 = _read_graph(paths[0])
     s1 = build_graph_state(g1, _convention(args))
     if len(paths) > 1:

@@ -11,7 +11,8 @@ when larger), and reads every circuit out exactly with the closed forms of
 qgns.tasks; draw_readouts picks each consumer's readouts and draws its
 shots. Layer 0's Ry passes act on |0...0>, so their product state is
 prepared directly (sim.product_rows). A circuit's result never depends on
-the rest of its stack.
+the rest of its stack. The graph task's class prototypes are prepared the
+same way (class_prototypes).
 """
 from __future__ import annotations
 
@@ -62,6 +63,26 @@ def circuit_states(program, n: int, rows: np.ndarray) -> np.ndarray:
     return run_program(product_rows(rows[:, :n]), program[n:], rows[:, n:])
 
 
+def class_prototypes(dataset: Dataset,
+                     convention: EdgeConvention = EdgeConvention.CONTROLLED_PHASE
+                     ) -> np.ndarray:
+    """The graph task's per-class reference states as a (C, 2^n) stack: row
+    c is the plain graph state (no trainable parameters) of class c's mean
+    feature vector, encoded as Ry angles on |0...0>, with the graph's own
+    edge weights. Each row is computed exactly as it would be alone."""
+    if dataset.task != "graph":
+        raise ValueError("class prototypes only apply to the graph task")
+    means = []
+    for c in range(max(item.labels for item in dataset.items) + 1):
+        feats = [item.features for item in dataset.items if item.labels == c]
+        if not feats:
+            raise ValueError(f"class {c} has no items")
+        means.append(encode_features(np.mean(feats, axis=0)))
+    edges = dataset.items[0].graph.edges
+    weights = np.tile([w for _, _, w in edges], (len(means), 1))
+    return run_program(product_rows(means), edge_program(edges, convention), weights)
+
+
 @dataclass(frozen=True, eq=False)
 class Circuit:
     """A model compiled against a dataset: everything an executor call needs
@@ -75,26 +96,20 @@ class Circuit:
     picks: tuple                     # each item's default readouts (draw_readouts)
 
 
-def check_graphs(model: ModelSpec, dataset: Dataset) -> None:
-    """Raise ValueError naming the first dataset item (by its 0-based index)
-    whose graph is not the model's. Run it before any array work on the
-    items: their features have one entry per vertex of their own graph."""
+def compile_circuit(model: ModelSpec, dataset: Dataset,
+                    convention: EdgeConvention = EdgeConvention.CONTROLLED_PHASE) -> Circuit:
+    """Compile the inputs that parameter updates leave unchanged: the
+    model's gate program, every item's encoded features, the graph task's
+    class prototypes and each item's default picks (the labeled nodes of a
+    node item, every readout otherwise). First, before any array work on
+    the items, raise ValueError naming the first item whose graph is not
+    the model's, by its 0-based index."""
     for k, item in enumerate(dataset.items):
         if item.graph != model.graph:
             raise ValueError(f"dataset item {k} graph differs from the model graph")
-
-
-def compile_circuit(model: ModelSpec, dataset: Dataset,
-                    convention: EdgeConvention = EdgeConvention.CONTROLLED_PHASE,
-                    prototypes=None) -> Circuit:
-    """Check that every item has the model's graph, then compile the
-    model's gate program, every item's encoded features, the graph task's
-    class prototypes (StateVectors, required there) and each item's default
-    picks: the labeled nodes of a node item, every readout otherwise."""
-    check_graphs(model, dataset)
     program = gate_program(model, convention)
     angles = np.array([encode_features(item.features) for item in dataset.items])
-    stack = None if prototypes is None else np.array([p.amps for p in prototypes])
+    stack = class_prototypes(dataset, convention) if dataset.task == "graph" else None
     picks = tuple([v for v, lab in enumerate(item.labels) if lab is not None]
                   if dataset.task == "node" else slice(None) for item in dataset.items)
     return Circuit(program, model.graph, dataset, angles, stack, picks)

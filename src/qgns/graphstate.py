@@ -1,12 +1,12 @@
 """Graph-state construction, verification and measurement.
 
 A graph state entangles one qubit per vertex by applying a two-qubit phase
-gate along every edge of a product state: |+>^n, or Ry(angles[v])|0> on
-each vertex v for a plain array of angles (such as qgnn.encode_features
-gives). edge_program describes the entanglers of a list of edges as a gate
-program that sim.run_program applies, the same description the trainer's
-circuits use (qgns.executor.gate_program). Two edge-gate conventions are
-supported:
+gate along every edge of |+>^n. edge_program describes the entanglers of a
+list of edges as a gate program that sim.run_program applies, the same
+description the trainer's circuits use (qgns.executor.gate_program) and
+the graph task's class prototypes, whose qubits start in the Ry product
+state of an encoding instead (qgns.executor.class_prototypes). Two
+edge-gate conventions are supported:
 
 * ControlledPhase: Uz(u,v,w) = diag(1,1,1,e^{iw}). With w = pi this is the
   controlled-Z, and the built amplitudes obey the closed form
@@ -32,8 +32,8 @@ from enum import Enum
 import numpy as np
 
 from .graph import Graph, adjacency_matrix, neighborhood
-from .sim import (MeasurementRecord, StateVector, measure_qubit, new_state, product_rows,
-                  run_parts, run_program, split_parts)
+from .sim import (MeasurementRecord, StateVector, measure_qubit, new_state, run_parts,
+                  run_program, split_parts)
 from .tasks import _PAIRWISE_LEAF, _block_sums, _pair_part, _pairwise_tree
 
 
@@ -61,29 +61,13 @@ def edge_program(edges, convention: EdgeConvention, first: int = 0
     return tuple((kind, (u, v), first + k) for k, (u, v, _) in enumerate(edges))
 
 
-def build_graph_state(g: Graph, convention: EdgeConvention = EdgeConvention.CONTROLLED_PHASE,
-                      angles=None, weights=None) -> StateVector:
-    """Prepare one qubit per vertex, then entangle along every edge.
-
-    Each qubit starts in |+>, or in Ry(angles[v])|0> when angles (one per
-    vertex) is given. weights, when given, overrides the per-edge phases
-    (aligned with g.edges); the gates are diagonal so edge order is irrelevant.
-    """
-    n = g.n_vertices
-    if angles is None:
-        s = new_state(n, "plus")
-    else:
-        angles = np.asarray(angles, dtype=float)
-        if angles.shape != (n,):
-            raise ValueError(f"expected {n} angles, got shape {angles.shape}")
-        s = StateVector(n, product_rows(angles[None])[0])
-    if weights is None:
-        edge_weights = [w for _, _, w in g.edges]
-    else:
-        edge_weights = [float(w) for w in weights]
-        if len(edge_weights) != g.n_edges:
-            raise ValueError(f"expected {g.n_edges} edge weights, got {len(edge_weights)}")
-    run_program(s.amps.reshape(1, -1), edge_program(g.edges, convention), [edge_weights])
+def build_graph_state(g: Graph, convention: EdgeConvention = EdgeConvention.CONTROLLED_PHASE
+                      ) -> StateVector:
+    """Prepare |+> on every vertex, then entangle along every edge with its
+    weight; the gates are diagonal, so edge order is irrelevant."""
+    s = new_state(g.n_vertices, "plus")
+    run_program(s.amps.reshape(1, -1), edge_program(g.edges, convention),
+                [[w for _, _, w in g.edges]])
     return s
 
 

@@ -7,10 +7,12 @@ whose phases are the trainable edge weights.
 Gradients come from central finite differences or from the two-point
 shift rule applied at the readout level; both hold for every parameter and
 every task. The optimizer is plain gradient descent. fit compiles the model
-and dataset once (executor.compile_circuit) and steps the flat parameter
-vector; each epoch runs its circuits through one executor call (the
-gradient's rows, the current row first) and scores loss, accuracy and
-gradient from those exact readouts. loss, accuracy, gradient and
+and dataset once (executor.compile_circuit, which also builds the graph
+task's class prototypes; class_prototypes is re-exported here for callers
+that name it through this module) and steps the flat parameter vector;
+each epoch runs its circuits through one executor call (the gradient's
+rows, the current row first) and scores loss, accuracy and gradient from
+those exact readouts. loss, accuracy, gradient and
 model_values (`model eval`) each compile once and run the same two steps on
 their own rows.
 
@@ -25,12 +27,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset
-from .executor import (Circuit, check_graphs, compile_circuit, draw_readouts, exact_readouts,
-                       param_rows)
+from .executor import (Circuit, class_prototypes, compile_circuit, draw_readouts,
+                       exact_readouts, param_rows)
 from .graph import Graph
-from .graphstate import EdgeConvention, build_graph_state
-from .qgnn import ModelSpec, encode_features
-from .sim import StateVector
+from .graphstate import EdgeConvention
+from .qgnn import ModelSpec
 
 _CLIP = 1e-7
 _EPS = 1e-5  # central-difference step of the fd gradient
@@ -82,34 +83,6 @@ def initial_model(graph: Graph, m: int = 1, shared_weights: bool = False) -> Mod
 
 
 # -- readouts and losses -----------------------------------------------------
-
-def class_prototypes(dataset: Dataset,
-                     convention: EdgeConvention = EdgeConvention.CONTROLLED_PHASE
-                     ) -> list[StateVector]:
-    """Per-class reference states for the graph task: the plain graph state
-    of each class's mean feature vector (no trainable parameters)."""
-    if dataset.task != "graph":
-        raise ValueError("class prototypes only apply to the graph task")
-    n_classes = max(item.labels for item in dataset.items) + 1
-    graph = dataset.items[0].graph
-    protos = []
-    for c in range(n_classes):
-        feats = [item.features for item in dataset.items if item.labels == c]
-        if not feats:
-            raise ValueError(f"class {c} has no items")
-        mean = np.mean(feats, axis=0)
-        protos.append(build_graph_state(graph, convention, encode_features(mean)))
-    return protos
-
-
-def _compile(model: ModelSpec, dataset: Dataset, convention: EdgeConvention) -> Circuit:
-    """The model compiled against the dataset, with the class prototypes of
-    the graph task: the inputs that parameter updates leave unchanged. The
-    item graphs are checked before the prototypes average any features."""
-    check_graphs(model, dataset)
-    prototypes = class_prototypes(dataset, convention) if dataset.task == "graph" else None
-    return compile_circuit(model, dataset, convention, prototypes)
-
 
 def _target_table(dataset: Dataset) -> tuple[np.ndarray, np.ndarray]:
     """Every item's readout targets in dataset order as one flat array, and
@@ -205,7 +178,7 @@ def _loss_slopes(vals: np.ndarray, table, squared: bool) -> np.ndarray:
 def _own_readouts(model: ModelSpec, dataset: Dataset, convention: EdgeConvention):
     """The compiled circuit, and its exact readouts at the model's own
     parameters (a batch of one row)."""
-    circuit = _compile(model, dataset, convention)
+    circuit = compile_circuit(model, dataset, convention)
     return circuit, exact_readouts(circuit, param_rows(circuit.program, params_of(model)[None]))
 
 
@@ -326,7 +299,7 @@ def gradient(model: ModelSpec, dataset: Dataset, config: TrainConfig,
              convention: EdgeConvention = EdgeConvention.CONTROLLED_PHASE,
              rng=None) -> np.ndarray:
     """Loss gradient over the flat (theta, weights) parameter vector."""
-    circuit = _compile(model, dataset, convention)
+    circuit = compile_circuit(model, dataset, convention)
     params = params_of(model)
     exact = exact_readouts(circuit, _gradient_rows(circuit, params, config))
     return _gradient_of(exact, circuit, params.size, _target_table(dataset), config,
@@ -345,7 +318,7 @@ def fit(model: ModelSpec, dataset: Dataset, config: TrainConfig,
     """Plain gradient descent, p <- p - lr * grad, for config.epochs steps.
     The model is compiled once; the epochs update its flat parameters."""
     rng = np.random.default_rng(config.seed) if config.shots > 0 else None
-    circuit = _compile(model, dataset, convention)
+    circuit = compile_circuit(model, dataset, convention)
     table = _target_table(dataset)
     params = params_of(model)
     history, accuracies = [], []

@@ -233,9 +233,10 @@ def model_circuit(model, features=None,
 
 
 def graph_state_oracle(g: Graph, convention, angles=None, weights=None) -> StateVector:
-    """build_graph_state one apply_gate call per gate: |+>^n, or Ry(angles[v])
-    on |0> for every vertex v, then each edge's entangler with its weight
-    (or weights[k] for edge k)."""
+    """A graph state one apply_gate call per gate: |+>^n (build_graph_state),
+    or Ry(angles[v]) on |0> for every vertex v (a class prototype, a model
+    layer), then each edge's entangler with its weight (or weights[k] for
+    edge k)."""
     if angles is None:
         s = new_state(g.n_vertices, "plus")
     else:
@@ -413,7 +414,7 @@ def layer_state(model, i: int,
                 convention=EdgeConvention.CONTROLLED_PHASE) -> StateVector:
     """The i-th layer's graph state |G_i> of a model (Ry init from theta[i])."""
     weights = model.weights[0] if model.shared_weights else model.weights[i]
-    return build_graph_state(model.graph, convention, model.theta[i], weights)
+    return graph_state_oracle(model.graph, convention, model.theta[i], weights)
 
 
 def build_superposed(model, convention=EdgeConvention.CONTROLLED_PHASE) -> StateVector:

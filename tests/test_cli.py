@@ -145,6 +145,17 @@ def test_all_zero_filter_coefficients_are_one_json_error(k2_file, tmp_path, caps
     assert "nonzero" in _json_error(capsys)["error"]
 
 
+@pytest.mark.parametrize("coeffs, entry", [("1,,2", ""), ("0.5,x", "x"), ("1,", "")])
+def test_a_coefficient_that_is_not_a_number_names_the_flag_and_entry(k2_file, tmp_path,
+                                                                     capsys, coeffs, entry):
+    vec = tmp_path / "x.txt"
+    vec.write_text("1.0\n0.0\n", encoding="utf-8")
+    assert execute(["filter", "apply", "--graph", k2_file, f"--coeffs={coeffs}",
+                    "--vector", str(vec)]) == 1
+    error = _json_error(capsys)["error"]
+    assert error.startswith(f"--coeffs {coeffs!r}:") and error.endswith(repr(entry))
+
+
 def test_filter_output_refeedable(k2_file, tmp_path, capsys):
     vec = tmp_path / "x.txt"
     vec.write_text("0.25\n-1.5\n", encoding="utf-8")
@@ -163,6 +174,18 @@ def test_swap_two_graphs(k2_file, capsys, tmp_path, k2):
     assert execute(["swap", "--graph", k2_file]) == 0
     against_plus = json.loads(capsys.readouterr().out)
     assert against_plus["overlap_sq"] == pytest.approx(0.25)
+
+
+def test_swap_refuses_a_third_graph_before_reading_any(k2_file, tmp_path, capsys):
+    out = tmp_path / "o.json"
+    assert execute(["swap", "--graph", k2_file, "--graph", k2_file, "--graph", k2_file,
+                    "--out", str(out)]) == 1
+    assert "--graph" in _json_error(capsys)["error"] and not out.exists()
+    # no graph file is read first: a missing one would be the error otherwise
+    missing = str(tmp_path / "missing.qg")
+    assert execute(["swap", "--graph", missing, "--graph", missing, "--graph", missing]) == 1
+    assert _json_error(capsys) == {
+        "error": "--graph given 3 times; swap compares at most two graphs"}
 
 
 def test_pool_seeded(demo_file, capsys):
@@ -338,7 +361,7 @@ def test_a_dataset_on_graphs_of_two_sizes_names_the_item(tmp_path, monkeypatch, 
     data = tmp_path / "ragged.json"
     save_dataset(Dataset(case.split("-")[0], items), data)
     monkeypatch.setattr("qgns.executor.circuit_states", _no_circuit)
-    monkeypatch.setattr("qgns.train.build_graph_state", _no_circuit)  # nor a prototype
+    monkeypatch.setattr("qgns.executor.class_prototypes", _no_circuit)  # nor a prototype
     assert execute(["model", verb, "--data", str(data), *_one_epoch(verb)]) == 1
     assert _json_error(capsys) == {
         "error": "dataset item 1 graph differs from the model graph"}
@@ -699,7 +722,7 @@ def test_swap_and_graph_eval_at_twelve_vertices(tmp_path, capsys):
     protos = class_prototypes(ds)
     for item, line in zip(ds.items, lines[1:]):
         state = model_circuit(model, item.features)
-        expected = [abs(np.vdot(state.amps, p.amps)) ** 2 for p in protos]
+        expected = [abs(np.vdot(state.amps, p)) ** 2 for p in protos]
         assert json.loads(line)["scores"] == pytest.approx(expected, abs=1e-10)
 
 

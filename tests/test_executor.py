@@ -19,9 +19,9 @@ import qgns.executor as executor
 from qgns.executor import compile_circuit, draw_readouts, exact_readouts, param_rows
 from qgns.sim import run_program
 
-from helpers import (cp_matrix, dense_apply, ising_matrix, layer_params,
-                     layered_circuit_oracle, random_graph, random_state, rotated_p1,
-                     swap_circuit_p0, zz_oracle)
+from helpers import (cp_matrix, dense_apply, encode_features_oracle, graph_state_oracle, graphs,
+                     ising_matrix, layer_params, layered_circuit_oracle, random_graph,
+                     random_state, rotated_p1, swap_circuit_p0, zz_oracle)
 
 READOUTS = ("Y", "Z", "ZZ")
 
@@ -46,9 +46,9 @@ def _case(seed: int, n: int, m: int, items: int, shared: bool, readout: str):
     return rng, model, ds
 
 
-def _values(model, ds, params, convention, prototypes=None, shots=0, rng=None):
+def _values(model, ds, params, convention, shots=0, rng=None):
     """Readout values of every (flat parameter row, item) circuit."""
-    circuit = compile_circuit(model, ds, convention, prototypes)
+    circuit = compile_circuit(model, ds, convention)
     return draw_readouts(exact_readouts(circuit, param_rows(circuit.program, params)), circuit,
                          shots, rng)
 
@@ -129,13 +129,11 @@ def test_chunked_circuits_match_one_stack(monkeypatch, budget, shots, readout):
         rng, model, _ = _case(7, 4, 2, 3, False, "Y")
         ds = Dataset("graph", tuple(DataItem(model.graph, rng.uniform(0, 1, 4), k % 2)
                                     for k in range(3)))
-        protos = class_prototypes(ds, EdgeConvention.CONTROLLED_PHASE)
     else:
         rng, model, ds = _case(7, 4, 2, 3, False, readout)
-        protos = None
     params = rng.uniform(-math.pi, math.pi, (5, model.theta.size + model.weights.size))
     conv = EdgeConvention.CONTROLLED_PHASE
-    whole = _values(model, ds, params, conv, protos, shots, np.random.default_rng(3))
+    whole = _values(model, ds, params, conv, shots, np.random.default_rng(3))
     stack_bytes = []
 
     def recording(amps, *args):
@@ -145,7 +143,7 @@ def test_chunked_circuits_match_one_stack(monkeypatch, budget, shots, readout):
     readouts = executor._readouts
     monkeypatch.setattr(executor, "_readouts", recording)
     monkeypatch.setattr(executor, "_STACK_BYTES", budget)
-    chunked = _values(model, ds, params, conv, protos, shots, np.random.default_rng(3))
+    chunked = _values(model, ds, params, conv, shots, np.random.default_rng(3))
     for a, b in zip(whole, chunked):
         np.testing.assert_array_equal(a, b)
     assert sum(stack_bytes) == 15 * 16 * 16
@@ -165,8 +163,8 @@ def test_graph_scores_match_the_swap_circuit_and_draw_in_row_prototype_order(
                                 for k in range(items)))
     protos = class_prototypes(ds, convention)
     params = rng.uniform(-math.pi, math.pi, (rows, model.theta.size + model.weights.size))
-    exact = _values(model, ds, params, convention, protos)
-    shots = _values(model, ds, params, convention, protos, 200, np.random.default_rng(seed))
+    exact = _values(model, ds, params, convention)
+    shots = _values(model, ds, params, convention, 200, np.random.default_rng(seed))
     draws = np.random.default_rng(seed)
     offsets = np.array([encode_features(item.features) for item in ds.items])
     program = executor.gate_program(model, convention)
@@ -175,10 +173,35 @@ def test_graph_scores_match_the_swap_circuit_and_draw_in_row_prototype_order(
     states = executor.circuit_states(program, n, total)
     for r, amps in enumerate(states):
         b, i = divmod(r, items)
-        for c, proto in enumerate(protos):
-            s = StateVector(n, amps)
+        for c, row in enumerate(protos):
+            s, proto = StateVector(n, amps), StateVector(n, row)
             assert abs(exact[i][b, c] - (2 * swap_circuit_p0(s, proto) - 1)) <= 1e-12
             assert shots[i][b, c] == swap_test_overlap(s, proto, 200, draws)[1]
+
+
+@settings(max_examples=80, deadline=None)
+@given(g=graphs(max_vertices=8), convention=st.sampled_from(list(EdgeConvention)),
+       sizes=st.lists(st.integers(1, 3), min_size=1, max_size=4),
+       seed=st.integers(0, 2**32 - 1))
+def test_class_prototypes_match_the_gate_by_gate_oracle_bit_for_bit(g, convention, sizes,
+                                                                     seed):
+    # row c of the stack is the graph state on class c's mean encoding, as
+    # one apply_gate call per gate builds it alone; classes differ in size
+    rng = np.random.default_rng(seed)
+    labels = rng.permutation(np.repeat(np.arange(len(sizes)), sizes)).tolist()
+    ds = Dataset("graph", tuple(DataItem(g, rng.uniform(-2.0, 2.0, g.n_vertices), c)
+                                for c in labels))
+    protos = executor.class_prototypes(ds, convention)
+    assert protos.shape == (len(sizes), 1 << g.n_vertices)
+    for c, row in enumerate(protos):
+        mean = np.mean([item.features for item in ds.items if item.labels == c], axis=0)
+        oracle = graph_state_oracle(g, convention, encode_features_oracle(mean)[1])
+        np.testing.assert_array_equal(row, oracle.amps)
+    if len(sizes) > 1:  # a class below the highest label with no items
+        gone = int(rng.integers(0, len(sizes) - 1))
+        rest = tuple(item for item in ds.items if item.labels != gone)
+        with pytest.raises(ValueError, match=f"class {gone} has no items"):
+            executor.class_prototypes(Dataset("graph", rest), convention)
 
 
 def test_layer_zero_is_prepared_without_ry_passes(monkeypatch):

@@ -8,12 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qgns import (EdgeConvention, Graph, StateVector, build_graph_state, constraint_round,
-                  decomposition_amplitude, new_state, pool_measure, verify_stabilizers)
+from qgns import (DataItem, Dataset, EdgeConvention, Graph, StateVector, build_graph_state,
+                  class_prototypes, constraint_round, decomposition_amplitude, new_state,
+                  pool_measure, verify_stabilizers)
 import qgns.graphstate as graphstate
 import qgns.sim as sim
 
-from helpers import (FINITE, cp_matrix, dense_apply, graph_state_amp_oracle, graph_state_oracle,
+from helpers import (cp_matrix, dense_apply, graph_state_amp_oracle, graph_state_oracle,
                      graphs, permute_qubits, random_graph, random_state, stabilizer_residuals)
 
 SQ2 = math.sqrt(2.0)
@@ -38,33 +39,22 @@ def test_weighted_k2_against_dense_oracle():
 
 
 def test_build_with_ry_and_product_inits(k2):
-    via_ry = build_graph_state(k2, angles=[math.pi / 2, math.pi / 2])
-    assert np.allclose(via_ry.amps, build_graph_state(k2).amps, atol=1e-15)
-    # Ry(2 atan2(0.8, 0.6))|0> = 0.6|0> + 0.8|1>, Ry(0)|0> = |0>
-    via_product = build_graph_state(k2, angles=[2.0 * math.atan2(0.8, 0.6), 0.0])
-    # |x0> = 0.6|0> + 0.8|1>, |x1> = |0>: no 11 component, so CZ acts trivially
-    assert np.allclose(via_product.amps, [0.6, 0.8, 0.0, 0.0])
+    # the Ry-product init of a graph state is a class prototype's: a
+    # constant feature vector encodes to Ry(pi/2)|0> = |+> on every vertex
+    def prototype(features):
+        return class_prototypes(Dataset("graph", (DataItem(k2, features, 0),)))[0]
+
+    assert np.allclose(prototype([1.0, 1.0]), build_graph_state(k2).amps, atol=1e-15)
+    # [1, 0] encodes to Ry(pi)|0> = |1> on vertex 0 and |0> on vertex 1: no 11
+    # component, so CZ acts trivially
+    assert np.allclose(prototype([1.0, 0.0]), [0.0, 1.0, 0.0, 0.0])
 
 
 @settings(max_examples=80, deadline=None)
-@given(data=st.data(), g=graphs(max_vertices=10),
-       convention=st.sampled_from(list(EdgeConvention)))
-def test_build_matches_the_gate_by_gate_oracle_bit_for_bit(data, g, convention):
-    # the plus or the Ry start, with the graph's weights or an override
-    n, e = g.n_vertices, g.n_edges
-    angles = data.draw(st.one_of(st.none(), st.lists(st.floats(-4 * math.pi, 4 * math.pi),
-                                                     min_size=n, max_size=n)))
-    weights = data.draw(st.one_of(st.none(), st.lists(FINITE, min_size=e, max_size=e)))
-    built = build_graph_state(g, convention, angles, weights)
-    np.testing.assert_array_equal(built.amps,
-                                  graph_state_oracle(g, convention, angles, weights).amps)
-
-
-def test_build_init_errors(k2):
-    with pytest.raises(ValueError, match="angles"):
-        build_graph_state(k2, angles=[0.1])
-    with pytest.raises(ValueError, match="weights"):
-        build_graph_state(k2, weights=[0.1, 0.2])
+@given(g=graphs(max_vertices=10), convention=st.sampled_from(list(EdgeConvention)))
+def test_build_matches_the_gate_by_gate_oracle_bit_for_bit(g, convention):
+    np.testing.assert_array_equal(build_graph_state(g, convention).amps,
+                                  graph_state_oracle(g, convention).amps)
 
 
 def test_verify_k2_and_fixture_pass(k2, demo5):

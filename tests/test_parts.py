@@ -3,11 +3,13 @@
 States of 2^16 amplitudes or more run in sim.split_parts parts, one per
 worker thread. Each kernel is checked bit for bit against its serial pass
 (tests/helpers.py) with the pool forced to one worker and to more, at
-n = 15 (always serial) to 18; and `state verify` prints the same bytes
-whatever number of threads OpenBLAS runs.
+n = 15 (always serial) to 18; and the verbs whose printed numbers take no
+BLAS call (`state verify` and `sample`, node and edge `model eval`, `pool`)
+print the same bytes whatever number of threads OpenBLAS runs.
 """
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
@@ -17,8 +19,8 @@ import numpy as np
 import pytest
 
 import qgns.sim as sim
-from qgns import (EdgeConvention, Graph, ModelSpec, StateVector, build_graph_state, new_state,
-                  to_edge_list, verify_stabilizers)
+from qgns import (DataItem, Dataset, EdgeConvention, Graph, ModelSpec, StateVector,
+                  build_graph_state, new_state, save_dataset, to_edge_list, verify_stabilizers)
 from qgns.executor import gate_program, param_rows
 from qgns.graphstate import edge_program
 from qgns.tasks import edge_zzs, node_p1
@@ -142,20 +144,51 @@ def test_verify_residuals_follow_the_pairwise_sum_at_any_worker_count(monkeypatc
             assert bits(verify_stabilizers(g, s).residuals) == expected, workers
 
 
+# Runs each argv of sys.argv[1] through cli.execute and prints the exit codes.
+_RUN_VERBS = r"""
+import json, sys
+from qgns.cli import execute
+print(json.dumps([execute(argv) for argv in json.loads(sys.argv[1])]))
+"""
+
+
 def test_state_verify_prints_the_same_bytes_for_any_blas_thread_count(tmp_path):
-    # np.linalg.norm runs BLAS ddot, whose sum above 10,000 elements splits
-    # over OpenBLAS's threads, so its last digits depend on their number
-    g = random_graph(np.random.default_rng(16), 16, p_edge=0.25)
-    (tmp_path / "g16.qg").write_text(to_edge_list(g), encoding="utf-8")
+    # OpenBLAS splits a reduction over more than 10,000 elements over its
+    # threads, so a BLAS call behind a printed number (np.linalg.norm once
+    # ran one in verify) makes its last digits depend on their number. Every
+    # verb below prints BLAS-free numbers, at 2^14 amplitudes (serial) and
+    # 2^16 (split over the cores). swap and the graph task's model eval are
+    # left out: their overlaps still take np.vdot, BLAS zdotc, whose last
+    # digits do depend on the thread count (ROADMAP item 2).
+    rng = np.random.default_rng(16)
+    (tmp_path / "g16.qg").write_text(to_edge_list(random_graph(rng, 16, p_edge=0.25)),
+                                     encoding="utf-8")
+    argvs = [["state", "verify", "--graph", "g16.qg"]]
+    for n in (14, 16):
+        g = random_graph(rng, n, weighted=True, p_edge=0.25)
+        (tmp_path / f"w{n}.qg").write_text(to_edge_list(g), encoding="utf-8")
+        node = Dataset("node", tuple(DataItem(g, rng.uniform(0, 1, n), (1, 0) * (n // 2))
+                                     for _ in range(2)))
+        edge = Dataset("edge", (DataItem(g, rng.uniform(0, 1, n), (0.5,) * g.n_edges),))
+        save_dataset(node, tmp_path / f"node{n}.json")
+        save_dataset(edge, tmp_path / f"edge{n}.json")
+        argvs += [["state", "verify", "--graph", f"w{n}.qg"],
+                  ["state", "sample", "--graph", f"w{n}.qg", "--shots", "1000", "--seed", "5"],
+                  ["model", "eval", "--data", f"node{n}.json", "--layers", "2"],
+                  ["model", "eval", "--data", f"edge{n}.json", "--layers", "2"],
+                  ["pool", "--graph", f"w{n}.qg", "--seed", "3"]]
     outputs = []
     for threads in ("1", "2"):
         env = {**os.environ, "PYTHONPATH": str(SRC), "OPENBLAS_NUM_THREADS": threads}
-        proc = subprocess.run([sys.executable, "-m", "qgns", "state", "verify", "--graph",
-                               "g16.qg"], cwd=tmp_path, env=env, capture_output=True,
-                              timeout=120, check=True)
-        outputs.append(proc.stdout)
-    assert b'"pass": true' in outputs[0]
-    assert outputs[0] == outputs[1]
+        runs = [[*argv, "--out", f"out{threads}-{k}.txt"] for k, argv in enumerate(argvs)]
+        proc = subprocess.run([sys.executable, "-c", _RUN_VERBS, json.dumps(runs)],
+                              cwd=tmp_path, env=env, capture_output=True, timeout=300,
+                              check=True)
+        assert json.loads(proc.stdout) == [0] * len(runs), proc.stderr
+        outputs.append([(tmp_path / run[-1]).read_bytes() for run in runs])
+    assert b'"pass": true' in outputs[0][0]
+    for argv, one, two in zip(argvs, *outputs):
+        assert one == two, argv
 
 
 def test_parts_keep_their_bits_with_more_threads_than_cores(monkeypatch):

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from qgns import (EdgeConvention, Graph, ModelSpec, build_graph_state, encode_features,
                   model_from_dict, model_to_dict)
 
-from helpers import (FINITE, build_superposed, encode_features_oracle, graphs, layer_state,
-                     model_circuit)
+from helpers import (FINITE, build_superposed, encode_features_oracle, graph_state_oracle,
+                     graphs, layer_state, model_circuit)
 
 PI = math.pi
 
@@ -35,7 +35,7 @@ def plus_model(g: Graph, m: int = 1) -> ModelSpec:
 def test_encode_angle_examples():
     angles = encode_features([0.0, 1.0])
     assert isinstance(angles, np.ndarray) and angles.tolist() == pytest.approx([0.0, PI])
-    s = build_graph_state(Graph(2), angles=angles)
+    s = graph_state_oracle(Graph(2), EdgeConvention.CONTROLLED_PHASE, angles)
     assert np.allclose(s.amps, [0, 0, 1, 0], atol=1e-15)  # |0> (x) |1> = index 2
 
     const = encode_features([3.3, 3.3])
@@ -104,8 +104,9 @@ def test_sequential_entangle_equals_direct_build():
     # one layer at |+>-producing angles and the graph's own phases is the graph state
     g = Graph.from_edges(3, [(0, 1, 1.1), (1, 2, 2.3)])
     state = model_circuit(plus_model(g)).amps
-    # bitwise equal along the shared Ry-init path, 1e-12 against the direct fill
-    assert np.array_equal(state, build_graph_state(g, angles=[PI / 2] * 3).amps)
+    # bitwise equal to the gate-by-gate Ry init, 1e-12 against the direct fill
+    ry_init = graph_state_oracle(g, EdgeConvention.CONTROLLED_PHASE, [PI / 2] * 3)
+    assert np.array_equal(state, ry_init.amps)
     assert np.max(np.abs(state - build_graph_state(g).amps)) <= 1e-12
 
 

@@ -434,8 +434,7 @@ def test_fit_encodes_each_item_once(monkeypatch, grad):
         calls.append(features)
         return encode_features(features)
 
-    # fit encodes through its own binding; the executor's would show a re-encode
-    monkeypatch.setattr(train, "encode_features", counting)
+    # only the executor encodes; an encode per epoch would show here
     monkeypatch.setattr(executor, "encode_features", counting)
     train.fit(initial_model(ds.items[0].graph), ds, TrainConfig(epochs=3, grad=grad))
     assert len(calls) == len(ds.items)
@@ -590,12 +589,13 @@ def test_fit_compiles_once_and_builds_one_model(monkeypatch, task, grad, epochs)
     monkeypatch.setattr(executor, "gate_program", counting("gate_program", gate_program))
     monkeypatch.setattr(executor, "encode_features",
                         counting("encode_features", encode_features))
-    monkeypatch.setattr(train, "class_prototypes",
-                        counting("class_prototypes", train.class_prototypes))
+    monkeypatch.setattr(executor, "class_prototypes",
+                        counting("class_prototypes", executor.class_prototypes))
     model = initial_model(ds.items[0].graph)
     monkeypatch.setattr(train, "ModelSpec", counting_spec)
     result = fit(model, ds, TrainConfig(epochs=epochs, grad=grad))
-    assert calls == {"gate_program": 1, "encode_features": len(ds.items),
+    # every item once, and each of the graph task's two class means once
+    assert calls == {"gate_program": 1, "encode_features": len(ds.items) + 2 * (task == "graph"),
                      "class_prototypes": int(task == "graph")}
     assert len(built) == 1 and built[0] is result.model
 
