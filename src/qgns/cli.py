@@ -108,20 +108,20 @@ def _cmd_state_sample(args) -> int:
     return 0
 
 
-def _model(args, dataset) -> tuple:
-    """The --model checkpoint, or an initial model on the dataset's graph, and
-    its edge convention: the checkpoint's when it records one (a --convention
+def _model(args, dataset):
+    """The --model checkpoint, or an initial model on the dataset's graph. Its
+    edge convention is the checkpoint's when it records one (a --convention
     that disagrees is an error), else --convention, else cp."""
     if not args.model:
         m = 1 if args.layers is None else args.layers
-        return train.initial_model(dataset.items[0].graph, m=m), _convention(args)
+        return train.initial_model(dataset.items[0].graph, m=m, convention=_convention(args))
     if args.layers is not None:
         raise ValueError("--layers does not apply with --model: the checkpoint sets it")
-    model, trained = qgnn.load_model(args.model)
-    if trained is not None and args.convention not in (None, trained.value):
+    model = qgnn.load_model(args.model, _convention(args))
+    if args.convention not in (None, model.convention.value):
         raise ValueError(f"--convention {args.convention} disagrees with the checkpoint, "
-                         f"which was trained with {trained.value}")
-    return model, trained or _convention(args)
+                         f"which was trained with {model.convention.value}")
+    return model
 
 
 def _cmd_model_train(args) -> int:
@@ -130,14 +130,13 @@ def _cmd_model_train(args) -> int:
         raise ValueError(f"--loss applies to the node task only, not the {dataset.task} task")
     config = train.TrainConfig(learning_rate=args.lr, epochs=args.epochs, seed=args.seed,
                                shots=args.shots, grad=args.grad, loss=args.loss or "bce")
-    model, convention = _model(args, dataset)
-    result = train.fit(model, dataset, config, convention)
+    result = train.fit(_model(args, dataset), dataset, config)
     lines = [f"# seed={args.seed}", "epoch,loss,accuracy"]
     for epoch, (value, acc) in enumerate(zip(result.history, result.accuracies)):
         lines.append(f"{epoch},{value!r},{acc!r}")
     _emit("\n".join(lines) + "\n", args.out)
     if args.save_model:
-        qgnn.save_model(result.model, args.save_model, seed=args.seed, convention=convention)
+        qgnn.save_model(result.model, args.save_model, seed=args.seed)
     return 0
 
 
@@ -145,8 +144,7 @@ def _cmd_model_eval(args) -> int:
     dataset = datasets.load_dataset(args.data)
     config = train.TrainConfig(seed=args.seed, shots=args.shots)
     # every vertex of a node item is read out, labeled or not
-    model, convention = _model(args, dataset)
-    values = train.model_values(model, dataset, config, convention,
+    values = train.model_values(_model(args, dataset), dataset, config,
                                 picks=[slice(None)] * len(dataset.items))
     lines = [json.dumps({"seed": args.seed, "shots": args.shots, "task": dataset.task})]
     for idx, (item, vals) in enumerate(zip(dataset.items, values)):
@@ -288,6 +286,8 @@ def execute(argv) -> int:
     try:
         if getattr(args, "shots", 0) < 0:
             raise ValueError(f"shots must be >= 0, got {args.shots}")
+        if getattr(args, "shots", 0) >= 1 << 63:
+            raise ValueError(f"--shots {args.shots} is too large: at most 2^63 - 1")
         return args.func(args)
     except (ValueError, OSError, json.JSONDecodeError, RuntimeError, KeyError) as exc:
         sys.stderr.write(json.dumps({"error": str(exc)}) + "\n")

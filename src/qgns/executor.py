@@ -2,9 +2,9 @@
 
 compile_circuit compiles a model and a dataset once into a Circuit: the
 model's layered circuit (per layer, Ry on every vertex, then each edge's
-entangler), which is all a ModelSpec describes, as one gate program of
-(kind, qubits, parameter slot) entries, plus the items' encoded features
-and the readout spec. exact_readouts runs
+entangler of the model's convention), which is all a ModelSpec describes,
+as one gate program of (kind, qubits, parameter slot) entries, plus the
+items' encoded features and the readout spec. exact_readouts runs
 the program (sim.run_program) for every (parameter row, item) pair, as
 (circuits, 2^n) amplitude stacks of at most _STACK_BYTES each (or one state,
 when larger), and reads every circuit out exactly with the closed forms of
@@ -30,20 +30,18 @@ from .tasks import binomial_estimate, edge_zzs, node_p1, sign_estimate, swap_tes
 _STACK_BYTES = 1 << 20  # amplitude stack per chunk of circuits: 1 MiB, cache-sized
 
 
-def gate_program(model: ModelSpec,
-                 convention: EdgeConvention = EdgeConvention.CONTROLLED_PHASE
-                 ) -> tuple[tuple[str, tuple[int, ...], int], ...]:
+def gate_program(model: ModelSpec) -> tuple[tuple[str, tuple[int, ...], int], ...]:
     """The layered circuit in run order, one (kind, qubits, slot) per gate:
     per layer, Ry on every vertex, then each edge's entangler. slot indexes
     the flat parameter vector (theta entries, then edge weights), so a shared
     edge weight gives its gate in every layer one slot. The entanglers are
-    graphstate.edge_program's, so only their kind depends on the convention."""
+    graphstate.edge_program's, so only their kind depends on model.convention."""
     n, edges = model.graph.n_vertices, model.graph.edges
     program = ()
     for layer in range(model.m):
         program += tuple(("Ry", (v,), layer * n + v) for v in range(n))
         first = model.theta.size + (0 if model.shared_weights else layer * len(edges))
-        program += edge_program(edges, convention, first)
+        program += edge_program(edges, model.convention, first)
     return program
 
 
@@ -96,8 +94,7 @@ class Circuit:
     picks: tuple                     # each item's default readouts (draw_readouts)
 
 
-def compile_circuit(model: ModelSpec, dataset: Dataset,
-                    convention: EdgeConvention = EdgeConvention.CONTROLLED_PHASE) -> Circuit:
+def compile_circuit(model: ModelSpec, dataset: Dataset) -> Circuit:
     """Compile the inputs that parameter updates leave unchanged: the
     model's gate program, every item's encoded features, the graph task's
     class prototypes and each item's default picks (the labeled nodes of a
@@ -107,9 +104,9 @@ def compile_circuit(model: ModelSpec, dataset: Dataset,
     for k, item in enumerate(dataset.items):
         if item.graph != model.graph:
             raise ValueError(f"dataset item {k} graph differs from the model graph")
-    program = gate_program(model, convention)
+    program = gate_program(model)
     angles = np.array([encode_features(item.features) for item in dataset.items])
-    stack = class_prototypes(dataset, convention) if dataset.task == "graph" else None
+    stack = class_prototypes(dataset, model.convention) if dataset.task == "graph" else None
     picks = tuple([v for v, lab in enumerate(item.labels) if lab is not None]
                   if dataset.task == "node" else slice(None) for item in dataset.items)
     return Circuit(program, model.graph, dataset, angles, stack, picks)

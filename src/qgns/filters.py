@@ -78,12 +78,14 @@ def select_powers_operator(L: np.ndarray, a: int) -> np.ndarray:
     return op
 
 
+@np.errstate(all="ignore")
 def apply_filter_lcu(x, L: np.ndarray, w) -> tuple[np.ndarray, float]:
     """Apply p_w(L) to x by index-register emulation.
 
     Returns (y, scale): y is the unit-norm filtered direction and scale
     reconstructs the oracle, scale * y = polynomial_filter_matrix(L, w) @ x.
-    Raises when the filter annihilates x (zero-norm projection).
+    Raises when the filter annihilates x (zero-norm projection) or overflows
+    float64; numpy's floating-point warnings are silenced, as those checks replace them.
     """
     x = np.asarray(x, dtype=float)
     L = np.asarray(L, dtype=float)
@@ -117,6 +119,11 @@ def apply_filter_lcu(x, L: np.ndarray, w) -> tuple[np.ndarray, float]:
         powers[j] = lp @ powers[j - 1]
     y_raw = (w / w_norm) @ powers / math.sqrt(1 << a)
     nrm = float(np.linalg.norm(y_raw))
+    scale = nrm * math.sqrt(1 << a) * w_norm * x_norm
+    # a non-finite norm leaves the scale inf or NaN; BLAS may skip a power's row at w_j = 0
+    if not (math.isfinite(scale) and np.isfinite(powers).all()):
+        raise ValueError("filter overflows float64: a norm, a power L^j x or the scale "
+                         "is not finite")
     if nrm < _ZERO_NORM_TOL:
         raise ValueError("filter annihilates the input (p_w(L) x = 0)")
-    return y_raw[:d] / nrm, nrm * math.sqrt(1 << a) * w_norm * x_norm
+    return y_raw[:d] / nrm, scale

@@ -1,10 +1,10 @@
 """Graph-state neural network models and their checkpoints.
 
-A model is a graph plus per-layer rotation angles (one per vertex) and
-per-layer edge phases, and it is the sequential layered circuit: per layer,
-Ry on every vertex, then each edge's entangler (executor.gate_program). An
-item's features enter as one array of Ry angles (encode_features), added
-to layer 0's rotations. A checkpoint is a model's JSON form.
+A model is a graph plus per-layer rotation angles (one per vertex),
+per-layer edge phases and an edge convention, and it is the sequential
+layered circuit: per layer, Ry on every vertex, then each edge's entangler
+of that convention (executor.gate_program). An item's features enter as Ry
+angles (encode_features) added to layer 0's. A checkpoint is its JSON form.
 """
 from __future__ import annotations
 
@@ -34,6 +34,7 @@ class ModelSpec:
     theta: np.ndarray
     weights: np.ndarray
     shared_weights: bool = False
+    convention: EdgeConvention = EdgeConvention.CONTROLLED_PHASE
 
     def __post_init__(self) -> None:
         if self.m < 1:
@@ -67,14 +68,13 @@ CHECKPOINT_VERSION = "qgns-1"
 _CONSTANT_FIELDS = (("formalism", "sequential"), ("schedule", []))
 
 
-def model_to_dict(model: ModelSpec, seed: int = 0,
-                  convention: EdgeConvention = EdgeConvention.CONTROLLED_PHASE) -> dict:
+def model_to_dict(model: ModelSpec, seed: int = 0) -> dict:
     return {
         "version": CHECKPOINT_VERSION,
         "graph": model.graph.to_dict(),
         "m": model.m,
         "formalism": "sequential",
-        "convention": convention.value,
+        "convention": model.convention.value,
         "theta": model.theta.tolist(),
         "weights": model.weights.tolist(),
         "schedule": [],
@@ -103,8 +103,10 @@ _CHECKPOINT_FIELDS = (
     ("weights", _floats), ("shared_weights", _exactly(bool)))
 
 
-def model_from_dict(d: dict) -> ModelSpec:
-    """Model from its checkpoint form; a malformed field raises ValueError
+def model_from_dict(d: dict,
+                    convention: EdgeConvention = EdgeConvention.CONTROLLED_PHASE) -> ModelSpec:
+    """Model from its checkpoint form, under its recorded edge convention
+    (`convention` when it records none); a malformed field raises ValueError
     naming it, and so does a formalism other than "sequential" or a
     non-empty schedule."""
     _check_fields(d, "checkpoint", ())
@@ -121,25 +123,21 @@ def model_from_dict(d: dict) -> ModelSpec:
             fields[key] = read(d.get(key, False))
         except (TypeError, ValueError, KeyError, AttributeError) as exc:
             raise ValueError(f"checkpoint field {key!r} is malformed: {exc}") from None
-    return ModelSpec(**fields)
-
-
-def save_model(model: ModelSpec, path, seed: int = 0,
-               convention: EdgeConvention = EdgeConvention.CONTROLLED_PHASE) -> None:
-    """Write the checkpoint of a model trained under `convention`."""
-    Path(path).write_text(json.dumps(model_to_dict(model, seed, convention), indent=2) + "\n",
-                          encoding="utf-8")
-
-
-def load_model(path) -> tuple[ModelSpec, EdgeConvention | None]:
-    """A checkpoint's model and the edge convention it was trained under
-    (None for a checkpoint written without the field)."""
-    d = json.loads(Path(path).read_text(encoding="utf-8"))
-    model = model_from_dict(d)
-    if "convention" not in d:
-        return model, None
     try:
-        return model, EdgeConvention(d["convention"])
+        fields["convention"] = EdgeConvention(d.get("convention", convention))
     except ValueError:
         raise ValueError(f"checkpoint field 'convention' must be 'cp' or 'ising', "
                          f"got {d['convention']!r}") from None
+    return ModelSpec(**fields)
+
+
+def save_model(model: ModelSpec, path, seed: int = 0) -> None:
+    """Write a model's checkpoint."""
+    Path(path).write_text(json.dumps(model_to_dict(model, seed), indent=2) + "\n",
+                          encoding="utf-8")
+
+
+def load_model(path, convention: EdgeConvention = EdgeConvention.CONTROLLED_PHASE) -> ModelSpec:
+    """A checkpoint's model, under the edge convention it records
+    (`convention` for a checkpoint written without the field)."""
+    return model_from_dict(json.loads(Path(path).read_text(encoding="utf-8")), convention)

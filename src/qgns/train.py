@@ -2,8 +2,8 @@
 
 A model (qgnn.ModelSpec) is exactly the circuit the executor runs, the
 layered circuit: per-layer Ry rotations (layer 0 additionally carries the
-angle-encoded item features) interleaved with the graph's edge entanglers,
-whose phases are the trainable edge weights.
+angle-encoded item features) interleaved with the graph's edge entanglers
+of the model's edge convention, whose phases are the trainable edge weights.
 Gradients come from central finite differences or from the two-point
 shift rule applied at the readout level; both hold for every parameter and
 every task. The optimizer is plain gradient descent. fit compiles the model
@@ -71,15 +71,17 @@ def with_params(model: ModelSpec, params: np.ndarray) -> ModelSpec:
     nt = model.theta.size
     theta = np.asarray(params[:nt], dtype=float).reshape(model.theta.shape)
     weights = np.asarray(params[nt:], dtype=float).reshape(model.weights.shape)
-    return ModelSpec(model.graph, model.m, theta, weights, model.shared_weights)
+    return ModelSpec(model.graph, model.m, theta, weights, model.shared_weights, model.convention)
 
 
-def initial_model(graph: Graph, m: int = 1, shared_weights: bool = False) -> ModelSpec:
+def initial_model(graph: Graph, m: int = 1, shared_weights: bool = False,
+                  convention: EdgeConvention = EdgeConvention.CONTROLLED_PHASE) -> ModelSpec:
     """Training start: zero angle offsets, edge phases from the graph itself."""
     rows = 1 if shared_weights else m
     weights = (np.tile([w for _, _, w in graph.edges], (rows, 1))
                if graph.n_edges else np.zeros((rows, 0)))
-    return ModelSpec(graph, m, np.zeros((m, graph.n_vertices)), weights, shared_weights)
+    return ModelSpec(graph, m, np.zeros((m, graph.n_vertices)), weights, shared_weights,
+                     convention)
 
 
 # -- readouts and losses -----------------------------------------------------
@@ -175,10 +177,10 @@ def _loss_slopes(vals: np.ndarray, table, squared: bool) -> np.ndarray:
     return slopes / np.repeat(counts, counts)
 
 
-def _own_readouts(model: ModelSpec, dataset: Dataset, convention: EdgeConvention):
+def _own_readouts(model: ModelSpec, dataset: Dataset):
     """The compiled circuit, and its exact readouts at the model's own
     parameters (a batch of one row)."""
-    circuit = compile_circuit(model, dataset, convention)
+    circuit = compile_circuit(model, dataset)
     return circuit, exact_readouts(circuit, param_rows(circuit.program, params_of(model)[None]))
 
 
@@ -186,13 +188,12 @@ def _shot_rng(config: TrainConfig, rng):
     return np.random.default_rng(config.seed) if config.shots > 0 and rng is None else rng
 
 
-def model_values(model: ModelSpec, dataset: Dataset, config: TrainConfig,
-                 convention: EdgeConvention = EdgeConvention.CONTROLLED_PHASE,
+def model_values(model: ModelSpec, dataset: Dataset, config: TrainConfig, *,
                  rng=None, picks=None) -> list[np.ndarray]:
     """Readout values at the model's own parameters, one (1, L_i) array per
     item (see executor.draw_readouts for picks). Shot mode draws item by
     item, readout by readout."""
-    circuit, exact = _own_readouts(model, dataset, convention)
+    circuit, exact = _own_readouts(model, dataset)
     return draw_readouts(exact, circuit, config.shots, _shot_rng(config, rng), picks=picks)
 
 
@@ -217,20 +218,16 @@ def _accuracy_of(exact: np.ndarray, circuit: Circuit, table, config: TrainConfig
     return int(np.count_nonzero(hits)) / hits.size
 
 
-def loss(model: ModelSpec, dataset: Dataset, config: TrainConfig,
-         convention: EdgeConvention = EdgeConvention.CONTROLLED_PHASE,
-         rng=None) -> float:
+def loss(model: ModelSpec, dataset: Dataset, config: TrainConfig, *, rng=None) -> float:
     """Mean per-item loss; deterministic in exact mode (shots = 0)."""
-    circuit, exact = _own_readouts(model, dataset, convention)
+    circuit, exact = _own_readouts(model, dataset)
     return _loss_of(exact, circuit, _target_table(dataset), config, _shot_rng(config, rng))
 
 
-def accuracy(model: ModelSpec, dataset: Dataset, config: TrainConfig,
-             convention: EdgeConvention = EdgeConvention.CONTROLLED_PHASE,
-             rng=None) -> float:
+def accuracy(model: ModelSpec, dataset: Dataset, config: TrainConfig, *, rng=None) -> float:
     """Fraction of correct readouts: thresholded bits (node), targets hit
     within 0.5 (edge), or argmax class (graph)."""
-    circuit, exact = _own_readouts(model, dataset, convention)
+    circuit, exact = _own_readouts(model, dataset)
     return _accuracy_of(exact, circuit, _target_table(dataset), config,
                         _shot_rng(config, rng))
 
@@ -295,11 +292,10 @@ def _gradient_of(exact: np.ndarray, circuit: Circuit, n_params: int, table,
     return grad / len(values)
 
 
-def gradient(model: ModelSpec, dataset: Dataset, config: TrainConfig,
-             convention: EdgeConvention = EdgeConvention.CONTROLLED_PHASE,
+def gradient(model: ModelSpec, dataset: Dataset, config: TrainConfig, *,
              rng=None) -> np.ndarray:
     """Loss gradient over the flat (theta, weights) parameter vector."""
-    circuit = compile_circuit(model, dataset, convention)
+    circuit = compile_circuit(model, dataset)
     params = params_of(model)
     exact = exact_readouts(circuit, _gradient_rows(circuit, params, config))
     return _gradient_of(exact, circuit, params.size, _target_table(dataset), config,
@@ -313,12 +309,11 @@ class FitResult:
     accuracies: tuple[float, ...]
 
 
-def fit(model: ModelSpec, dataset: Dataset, config: TrainConfig,
-        convention: EdgeConvention = EdgeConvention.CONTROLLED_PHASE) -> FitResult:
+def fit(model: ModelSpec, dataset: Dataset, config: TrainConfig) -> FitResult:
     """Plain gradient descent, p <- p - lr * grad, for config.epochs steps.
     The model is compiled once; the epochs update its flat parameters."""
     rng = np.random.default_rng(config.seed) if config.shots > 0 else None
-    circuit = compile_circuit(model, dataset, convention)
+    circuit = compile_circuit(model, dataset)
     table = _target_table(dataset)
     params = params_of(model)
     history, accuracies = [], []

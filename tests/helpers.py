@@ -27,7 +27,7 @@ import math
 import numpy as np
 from hypothesis import strategies as st
 
-from qgns import (MAX_QUBITS, EdgeConvention, GateOp, Graph, StateVector, apply_gate,
+from qgns import (MAX_QUBITS, GateOp, Graph, StateVector, apply_gate,
                   apply_linear_operator, build_graph_state, encode_features, expectation_pauli,
                   neighborhood, new_state, pad_matrix, params_of, tensor)
 from qgns.executor import circuit_states, gate_program, param_rows
@@ -220,12 +220,12 @@ def layered_circuit_oracle(g: Graph, angles: np.ndarray, weights: np.ndarray,
     return s
 
 
-def model_circuit(model, features=None,
-                  convention=EdgeConvention.CONTROLLED_PHASE) -> StateVector:
+def model_circuit(model, features=None) -> StateVector:
     """The model's state for one item (features may be None for a bare
-    model), run through the trainer's own program and runner."""
+    model), run through the trainer's own program and runner under the
+    model's edge convention."""
     n = model.graph.n_vertices
-    program = gate_program(model, convention)
+    program = gate_program(model)
     rows = param_rows(program, params_of(model)[None])
     if features is not None:
         rows[:, :n] += encode_features(features)
@@ -410,14 +410,14 @@ def stabilizer_residuals(g: Graph, s: StateVector) -> list[float]:
     return residuals
 
 
-def layer_state(model, i: int,
-                convention=EdgeConvention.CONTROLLED_PHASE) -> StateVector:
-    """The i-th layer's graph state |G_i> of a model (Ry init from theta[i])."""
+def layer_state(model, i: int) -> StateVector:
+    """The i-th layer's graph state |G_i> of a model (Ry init from theta[i]),
+    under the model's edge convention."""
     weights = model.weights[0] if model.shared_weights else model.weights[i]
-    return graph_state_oracle(model.graph, convention, model.theta[i], weights)
+    return graph_state_oracle(model.graph, model.convention, model.theta[i], weights)
 
 
-def build_superposed(model, convention=EdgeConvention.CONTROLLED_PHASE) -> StateVector:
+def build_superposed(model) -> StateVector:
     """(1/sqrt(m)) sum_i |i>|G_i> with an explicit ceil(log2 m)-qubit index
     register above the data qubits (m=1 degenerates to |G_1> alone): the
     superposed formalism's state, each branch one layer of the model."""
@@ -428,5 +428,5 @@ def build_superposed(model, convention=EdgeConvention.CONTROLLED_PHASE) -> State
     amps = np.zeros(1 << (a + n), dtype=complex)
     scale = 1.0 / math.sqrt(model.m)
     for i in range(model.m):
-        amps[i << n:(i + 1) << n] = layer_state(model, i, convention).amps * scale
+        amps[i << n:(i + 1) << n] = layer_state(model, i).amps * scale
     return StateVector(a + n, amps)

@@ -166,7 +166,7 @@ def test_criterion_6_gradient_check():
     ds1 = Dataset("node", (DataItem(Graph(1), [0.5], (1,)),), node_basis="Z")
     rows = np.tile(params_of(tiny), (2, 1))
     rows[:, 0] += [math.pi / 2, -math.pi / 2]
-    circuit = compile_circuit(tiny, ds1, EdgeConvention.CONTROLLED_PHASE)
+    circuit = compile_circuit(tiny, ds1)
     values = draw_readouts(exact_readouts(circuit, param_rows(circuit.program, rows)),
                            circuit)[0]
     dp1 = 0.5 * (values[0, 0] - values[1, 0])

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -476,6 +477,77 @@ def test_negative_shots_are_a_json_error(verb, k2_file, toy_file, capsys):
     assert _json_error(capsys) == {"error": "shots must be >= 0, got -5"}
 
 
+@pytest.mark.parametrize("verb", ["state sample", "swap", "model train", "model eval"])
+def test_shots_past_a_64_bit_count_are_a_json_error_before_any_file_is_read(verb, tmp_path,
+                                                                            capsys):
+    missing = str(tmp_path / "missing")  # reading it would raise a different error
+    assert execute(_verb_argv(verb, missing, missing) + ["--shots", str(1 << 63)]) == 1
+    assert _json_error(capsys) == {"error": f"--shots {1 << 63} is too large: at most 2^63 - 1"}
+
+
+def test_the_largest_64_bit_shot_count_samples(k2_file, capsys):
+    assert execute(["state", "sample", "--graph", k2_file, "--shots", str((1 << 63) - 1)]) == 0
+    assert sum(json.loads(capsys.readouterr().out)["counts"].values()) == (1 << 63) - 1
+
+
+# a weight of 1e300 overflows L^2 x; coefficients of 1e308 overflow their norm
+FILTER_OVERFLOWS = [("qgraph v1 n=3\n0 1 1e300\n1 2\n", "1,1,1"),
+                    ("qgraph v1 n=3\n0 1\n1 2\n", "1e308,1e308")]
+
+
+def _filter_overflow_argv(tmp_path, graph: str, coeffs: str) -> list[str]:
+    (tmp_path / "big.qg").write_text(graph, encoding="utf-8")
+    (tmp_path / "x3.txt").write_text("1\n2\n3\n", encoding="utf-8")
+    return ["filter", "apply", "--graph", str(tmp_path / "big.qg"), f"--coeffs={coeffs}",
+            "--vector", str(tmp_path / "x3.txt")]
+
+
+@pytest.mark.parametrize("graph, coeffs", FILTER_OVERFLOWS, ids=["weight", "coeffs"])
+def test_a_filter_that_overflows_float64_is_a_json_error(graph, coeffs, tmp_path, capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert execute(_filter_overflow_argv(tmp_path, graph, coeffs)) == 1
+    assert caught == []
+    assert _json_error(capsys) == {
+        "error": "filter overflows float64: a norm, a power L^j x or the scale is not finite"}
+
+
+# malformed argv, each with the input files it names: every one must exit 1
+# with one JSON error line and no warning, whatever numpy met on the way
+MALFORMED = {
+    "empty graph file": (["state", "build", "--graph", "g.qg"], {"g.qg": ""}),
+    "no vertices": (["state", "verify", "--graph", "g.qg"], {"g.qg": "qgraph v1 n=0\n"}),
+    "above the qubit cap": (["swap", "--graph", "g.qg"], {"g.qg": "qgraph v1 n=25\n0 1\n"}),
+    "non-finite weight": (["pool", "--graph", "g.qg"], {"g.qg": "qgraph v1 n=3\n0 1 inf\n"}),
+    "tol overflows": (["state", "verify", "--graph", "g.qg", "--tol", "1e400"],
+                      {"g.qg": "qgraph v1 n=2\n0 1\n"}),
+    "missing file": (["state", "sample", "--graph", "missing.qg"], {}),
+    "negative shots": (["swap", "--graph", "g.qg", "--shots", "-5"],
+                       {"g.qg": "qgraph v1 n=2\n0 1\n"}),
+    "shots past 2^63 - 1": (["state", "sample", "--graph", "g.qg", "--shots", str(1 << 63)],
+                            {"g.qg": "qgraph v1 n=2\n0 1\n"}),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED) + ["filter overflow 0", "filter overflow 1"])
+def test_malformed_argv_is_one_json_error_and_never_a_warning(case, tmp_path, monkeypatch,
+                                                              capsys):
+    # pytest's own warning capture hides numpy's warnings from capsys, so
+    # record them here
+    monkeypatch.chdir(tmp_path)
+    if case in MALFORMED:
+        argv, files = MALFORMED[case]
+        for name, text in files.items():
+            (tmp_path / name).write_text(text, encoding="utf-8")
+    else:
+        argv = _filter_overflow_argv(tmp_path, *FILTER_OVERFLOWS[int(case[-1])])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert execute(argv) == 1
+    assert [str(w.message) for w in caught] == []
+    assert set(_json_error(capsys)) == {"error"}
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 def test_a_non_finite_filter_vector_is_a_json_error(value, k2_file, tmp_path, capsys):
     vec = tmp_path / "x.txt"
@@ -805,8 +877,8 @@ def _eval_case(name: str, tmp_path: Path) -> list[str]:
     save_dataset(Dataset("node", items, "Z"), tmp_path / "node10z.json")
     theta = 0.7 * np.sin(np.arange(2 * n).reshape(2, n) * 0.9)
     weights = 0.8 + 0.1 * np.arange(2 * e).reshape(2, e)
-    save_model(ModelSpec(RING10, 2, theta, weights),
-               tmp_path / "node10z-model.json", convention=EdgeConvention.ISING_ZZ)
+    save_model(ModelSpec(RING10, 2, theta, weights, convention=EdgeConvention.ISING_ZZ),
+               tmp_path / "node10z-model.json")
     return ["model", "eval", "--data", str(tmp_path / "node10z.json"), "--model",
             str(tmp_path / "node10z-model.json"), "--convention", "ising"]
 
@@ -836,8 +908,8 @@ def _pshift_case(name: str, tmp_path: Path) -> list[str]:
     save_dataset(Dataset("node", items, "Y"), tmp_path / "node5.json")
     theta = 0.6 * np.sin(np.arange(2 * n).reshape(2, n) * 1.1)
     weights = 1.2 + 0.5 * np.cos(np.arange(e)).reshape(1, e)
-    save_model(ModelSpec(WEIGHTED5, 2, theta, weights, shared_weights=True),
-               tmp_path / "node5-model.json", convention=EdgeConvention.ISING_ZZ)
+    save_model(ModelSpec(WEIGHTED5, 2, theta, weights, shared_weights=True,
+                         convention=EdgeConvention.ISING_ZZ), tmp_path / "node5-model.json")
     argv = ["model", "train", "--data", str(tmp_path / "node5.json"), "--model",
             str(tmp_path / "node5-model.json"), "--grad", "pshift", "--convention", "ising",
             "--epochs", "4", "--lr", "0.3"]

@@ -26,16 +26,18 @@ from helpers import (cp_matrix, dense_apply, encode_features_oracle, graph_state
 READOUTS = ("Y", "Z", "ZZ")
 
 
-def _case(seed: int, n: int, m: int, items: int, shared: bool, readout: str):
-    """A random model, a dataset of `items` items read out by `readout`, and
-    the model's flat parameter count."""
+def _case(seed: int, n: int, m: int, items: int, shared: bool, readout: str,
+          convention=EdgeConvention.CONTROLLED_PHASE):
+    """A random model under `convention`, a dataset of `items` items read
+    out by `readout`, and the model's flat parameter count."""
     rng = np.random.default_rng(seed)
     g = random_graph(rng, n, weighted=True)
     if readout == "ZZ" and g.n_edges == 0:
         g = Graph.from_edges(n, [(0, n - 1, float(rng.uniform(0.0, 2 * math.pi)))])
     rows = 1 if shared else m
     model = ModelSpec(g, m, rng.uniform(-math.pi, math.pi, (m, n)),
-                      rng.uniform(0.0, 2 * math.pi, (rows, g.n_edges)), shared_weights=shared)
+                      rng.uniform(0.0, 2 * math.pi, (rows, g.n_edges)), shared_weights=shared,
+                      convention=convention)
     if readout == "ZZ":
         data = tuple(DataItem(g, rng.uniform(0, 1, n), tuple(rng.uniform(-1, 1, g.n_edges)))
                      for _ in range(items))
@@ -46,9 +48,9 @@ def _case(seed: int, n: int, m: int, items: int, shared: bool, readout: str):
     return rng, model, ds
 
 
-def _values(model, ds, params, convention, shots=0, rng=None):
+def _values(model, ds, params, shots=0, rng=None):
     """Readout values of every (flat parameter row, item) circuit."""
-    circuit = compile_circuit(model, ds, convention)
+    circuit = compile_circuit(model, ds)
     return draw_readouts(exact_readouts(circuit, param_rows(circuit.program, params)), circuit,
                          shots, rng)
 
@@ -65,10 +67,10 @@ def test_every_row_matches_the_gate_by_gate_circuit(seed, n, m, rows, items, con
                                                      shared, readout):
     if readout == "ZZ" and n == 1:
         n = 2
-    rng, model, ds = _case(seed, n, m, items, shared, readout)
+    rng, model, ds = _case(seed, n, m, items, shared, readout, convention)
     params = rng.uniform(-math.pi, math.pi, (rows, model.theta.size + model.weights.size))
     angles, weights = layer_params(model, params)
-    values = _values(model, ds, params, convention)
+    values = _values(model, ds, params)
     for i, item in enumerate(ds.items):
         assert values[i].shape[0] == rows
         for b in range(rows):
@@ -88,11 +90,11 @@ def test_rows_do_not_depend_on_the_batch(seed, n, m, rows, items, convention, sh
                                          readout):
     if readout == "ZZ" and n == 1:
         n = 2
-    rng, model, ds = _case(seed, n, m, items, shared, readout)
+    rng, model, ds = _case(seed, n, m, items, shared, readout, convention)
     params = rng.uniform(-math.pi, math.pi, (rows, model.theta.size + model.weights.size))
-    batched = _values(model, ds, params, convention)
+    batched = _values(model, ds, params)
     for b in range(rows):
-        alone = _values(model, ds, params[b:b + 1], convention)
+        alone = _values(model, ds, params[b:b + 1])
         for i in range(len(ds.items)):
             assert np.array_equal(batched[i][b], alone[i][0])
 
@@ -132,8 +134,7 @@ def test_chunked_circuits_match_one_stack(monkeypatch, budget, shots, readout):
     else:
         rng, model, ds = _case(7, 4, 2, 3, False, readout)
     params = rng.uniform(-math.pi, math.pi, (5, model.theta.size + model.weights.size))
-    conv = EdgeConvention.CONTROLLED_PHASE
-    whole = _values(model, ds, params, conv, shots, np.random.default_rng(3))
+    whole = _values(model, ds, params, shots, np.random.default_rng(3))
     stack_bytes = []
 
     def recording(amps, *args):
@@ -143,7 +144,7 @@ def test_chunked_circuits_match_one_stack(monkeypatch, budget, shots, readout):
     readouts = executor._readouts
     monkeypatch.setattr(executor, "_readouts", recording)
     monkeypatch.setattr(executor, "_STACK_BYTES", budget)
-    chunked = _values(model, ds, params, conv, shots, np.random.default_rng(3))
+    chunked = _values(model, ds, params, shots, np.random.default_rng(3))
     for a, b in zip(whole, chunked):
         np.testing.assert_array_equal(a, b)
     assert sum(stack_bytes) == 15 * 16 * 16
@@ -158,16 +159,16 @@ def test_graph_scores_match_the_swap_circuit_and_draw_in_row_prototype_order(
     rng = np.random.default_rng(seed)
     g = random_graph(rng, n, weighted=True)
     model = ModelSpec(g, 1, rng.uniform(-math.pi, math.pi, (1, n)),
-                      rng.uniform(0.0, 2 * math.pi, (1, g.n_edges)))
+                      rng.uniform(0.0, 2 * math.pi, (1, g.n_edges)), convention=convention)
     ds = Dataset("graph", tuple(DataItem(g, rng.uniform(0, 1, n), k % 2)
                                 for k in range(items)))
     protos = class_prototypes(ds, convention)
     params = rng.uniform(-math.pi, math.pi, (rows, model.theta.size + model.weights.size))
-    exact = _values(model, ds, params, convention)
-    shots = _values(model, ds, params, convention, 200, np.random.default_rng(seed))
+    exact = _values(model, ds, params)
+    shots = _values(model, ds, params, 200, np.random.default_rng(seed))
     draws = np.random.default_rng(seed)
     offsets = np.array([encode_features(item.features) for item in ds.items])
-    program = executor.gate_program(model, convention)
+    program = executor.gate_program(model)
     total = np.repeat(param_rows(program, params), items, axis=0)
     total[:, :n] += np.tile(offsets, (rows, 1))
     states = executor.circuit_states(program, n, total)
@@ -214,5 +215,5 @@ def test_layer_zero_is_prepared_without_ry_passes(monkeypatch):
 
     monkeypatch.setattr(executor, "run_program", recording)
     params = rng.uniform(-math.pi, math.pi, (3, model.theta.size + model.weights.size))
-    _values(model, ds, params, EdgeConvention.CONTROLLED_PHASE)
+    _values(model, ds, params)
     assert model.graph.n_edges and calls == ["CP"] * model.graph.n_edges

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -139,6 +140,20 @@ def test_lcu_input_validation():
     for x, w in [([1.0, math.nan], [1.0]), ([1.0, math.inf], [1.0]), ([1.0, 0.0], [-math.inf])]:
         with pytest.raises(ValueError, match="finite"):
             apply_filter_lcu(np.array(x), P2_LAP, w)
+
+
+@pytest.mark.parametrize("scale_l, w, x", [
+    (1e300, [1.0, 1.0, 1.0], [1.0, 2.0]),   # L^2 x overflows
+    (1e300, [1.0, 1.0, 0.0], [1.0, 2.0]),   # under a zero coefficient too
+    (1.0, [1e308, 1e308], [1.0, 2.0]),      # |w| overflows
+    (1.0, [1.0], [1e200, 1e200]),           # |x| overflows
+    (1e100, [1e150, 1e150], [1e150, -1e150]),  # each norm is finite, the scale is not
+])
+def test_lcu_overflow_is_an_error_and_never_a_warning(scale_l, w, x):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="filter overflows float64"):
+            apply_filter_lcu(np.array(x), scale_l * P2_LAP, w)
 
 
 @settings(max_examples=60, deadline=None)

@@ -155,8 +155,8 @@ def test_checkpoint_roundtrip(tmp_path, demo5):
     model = plus_model(demo5, m=2)
     path = tmp_path / "model.json"
     save_model(model, path, seed=7)
-    loaded, convention = load_model(path)
-    assert convention is EdgeConvention.CONTROLLED_PHASE
+    loaded = load_model(path)
+    assert loaded.convention is EdgeConvention.CONTROLLED_PHASE
     assert loaded.graph == model.graph
     assert loaded.m == model.m
     assert np.array_equal(loaded.theta, model.theta)
@@ -166,25 +166,26 @@ def test_checkpoint_roundtrip(tmp_path, demo5):
 @st.composite
 def models(draw) -> ModelSpec:
     """Any model on up to 5 vertices: finite angles and phases, shared
-    weights or not."""
+    weights or not, either edge convention."""
     g = draw(graphs(max_vertices=5))
     n, e, m, shared = g.n_vertices, g.n_edges, draw(st.integers(1, 3)), draw(st.booleans())
     rows = 1 if shared else m
     theta = draw(st.lists(FINITE, min_size=m * n, max_size=m * n))
     weights = draw(st.lists(FINITE, min_size=rows * e, max_size=rows * e))
     return ModelSpec(g, m, np.reshape(np.array(theta, dtype=float), (m, n)),
-                     np.reshape(np.array(weights, dtype=float), (rows, e)), shared)
+                     np.reshape(np.array(weights, dtype=float), (rows, e)), shared,
+                     draw(st.sampled_from(EdgeConvention)))
 
 
 @settings(max_examples=150, deadline=None)
-@given(model=models(), seed=st.integers(0, 2**31 - 1), convention=st.sampled_from(EdgeConvention))
-def test_checkpoint_json_roundtrip_property(tmp_path_factory, model, seed, convention):
+@given(model=models(), seed=st.integers(0, 2**31 - 1))
+def test_checkpoint_json_roundtrip_property(tmp_path_factory, model, seed):
     # ModelSpec compares by identity (eq=False), so compare field by field
     from qgns import load_model, save_model
     path = tmp_path_factory.mktemp("ckpt") / "model.json"
-    save_model(model, path, seed=seed, convention=convention)
-    loaded, loaded_convention = load_model(path)
-    assert loaded_convention is convention
+    save_model(model, path, seed=seed)
+    loaded = load_model(path)
+    assert loaded.convention is model.convention
     assert loaded.graph == model.graph
     assert [w.hex() for *_, w in loaded.graph.edges] == [w.hex() for *_, w in model.graph.edges]
     assert loaded.m == model.m
@@ -192,9 +193,21 @@ def test_checkpoint_json_roundtrip_property(tmp_path_factory, model, seed, conve
         got, want = getattr(loaded, field), getattr(model, field)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
     assert loaded.shared_weights is model.shared_weights
-    saved = model_to_dict(model, seed, convention)
+    saved = model_to_dict(model, seed)
     assert (saved["formalism"], saved["schedule"]) == ("sequential", [])
-    assert model_to_dict(loaded, seed, loaded_convention) == saved
+    assert model_to_dict(loaded, seed) == saved
+
+
+@settings(max_examples=100, deadline=None)
+@given(model=models())
+def test_saving_a_loaded_checkpoint_rewrites_it_byte_for_byte(tmp_path_factory, model):
+    # the convention travels with the model, so an ising checkpoint stays ising
+    from qgns import load_model, save_model
+    first, second = (tmp_path_factory.mktemp("ckpt") / name for name in ("p.json", "q.json"))
+    save_model(model, first)
+    save_model(load_model(first), second)
+    assert second.read_bytes() == first.read_bytes()
+    assert json.loads(second.read_text(encoding="utf-8"))["convention"] == model.convention.value
 
 
 def test_a_checkpoint_without_a_convention_loads_without_one(tmp_path):
@@ -204,8 +217,13 @@ def test_a_checkpoint_without_a_convention_loads_without_one(tmp_path):
     del d["convention"]
     path = tmp_path / "old.json"
     path.write_text(json.dumps(d), encoding="utf-8")
-    model, convention = load_model(path)
-    assert convention is None and model.m == 1
+    model = load_model(path)  # under the fallback it is given, cp by default
+    assert model.convention is EdgeConvention.CONTROLLED_PHASE and model.m == 1
+    assert load_model(path, EdgeConvention.ISING_ZZ).convention is EdgeConvention.ISING_ZZ
+    d["convention"] = "cp"  # a recorded convention wins over the fallback
+    path.write_text(json.dumps(d), encoding="utf-8")
+    assert load_model(path, EdgeConvention.ISING_ZZ).convention is (
+        EdgeConvention.CONTROLLED_PHASE)
 
 
 @pytest.mark.parametrize("value", ["CP", "zz", None, 1, ["cp"]])

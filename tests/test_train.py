@@ -17,8 +17,9 @@ from qgns.executor import (compile_circuit, draw_readouts, exact_readouts, gate_
                            param_rows)
 from qgns.graphstate import edge_kind
 
-from helpers import (FINITE, graphs, item_grad_oracle, model_circuit, pshift_gradient_oracle,
-                     random_graph, row_losses_oracle)
+from helpers import (FINITE, graphs, item_grad_oracle, layer_params, layered_circuit_oracle,
+                     model_circuit, pshift_gradient_oracle, random_graph, rotated_p1,
+                     row_losses_oracle, zz_oracle)
 
 PI = math.pi
 
@@ -184,11 +185,42 @@ def test_param_shift_shared_weights(rng):
 def test_param_shift_ising_convention(rng):
     g = Graph.from_edges(3, [(0, 1), (0, 2)])
     model = ModelSpec(g, 1, rng.uniform(-1, 1, (1, 3)),
-                      rng.uniform(0, 3, (1, 2)))
+                      rng.uniform(0, 3, (1, 2)), convention=EdgeConvention.ISING_ZZ)
     ds = Dataset("node", (DataItem(g, rng.uniform(0, 1, 3), (0, 1, 0)),))
-    g_fd = gradient(model, ds, TrainConfig(grad="fd"), EdgeConvention.ISING_ZZ)
-    g_ps = gradient(model, ds, TrainConfig(grad="pshift"), EdgeConvention.ISING_ZZ)
+    g_fd = gradient(model, ds, TrainConfig(grad="fd"))
+    g_ps = gradient(model, ds, TrainConfig(grad="pshift"))
     assert np.max(np.abs(g_fd - g_ps)) < 1e-5
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 5), m=st.integers(1, 2),
+       shared=st.booleans(), convention=st.sampled_from(list(EdgeConvention)),
+       readout=st.sampled_from(["Y", "Z", "ZZ"]))
+def test_model_values_run_the_models_own_convention(seed, n, m, shared, convention, readout):
+    # the convention is a model field: model_values, given nothing else, reads
+    # the circuit whose entanglers are that convention's gates
+    rng = np.random.default_rng(seed)
+    g = random_graph(rng, max(n, 2) if readout == "ZZ" else n, weighted=True, p_edge=0.7)
+    if readout == "ZZ" and not g.n_edges:
+        g = Graph.from_edges(g.n_vertices, [(0, 1, 0.4)])
+    n, e = g.n_vertices, g.n_edges
+    model = ModelSpec(g, m, rng.uniform(-PI, PI, (m, n)),
+                      rng.uniform(0.0, 2 * PI, (1 if shared else m, e)), shared_weights=shared,
+                      convention=convention)
+    items = tuple(DataItem(g, rng.uniform(0, 1, n),
+                           tuple(rng.uniform(-1, 1, e)) if readout == "ZZ" else (1,) * n)
+                  for _ in range(2))
+    ds = Dataset("edge" if readout == "ZZ" else "node", items,
+                 node_basis="Z" if readout == "Z" else "Y")
+    values = train.model_values(model, ds, TrainConfig(), picks=[slice(None)] * len(items))
+    angles, weights = layer_params(model, params_of(model)[None])
+    for item, vals in zip(items, values):
+        total = angles[0].copy()
+        total[0] += encode_features(item.features)
+        s = layered_circuit_oracle(g, total, weights[0], convention)
+        expected = ([zz_oracle(s, u, v) for u, v, _ in g.edges] if readout == "ZZ"
+                    else [rotated_p1(s, v, readout) for v in range(n)])
+        assert np.max(np.abs(vals[0] - expected)) <= 1e-12
 
 
 @settings(max_examples=60, deadline=None)
@@ -201,8 +233,9 @@ def test_gate_program_slots_and_the_shift_rule_it_drives(seed, n, m, shared, con
     g = random_graph(rng, n, weighted=True)
     e = g.n_edges
     model = ModelSpec(g, m, rng.uniform(-1.5, 1.5, (m, n)),
-                      rng.uniform(0.0, 2 * PI, (1 if shared else m, e)), shared_weights=shared)
-    program = gate_program(model, convention)
+                      rng.uniform(0.0, 2 * PI, (1 if shared else m, e)), shared_weights=shared,
+                      convention=convention)
+    program = gate_program(model)
     # run order: per layer, Ry on every vertex, then each edge's entangler
     layers = [program[i * (n + e):(i + 1) * (n + e)] for i in range(m)]
     assert len(program) == m * (n + e)
@@ -224,8 +257,8 @@ def test_gate_program_slots_and_the_shift_rule_it_drives(seed, n, m, shared, con
         ds = Dataset("node", (DataItem(g, rng.uniform(0, 1, n),
                                        tuple(int(b) for b in rng.integers(0, 2, n))),),
                      node_basis="Y" if readout == "Y" else "Z")
-    g_fd = gradient(model, ds, TrainConfig(grad="fd", loss="mse"), convention)
-    g_ps = gradient(model, ds, TrainConfig(grad="pshift", loss="mse"), convention)
+    g_fd = gradient(model, ds, TrainConfig(grad="fd", loss="mse"))
+    g_ps = gradient(model, ds, TrainConfig(grad="pshift", loss="mse"))
     assert np.max(np.abs(g_fd - g_ps)) < 1e-5
 
 
@@ -241,12 +274,12 @@ def test_param_shift_matches_fd_on_the_graph_task(seed, n, m, items, shared, con
     g = random_graph(rng, n, weighted=True, p_edge=0.6)
     ds = Dataset("graph", tuple(DataItem(g, rng.uniform(0, 1, n), k % 2)
                                 for k in range(items)))
-    model = initial_model(g, m, shared_weights=shared)
+    model = initial_model(g, m, shared_weights=shared, convention=convention)
     model = with_params(model, rng.uniform(-PI, PI, params_of(model).size))
-    scores = np.concatenate(train.model_values(model, ds, TrainConfig(), convention), axis=1)
+    scores = np.concatenate(train.model_values(model, ds, TrainConfig()), axis=1)
     assume(np.all((scores >= 0.05) & (scores <= 0.95)))
-    g_fd = gradient(model, ds, TrainConfig(grad="fd"), convention)
-    g_ps = gradient(model, ds, TrainConfig(grad="pshift"), convention)
+    g_fd = gradient(model, ds, TrainConfig(grad="fd"))
+    g_ps = gradient(model, ds, TrainConfig(grad="pshift"))
     assert np.max(np.abs(g_fd - g_ps)) < 1e-5
 
 
@@ -530,17 +563,17 @@ def test_fit_equals_the_manual_loss_accuracy_gradient_sequence(seed, task, grad,
         items.append(DataItem(g, rng.uniform(0, 1, n), labels))
     ds = Dataset("node" if task in "YZ" else task, tuple(items),
                  node_basis=task if task in "YZ" else "Y")
-    model = initial_model(g, m)
+    model = initial_model(g, m, convention=convention)
     model = with_params(model, rng.uniform(-1.0, 1.0, params_of(model).size))
     cfg = TrainConfig(learning_rate=0.3, epochs=epochs, seed=seed, shots=shots, grad=grad)
-    result = fit(model, ds, cfg, convention)
+    result = fit(model, ds, cfg)
 
     shot_rng = np.random.default_rng(seed) if shots else None
     current, params, history, accuracies = model, params_of(model), [], []
     for _ in range(epochs):
-        history.append(loss(current, ds, cfg, convention, shot_rng))
-        accuracies.append(accuracy(current, ds, cfg, convention, shot_rng))
-        params = params - cfg.learning_rate * gradient(current, ds, cfg, convention, shot_rng)
+        history.append(loss(current, ds, cfg, rng=shot_rng))
+        accuracies.append(accuracy(current, ds, cfg, rng=shot_rng))
+        params = params - cfg.learning_rate * gradient(current, ds, cfg, rng=shot_rng)
         current = with_params(current, params)
     assert result.history == tuple(history)
     assert result.accuracies == tuple(accuracies)
@@ -641,7 +674,8 @@ def test_pshift_gradient_equals_the_per_gate_loop(seed, n, m, shared, convention
         g = Graph.from_edges(g.n_vertices, [(0, 1, 0.4)])
     n, e = g.n_vertices, g.n_edges
     model = ModelSpec(g, m, rng.uniform(-1.5, 1.5, (m, n)),
-                      rng.uniform(0.0, 2 * PI, (1 if shared else m, e)), shared_weights=shared)
+                      rng.uniform(0.0, 2 * PI, (1 if shared else m, e)), shared_weights=shared,
+                      convention=convention)
     items = []
     for k in range(int(rng.integers(1, 4))):
         if readout == "ZZ":
@@ -654,7 +688,7 @@ def test_pshift_gradient_equals_the_per_gate_loop(seed, n, m, shared, convention
     ds = Dataset("edge" if readout == "ZZ" else "node", tuple(items),
                  node_basis="Z" if readout == "Z" else "Y")
     cfg = TrainConfig(grad="pshift", loss=loss_kind, shots=shots)
-    circuit = compile_circuit(model, ds, convention)
+    circuit = compile_circuit(model, ds)
     exact = exact_readouts(circuit, train._gradient_rows(circuit, params_of(model), cfg))
     if special:
         # shot draws need probabilities, so NaN only goes into exact readouts
@@ -667,9 +701,9 @@ def test_pshift_gradient_equals_the_per_gate_loop(seed, n, m, shared, convention
     values = draw_readouts(exact, circuit, shots, draws[1], item_major=True)
     targets = [[float(lab) for lab in item.labels if lab is not None] for item in ds.items]
     squared = readout == "ZZ" or loss_kind == "mse"
-    expected = pshift_gradient_oracle(values, targets, gate_program(model, convention),
+    expected = pshift_gradient_oracle(values, targets, gate_program(model),
                                       train._SHIFTS, params_of(model).size, squared)
     assert np.array_equal(got, expected, equal_nan=True)
     if not special:
         shot_rng = np.random.default_rng(seed) if shots else None
-        assert np.array_equal(gradient(model, ds, cfg, convention, shot_rng), expected)
+        assert np.array_equal(gradient(model, ds, cfg, rng=shot_rng), expected)
