@@ -9,16 +9,19 @@ Exit codes: 0 success, 1 domain error (JSON on stderr), 2 usage error.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import json
 import math
+import os
+import stat
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .graph import from_edge_list, laplacian
+from .graph import _replace_text, from_edge_list, laplacian
 from .graphstate import EdgeConvention, build_graph_state, pool_measure, verify_stabilizers
 from .sim import dump_state, new_state, sample_counts
 from .tasks import swap_test_overlap
@@ -45,9 +48,24 @@ def _read_vector(path: str) -> np.ndarray:
 
 def _emit(text: str, out: str | None) -> None:
     if out:
-        Path(out).write_text(text, encoding="utf-8")
+        _replace_text(out, text)
     else:
         sys.stdout.write(text)
+
+
+def _check_output(path: str) -> None:
+    """Raise, before any work, the OSError that writing path would raise
+    when it names a directory or its parent is not one."""
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    else:
+        try:
+            parent = os.stat(os.path.dirname(path) or ".")
+            code = None if stat.S_ISDIR(parent.st_mode) else errno.ENOTDIR
+        except OSError as exc:
+            code = exc.errno
+    if code is not None:
+        raise OSError(code, os.strerror(code), path)
 
 
 def _indented_json(payload: dict) -> str:
@@ -288,8 +306,12 @@ def execute(argv) -> int:
             raise ValueError(f"shots must be >= 0, got {args.shots}")
         if getattr(args, "shots", 0) >= 1 << 63:
             raise ValueError(f"--shots {args.shots} is too large: at most 2^63 - 1")
+        for path in (args.out, getattr(args, "save_model", None)):
+            if path:
+                _check_output(path)
         return args.func(args)
-    except (ValueError, OSError, json.JSONDecodeError, RuntimeError, KeyError) as exc:
+    except (ValueError, OSError, json.JSONDecodeError, RuntimeError, KeyError,
+            MemoryError) as exc:
         sys.stderr.write(json.dumps({"error": str(exc)}) + "\n")
         return 1
 

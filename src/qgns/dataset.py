@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .graph import Graph, from_edge_list
+from .graph import Graph, _replace_text, from_edge_list
 
 TASKS = ("node", "edge", "graph")
 
@@ -142,8 +142,7 @@ def load_dataset(path) -> Dataset:
 
 
 def save_dataset(ds: Dataset, path) -> None:
-    Path(path).write_text(json.dumps(dataset_to_dict(ds), indent=2) + "\n",
-                          encoding="utf-8")
+    _replace_text(path, json.dumps(dataset_to_dict(ds), indent=2) + "\n")
 
 
 # -- bundled toy task -----------------------------------------------------------

@@ -7,7 +7,9 @@ controlled-Z; weighted and unweighted graphs then share one code path.
 from __future__ import annotations
 
 import math
+import os
 import re
+import stat
 from dataclasses import dataclass
 
 import numpy as np
@@ -125,6 +127,22 @@ def from_edge_list(text: str) -> Graph:
         return Graph.from_edges(n, edges)
     except ValueError as exc:
         raise ValueError(f"invalid graph: {exc}") from None
+
+
+def _replace_text(path, text: str) -> None:
+    """Write text to path as UTF-8, replacing a file's contents in place:
+    open without O_TRUNC, write every byte, then cut a regular file to the
+    written length (a FIFO or a device is only written). Truncating a file to
+    zero before rewriting it makes ext4 flush its pending writeback on
+    close, as a replacement by rename does. The file keeps its inode, mode
+    and links. Like a truncating write, this is not atomic and calls no
+    fsync: after a crash the file can hold old, new or mixed bytes."""
+    data = text.encode("utf-8")
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as f:
+        f.write(data)
+        info = os.fstat(f.fileno())
+        if stat.S_ISREG(info.st_mode) and info.st_size > len(data):
+            f.truncate(len(data))
 
 
 def to_edge_list(g: Graph) -> str:

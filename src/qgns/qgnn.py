@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .dataset import _check_fields
-from .graph import Graph
+from .graph import Graph, _replace_text
 from .graphstate import EdgeConvention
 
 
@@ -133,8 +133,7 @@ def model_from_dict(d: dict,
 
 def save_model(model: ModelSpec, path, seed: int = 0) -> None:
     """Write a model's checkpoint."""
-    Path(path).write_text(json.dumps(model_to_dict(model, seed), indent=2) + "\n",
-                          encoding="utf-8")
+    _replace_text(path, json.dumps(model_to_dict(model, seed), indent=2) + "\n")
 
 
 def load_model(path, convention: EdgeConvention = EdgeConvention.CONTROLLED_PHASE) -> ModelSpec:

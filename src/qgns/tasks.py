@@ -209,6 +209,43 @@ def edge_readout(s: StateVector, u: int, v: int, shots: int = 0,
     return float(sign_estimate(exact, shots, rng))
 
 
+def _overlaps(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """<b|a> of every state a of an (R, 2^n) stack and every state b of a
+    (C, 2^n) stack, as an (R, C) array.
+
+    Re <b|a> is the sum of the products of the interleaved real and
+    imaginary parts of b and a, and Im <b|a> the same sum with i b in b's
+    place. Every (a, b) pair's products of one slice are formed in one
+    multiply into buffers allocated here and summed in aligned blocks, and
+    the pairwise tree of a row's blocks has the bits of one np.sum of its
+    products. The rows are cut into sim.split_parts runs, each made of
+    cache-sized slices; no BLAS call, so no thread count, enters the sums.
+    """
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    fa = a.view(np.float64)[:, None, :]
+    fb = b.view(np.float64)
+    cols, floats = fb.shape
+    parts = split_parts(floats // 2)
+    span = floats // parts
+    step = min(span, _SLICE_FLOATS)
+    width = min(_PAIRWISE_LEAF, step)
+    turned = np.empty((parts, cols, step // 2), complex)      # i b, one slice
+    products = np.empty((parts, len(a), cols, 2, step))       # with b, with i b
+    sums = np.empty((len(a), cols, 2, floats // width))
+
+    def part(p):
+        mine = products[p]
+        for start in range(p * span, (p + 1) * span, step):
+            stop = start + step
+            np.multiply(fa[..., start:stop], fb[:, start:stop], out=mine[..., 0, :])
+            np.multiply(b[:, start // 2:stop // 2], 1j, out=turned[p])
+            np.multiply(fa[..., start:stop], turned[p].view(np.float64), out=mine[..., 1, :])
+            _block_sums(mine, sums[..., start // width:stop // width])
+
+    run_parts(part, parts)
+    return _pairwise_tree(sums).view(complex)[..., 0]   # (Re, Im) pairs as complex
+
+
 def swap_tests(a: np.ndarray, b: np.ndarray, shots: int = 0,
                rng: np.random.Generator | None = None) -> tuple[np.ndarray, np.ndarray]:
     """(p0, overlap_sq) of the swap tests between every state of an (R, 2^n)
@@ -217,11 +254,10 @@ def swap_tests(a: np.ndarray, b: np.ndarray, shots: int = 0,
     The ancilla-H / CSWAP / H circuit leaves its ancilla in |0> with p0 =
     (|a|^2 |b|^2 + |<a|b>|^2) / 2 (Buhrman et al. 2001); shots draw in C
     order. overlap_sq = 2*p0 - 1 clamped to [0, 1] (the raw shot estimator
-    can dip slightly negative). Each <a|b> is its own dot product, so an
+    can dip slightly negative). Each <a|b> is its own sum (_overlaps), so an
     entry never depends on the other states of its stack."""
     norms = np.outer(*[(np.abs(x) ** 2).sum(axis=-1) for x in (a, b)])
-    inner = np.array([[np.vdot(y, x) for y in b] for x in a]).reshape(norms.shape)
-    p0 = 0.5 * (norms + np.abs(inner) ** 2)
+    p0 = 0.5 * (norms + np.abs(_overlaps(a, b)) ** 2)
     if shots > 0:
         p0 = binomial_estimate(p0, shots, rng)
     return p0, np.clip(2.0 * p0 - 1.0, 0.0, 1.0)

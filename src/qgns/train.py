@@ -77,6 +77,8 @@ def with_params(model: ModelSpec, params: np.ndarray) -> ModelSpec:
 def initial_model(graph: Graph, m: int = 1, shared_weights: bool = False,
                   convention: EdgeConvention = EdgeConvention.CONTROLLED_PHASE) -> ModelSpec:
     """Training start: zero angle offsets, edge phases from the graph itself."""
+    if m < 1:  # before the arrays are sized by it
+        raise ValueError(f"layer count must be >= 1, got {m}")
     rows = 1 if shared_weights else m
     weights = (np.tile([w for _, _, w in graph.edges], (rows, 1))
                if graph.n_edges else np.zeros((rows, 0)))

@@ -339,6 +339,19 @@ def serial_edge_zzs(amps: np.ndarray, pairs) -> np.ndarray:
     return np.stack(out, axis=-1) if out else np.zeros(lead + (0,))
 
 
+def serial_overlaps(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """tasks._overlaps as one np.sum per pair of states: <b|a> has the sum
+    of the products of the interleaved real and imaginary parts of a and b
+    as its real part, and the same sum with i b in b's place as its
+    imaginary part."""
+    out = np.empty((len(a), len(b)), complex)
+    for r, x in enumerate(a.view(np.float64)):
+        for c, y in enumerate(b):
+            out[r, c] = complex(np.sum(x * y.view(np.float64)),
+                                np.sum(x * (1j * y).view(np.float64)))
+    return out
+
+
 def pairwise_residuals(g: Graph, s: StateVector) -> list[float]:
     """verify_stabilizers' residuals by their definition: sqrt(2) times the
     square root of one np.sum over the squared real and imaginary parts of

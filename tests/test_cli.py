@@ -526,6 +526,10 @@ MALFORMED = {
                        {"g.qg": "qgraph v1 n=2\n0 1\n"}),
     "shots past 2^63 - 1": (["state", "sample", "--graph", "g.qg", "--shots", str(1 << 63)],
                             {"g.qg": "qgraph v1 n=2\n0 1\n"}),
+    "negative layers": (["model", "eval", "--data", str(toy_dataset_path()), "--layers", "-1"],
+                        {}),
+    "layers past memory": (["model", "eval", "--data", str(toy_dataset_path()),
+                            "--layers", str(10 ** 12)], {}),
 }
 
 
@@ -546,6 +550,13 @@ def test_malformed_argv_is_one_json_error_and_never_a_warning(case, tmp_path, mo
         assert execute(argv) == 1
     assert [str(w.message) for w in caught] == []
     assert set(_json_error(capsys)) == {"error"}
+
+
+@pytest.mark.parametrize("layers", ["-1", "0"])
+def test_a_layer_count_below_one_is_named_before_any_array_is_sized(layers, capsys):
+    assert execute(["model", "train", "--data", str(toy_dataset_path()), "--epochs", "1",
+                    "--layers", layers]) == 1
+    assert _json_error(capsys) == {"error": f"layer count must be >= 1, got {layers}"}
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])

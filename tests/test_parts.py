@@ -4,8 +4,8 @@ States of 2^16 amplitudes or more run in sim.split_parts parts, one per
 worker thread. Each kernel is checked bit for bit against its serial pass
 (tests/helpers.py) with the pool forced to one worker and to more, at
 n = 15 (always serial) to 18; and the verbs whose printed numbers take no
-BLAS call (`state verify` and `sample`, node and edge `model eval`, `pool`)
-print the same bytes whatever number of threads OpenBLAS runs.
+BLAS call (`state verify` and `sample`, `model eval` on every task, `pool`,
+`swap`) print the same bytes whatever number of threads OpenBLAS runs.
 """
 from __future__ import annotations
 
@@ -23,10 +23,10 @@ from qgns import (DataItem, Dataset, EdgeConvention, Graph, ModelSpec, StateVect
                   build_graph_state, new_state, save_dataset, to_edge_list, verify_stabilizers)
 from qgns.executor import gate_program, param_rows
 from qgns.graphstate import edge_program
-from qgns.tasks import edge_zzs, node_p1
+from qgns.tasks import edge_zzs, node_p1, swap_tests
 
 from helpers import (pairwise_residuals, random_graph, random_state, serial_edge_zzs,
-                     serial_node_p1, serial_run_program)
+                     serial_node_p1, serial_overlaps, serial_run_program)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 WIDTHS = (15, 16, 17, 18)
@@ -89,6 +89,20 @@ def test_edge_zzs_has_the_serial_bits_at_any_worker_count(monkeypatch, n):
         force_workers(monkeypatch, workers)
         assert bits(edge_zzs(amps, pairs)) == expected, workers
         assert bits(edge_zzs(amps[0], pairs)) == bits(serial_edge_zzs(amps[0], pairs)), workers
+
+
+@pytest.mark.parametrize("n", WIDTHS)
+def test_swap_tests_have_the_serial_bits_at_any_worker_count(monkeypatch, n):
+    rng = np.random.default_rng(500 + n)
+    a = np.stack([random_state(rng, n) for _ in range(3)])
+    b = np.stack([a[0] + 1e-3 * random_state(rng, n), random_state(rng, n)])
+    norms = np.outer(*[(np.abs(x) ** 2).sum(axis=-1) for x in (a, b)])
+    expected = 0.5 * (norms + np.abs(serial_overlaps(a, b)) ** 2)
+    for workers in WORKERS:
+        force_workers(monkeypatch, workers)
+        assert bits(swap_tests(a, b)[0]) == bits(expected), workers
+        # an entry does not depend on the other states of its stacks
+        assert bits(swap_tests(a[2:], b[1:])[0]) == bits(expected[2:, 1:]), workers
 
 
 def programs(rng: np.random.Generator, n: int):
@@ -155,11 +169,9 @@ print(json.dumps([execute(argv) for argv in json.loads(sys.argv[1])]))
 def test_state_verify_prints_the_same_bytes_for_any_blas_thread_count(tmp_path):
     # OpenBLAS splits a reduction over more than 10,000 elements over its
     # threads, so a BLAS call behind a printed number (np.linalg.norm once
-    # ran one in verify) makes its last digits depend on their number. Every
-    # verb below prints BLAS-free numbers, at 2^14 amplitudes (serial) and
-    # 2^16 (split over the cores). swap and the graph task's model eval are
-    # left out: their overlaps still take np.vdot, BLAS zdotc, whose last
-    # digits do depend on the thread count (ROADMAP item 2).
+    # ran one in verify, np.vdot in swap) makes its last digits depend on
+    # their number. Every verb below prints BLAS-free numbers, at 2^14
+    # amplitudes (serial) and 2^16 (split over the cores).
     rng = np.random.default_rng(16)
     (tmp_path / "g16.qg").write_text(to_edge_list(random_graph(rng, 16, p_edge=0.25)),
                                      encoding="utf-8")
@@ -177,6 +189,29 @@ def test_state_verify_prints_the_same_bytes_for_any_blas_thread_count(tmp_path):
                   ["model", "eval", "--data", f"node{n}.json", "--layers", "2"],
                   ["model", "eval", "--data", f"edge{n}.json", "--layers", "2"],
                   ["pool", "--graph", f"w{n}.qg", "--seed", "3"]]
+    # overlaps near 1 keep the last digits that a low overlap loses in
+    # p0 = (1 + |<a|b>|^2) / 2: a graph of small weights against the same
+    # graph with every weight x 1.01 and against |+...+>, and a graph task
+    # of four items, one per class (so each is its class prototype), whose
+    # features lie within 1% of each other. A feature vector's minimum and
+    # maximum encode to Ry(0) and Ry(pi), which zero half of the state; they
+    # sit on qubits 0 and 1, so both halves of the split hold amplitudes.
+    n = 16
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = [(*pairs[k], float(rng.uniform(0.01, 0.3)))
+             for k in sorted(rng.choice(len(pairs), 2 * n, replace=False))]
+    near = Graph.from_edges(n, edges)
+    (tmp_path / "near.qg").write_text(to_edge_list(near), encoding="utf-8")
+    (tmp_path / "nearer.qg").write_text(
+        to_edge_list(Graph.from_edges(n, [(u, v, 1.01 * w) for u, v, w in edges])),
+        encoding="utf-8")
+    x = np.concatenate([[0.0, 1.0], rng.uniform(0.2, 0.8, n - 2)])
+    graph_task = Dataset("graph", tuple(DataItem(near, x + rng.uniform(0, 0.01, n), k)
+                                        for k in range(4)))
+    save_dataset(graph_task, tmp_path / "graph16.json")
+    argvs += [["swap", "--graph", "near.qg", "--graph", "nearer.qg"],
+              ["swap", "--graph", "near.qg"],
+              ["model", "eval", "--data", "graph16.json"]]
     outputs = []
     for threads in ("1", "2"):
         env = {**os.environ, "PYTHONPATH": str(SRC), "OPENBLAS_NUM_THREADS": threads}
