@@ -199,15 +199,16 @@ def _cmd_swap(args) -> int:
     paths = args.graph
     if len(paths) > 2:
         raise ValueError(f"--graph given {len(paths)} times; swap compares at most two graphs")
-    g1 = _read_graph(paths[0])
-    s1 = build_graph_state(g1, _convention(args))
-    if len(paths) > 1:
-        s2 = build_graph_state(_read_graph(paths[1]), _convention(args))
-    else:
+    graphs = [_read_graph(path) for path in paths]
+    n = graphs[0].n_vertices
+    if graphs[-1].n_vertices != n:    # before either state is built
+        raise ValueError(f"states differ in size: {n} vs {graphs[-1].n_vertices} qubits")
+    states = [build_graph_state(g, _convention(args)) for g in graphs]
+    if len(states) == 1:
         # single graph: compare against the unentangled |+...+> reference
-        s2 = new_state(g1.n_vertices, "plus")
+        states.append(new_state(n, "plus"))
     rng = np.random.default_rng(args.seed) if args.shots > 0 else None
-    p0, overlap_sq = swap_test_overlap(s1, s2, args.shots, rng)
+    p0, overlap_sq = swap_test_overlap(*states, args.shots, rng)
     payload = {"seed": args.seed, "shots": args.shots, "p0": p0, "overlap_sq": overlap_sq}
     _emit(json.dumps(payload, indent=2) + "\n", args.out)
     return 0
@@ -306,6 +307,8 @@ def execute(argv) -> int:
             raise ValueError(f"shots must be >= 0, got {args.shots}")
         if getattr(args, "shots", 0) >= 1 << 63:
             raise ValueError(f"--shots {args.shots} is too large: at most 2^63 - 1")
+        if getattr(args, "seed", 0) < 0:
+            raise ValueError(f"--seed must be >= 0, got {args.seed}")
         for path in (args.out, getattr(args, "save_model", None)):
             if path:
                 _check_output(path)

@@ -8,6 +8,7 @@ ValueError naming the field; the bundled toy task ships as one such file.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -69,6 +70,10 @@ class Dataset:
                     raise ValueError(f"{where}[{v}] must be in [0, 1], got {lab!r}")
         elif len(item.labels) != e:
             raise ValueError(f"edge task needs {e} targets, got {len(item.labels)}")
+        else:
+            for i, lab in enumerate(item.labels):
+                if not math.isfinite(lab):
+                    raise ValueError(f"{where}[{i}] must be finite, got {lab!r}")
 
 
 # -- dataset files -------------------------------------------------------------

@@ -32,24 +32,18 @@ from enum import Enum
 import numpy as np
 
 from .graph import Graph, adjacency_matrix, neighborhood
-from .sim import (MeasurementRecord, StateVector, measure_qubit, new_state, run_parts,
-                  run_program, split_parts)
-from .tasks import _PAIRWISE_LEAF, _block_sums, _pair_part, _pairwise_tree
+from .sim import (PAIRWISE_LEAF, MeasurementRecord, StateVector, block_sums, measure_qubit,
+                  new_state, pairwise_tree, qubit_pairs, run_parts, run_program, split_parts)
 
 
 class EdgeConvention(Enum):
     CONTROLLED_PHASE = "cp"
     ISING_ZZ = "ising"
 
-
-_EDGE_KINDS = {EdgeConvention.CONTROLLED_PHASE: "CP", EdgeConvention.ISING_ZZ: "IsingZZ"}
-
-
-def edge_kind(convention: EdgeConvention) -> str:
-    """The gate kind of the edge entangler under the given convention."""
-    if convention not in _EDGE_KINDS:
-        raise ValueError(f"unknown convention {convention!r}")
-    return _EDGE_KINDS[convention]
+    @property
+    def kind(self) -> str:
+        """The gate kind of the edge entangler under this convention."""
+        return "CP" if self is EdgeConvention.CONTROLLED_PHASE else "IsingZZ"
 
 
 def edge_program(edges, convention: EdgeConvention, first: int = 0
@@ -57,8 +51,7 @@ def edge_program(edges, convention: EdgeConvention, first: int = 0
     """The entanglers of (u, v, w) edges under the given convention, as a
     gate program: edge k becomes (kind, (u, v), first + k). The weights
     are not part of it; the program's angle rows carry them."""
-    kind = edge_kind(convention)
-    return tuple((kind, (u, v), first + k) for k, (u, v, _) in enumerate(edges))
+    return tuple((convention.kind, (u, v), first + k) for k, (u, v, _) in enumerate(edges))
 
 
 def build_graph_state(g: Graph, convention: EdgeConvention = EdgeConvention.CONTROLLED_PHASE
@@ -106,24 +99,24 @@ def verify_stabilizers(g: Graph, s: StateVector, tol: float = 1e-10) -> Stabiliz
     # bit u + 1 for u > v
     flips = [[u if u < v else u - 1 for u in neighborhood(g, v)] for v in range(g.n_vertices)]
     inside = runs.shape[1].bit_length() - 1     # pair-index bits within one part
-    sums = np.empty((g.n_vertices, parts, -(-2 * runs.shape[1] // _PAIRWISE_LEAF)))
+    sums = np.empty((g.n_vertices, parts, -(-2 * runs.shape[1] // PAIRWISE_LEAF)))
 
     def part(p):
         for v, bits in enumerate(flips):
-            pairs = _pair_part(s.amps, v, parts, p)
+            pairs = qubit_pairs(s.amps, v, parts, p)
             diff = runs[p].reshape(pairs[..., 1, :].shape)
             np.copyto(diff, pairs[..., 1, :])
             for b in bits:
                 if b < inside:
-                    runs[p].reshape(-1, 2, 1 << b)[:, 1, :] *= -1.0
+                    qubit_pairs(runs[p], b)[..., 1, :] *= -1.0
                 elif p >> (b - inside) & 1:    # the part's own pair-index bits
                     diff *= -1.0
             diff -= pairs[..., 0, :]
             squares = runs[p].view(np.float64)
-            _block_sums(np.square(squares, out=squares), sums[v, p])
+            block_sums(np.square(squares, out=squares), sums[v, p])
 
     run_parts(part, parts)
-    totals = _pairwise_tree(sums.reshape(g.n_vertices, -1))
+    totals = pairwise_tree(sums.reshape(g.n_vertices, -1))
     return StabilizerReport(tuple(math.sqrt(2.0) * math.sqrt(t) for t in totals.tolist()), tol)
 
 

@@ -94,24 +94,34 @@ def _exactly(kind: type):
 
 
 def _floats(value) -> np.ndarray:
-    return np.asarray(value, dtype=float)
+    values = np.asarray(value, dtype=float)
+    if not np.all(np.isfinite(values)):
+        raise ValueError("values must be finite")
+    return values
 
 
-# checkpoint fields and their readers; shared_weights is optional (default false)
+# checkpoint fields and their readers; shared_weights (default false) and seed
+# are optional, and the seed is the training run's, not part of the model
 _CHECKPOINT_FIELDS = (
     ("graph", Graph.from_dict), ("m", _exactly(int)), ("theta", _floats),
-    ("weights", _floats), ("shared_weights", _exactly(bool)))
+    ("weights", _floats), ("shared_weights", _exactly(bool)), ("seed", _exactly(int)))
+_KNOWN_FIELDS = {"version", "convention"} | {
+    key for key, _ in _CONSTANT_FIELDS + _CHECKPOINT_FIELDS}
 
 
 def model_from_dict(d: dict,
                     convention: EdgeConvention = EdgeConvention.CONTROLLED_PHASE) -> ModelSpec:
     """Model from its checkpoint form, under its recorded edge convention
-    (`convention` when it records none); a malformed field raises ValueError
-    naming it, and so does a formalism other than "sequential" or a
-    non-empty schedule."""
+    (`convention` when it records none); a malformed or unknown field raises
+    ValueError naming it, and so does a formalism other than "sequential" or
+    a non-empty schedule."""
     _check_fields(d, "checkpoint", ())
     if d.get("version") != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {d.get('version')!r}")
+    for key in d:
+        if key not in _KNOWN_FIELDS:
+            raise ValueError(f"checkpoint field {key!r} is not part of the {CHECKPOINT_VERSION} "
+                             f"format")
     _check_fields(d, "checkpoint", ("graph", "m", "formalism", "theta", "weights"))
     for key, value in _CONSTANT_FIELDS:
         if d.get(key, value) != value:
@@ -120,9 +130,11 @@ def model_from_dict(d: dict,
     fields = {}
     for key, read in _CHECKPOINT_FIELDS:
         try:
-            fields[key] = read(d.get(key, False))
+            if key in d:
+                fields[key] = read(d[key])
         except (TypeError, ValueError, KeyError, AttributeError) as exc:
             raise ValueError(f"checkpoint field {key!r} is malformed: {exc}") from None
+    fields.pop("seed", None)
     try:
         fields["convention"] = EdgeConvention(d.get("convention", convention))
     except ValueError:

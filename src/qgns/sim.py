@@ -16,10 +16,12 @@ of those kinds to one state, apply_linear_operator any matrix (fixed gates
 and Paulis included); measure_qubit projects the amplitude pairs of a qubit.
 
 States of 2^16 amplitudes or more are cut into split_parts equal runs that
-run_parts works on in parallel threads: run_program here, node_p1 and
-edge_zzs (qgns.tasks) and verify_stabilizers (qgns.graphstate). Each part
-does the same numpy operations on its amplitudes as one serial pass would,
-so no result depends on the number of parts.
+run_parts works on in parallel threads: run_program here, node_p1, edge_zzs
+and swap_tests (qgns.tasks) and verify_stabilizers (qgns.graphstate). Each
+part does the same numpy operations on its amplitudes as one serial pass
+would, so no result depends on the number of parts. The kernels view a stack
+by the amplitude pairs of one qubit (qubit_pairs) and sum without BLAS
+(block_sums and pairwise_tree, with the bits of one np.sum).
 
 States mutate in place; clone() before applying gates if the original is
 still needed. Randomness always comes from an explicit numpy Generator.
@@ -139,8 +141,8 @@ def _ry_rows(amps: np.ndarray, qubits: tuple[int, ...], theta: np.ndarray) -> No
     half = theta / 2.0
     c = np.cos(half).reshape(-1, 1, 1)
     s = np.sin(half).reshape(-1, 1, 1)
-    view = amps.reshape(amps.shape[0], -1, 2, 1 << qubits[0])
-    a0, a1 = view[:, :, 0, :], view[:, :, 1, :]
+    view = qubit_pairs(amps, qubits[0])
+    a0, a1 = view[..., 0, :], view[..., 1, :]
     t = s * a0
     a0 *= c
     a0 -= s * a1
@@ -197,7 +199,7 @@ def _phase_rows(amps: np.ndarray, kind: str, qubits: tuple[int, ...], turns: dic
         elif (top >> (hi - m) & 1) != bit_hi:
             continue
         elif lo < m:
-            block = amps.reshape(amps.shape[0], -1, 2, 1 << lo)[:, :, bit_lo, :]
+            block = qubit_pairs(amps, lo)[..., bit_lo, :]
         elif (top >> (lo - m) & 1) != bit_lo:
             continue
         else:
@@ -259,6 +261,44 @@ def _forget_pool() -> None:
 os.register_at_fork(after_in_child=_forget_pool)
 
 
+def qubit_pairs(amps: np.ndarray, q: int, parts: int = 1, p: int = 0) -> np.ndarray:
+    """Part p of `parts` equal runs of the amplitude pairs (a0, a1) of qubit
+    q in a (..., 2^n) stack, as a (..., R, 2, C) view: its flat (R, C)
+    order is the order of those pairs in the stack, so the parts' pairs in
+    turn are all pairs in order. The default is the view of all pairs."""
+    lead = amps.shape[:-1]
+    outer = amps.shape[-1] >> (q + 1)     # runs of 2^q pairs, one per setting of the bits above q
+    if outer >= parts:
+        return amps.reshape(lead + (parts, outer // parts, 2, 1 << q))[..., p, :, :, :]
+    cut = parts // outer                  # each run is cut into this many parts
+    runs = amps.reshape(lead + (outer, 2, cut, (1 << q) // cut))
+    return runs[..., p // cut, None, :, p % cut, :]
+
+
+# numpy adds float64 pairwise: a run of at most 128 values is one unrolled
+# loop, a longer one the sum of its two halves (split at a multiple of 8). So
+# the sum of 2^k values is the adjacent-pairs tree of the sums of its aligned
+# blocks of 2^j >= 128 values, however those blocks are cut into parts, and no
+# BLAS call (whose splitting follows its thread count) enters it. The guard
+# test in tests/test_tasks.py fails first if a numpy release changes this.
+PAIRWISE_LEAF = 128
+
+
+def pairwise_tree(sums: np.ndarray) -> np.ndarray:
+    """Add the last axis (a power-of-two length) in adjacent pairs until one
+    value is left: the top levels of numpy's pairwise sum over the blocks."""
+    while sums.shape[-1] > 1:
+        sums = sums[..., 0::2] + sums[..., 1::2]
+    return sums[..., 0]
+
+
+def block_sums(values: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The sums of the aligned blocks of PAIRWISE_LEAF values (or of all
+    of them, if fewer) of each contiguous (..., L) row, into out (..., blocks)."""
+    width = min(PAIRWISE_LEAF, values.shape[-1])
+    return np.add.reduce(values.reshape(values.shape[:-1] + (-1, width)), axis=-1, out=out)
+
+
 def product_rows(theta) -> np.ndarray:
     """The (B, 2^n) amplitudes of the product states Ry(theta[b, q]) on every
     qubit q of |0...0>: row b is the kron of the (cos, sin)(theta[b, q] / 2)
@@ -306,9 +346,6 @@ def run_program(amps: np.ndarray, program, rows) -> np.ndarray:
             else:
                 _phase_rows(run, kind, qubits, turns, j, p)
 
-    if parts == 1:
-        part(0, range(len(program)))
-        return amps
     split = runs.shape[-1].bit_length() - 1     # the qubits from this one up are split
     start = 0
     for stop in [j for j, (kind, qubits, _) in enumerate(program)
@@ -357,7 +394,7 @@ def measure_qubit(s: StateVector, qubit: int, basis: str, rng: np.random.Generat
     if basis not in _BASIS_U:
         raise ValueError(f"basis must be X, Y or Z, got {basis!r}")
     u = _BASIS_U[basis]
-    pairs = s.amps.reshape(-1, 2, 1 << qubit)
+    pairs = qubit_pairs(s.amps, qubit)
     a0, a1 = halves = pairs[:, 0, :], pairs[:, 1, :]
     if u is not None:
         # overlaps (a0 +- conj(u) a1)/sqrt(2) with the two eigenvectors

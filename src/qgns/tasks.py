@@ -8,18 +8,18 @@ The readouts are closed forms on amplitudes: node_p1, edge_zzs and
 swap_tests read whole stacks of states without rotated copies or a 2n+1
 qubit swap register, and the single-state readouts apply them to one state.
 
-edge_zzs squares a stack once and reads every edge from shared sums of
-aligned blocks of 128 floats. numpy's float64 sum is pairwise and splits
-every power-of-two run above 128 values into exact halves, so the
-adjacent-pairs tree of those block sums has the bits of one np.sum over the
-whole signed array; an edge endpoint above the block bits only negates
-whole block sums, and negation commutes exactly with rounded addition.
+The readouts sum aligned blocks of sim.PAIRWISE_LEAF values and add the
+block sums with sim.pairwise_tree, which has the bits of one np.sum. edge_zzs
+squares a stack once and reads every edge from shared block sums; an edge
+endpoint above the block bits only negates whole block sums, and negation
+commutes exactly with rounded addition.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .sim import _SQRT2_INV, StateVector, _check_qubits, run_parts, split_parts
+from .sim import (PAIRWISE_LEAF, _SQRT2_INV, StateVector, _check_qubits, block_sums,
+                  pairwise_tree, qubit_pairs, run_parts, split_parts)
 
 _READOUT_BASES = ("Y", "Z")
 
@@ -38,44 +38,7 @@ def sign_estimate(expectation, shots: int, rng: np.random.Generator | None):
     return 2.0 * binomial_estimate(0.5 * (1.0 + expectation), shots, rng) - 1.0
 
 
-# numpy adds float64 pairwise: a run of at most 128 values is one unrolled
-# loop, a longer one the sum of its two halves (split at a multiple of 8). So
-# the sum of 2^k values is the adjacent-pairs tree of the sums of its aligned
-# blocks of 2^j >= 128 values. The guard test in tests/test_tasks.py fails
-# first if a numpy release changes this.
-_PAIRWISE_LEAF = 128
 _SLICE_FLOATS = 1 << 15   # 256 KiB: a cache-sized slice of signed blocks
-
-
-def _pairwise_tree(sums: np.ndarray) -> np.ndarray:
-    """Add the last axis (a power-of-two length) in adjacent pairs until one
-    value is left: the top levels of numpy's pairwise sum over the blocks."""
-    while sums.shape[-1] > 1:
-        sums = sums[..., 0::2] + sums[..., 1::2]
-    return sums[..., 0]
-
-
-def _block_sums(values: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """The sums of the aligned blocks of _PAIRWISE_LEAF values (or of all
-    of them, if fewer) of each contiguous (..., L) row, into out (..., blocks)."""
-    width = min(_PAIRWISE_LEAF, values.shape[-1])
-    return np.add.reduce(values.reshape(values.shape[:-1] + (-1, width)), axis=-1, out=out)
-
-
-def _pair_part(amps: np.ndarray, q: int, parts: int, p: int) -> np.ndarray:
-    """Part p of `parts` equal runs of the amplitude pairs (a0, a1) of qubit
-    q in a (..., 2^n) stack, as a (..., R, 2, C) view: its flat (R, C)
-    order is the order of those pairs in the stack, so the parts' pairs in
-    turn are all pairs in order."""
-    lead = amps.shape[:-1]
-    if parts == 1:
-        return amps.reshape(lead + (-1, 2, 1 << q))
-    outer = amps.shape[-1] >> (q + 1)     # runs of 2^q pairs, one per setting of the bits above q
-    if outer >= parts:
-        return amps.reshape(lead + (parts, outer // parts, 2, 1 << q))[..., p, :, :, :]
-    cut = parts // outer                  # each run is cut into this many parts
-    runs = amps.reshape(lead + (outer, 2, cut, (1 << q) // cut))
-    return runs[..., p // cut, None, :, p % cut, :]
 
 
 def _parity_signs(index: np.ndarray, bits) -> np.ndarray:
@@ -109,23 +72,23 @@ def node_p1(amps: np.ndarray, qubits, basis: str = "Y") -> np.ndarray:
     run = lead + (amps.shape[-1] // 2 // parts,)       # each part's pairs per state
     squares = np.empty((parts,) + run)
     rotated, scaled = np.empty((2, parts) + run, complex) if basis == "Y" else (None, None)
-    sums = np.empty(lead + (len(qubits), parts, -(-run[-1] // _PAIRWISE_LEAF)))
+    sums = np.empty(lead + (len(qubits), parts, -(-run[-1] // PAIRWISE_LEAF)))
 
     def part(p):
-        mine, block_sums = squares[p], sums[..., p, :]
+        mine, mine_sums = squares[p], sums[..., p, :]
         turned = (rotated[p], scaled[p]) if basis == "Y" else ()
         for k, q in enumerate(qubits):
-            pairs = _pair_part(amps, q, parts, p)
+            pairs = qubit_pairs(amps, q, parts, p)
             half = pairs[..., 1, :]
             if turned:
                 half = np.multiply(half, 1j, out=turned[0].reshape(half.shape))
                 half *= _SQRT2_INV
                 half += np.multiply(pairs[..., 0, :], _SQRT2_INV, out=turned[1].reshape(half.shape))
             np.abs(half, out=mine.reshape(half.shape))
-            _block_sums(np.square(mine, out=mine), block_sums[..., k, :])
+            block_sums(np.square(mine, out=mine), mine_sums[..., k, :])
 
     run_parts(part, parts)
-    return _pairwise_tree(sums.reshape(sums.shape[:-2] + (sums.shape[-2] * sums.shape[-1],)))
+    return pairwise_tree(sums.reshape(sums.shape[:-2] + (sums.shape[-2] * sums.shape[-1],)))
 
 
 def edge_zzs(amps: np.ndarray, pairs) -> np.ndarray:
@@ -134,7 +97,7 @@ def edge_zzs(amps: np.ndarray, pairs) -> np.ndarray:
     summed with the sign (-1)^(bit u + bit v).
 
     The interleaved real and imaginary parts are squared once and cut into
-    aligned blocks of _PAIRWISE_LEAF floats. Edges whose endpoints inside a
+    aligned blocks of PAIRWISE_LEAF floats. Edges whose endpoints inside a
     block are the same (none, u, or u and v) share one signed sum per block;
     an endpoint above the block bits only signs whole blocks. Negation is
     exact and (-x) + (-y) = -(x + y) in rounded arithmetic, so the pairwise
@@ -144,7 +107,7 @@ def edge_zzs(amps: np.ndarray, pairs) -> np.ndarray:
     """
     lead = amps.shape[:-1]
     floats = amps.reshape(-1).view(np.float64)
-    width = min(_PAIRWISE_LEAF, 2 * amps.shape[-1])
+    width = min(PAIRWISE_LEAF, 2 * amps.shape[-1])
     inner = width.bit_length() - 2               # qubits below this lie inside a block
     offsets = np.arange(width) >> 1              # amplitude index within a block
     index = np.arange(2 * amps.shape[-1] // width)    # block index within a state
@@ -180,7 +143,7 @@ def edge_zzs(amps: np.ndarray, pairs) -> np.ndarray:
     run_parts(part, parts)
     del squares, scratch    # the signed block sums below take the squares' place
     sums = sums.reshape((len(lows),) + lead + (-1,))
-    return _pairwise_tree(np.moveaxis(sums, 0, -2)[..., columns, :] * np.array(signs))
+    return pairwise_tree(np.moveaxis(sums, 0, -2)[..., columns, :] * np.array(signs))
 
 
 def node_readout(s: StateVector, qubit: int, basis: str = "Y", shots: int = 0,
@@ -228,7 +191,7 @@ def _overlaps(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     parts = split_parts(floats // 2)
     span = floats // parts
     step = min(span, _SLICE_FLOATS)
-    width = min(_PAIRWISE_LEAF, step)
+    width = min(PAIRWISE_LEAF, step)
     turned = np.empty((parts, cols, step // 2), complex)      # i b, one slice
     products = np.empty((parts, len(a), cols, 2, step))       # with b, with i b
     sums = np.empty((len(a), cols, 2, floats // width))
@@ -240,10 +203,10 @@ def _overlaps(a: np.ndarray, b: np.ndarray) -> np.ndarray:
             np.multiply(fa[..., start:stop], fb[:, start:stop], out=mine[..., 0, :])
             np.multiply(b[:, start // 2:stop // 2], 1j, out=turned[p])
             np.multiply(fa[..., start:stop], turned[p].view(np.float64), out=mine[..., 1, :])
-            _block_sums(mine, sums[..., start // width:stop // width])
+            block_sums(mine, sums[..., start // width:stop // width])
 
     run_parts(part, parts)
-    return _pairwise_tree(sums).view(complex)[..., 0]   # (Re, Im) pairs as complex
+    return pairwise_tree(sums).view(complex)[..., 0]   # (Re, Im) pairs as complex
 
 
 def swap_tests(a: np.ndarray, b: np.ndarray, shots: int = 0,

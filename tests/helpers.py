@@ -32,7 +32,6 @@ from qgns import (MAX_QUBITS, GateOp, Graph, StateVector, apply_gate,
                   neighborhood, new_state, pad_matrix, params_of, tensor)
 from qgns.executor import circuit_states, gate_program, param_rows
 from qgns.filters import select_powers_operator
-from qgns.graphstate import edge_kind
 from qgns.sim import _SQRT2_INV, _pair_view, _ry_rows, _turn
 
 # the fixed one-qubit gates, applied as matrices through apply_linear_operator
@@ -216,7 +215,7 @@ def layered_circuit_oracle(g: Graph, angles: np.ndarray, weights: np.ndarray,
         for v in range(g.n_vertices):
             apply_gate(s, GateOp("Ry", (v,), angles[i, v]))
         for k, (u, v, _) in enumerate(g.edges):
-            apply_gate(s, GateOp(edge_kind(convention), (u, v), weights[i, k]))
+            apply_gate(s, GateOp(convention.kind, (u, v), weights[i, k]))
     return s
 
 
@@ -244,7 +243,7 @@ def graph_state_oracle(g: Graph, convention, angles=None, weights=None) -> State
         for v, theta in enumerate(angles):
             apply_gate(s, GateOp("Ry", (v,), theta))
     for k, (u, v, w) in enumerate(g.edges):
-        apply_gate(s, GateOp(edge_kind(convention), (u, v), w if weights is None else weights[k]))
+        apply_gate(s, GateOp(convention.kind, (u, v), w if weights is None else weights[k]))
     return s
 
 

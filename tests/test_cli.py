@@ -189,6 +189,24 @@ def test_swap_refuses_a_third_graph_before_reading_any(k2_file, tmp_path, capsys
         "error": "--graph given 3 times; swap compares at most two graphs"}
 
 
+def test_swap_compares_the_widths_before_it_builds_a_state(k2_file, tmp_path, monkeypatch,
+                                                          capsys):
+    built = []
+
+    def counted(*args):
+        built.append(args)
+        return build_graph_state(*args)
+
+    monkeypatch.setattr("qgns.cli.build_graph_state", counted)
+    p3 = tmp_path / "p3.qg"
+    p3.write_text("qgraph v1 n=3\n0 1\n1 2\n", encoding="utf-8")
+    assert execute(["swap", "--graph", str(p3), "--graph", k2_file]) == 1
+    assert _json_error(capsys) == {"error": "states differ in size: 3 vs 2 qubits"}
+    assert execute(["swap", "--graph", k2_file, "--graph", str(tmp_path / "missing.qg")]) == 1
+    assert "missing.qg" in _json_error(capsys)["error"]
+    assert built == []
+
+
 def test_pool_seeded(demo_file, capsys):
     assert execute(["pool", "--graph", demo_file, "--seed", "11"]) == 0
     first = json.loads(capsys.readouterr().out)
@@ -485,6 +503,13 @@ def test_shots_past_a_64_bit_count_are_a_json_error_before_any_file_is_read(verb
     assert _json_error(capsys) == {"error": f"--shots {1 << 63} is too large: at most 2^63 - 1"}
 
 
+@pytest.mark.parametrize("verb", ["state sample", "swap", "pool", "model train", "model eval"])
+def test_a_negative_seed_is_a_json_error_before_any_file_is_read(verb, tmp_path, capsys):
+    missing = str(tmp_path / "missing")  # reading it would raise a different error
+    assert execute(_verb_argv(verb, missing, missing) + ["--seed", "-1"]) == 1
+    assert _json_error(capsys) == {"error": "--seed must be >= 0, got -1"}
+
+
 def test_the_largest_64_bit_shot_count_samples(k2_file, capsys):
     assert execute(["state", "sample", "--graph", k2_file, "--shots", str((1 << 63) - 1)]) == 0
     assert sum(json.loads(capsys.readouterr().out)["counts"].values()) == (1 << 63) - 1
@@ -530,6 +555,17 @@ MALFORMED = {
                         {}),
     "layers past memory": (["model", "eval", "--data", str(toy_dataset_path()),
                             "--layers", str(10 ** 12)], {}),
+    # exact-mode verbs never draw from their seed, and pool's draw failed in numpy
+    "negative seed, model train": (["model", "train", "--data", str(toy_dataset_path()),
+                                    "--epochs", "1", "--seed", "-1"], {}),
+    "negative seed, model eval": (["model", "eval", "--data", str(toy_dataset_path()),
+                                   "--seed", "-1"], {}),
+    "negative seed, exact sample": (["state", "sample", "--graph", "g.qg", "--seed", "-1"],
+                                    {"g.qg": "qgraph v1 n=2\n0 1\n"}),
+    "negative seed, swap": (["swap", "--graph", "g.qg", "--seed", "-1"],
+                            {"g.qg": "qgraph v1 n=2\n0 1\n"}),
+    "negative seed, pool": (["pool", "--graph", "g.qg", "--seed", "-1"],
+                            {"g.qg": "qgraph v1 n=2\n0 1\n"}),
 }
 
 
@@ -637,6 +673,13 @@ def test_state_build_too_wide_is_a_json_error(tmp_path, capsys):
     ({"task": "node", "node_basis": "X", "items": [{"graph": {"n": 2, "edges": [[0, 1]]},
                                                     "features": [0.1, 0.9], "labels": [0, 1]}]},
      "node_basis must be 'Y' or 'Z', got 'X'"),
+    # json reads NaN and Infinity tokens; an edge target must be a finite number
+    ({"task": "edge", "items": [{"graph": {"n": 2, "edges": [[0, 1]]},
+                                 "features": [0.1, 0.9], "labels": [float("nan")]}]},
+     "items[0].labels[0] must be finite, got nan"),
+    ({"task": "edge", "items": [{"graph": {"n": 3, "edges": [[0, 1], [1, 2]]},
+                                 "features": [0.1, 0.5, 0.9], "labels": [0.5, float("inf")]}]},
+     "items[0].labels[1] must be finite, got inf"),
 ])
 def test_malformed_dataset_is_a_json_error(tmp_path, payload, field, capsys):
     data = tmp_path / "bad.json"
@@ -773,6 +816,13 @@ def test_the_cached_parser_keeps_no_state_between_calls(k2_file, demo_file, tmp_
      "checkpoint field 'schedule'"),
     (_toy_checkpoint_dict(graph={"n": 5.0, "edges": []}), "checkpoint field 'graph'"),
     (_toy_checkpoint_dict(convention="zz"), "checkpoint field 'convention' must be"),
+    # json reads NaN and Infinity tokens; a parameter must be a finite number
+    (_toy_checkpoint_dict(theta=[[float("nan")] + [0.0] * 4]), "checkpoint field 'theta'"),
+    (_toy_checkpoint_dict(weights=[[0.0] * 5 + [float("inf")]]), "checkpoint field 'weights'"),
+    # no field is ignored: an unknown one is named, and the seed is a JSON integer
+    (_toy_checkpoint_dict(bogus=5), "checkpoint field 'bogus' is not part of the qgns-1 format"),
+    (_toy_checkpoint_dict(seed="abc"), "checkpoint field 'seed'"),
+    (_toy_checkpoint_dict(seed=True), "checkpoint field 'seed'"),
 ])
 @pytest.mark.parametrize("verb", ["train", "eval"])
 def test_malformed_checkpoint_is_a_json_error(toy_file, tmp_path, verb, payload, field,

@@ -1,6 +1,7 @@
 """The package's import boundary: the graph-state half loads with `qgns`,
 the trainer half (`dataset`, `qgnn`, `executor`, `train`) only when a verb
-or a caller reaches into it.
+or a caller reaches into it, and no module imports another's private names
+beyond a few shared helpers.
 
 Module execution is observed in a fresh interpreter through the `exec`
 audit event, which fires for every module body the import system runs,
@@ -8,6 +9,7 @@ however the package arranges its imports.
 """
 from __future__ import annotations
 
+import ast
 import importlib
 import json
 import os
@@ -40,6 +42,16 @@ EXPORTS = {
                "save_dataset toy_dataset_path toy_node_dataset",
     "train": "FitResult TrainConfig accuracy class_prototypes fit gradient initial_model loss "
              "params_of with_params",
+}
+
+# The private names a module may import from another: helpers shared on
+# purpose, as (defining module, name): importing modules. Every other name one
+# module imports from another is public, so a kernel's internals stay in it.
+SHARED_PRIVATE = {
+    ("graph", "_replace_text"): {"cli", "dataset", "qgnn"},
+    ("dataset", "_check_fields"): {"qgnn"},
+    ("sim", "_SQRT2_INV"): {"tasks"},
+    ("sim", "_check_qubits"): {"tasks"},
 }
 
 # Runs each argv of sys.argv[1] in turn and prints, after each, the exit code
@@ -167,3 +179,19 @@ def test_an_unknown_name_is_an_attribute_error():
         assert not hasattr(qgns, deleted), deleted
     with pytest.raises(ImportError, match="no_such_name"):
         exec("from qgns import no_such_name", {})
+
+
+def test_a_module_imports_only_public_names_from_another():
+    private = []
+    for path in sorted((SRC / "qgns").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.ImportFrom) or not (
+                    node.level or (node.module or "").split(".")[0] == "qgns"):
+                continue
+            source = (node.module or "__init__").split(".")[-1]
+            for alias in node.names:
+                name = alias.name
+                if (name.startswith("_") and not name.endswith("__")
+                        and path.stem not in SHARED_PRIVATE.get((source, name), ())):
+                    private.append(f"{path.stem} imports {source}.{name}")
+    assert private == []

@@ -15,7 +15,6 @@ from qgns import (DataItem, Dataset, EdgeConvention, Graph, ModelSpec, TrainConf
                   params_of, save_dataset, to_edge_list, toy_node_dataset, with_params)
 from qgns.executor import (compile_circuit, draw_readouts, exact_readouts, gate_program,
                            param_rows)
-from qgns.graphstate import edge_kind
 
 from helpers import (FINITE, graphs, item_grad_oracle, layer_params, layered_circuit_oracle,
                      model_circuit, pshift_gradient_oracle, random_graph, rotated_p1,
@@ -242,7 +241,7 @@ def test_gate_program_slots_and_the_shift_rule_it_drives(seed, n, m, shared, con
     for layer in layers:
         assert [(kind, qubits) for kind, qubits, _ in layer] == (
             [("Ry", (v,)) for v in range(n)]
-            + [(edge_kind(convention), (u, v)) for u, v, _ in g.edges])
+            + [(convention.kind, (u, v)) for u, v, _ in g.edges])
     slots = [slot for _, _, slot in program]
     assert sorted(set(slots)) == list(range(params_of(model).size))
     edge_slots = [[slot for _, _, slot in layer[n:]] for layer in layers]
