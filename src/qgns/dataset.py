@@ -47,7 +47,19 @@ class Dataset:
         if self.node_basis not in ("Y", "Z"):
             raise ValueError(f"node_basis must be 'Y' or 'Z', got {self.node_basis!r}")
         for k, item in enumerate(self.items):
+            self._check_features(k, item)
             self._check_labels(k, item)
+
+    @staticmethod
+    def _check_features(k: int, item: DataItem) -> None:
+        """Finite features with a finite span max - min, which encoding
+        divides by (qgnn.encode_features)."""
+        values, where = item.features.tolist(), f"items[{k}].features"
+        for v, x in enumerate(values):
+            if not math.isfinite(x):
+                raise ValueError(f"{where}[{v}] must be finite, got {x!r}")
+        if values and not math.isfinite(max(values) - min(values)):
+            raise ValueError(f"{where} span max - min overflows float64")
 
     def _check_labels(self, k: int, item: DataItem) -> None:
         """Label counts and ranges; a bool is never a label, though Python

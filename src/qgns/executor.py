@@ -67,7 +67,8 @@ def class_prototypes(dataset: Dataset,
     """The graph task's per-class reference states as a (C, 2^n) stack: row
     c is the plain graph state (no trainable parameters) of class c's mean
     feature vector, encoded as Ry angles on |0...0>, with the graph's own
-    edge weights. Each row is computed exactly as it would be alone."""
+    edge weights. Each row is computed exactly as it would be alone. A class
+    whose mean overflows float64 raises ValueError naming it."""
     if dataset.task != "graph":
         raise ValueError("class prototypes only apply to the graph task")
     means = []
@@ -75,7 +76,11 @@ def class_prototypes(dataset: Dataset,
         feats = [item.features for item in dataset.items if item.labels == c]
         if not feats:
             raise ValueError(f"class {c} has no items")
-        means.append(encode_features(np.mean(feats, axis=0)))
+        with np.errstate(over="ignore"):
+            mean = np.mean(feats, axis=0)
+        if not np.all(np.isfinite(mean)):
+            raise ValueError(f"the mean features of class {c} overflow float64")
+        means.append(encode_features(mean))
     edges = dataset.items[0].graph.edges
     weights = np.tile([w for _, _, w in edges], (len(means), 1))
     return run_program(product_rows(means), edge_program(edges, convention), weights)

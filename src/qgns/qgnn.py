@@ -51,13 +51,17 @@ class ModelSpec:
 
 def encode_features(x) -> np.ndarray:
     """A feature vector's layer-0 Ry angles: x min-max normalized to [0, 1]
-    and scaled to [0, pi] (a constant vector maps to pi/2 everywhere, i.e. |+>)."""
+    and scaled to [0, pi] (a constant vector maps to pi/2 everywhere, i.e. |+>).
+    A feature that is not finite, or a span max - min that overflows float64,
+    raises ValueError."""
     x = np.asarray(x, dtype=float)
     if x.size == 0:
         raise ValueError("empty feature vector")
     if not np.all(np.isfinite(x)):
         raise ValueError("features must be finite")
     lo, hi = float(x.min()), float(x.max())
+    if not math.isfinite(hi - lo):
+        raise ValueError("feature span max - min overflows float64")
     scaled = np.full(x.shape, 0.5) if hi - lo < 1e-300 else (x - lo) / (hi - lo)
     return math.pi * scaled
 
@@ -113,8 +117,8 @@ def model_from_dict(d: dict,
                     convention: EdgeConvention = EdgeConvention.CONTROLLED_PHASE) -> ModelSpec:
     """Model from its checkpoint form, under its recorded edge convention
     (`convention` when it records none); a malformed or unknown field raises
-    ValueError naming it, and so does a formalism other than "sequential" or
-    a non-empty schedule."""
+    ValueError naming it, and so do a formalism other than "sequential", a
+    non-empty schedule and fields that disagree on the model's shape."""
     _check_fields(d, "checkpoint", ())
     if d.get("version") != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {d.get('version')!r}")
@@ -140,7 +144,10 @@ def model_from_dict(d: dict,
     except ValueError:
         raise ValueError(f"checkpoint field 'convention' must be 'cp' or 'ising', "
                          f"got {d['convention']!r}") from None
-    return ModelSpec(**fields)
+    try:
+        return ModelSpec(**fields)
+    except ValueError as exc:   # the fields disagree on the model's shape
+        raise ValueError(f"checkpoint is malformed: {exc}") from None
 
 
 def save_model(model: ModelSpec, path, seed: int = 0) -> None:

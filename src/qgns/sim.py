@@ -28,6 +28,7 @@ still needed. Randomness always comes from an explicit numpy Generator.
 """
 from __future__ import annotations
 
+import functools
 import math
 import os
 from dataclasses import dataclass
@@ -150,12 +151,6 @@ def _ry_rows(amps: np.ndarray, qubits: tuple[int, ...], theta: np.ndarray) -> No
     a1 += t
 
 
-def _pair_view(amps: np.ndarray, qubits: tuple[int, ...]) -> np.ndarray:
-    # axes 2 and 4 are bits hi and lo of each row (hi > lo)
-    hi, lo = max(qubits), min(qubits)
-    return amps.reshape(amps.shape[0], -1, 2, 1 << (hi - lo - 1), 2, 1 << lo)
-
-
 def _turn(block: np.ndarray, phase: np.ndarray) -> None:
     """block *= phase in place, with one phase per row of the batch."""
     if block[0].size > 1:
@@ -194,8 +189,9 @@ def _phase_rows(amps: np.ndarray, kind: str, qubits: tuple[int, ...], turns: dic
     m = amps.shape[-1].bit_length() - 1
     hi, lo = max(qubits), min(qubits)
     for (bit_hi, bit_lo), sign in _PHASES[kind]:
-        if hi < m:
-            block = _pair_view(amps, (hi, lo))[:, :, bit_hi, :, bit_lo, :]
+        if hi < m:      # axes 2 and 4 are bits hi and lo of each row
+            block = amps.reshape(amps.shape[0], -1, 2, 1 << (hi - lo - 1), 2, 1 << lo)[
+                :, :, bit_hi, :, bit_lo, :]
         elif (top >> (hi - m) & 1) != bit_hi:
             continue
         elif lo < m:
@@ -211,7 +207,6 @@ def _phase_rows(amps: np.ndarray, kind: str, qubits: tuple[int, ...], turns: dic
 # per thread; smaller ones run serially and never start the pool.
 _SPLIT_AMPS = 1 << 16
 _MAX_WORKERS = 8
-_pool = None
 
 
 def _worker_count() -> int:
@@ -220,14 +215,21 @@ def _worker_count() -> int:
 
 def split_parts(dim: int) -> int:
     """How many equal parts run_parts cuts a state of dim amplitudes into:
-    1 below _SPLIT_AMPS, else a power of two covering the usable cores, with
-    at least _SPLIT_AMPS / 2 amplitudes per part."""
-    parts = 1
-    if dim >= _SPLIT_AMPS:
-        workers = _worker_count()
-        while parts < workers and dim // (2 * parts) >= _SPLIT_AMPS // 2:
-            parts *= 2
-    return parts
+    1 below _SPLIT_AMPS, else the power of two covering the usable cores, cut
+    down to keep at least _SPLIT_AMPS / 2 amplitudes per part."""
+    if dim < _SPLIT_AMPS:
+        return 1
+    return min(1 << (_worker_count() - 1).bit_length(), dim // (_SPLIT_AMPS // 2))
+
+
+@functools.cache
+def _pool():
+    from concurrent.futures import ThreadPoolExecutor
+    return ThreadPoolExecutor(max(1, _worker_count() - 1), thread_name_prefix="qgns-part")
+
+
+# a forked child inherits the pool object but none of its threads
+os.register_at_fork(after_in_child=_pool.cache_clear)
 
 
 def run_parts(part, parts: int) -> None:
@@ -238,11 +240,7 @@ def run_parts(part, parts: int) -> None:
     if parts == 1:
         part(0)
         return
-    global _pool
-    if _pool is None:
-        from concurrent.futures import ThreadPoolExecutor
-        _pool = ThreadPoolExecutor(max(1, _worker_count() - 1), thread_name_prefix="qgns-part")
-    futures = [_pool.submit(part, p) for p in range(1, parts)]
+    futures = [_pool().submit(part, p) for p in range(1, parts)]
     try:
         part(0)
     finally:
@@ -250,15 +248,6 @@ def run_parts(part, parts: int) -> None:
             future.exception()     # wait: no part outlives the call
     for future in futures:
         future.result()
-
-
-def _forget_pool() -> None:
-    # a forked child inherits the pool object but none of its threads
-    global _pool
-    _pool = None
-
-
-os.register_at_fork(after_in_child=_forget_pool)
 
 
 def qubit_pairs(amps: np.ndarray, q: int, parts: int = 1, p: int = 0) -> np.ndarray:

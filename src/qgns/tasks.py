@@ -81,8 +81,7 @@ def node_p1(amps: np.ndarray, qubits, basis: str = "Y") -> np.ndarray:
             pairs = qubit_pairs(amps, q, parts, p)
             half = pairs[..., 1, :]
             if turned:
-                half = np.multiply(half, 1j, out=turned[0].reshape(half.shape))
-                half *= _SQRT2_INV
+                half = np.multiply(half, 1j * _SQRT2_INV, out=turned[0].reshape(half.shape))
                 half += np.multiply(pairs[..., 0, :], _SQRT2_INV, out=turned[1].reshape(half.shape))
             np.abs(half, out=mine.reshape(half.shape))
             block_sums(np.square(mine, out=mine), mine_sums[..., k, :])

@@ -32,7 +32,7 @@ from qgns import (MAX_QUBITS, GateOp, Graph, StateVector, apply_gate,
                   neighborhood, new_state, pad_matrix, params_of, tensor)
 from qgns.executor import circuit_states, gate_program, param_rows
 from qgns.filters import select_powers_operator
-from qgns.sim import _SQRT2_INV, _pair_view, _ry_rows, _turn
+from qgns.sim import _SQRT2_INV, _ry_rows, _turn
 
 # the fixed one-qubit gates, applied as matrices through apply_linear_operator
 H_MATRIX = np.array([[1, 1], [1, -1]]) * _SQRT2_INV
@@ -271,6 +271,12 @@ def edge_zz_oracle(amps: np.ndarray, u: int, v: int) -> np.ndarray:
 
 
 # -- the serial kernels, one pass over the whole stack ----------------------
+
+def _pair_view(amps: np.ndarray, qubits) -> np.ndarray:
+    # axes 2 and 4 are bits hi and lo of each row (hi > lo)
+    hi, lo = max(qubits), min(qubits)
+    return amps.reshape(amps.shape[0], -1, 2, 1 << (hi - lo - 1), 2, 1 << lo)
+
 
 def _cp_rows(amps: np.ndarray, qubits, w: np.ndarray) -> None:
     _turn(_pair_view(amps, qubits)[:, :, 1, :, 1, :], np.exp(1j * w).reshape(-1, 1, 1, 1))

@@ -567,6 +567,23 @@ MALFORMED = {
     "negative seed, pool": (["pool", "--graph", "g.qg", "--seed", "-1"],
                             {"g.qg": "qgraph v1 n=2\n0 1\n"}),
 }
+# datasets whose finite or non-finite features overflow on the way to the
+# Ry angles: a feature's span max - min, or the mean of a class's features
+_FEATURE_OVERFLOWS = {
+    "non-finite feature": {"task": "node", "items": [{"graph": "qgraph v1 n=2\n0 1\n",
+                                                      "features": [0.1, float("inf")],
+                                                      "labels": [0, 1]}]},
+    "feature span overflows": {"task": "node", "items": [{"graph": "qgraph v1 n=3\n0 1\n1 2\n",
+                                                          "features": [1e308, -1e308, 0.0],
+                                                          "labels": [0, 1, 0]}]},
+    "class mean overflows": {"task": "graph", "items": [
+        {"graph": "qgraph v1 n=2\n0 1\n", "features": [1e308, 0.0], "labels": 0}] * 2},
+}
+for _case, _payload in _FEATURE_OVERFLOWS.items():
+    MALFORMED[f"{_case}, model eval"] = (["model", "eval", "--data", "d.json"],
+                                         {"d.json": json.dumps(_payload)})
+    MALFORMED[f"{_case}, model train"] = (["model", "train", "--data", "d.json", "--epochs", "1"],
+                                          {"d.json": json.dumps(_payload)})
 
 
 @pytest.mark.parametrize("case", list(MALFORMED) + ["filter overflow 0", "filter overflow 1"])
@@ -680,6 +697,21 @@ def test_state_build_too_wide_is_a_json_error(tmp_path, capsys):
     ({"task": "edge", "items": [{"graph": {"n": 3, "edges": [[0, 1], [1, 2]]},
                                  "features": [0.1, 0.5, 0.9], "labels": [0.5, float("inf")]}]},
      "items[0].labels[1] must be finite, got inf"),
+    # and a feature must be finite, with a span max - min that is finite too
+    ({"task": "node", "items": [{"graph": {"n": 2, "edges": [[0, 1]]},
+                                 "features": [0.1, float("nan")], "labels": [0, 1]}]},
+     "items[0].features[1] must be finite, got nan"),
+    ({"task": "edge", "items": [{"graph": {"n": 2, "edges": [[0, 1]]},
+                                 "features": [float("-inf"), 0.1], "labels": [0.5]}]},
+     "items[0].features[0] must be finite, got -inf"),
+    ({"task": "node", "items": [
+        {"graph": {"n": 3, "edges": [[0, 1]]}, "features": [0.1, 0.5, 0.9], "labels": [0, 1, 0]},
+        {"graph": {"n": 3, "edges": [[0, 1]]}, "features": [1e308, -1e308, 0.0],
+         "labels": [0, 1, 0]}]},
+     "items[1].features span max - min overflows float64"),
+    ({"task": "graph", "items": [{"graph": {"n": 2, "edges": [[0, 1]]},
+                                  "features": [1e308, 0.0], "labels": 0}] * 2},
+     "the mean features of class 0 overflow float64"),
 ])
 def test_malformed_dataset_is_a_json_error(tmp_path, payload, field, capsys):
     data = tmp_path / "bad.json"
@@ -823,6 +855,12 @@ def test_the_cached_parser_keeps_no_state_between_calls(k2_file, demo_file, tmp_
     (_toy_checkpoint_dict(bogus=5), "checkpoint field 'bogus' is not part of the qgns-1 format"),
     (_toy_checkpoint_dict(seed="abc"), "checkpoint field 'seed'"),
     (_toy_checkpoint_dict(seed=True), "checkpoint field 'seed'"),
+    # the fields must agree on the model's shape: m rows of theta, and one
+    # weight per edge of the checkpoint's own graph
+    (_toy_checkpoint_dict(m=3, theta=[[0.0] * 5] * 2),
+     "checkpoint is malformed: theta shape (2, 5) != (3, 5)"),
+    (_toy_checkpoint_dict(graph={"n": 5, "edges": [[0, 1]]}),
+     "checkpoint is malformed: weights shape (1, 6) != (1, 1)"),
 ])
 @pytest.mark.parametrize("verb", ["train", "eval"])
 def test_malformed_checkpoint_is_a_json_error(toy_file, tmp_path, verb, payload, field,

@@ -5,7 +5,8 @@ worker thread. Each kernel is checked bit for bit against its serial pass
 (tests/helpers.py) with the pool forced to one worker and to more, at
 n = 15 (always serial) to 18; and the verbs whose printed numbers take no
 BLAS call (`state verify` and `sample`, `model eval` on every task, `pool`,
-`swap`) print the same bytes whatever number of threads OpenBLAS runs.
+`swap`), and `filter apply` at up to 128 vertices, print the same bytes
+whatever number of threads OpenBLAS runs.
 """
 from __future__ import annotations
 
@@ -31,6 +32,8 @@ from helpers import (pairwise_residuals, random_graph, random_state, serial_edge
 SRC = Path(__file__).resolve().parents[1] / "src"
 WIDTHS = (15, 16, 17, 18)
 WORKERS = (1, 2, 4)
+# the power of two that covers each usable core count
+COVERING = {1: 1, 2: 2, 3: 4, 4: 4, 5: 8, 6: 8, 7: 8, 8: 8}
 
 
 def bits(x) -> bytes:
@@ -55,9 +58,9 @@ def wide_graph(rng: np.random.Generator, n: int, weighted: bool) -> Graph:
 
 @pytest.mark.parametrize("n", WIDTHS)
 def test_states_from_two_to_the_sixteen_amplitudes_split_over_the_workers(monkeypatch, n):
-    for workers in WORKERS + (8,):
+    for workers, covering in COVERING.items():
         force_workers(monkeypatch, workers)
-        expected = 1 if n < 16 else min(workers, 1 << (n - 15))
+        expected = 1 if n < 16 else min(covering, 1 << (n - 15))
         assert sim.split_parts(1 << n) == expected, workers
     force_workers(monkeypatch, 8)
     assert sim.split_parts(1 << 10) == 1
@@ -212,6 +215,14 @@ def test_state_verify_prints_the_same_bytes_for_any_blas_thread_count(tmp_path):
     argvs += [["swap", "--graph", "near.qg", "--graph", "nearer.qg"],
               ["swap", "--graph", "near.qg"],
               ["model", "eval", "--data", "graph16.json"]]
+    # the LCU filter on a Laplacian padded to 128 rows, and on one of 128
+    for d in (100, 128):
+        g = random_graph(rng, d, weighted=True, p_edge=0.1)
+        (tmp_path / f"f{d}.qg").write_text(to_edge_list(g), encoding="utf-8")
+        (tmp_path / f"x{d}.txt").write_text(
+            "".join(f"{x!r}\n" for x in rng.uniform(-1, 1, d).tolist()), encoding="utf-8")
+        argvs.append(["filter", "apply", "--graph", f"f{d}.qg", "--coeffs", "0.5,-0.3,0.2",
+                      "--vector", f"x{d}.txt"])
     outputs = []
     for threads in ("1", "2"):
         env = {**os.environ, "PYTHONPATH": str(SRC), "OPENBLAS_NUM_THREADS": threads}
@@ -228,7 +239,7 @@ def test_state_verify_prints_the_same_bytes_for_any_blas_thread_count(tmp_path):
 
 def test_parts_keep_their_bits_with_more_threads_than_cores(monkeypatch):
     # a fresh pool of seven threads, switching between them every microsecond
-    monkeypatch.setattr(sim, "_pool", None)
+    sim._pool.cache_clear()
     force_workers(monkeypatch, 8)
     rng = np.random.default_rng(500)
     interval = sys.getswitchinterval()
@@ -248,6 +259,46 @@ def test_parts_keep_their_bits_with_more_threads_than_cores(monkeypatch):
             assert bits(verify_stabilizers(g, s).residuals) == bits(pairwise_residuals(g, s))
     finally:
         sys.setswitchinterval(interval)
-        if sim._pool is not None:
-            sim._pool.shutdown(wait=True)
+        sim._pool().shutdown(wait=True)
+        sim._pool.cache_clear()
     assert sim.split_parts(1 << 18) == 8
+
+
+# Forces two workers, starts the pool on a 2^16-amplitude state, then forks:
+# the child reruns the readout and exits 0 if it got the parent's bits from a
+# pool of its own. A child left with the parent's pool object, whose threads
+# did not survive the fork, waits for them forever, so the parent kills a
+# child that is not done in time. Prints the child's exit code, or "hung".
+_FORK = r"""
+import os, sys, time
+import numpy as np
+import qgns.sim as sim
+from qgns.tasks import node_p1
+
+sim._worker_count = lambda: 2
+amps = np.random.default_rng(16).standard_normal((1, 1 << 16)).astype(complex)
+before = node_p1(amps, range(16), "Y").tobytes()
+assert sim._pool.cache_info().currsize == 1
+pid = os.fork()
+if pid == 0:
+    fresh = sim._pool.cache_info().currsize == 0
+    os._exit(0 if fresh and node_p1(amps, range(16), "Y").tobytes() == before else 3)
+deadline = time.monotonic() + 30
+while time.monotonic() < deadline:
+    done, status = os.waitpid(pid, os.WNOHANG)
+    if done:
+        print(os.waitstatus_to_exitcode(status))
+        sys.exit()
+    time.sleep(0.01)
+os.kill(pid, 9)
+os.waitpid(pid, 0)
+print("hung")
+"""
+
+
+def test_a_forked_child_runs_parts_on_a_pool_of_its_own(tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run([sys.executable, "-c", _FORK], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0\n", proc.stderr

@@ -62,6 +62,8 @@ def test_encode_errors():
         encode_features([])
     with pytest.raises(ValueError, match="finite"):
         encode_features([float("inf"), 0.0])
+    with pytest.raises(ValueError, match="span max - min overflows float64"):
+        encode_features([1e308, -1e308, 0.0])
 
 
 # -- the superposed oracle (tests/helpers.py) -----------------------------------

@@ -1,7 +1,7 @@
 """The package's import boundary: the graph-state half loads with `qgns`,
 the trainer half (`dataset`, `qgnn`, `executor`, `train`) only when a verb
-or a caller reaches into it, and no module imports another's private names
-beyond a few shared helpers.
+or a caller reaches into it, no module imports another's private names
+beyond a few shared helpers, and no module rebinds its globals at run time.
 
 Module execution is observed in a fresh interpreter through the `exec`
 audit event, which fires for every module body the import system runs,
@@ -195,3 +195,13 @@ def test_a_module_imports_only_public_names_from_another():
                         and path.stem not in SHARED_PRIVATE.get((source, name), ())):
                     private.append(f"{path.stem} imports {source}.{name}")
     assert private == []
+
+
+def test_no_module_rebinds_its_own_state_at_run_time():
+    # module state that a call rebinds must be reset by hand in a forked
+    # child or a test; a cached factory (functools.cache) is reset by one call
+    rebinding = [f"{path.stem}: global {', '.join(node.names)}"
+                 for path in sorted((SRC / "qgns").glob("*.py"))
+                 for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                 if isinstance(node, ast.Global)]
+    assert rebinding == []

@@ -394,8 +394,8 @@ def test_dataset_json_roundtrip(tmp_path):
 
 @st.composite
 def datasets(draw) -> Dataset:
-    """Any dataset of 1-3 items, each on its own graph: finite features, and
-    node labels mixing null, 0/1 ints and floats in [0, 1], edge floats or
+    """Any dataset of 1-3 items, each on its own graph: finite features whose
+    span max - min is finite too (Dataset refuses others), and node labels mixing null, 0/1 ints and floats in [0, 1], edge floats or
     ints, or class indices."""
     task = draw(st.sampled_from(["node", "edge", "graph"]))
     items = []
@@ -411,7 +411,9 @@ def datasets(draw) -> Dataset:
                                          min_size=e, max_size=e)))
         else:
             labels = draw(st.integers(0, 4))
-        items.append(DataItem(g, draw(st.lists(FINITE, min_size=n, max_size=n)), labels))
+        features = st.lists(FINITE, min_size=n, max_size=n).filter(
+            lambda xs: math.isfinite(max(xs) - min(xs)))
+        items.append(DataItem(g, draw(features), labels))
     return Dataset(task, tuple(items), draw(st.sampled_from(["Y", "Z"])))
 
 
