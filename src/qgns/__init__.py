@@ -43,7 +43,7 @@ _EXPORTS = {name: module for module, names in (
                    "verify_stabilizers"),
     ("qgnn", "ModelSpec encode_features load_model model_from_dict model_to_dict save_model"),
     ("tasks", "classify_graph edge_readout node_readout swap_test_overlap"),
-    ("filters", "apply_filter_lcu pad_matrix polynomial_filter_matrix"),
+    ("filters", "apply_filter_lcu polynomial_filter_matrix"),
     ("dataset", "DataItem Dataset dataset_from_dict dataset_to_dict demo_graph load_dataset "
                 "save_dataset toy_dataset_path toy_node_dataset"),
     ("executor", "class_prototypes"),

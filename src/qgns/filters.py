@@ -40,20 +40,6 @@ def polynomial_filter_matrix(L: np.ndarray, w) -> np.ndarray:
     return acc
 
 
-def pad_matrix(L: np.ndarray) -> np.ndarray:
-    """Identity-extend L to the next power-of-two dimension (at least 2)."""
-    L = np.asarray(L, dtype=float)
-    if L.ndim != 2 or L.shape[0] != L.shape[1]:
-        raise ValueError(f"L must be square, got shape {L.shape}")
-    d = L.shape[0]
-    p = max(2, 1 << (d - 1).bit_length())
-    if p == d:
-        return L.copy()
-    out = np.eye(p)
-    out[:d, :d] = L
-    return out
-
-
 def select_powers_operator(L: np.ndarray, a: int) -> np.ndarray:
     """Block-diagonal sum_j |j><j| (x) L^j over an a-qubit index register.
 
@@ -96,29 +82,30 @@ def apply_filter_lcu(x, L: np.ndarray, w) -> tuple[np.ndarray, float]:
         raise ValueError(f"L must be square, got shape {L.shape}")
     if x.shape != (L.shape[0],):
         raise ValueError(f"x has shape {x.shape}, L is {L.shape[0]}-dimensional")
-    w_norm = float(np.linalg.norm(w))
-    x_norm = float(np.linalg.norm(x))
+    # norms from numpy's pairwise sum, not BLAS: OpenBLAS splits a dot over its
+    # threads above 10,000 elements, and the printed digits would follow them
+    w_norm = math.sqrt(np.sum(np.square(w)))
+    x_norm = math.sqrt(np.sum(np.square(x)))
     if w.size == 0 or w_norm == 0.0:
         raise ValueError("coefficient vector must be nonzero")
     if x_norm == 0.0:
         raise ValueError("input vector must be nonzero")
 
-    d = L.shape[0]
-    lp = pad_matrix(L)
-    p = lp.shape[0]
-    v_qubits = p.bit_length() - 1
+    # the data register spans L's power-of-two width (at least 2); an identity
+    # padding would keep 0 in every L^j x, so only the qubit count sees it
+    v_qubits = max(1, (L.shape[0] - 1).bit_length())
     a = max(w.size - 1, 0).bit_length()
     if a + v_qubits > MAX_QUBITS:
         raise ValueError(f"filter needs {a + v_qubits} qubits, cap is {MAX_QUBITS}")
     # prepare, then select block by block: index block j holds (w_j / |w|)
     # L^j x / |x|, each L^j x one matvec on the block before (blocks j >= len(w)
     # hold 0); prepare^dagger then projects the index onto the uniform state
-    powers = np.zeros((w.size, p))
-    powers[0, :d] = x / x_norm
+    powers = np.empty((w.size, L.shape[0]))
+    powers[0] = x / x_norm
     for j in range(1, w.size):
-        powers[j] = lp @ powers[j - 1]
+        powers[j] = L @ powers[j - 1]
     y_raw = (w / w_norm) @ powers / math.sqrt(1 << a)
-    nrm = float(np.linalg.norm(y_raw))
+    nrm = math.sqrt(np.sum(np.square(y_raw)))
     scale = nrm * math.sqrt(1 << a) * w_norm * x_norm
     # a non-finite norm leaves the scale inf or NaN; BLAS may skip a power's row at w_j = 0
     if not (math.isfinite(scale) and np.isfinite(powers).all()):
@@ -126,4 +113,4 @@ def apply_filter_lcu(x, L: np.ndarray, w) -> tuple[np.ndarray, float]:
                          "is not finite")
     if nrm < _ZERO_NORM_TOL:
         raise ValueError("filter annihilates the input (p_w(L) x = 0)")
-    return y_raw[:d] / nrm, scale
+    return y_raw / nrm, scale

@@ -11,9 +11,10 @@ parametrised kinds Ry, CP and IsingZZ. run_program applies one to a (B, 2^n)
 stack of states, gate j turning row b by rows[b, j]; it is the one runner
 behind the trainer's circuits (qgns.executor), graph states and their edge
 entanglers (qgns.graphstate.edge_program). product_rows prepares the Ry
-product states of a whole stack in closed form. apply_gate applies one gate
-of those kinds to one state, apply_linear_operator any matrix (fixed gates
-and Paulis included); measure_qubit projects the amplitude pairs of a qubit.
+product states of a whole stack in closed form. apply_gate runs one gate
+of those kinds on one state as a one-entry program, apply_linear_operator
+any matrix (fixed gates and Paulis included); measure_qubit projects the
+amplitude pairs of a qubit.
 
 States of 2^16 amplitudes or more are cut into split_parts equal runs that
 run_parts works on in parallel threads: run_program here, node_p1, edge_zzs
@@ -136,7 +137,7 @@ def _check_qubits(s: StateVector, qubits: tuple[int, ...]) -> None:
 
 # Batched kernels for the parametrised gates. Each acts in place on a
 # (B, 2^n) amplitude stack, one state per row, with row b turned by angle
-# theta[b]; apply_gate runs them on a batch of one.
+# theta[b]; run_program is their one caller.
 
 def _ry_rows(amps: np.ndarray, qubits: tuple[int, ...], theta: np.ndarray) -> None:
     half = theta / 2.0
@@ -180,12 +181,12 @@ def _turns(program, rows: np.ndarray) -> dict:
 
 
 def _phase_rows(amps: np.ndarray, kind: str, qubits: tuple[int, ...], turns: dict, j: int,
-                top: int = 0) -> None:
+                top: int) -> None:
     """Apply diagonal gate j, whose phases are column j of turns (_turns), to
-    a (B, 2^m) stack, or to part `top` of a wider one (run_program): that
-    part's qubits m and up, which may include gate qubits, hold the bits of
-    top. Each block of amplitudes whose gate bits match a pattern is turned
-    by that pattern's phase."""
+    part `top` of a stack split into runs of 2^m amplitudes (run_program; a
+    whole (B, 2^m) stack is part 0): that part's qubits m and up, which may
+    include gate qubits, hold the bits of top. Each block of amplitudes whose
+    gate bits match a pattern is turned by that pattern's phase."""
     m = amps.shape[-1].bit_length() - 1
     hi, lo = max(qubits), min(qubits)
     for (bit_hi, bit_lo), sign in _PHASES[kind]:
@@ -348,21 +349,17 @@ def run_program(amps: np.ndarray, program, rows) -> np.ndarray:
 
 
 def apply_gate(s: StateVector, g: GateOp) -> StateVector:
-    """Apply g to s in place and return s.
+    """Apply g to s in place, as a one-entry program of run_program, and
+    return s.
 
     Kinds: Ry(param) on one qubit; CP(param) = diag(1, 1, 1, e^{i param}),
     so CP(pi) is controlled-Z; IsingZZ(param) = e^{-i param Z(x)Z}. Any other
     kind raises; a fixed matrix goes through apply_linear_operator.
     """
     _check_qubits(s, g.qubits)
-    kind = g.kind
-    if kind == "Ry":
-        _ry_rows(s.amps.reshape(1, -1), g.qubits, np.array([g.param]))
-    elif kind in _PHASES:
-        turns = _turns([(kind, g.qubits, 0)], np.array([[g.param]]))
-        _phase_rows(s.amps.reshape(1, -1), kind, g.qubits, turns, 0)
-    else:
-        raise ValueError(f"unknown gate kind {kind!r}")
+    if g.kind != "Ry" and g.kind not in _PHASES:
+        raise ValueError(f"unknown gate kind {g.kind!r}")
+    run_program(s.amps.reshape(1, -1), [(g.kind, g.qubits, 0)], [[g.param]])
     return s
 
 

@@ -29,7 +29,7 @@ from hypothesis import strategies as st
 
 from qgns import (MAX_QUBITS, GateOp, Graph, StateVector, apply_gate,
                   apply_linear_operator, build_graph_state, encode_features, expectation_pauli,
-                  neighborhood, new_state, pad_matrix, params_of, tensor)
+                  neighborhood, new_state, params_of, tensor)
 from qgns.executor import circuit_states, gate_program, param_rows
 from qgns.filters import select_powers_operator
 from qgns.sim import _SQRT2_INV, _ry_rows, _turn
@@ -396,6 +396,15 @@ def swap_circuit_p0(s1: StateVector, s2: StateVector) -> float:
     apply_linear_operator(full, H_MATRIX, (ancilla,))
     view = full.amps.reshape(-1, 2, 1 << ancilla)
     return float(np.sum(np.abs(view[:, 0, :]) ** 2))
+
+
+def pad_matrix(L: np.ndarray) -> np.ndarray:
+    """Identity-extend L to the next power-of-two dimension (at least 2), the
+    2^v data register that the dense select operator acts on."""
+    d = L.shape[0]
+    out = np.eye(max(2, 1 << (d - 1).bit_length()))
+    out[:d, :d] = L
+    return out
 
 
 def dense_lcu_filter(x, L, w) -> tuple[np.ndarray, float]:

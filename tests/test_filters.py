@@ -8,11 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qgns import (Graph, apply_filter_lcu, laplacian, pad_matrix,
-                  polynomial_filter_matrix)
+from qgns import Graph, apply_filter_lcu, laplacian, polynomial_filter_matrix
 from qgns.filters import select_powers_operator
 
-from helpers import dense_lcu_filter, random_graph
+from helpers import dense_lcu_filter, pad_matrix, random_graph
 
 P2_LAP = np.array([[1.0, -1.0], [-1.0, 1.0]])
 

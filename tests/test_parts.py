@@ -5,7 +5,7 @@ worker thread. Each kernel is checked bit for bit against its serial pass
 (tests/helpers.py) with the pool forced to one worker and to more, at
 n = 15 (always serial) to 18; and the verbs whose printed numbers take no
 BLAS call (`state verify` and `sample`, `model eval` on every task, `pool`,
-`swap`), and `filter apply` at up to 128 vertices, print the same bytes
+`swap`), and `filter apply` at up to 10,001 vertices, print the same bytes
 whatever number of threads OpenBLAS runs.
 """
 from __future__ import annotations
@@ -215,13 +215,26 @@ def test_state_verify_prints_the_same_bytes_for_any_blas_thread_count(tmp_path):
     argvs += [["swap", "--graph", "near.qg", "--graph", "nearer.qg"],
               ["swap", "--graph", "near.qg"],
               ["model", "eval", "--data", "graph16.json"]]
-    # the LCU filter on a Laplacian padded to 128 rows, and on one of 128
-    for d in (100, 128):
-        g = random_graph(rng, d, weighted=True, p_edge=0.1)
+    # the LCU filter on 100 and 128 vertices (7 data qubits each), and on 2d
+    # random edges past 8192 and 10,000 vertices, with seeds whose bytes
+    # followed the thread count while its norms were BLAS dots over a vector
+    # padded to 16,384 entries
+    filters = [(random_graph(rng, d, weighted=True, p_edge=0.1), rng.uniform(-1, 1, d),
+                "0.5,-0.3,0.2") for d in (100, 128)]
+    for d, seed in ((9000, 11), (10001, 3)):
+        frng = np.random.default_rng(seed)
+        pairs = np.sort(frng.integers(0, d, (3 * d, 2)), axis=1)
+        pairs = np.unique(pairs[pairs[:, 0] < pairs[:, 1]], axis=0)
+        pairs = pairs[np.sort(frng.choice(len(pairs), 2 * d, replace=False))]
+        edges = zip(pairs.tolist(), frng.uniform(0.1, 3.0, 2 * d).tolist())
+        filters.append((Graph.from_edges(d, [(u, v, w) for (u, v), w in edges]),
+                        frng.uniform(-1, 1, d), "0.5,-0.3,0.2,0.1"))
+    for g, x, coeffs in filters:
+        d = g.n_vertices
         (tmp_path / f"f{d}.qg").write_text(to_edge_list(g), encoding="utf-8")
-        (tmp_path / f"x{d}.txt").write_text(
-            "".join(f"{x!r}\n" for x in rng.uniform(-1, 1, d).tolist()), encoding="utf-8")
-        argvs.append(["filter", "apply", "--graph", f"f{d}.qg", "--coeffs", "0.5,-0.3,0.2",
+        (tmp_path / f"x{d}.txt").write_text("".join(f"{v!r}\n" for v in x.tolist()),
+                                            encoding="utf-8")
+        argvs.append(["filter", "apply", "--graph", f"f{d}.qg", "--coeffs", coeffs,
                       "--vector", f"x{d}.txt"])
     outputs = []
     for threads in ("1", "2"):

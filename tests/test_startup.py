@@ -1,7 +1,8 @@
 """The package's import boundary: the graph-state half loads with `qgns`,
 the trainer half (`dataset`, `qgnn`, `executor`, `train`) only when a verb
 or a caller reaches into it, no module imports another's private names
-beyond a few shared helpers, and no module rebinds its globals at run time.
+beyond a few shared helpers, no module rebinds its globals at run time,
+and no BLAS reduction enters a number the package prints.
 
 Module execution is observed in a fresh interpreter through the `exec`
 audit event, which fires for every module body the import system runs,
@@ -37,7 +38,7 @@ EXPORTS = {
                   "verify_stabilizers",
     "qgnn": "ModelSpec encode_features load_model model_from_dict model_to_dict save_model",
     "tasks": "classify_graph edge_readout node_readout swap_test_overlap",
-    "filters": "apply_filter_lcu pad_matrix polynomial_filter_matrix",
+    "filters": "apply_filter_lcu polynomial_filter_matrix",
     "dataset": "DataItem Dataset dataset_from_dict dataset_to_dict demo_graph load_dataset "
                "save_dataset toy_dataset_path toy_node_dataset",
     "train": "FitResult TrainConfig accuracy class_prototypes fit gradient initial_model loss "
@@ -175,7 +176,7 @@ def test_an_unknown_name_is_an_attribute_error():
         qgns.no_such_name  # noqa: B018
     assert not hasattr(qgns, "select_powers_operator")
     for deleted in ("message_pass", "build_superposed", "PauliString", "edge_phase_estimate",
-                    "model_circuit"):
+                    "model_circuit", "pad_matrix"):
         assert not hasattr(qgns, deleted), deleted
     with pytest.raises(ImportError, match="no_such_name"):
         exec("from qgns import no_such_name", {})
@@ -205,3 +206,30 @@ def test_no_module_rebinds_its_own_state_at_run_time():
                  for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
                  if isinstance(node, ast.Global)]
     assert rebinding == []
+
+
+# The functions that may call a BLAS reduction: a norm check and two oracles,
+# none of whose values is printed.
+BLAS_REDUCERS = {"sim.StateVector.norm", "sim.apply_linear_operator", "sim.expectation_pauli"}
+
+
+def test_no_printed_number_comes_from_a_blas_reduction():
+    # OpenBLAS splits np.linalg.norm (a dot) and np.vdot over its threads
+    # above 10,000 elements, so a printed number taken from one would have
+    # last digits that follow OPENBLAS_NUM_THREADS
+    calls = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}"
+        elif isinstance(node, ast.Attribute) and (
+                node.attr == "vdot" or node.attr == "norm"
+                and isinstance(node.value, ast.Attribute) and node.value.attr == "linalg"):
+            calls.append((scope, ast.unparse(node)))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    for path in sorted((SRC / "qgns").glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    assert [call for call in calls if call[0] not in BLAS_REDUCERS] == []
+    assert {scope for scope, _ in calls} == BLAS_REDUCERS
