@@ -120,8 +120,8 @@ def _cmd_state_sample(args) -> int:
         payload["probabilities"] = dict(zip(map(str, hit.tolist()), probs[hit].tolist()))
     else:
         rng = np.random.default_rng(args.seed)
-        counts = sample_counts(s, args.shots, rng)
-        payload["counts"] = {str(k): c for k, c in sorted(counts.items())}
+        counts = sample_counts(s, args.shots, rng)     # ascending basis indices
+        payload["counts"] = dict(zip(map(str, counts), counts.values()))
     _emit(_indented_json(payload) + "\n", args.out)
     return 0
 
@@ -161,12 +161,12 @@ def _cmd_model_train(args) -> int:
 def _cmd_model_eval(args) -> int:
     dataset = datasets.load_dataset(args.data)
     config = train.TrainConfig(seed=args.seed, shots=args.shots)
-    # every vertex of a node item is read out, labeled or not
+    # every vertex of a node item is read out, labeled or not: one row per item
     values = train.model_values(_model(args, dataset), dataset, config,
                                 picks=[slice(None)] * len(dataset.items))
     lines = [json.dumps({"seed": args.seed, "shots": args.shots, "task": dataset.task})]
-    for idx, (item, vals) in enumerate(zip(dataset.items, values)):
-        scores = vals[0].tolist()
+    for idx, (item, vals) in enumerate(zip(dataset.items, values.reshape(len(dataset.items), -1))):
+        scores = vals.tolist()
         label = item.labels if dataset.task == "graph" else list(item.labels)
         if dataset.task == "graph":
             prediction: object = int(np.argmax(scores))  # ties break toward the lowest class
@@ -174,7 +174,7 @@ def _cmd_model_eval(args) -> int:
         else:
             prediction = [int(p > 0.5) for p in scores] if dataset.task == "node" else scores
             labeled = [k for k, y in enumerate(label) if y is not None]
-            correct = bool(np.all(train.correct_readouts(dataset.task, vals[0, labeled],
+            correct = bool(np.all(train.correct_readouts(dataset.task, vals[labeled],
                                                          [label[k] for k in labeled])))
         lines.append(json.dumps({"item": idx, "task": dataset.task, "scores": scores,
                                  "prediction": prediction, "label": label,

@@ -116,7 +116,7 @@ def dataset_from_dict(d: dict, base_dir: Path | None = None) -> Dataset:
     _check_fields(d, "dataset", ("task", "items"))
     if not isinstance(d["items"], list):
         raise ValueError(f"dataset field 'items' must be a list, got {type(d['items']).__name__}")
-    items = []
+    items, graphs = [], {}     # an inline text or path is parsed once, a dict per item
     for k, entry in enumerate(d["items"]):
         where = f"items[{k}]"
         _check_fields(entry, where, ("graph", "features", "labels"))
@@ -133,11 +133,13 @@ def dataset_from_dict(d: dict, base_dir: Path | None = None) -> Dataset:
                 raise ValueError(f"{where}.labels must hold numbers"
                                  + (" or null" if d["task"] == "node" else ""))
             labels = tuple(labels)
-        try:
-            graph = _graph_from_entry(entry["graph"], base_dir)
-        except ValueError as exc:
-            raise ValueError(f"{where}.graph: {exc}") from None
-        items.append(DataItem(graph, np.asarray(features, dtype=float), labels))
+        key = entry["graph"] if isinstance(entry["graph"], str) else (k,)
+        if key not in graphs:
+            try:
+                graphs[key] = _graph_from_entry(entry["graph"], base_dir)
+            except ValueError as exc:
+                raise ValueError(f"{where}.graph: {exc}") from None
+        items.append(DataItem(graphs[key], np.asarray(features, dtype=float), labels))
     return Dataset(d["task"], tuple(items), d.get("node_basis", "Y"))
 
 

@@ -8,8 +8,8 @@ items' encoded features and the readout spec. exact_readouts runs
 the program (sim.run_program) for every (parameter row, item) pair, as
 (circuits, 2^n) amplitude stacks of at most _STACK_BYTES each (or one state,
 when larger), and reads every circuit out exactly with the closed forms of
-qgns.tasks; draw_readouts picks each consumer's readouts and draws its
-shots. Layer 0's Ry passes act on |0...0>, so their product state is
+qgns.tasks; draw_readouts gathers each consumer's readouts with one take
+and draws their shots. Layer 0's Ry passes act on |0...0>, so their product state is
 prepared directly (sim.product_rows). A circuit's result never depends on
 the rest of its stack. The graph task's class prototypes are prepared the
 same way (class_prototypes).
@@ -96,25 +96,35 @@ class Circuit:
     dataset: Dataset                 # read for its task and node basis
     angles: np.ndarray               # (I, n): each item's encoded features
     prototypes: np.ndarray | None    # (C, 2^n) class prototypes, graph task only
-    picks: tuple                     # each item's default readouts (draw_readouts)
+    picks: np.ndarray                # flat columns of the items' default readouts
 
 
 def compile_circuit(model: ModelSpec, dataset: Dataset) -> Circuit:
     """Compile the inputs that parameter updates leave unchanged: the
     model's gate program, every item's encoded features, the graph task's
-    class prototypes and each item's default picks (the labeled nodes of a
-    node item, every readout otherwise). First, before any array work on
-    the items, raise ValueError naming the first item whose graph is not
-    the model's, by its 0-based index."""
+    class prototypes and the flat (item, readout) columns of every item's
+    default picks (the labeled nodes of a node item, every readout
+    otherwise; see draw_readouts). First, before any array work on the
+    items, raise ValueError naming the first item whose graph is not the
+    model's, by its 0-based index."""
     for k, item in enumerate(dataset.items):
         if item.graph != model.graph:
             raise ValueError(f"dataset item {k} graph differs from the model graph")
     program = gate_program(model)
     angles = np.array([encode_features(item.features) for item in dataset.items])
     stack = class_prototypes(dataset, model.convention) if dataset.task == "graph" else None
-    picks = tuple([v for v, lab in enumerate(item.labels) if lab is not None]
-                  if dataset.task == "node" else slice(None) for item in dataset.items)
-    return Circuit(program, model.graph, dataset, angles, stack, picks)
+    picks = [[v for v, lab in enumerate(item.labels) if lab is not None]
+             if dataset.task == "node" else slice(None) for item in dataset.items]
+    width = (len(stack) if dataset.task == "graph" else model.graph.n_edges
+             if dataset.task == "edge" else model.graph.n_vertices)
+    return Circuit(program, model.graph, dataset, angles, stack, _columns(picks, width))
+
+
+def _columns(picks, width: int) -> np.ndarray:
+    """The flat columns of a (B, I * width) readout block that picks[i] (a
+    list or slice of item i's width readouts) select, item by item."""
+    readouts = np.arange(width)
+    return np.concatenate([i * width + readouts[pick] for i, pick in enumerate(picks)])
 
 
 def _readouts(amps: np.ndarray, circuit: Circuit) -> np.ndarray:
@@ -143,29 +153,32 @@ def exact_readouts(circuit: Circuit, rows: np.ndarray) -> np.ndarray:
     step = max(1, _STACK_BYTES // (16 << n))
     chunks = [_readouts(circuit_states(circuit.program, n, total[k:k + step]), circuit)
               for k in range(0, n_rows * items, step)]
-    return np.concatenate(chunks).reshape(n_rows, items, chunks[0].shape[-1])
+    exact = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
+    return exact.reshape(n_rows, items, exact.shape[-1])
 
 
 def draw_readouts(exact: np.ndarray, circuit: Circuit, shots: int = 0, rng=None,
-                  item_major: bool = False, picks=None) -> list[np.ndarray]:
-    """The readout values of an exact_readouts array, one (B, L_i) array per
-    item: the readouts that picks[i] selects (by default circuit.picks: the
-    p1's of its labeled nodes, the <ZZ>'s of all edges, or the swap-test
-    scores clip(2 p0 - 1) against each prototype). Shot mode draws in (row,
-    item, readout) order, or in (item, row, readout) order with item_major;
-    the graph task draws every p0 in (row, item, prototype) order.
+                  item_major: bool = False, picks=None) -> np.ndarray:
+    """The readout values of a (B, I, L) exact_readouts array, as one (B, M)
+    block gathered with one take: item by item, the readouts that picks[i]
+    selects (by default circuit.picks: the p1's of its labeled nodes, the
+    <ZZ>'s of all edges, or the swap-test scores clip(2 p0 - 1) against
+    each prototype). Shot mode draws in the block's (row, item, readout)
+    order, or in (item, row, readout) order with item_major; the graph task
+    draws every p0 in (row, item, prototype) order.
     """
-    task = circuit.dataset.task
-    picks = circuit.picks if picks is None else picks
-    if task == "graph":
-        p0 = exact if shots == 0 else binomial_estimate(exact, shots, rng)
-        scores = np.clip(2.0 * p0 - 1.0, 0.0, 1.0)
-        return [scores[:, i, pick] for i, pick in enumerate(picks)]
-    values = [exact[:, i, pick] for i, pick in enumerate(picks)]
+    columns = circuit.picks if picks is None else _columns(picks, exact.shape[-1])
+    values = exact.reshape(len(exact), -1)
+    if circuit.dataset.task == "graph":
+        if shots:
+            values = binomial_estimate(values, shots, rng)
+        return np.clip(2.0 * values.take(columns, axis=1) - 1.0, 0.0, 1.0)
+    values = values.take(columns, axis=1)
     if shots == 0:
         return values
-    estimate = binomial_estimate if task == "node" else sign_estimate
-    if item_major:
-        return [estimate(vals, shots, rng) for vals in values]
-    drawn = estimate(np.concatenate(values, axis=1), shots, rng)
-    return np.split(drawn, np.cumsum([vals.shape[1] for vals in values])[:-1], axis=1)
+    estimate = binomial_estimate if circuit.dataset.task == "node" else sign_estimate
+    if not item_major:
+        return estimate(values, shots, rng)
+    bounds = np.searchsorted(columns, np.arange(1, exact.shape[1]) * exact.shape[-1])
+    return np.concatenate([estimate(vals, shots, rng)
+                           for vals in np.split(values, bounds, axis=1)], axis=1)

@@ -51,7 +51,7 @@ def select_powers_operator(L: np.ndarray, a: int) -> np.ndarray:
         raise ValueError(f"L must be square, got shape {L.shape}")
     dim = L.shape[0]
     if dim < 1 or dim & (dim - 1):
-        raise ValueError(f"L dimension {dim} is not a power of two; pad it first")
+        raise ValueError(f"L dimension {dim} is not a power of two")
     if a < 0:
         raise ValueError(f"index width must be >= 0, got {a}")
     blocks = 1 << a

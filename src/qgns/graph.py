@@ -176,6 +176,12 @@ def adjacency_matrix(g: Graph) -> np.ndarray:
 
 
 def laplacian(g: Graph) -> np.ndarray:
-    """L = D - A with weighted degrees D(v,v) = sum_u A(v,u); rows sum to 0."""
+    """L = D - A with weighted degrees D(v,v) = sum_u A(v,u); rows sum to 0.
+
+    Built in the adjacency matrix's own memory: 0 - A keeps the off-diagonal
+    +0.0 of diag(D) - A, and -A(v,v) + D(v,v) = D(v,v) - A(v,v) exactly."""
     a = adjacency_matrix(g)
-    return np.diag(a.sum(axis=1)) - a
+    degrees = a.sum(axis=1)
+    np.subtract(0.0, a, out=a)
+    a.flat[::len(a) + 1] += degrees
+    return a

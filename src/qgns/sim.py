@@ -302,12 +302,13 @@ def product_rows(theta) -> np.ndarray:
     _check_width(theta.shape[1])
     amps = np.empty((theta.shape[0], 1 << theta.shape[1]))
     amps[:, 0] = 1.0
+    half = theta / 2.0  # one angle per row and qubit, as _ry_rows takes them
+    sin, cos = np.sin(half), np.cos(half)
     for q in range(theta.shape[1]):
         # the first 2^q columns hold qubits 0..q-1; double them in place
-        half = theta[:, q] / 2.0  # one angle per row, as _ry_rows takes them
         low = amps[:, :1 << q]
-        np.multiply(low, np.sin(half)[:, None], out=amps[:, 1 << q:2 << q])
-        low *= np.cos(half)[:, None]
+        np.multiply(low, sin[:, q, None], out=amps[:, 1 << q:2 << q])
+        low *= cos[:, q, None]
     return amps.astype(complex)
 
 
@@ -409,7 +410,7 @@ def sample_counts(s: StateVector, shots: int, rng: np.random.Generator) -> dict[
     probs = s.probabilities()
     total = probs.sum()
     _check_norm(math.sqrt(total))
-    probs = probs / total
+    probs /= total
     counts = rng.multinomial(shots, probs)
     hit = np.flatnonzero(counts)
     return dict(zip(hit.tolist(), counts[hit].tolist()))

@@ -12,7 +12,8 @@ task's class prototypes; class_prototypes is re-exported here for callers
 that name it through this module) and steps the flat parameter vector;
 each epoch runs its circuits through one executor call (the gradient's
 rows, the current row first) and scores loss, accuracy and gradient from
-those exact readouts. loss, accuracy, gradient and
+those exact readouts; fd takes its loss and its central differences from
+one pass over the rows' losses. loss, accuracy, gradient and
 model_values (`model eval`) each compile once and run the same two steps on
 their own rows.
 
@@ -147,13 +148,14 @@ def _loss_terms(vals: np.ndarray, targets: np.ndarray, squared: bool) -> np.ndar
     return -(_scaled_logs(targets, q) + _scaled_logs(1.0 - targets, 1.0 - q))
 
 
-def _row_losses(values: list[np.ndarray], table, squared: bool) -> np.ndarray:
-    """Mean per-item loss of each parameter row of `values` against the
-    target table, summed item by item in dataset order. The terms of all
-    items form one block; each item's terms add left to right (cumsum, not
-    np.sum's pairwise order), so a row has the bits of the scalar loop."""
+def _row_losses(values: np.ndarray, table, squared: bool) -> np.ndarray:
+    """Mean per-item loss of each parameter row of a (B, M) block of every
+    item's readouts in turn (draw_readouts) against the target table, summed
+    item by item in dataset order. Each item's terms add left to right
+    (cumsum, not np.sum's pairwise order), so a row has the bits of the
+    scalar loop, whatever the other rows."""
     targets, counts = table
-    terms = _loss_terms(np.concatenate(values, axis=1), targets, squared)
+    terms = _loss_terms(values, targets, squared)
     losses, start = np.zeros(terms.shape[0]), 0
     for count in counts.tolist():
         losses += np.cumsum(terms[:, start:start + count], axis=1)[:, -1] / count
@@ -191,10 +193,10 @@ def _shot_rng(config: TrainConfig, rng):
 
 
 def model_values(model: ModelSpec, dataset: Dataset, config: TrainConfig, *,
-                 rng=None, picks=None) -> list[np.ndarray]:
-    """Readout values at the model's own parameters, one (1, L_i) array per
-    item (see executor.draw_readouts for picks). Shot mode draws item by
-    item, readout by readout."""
+                 rng=None, picks=None) -> np.ndarray:
+    """Readout values at the model's own parameters, as a (1, M) block of
+    every item's readouts in turn (see executor.draw_readouts for picks).
+    Shot mode draws item by item, readout by readout."""
     circuit, exact = _own_readouts(model, dataset)
     return draw_readouts(exact, circuit, config.shots, _shot_rng(config, rng), picks=picks)
 
@@ -202,15 +204,9 @@ def model_values(model: ModelSpec, dataset: Dataset, config: TrainConfig, *,
 # -- scoring: every consumer reads row 0 (the model's parameters) or all rows
 # of one exact readout array, and draws its own shots in turn
 
-def _loss_of(exact: np.ndarray, circuit: Circuit, table, config: TrainConfig,
-             rng) -> float:
-    values = draw_readouts(exact[:1], circuit, config.shots, rng)
-    return float(_row_losses(values, table, _squared(circuit.dataset, config.loss))[0])
-
-
 def _accuracy_of(exact: np.ndarray, circuit: Circuit, table, config: TrainConfig,
                  rng) -> float:
-    vals = np.concatenate(draw_readouts(exact[:1], circuit, config.shots, rng), axis=1)[0]
+    vals = draw_readouts(exact[:1], circuit, config.shots, rng)[0]
     targets, counts = table
     if circuit.dataset.task == "graph":  # argmax class, ties toward the lowest
         hits = (vals.reshape(counts.size, -1).argmax(1)
@@ -223,7 +219,8 @@ def _accuracy_of(exact: np.ndarray, circuit: Circuit, table, config: TrainConfig
 def loss(model: ModelSpec, dataset: Dataset, config: TrainConfig, *, rng=None) -> float:
     """Mean per-item loss; deterministic in exact mode (shots = 0)."""
     circuit, exact = _own_readouts(model, dataset)
-    return _loss_of(exact, circuit, _target_table(dataset), config, _shot_rng(config, rng))
+    values = draw_readouts(exact, circuit, config.shots, _shot_rng(config, rng))
+    return float(_row_losses(values, _target_table(dataset), _squared(dataset, config.loss))[0])
 
 
 def accuracy(model: ModelSpec, dataset: Dataset, config: TrainConfig, *, rng=None) -> float:
@@ -277,21 +274,26 @@ def _gradient_of(exact: np.ndarray, circuit: Circuit, n_params: int, table,
     prototype."""
     squared = _squared(circuit.dataset, config.loss)
     if config.grad == "fd":
-        losses = _row_losses(draw_readouts(exact[1:], circuit, config.shots, rng),
-                             table, squared)
-        return (losses[0::2] - losses[1::2]) / (2.0 * _EPS)
+        values = draw_readouts(exact[1:], circuit, config.shots, rng)
+        return _central_differences(_row_losses(values, table, squared))
     factors = np.array([_SHIFTS[kind][1] for kind, _, _ in circuit.program])[:, None]
     slots = [slot for _, _, slot in circuit.program]
     values = draw_readouts(exact, circuit, config.shots, rng, item_major=True)
-    slopes = _loss_slopes(np.concatenate([vals[0] for vals in values]), table, squared)
+    slopes = _loss_slopes(values[0], table, squared)
+    bounds = np.cumsum(table[1])[:-1]
     grad = np.zeros(n_params)
-    for vals, d in zip(values, np.split(slopes, np.cumsum(table[1])[:-1])):
+    for vals, d in zip(np.split(values, bounds, axis=1), np.split(slopes, bounds)):
         # one vector dot per gate, batched. C order gives every term a unit
         # stride, so matmul runs the BLAS dot that d @ term would; a (gates x
         # readouts) product, einsum or strided terms round differently
         terms = np.multiply(factors, vals[1::2] - vals[2::2], order="C")
         np.add.at(grad, slots, np.matmul(terms[:, None, :], d[:, None])[:, 0, 0])
-    return grad / len(values)
+    return grad / len(table[1])
+
+
+def _central_differences(losses: np.ndarray) -> np.ndarray:
+    """The fd gradient from the losses of rows 1.. of _gradient_rows."""
+    return (losses[0::2] - losses[1::2]) / (2.0 * _EPS)
 
 
 def gradient(model: ModelSpec, dataset: Dataset, config: TrainConfig, *,
@@ -317,16 +319,26 @@ def fit(model: ModelSpec, dataset: Dataset, config: TrainConfig) -> FitResult:
     rng = np.random.default_rng(config.seed) if config.shots > 0 else None
     circuit = compile_circuit(model, dataset)
     table = _target_table(dataset)
+    squared = _squared(dataset, config.loss)
     params = params_of(model)
     history, accuracies = [], []
     for epoch in range(config.epochs):
-        # one executor call per epoch; loss, accuracy and gradient draw in turn
+        # one executor call per epoch; loss, accuracy and gradient draw in
+        # turn, and fd scores its own row and the gradient's rows at once
         exact = exact_readouts(circuit, _gradient_rows(circuit, params, config))
-        epoch_loss = _loss_of(exact, circuit, table, config, rng)
+        values = draw_readouts(exact[:1], circuit, config.shots, rng)
+        epoch_accuracy = _accuracy_of(exact, circuit, table, config, rng)
+        if config.grad == "fd":
+            values = np.concatenate([values, draw_readouts(exact[1:], circuit, config.shots, rng)])
+        losses = _row_losses(values, table, squared)
+        epoch_loss = float(losses[0])
         if not math.isfinite(epoch_loss):
             raise RuntimeError(f"training diverged at epoch {epoch}: loss={epoch_loss}")
         history.append(epoch_loss)
-        accuracies.append(_accuracy_of(exact, circuit, table, config, rng))
-        grad = _gradient_of(exact, circuit, params.size, table, config, rng)
+        accuracies.append(epoch_accuracy)
+        if config.grad == "fd":
+            grad = _central_differences(losses[1:])
+        else:
+            grad = _gradient_of(exact, circuit, params.size, table, config, rng)
         params = params - config.learning_rate * grad
     return FitResult(with_params(model, params), tuple(history), tuple(accuracies))

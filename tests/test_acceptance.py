@@ -168,7 +168,7 @@ def test_criterion_6_gradient_check():
     rows[:, 0] += [math.pi / 2, -math.pi / 2]
     circuit = compile_circuit(tiny, ds1)
     values = draw_readouts(exact_readouts(circuit, param_rows(circuit.program, rows)),
-                           circuit)[0]
+                           circuit)
     dp1 = 0.5 * (values[0, 0] - values[1, 0])
     analytic_err = abs(-2.0 * dp1 - (-math.sin(target)))
     ok = worst < 1e-5 and analytic_err < 1e-8

@@ -1066,3 +1066,19 @@ def test_exact_fd_training_matches_recorded_files(name, tmp_path, capsys):
     assert capsys.readouterr().out.encode() == (GOLDEN / f"{name}.csv").read_bytes()
     model = (tmp_path / "model.json").read_bytes()
     assert model == (GOLDEN / f"{name}.model.json").read_bytes()
+
+
+@pytest.mark.parametrize("n", [10, 18])
+def test_state_sample_counts_print_the_bytes_of_the_sorted_dict(tmp_path, capsys, n):
+    rng = np.random.default_rng(n)
+    edges = sorted({tuple(sorted(int(v) for v in rng.choice(n, 2, replace=False)))
+                    for _ in range(2 * n)})
+    path = tmp_path / "g.qg"
+    path.write_text(to_edge_list(Graph.from_edges(n, edges)), encoding="utf-8")
+    assert execute(["state", "sample", "--graph", str(path), "--shots", "4096",
+                    "--seed", str(n)]) == 0
+    out = capsys.readouterr().out
+    counts = json.loads(out)["counts"]
+    payload = {"seed": n, "shots": 4096,
+               "counts": {str(k): counts[str(k)] for k in sorted(map(int, counts))}}
+    assert len(counts) > 100 and out == json.dumps(payload, indent=2) + "\n"

@@ -49,10 +49,11 @@ def _case(seed: int, n: int, m: int, items: int, shared: bool, readout: str,
 
 
 def _values(model, ds, params, shots=0, rng=None):
-    """Readout values of every (flat parameter row, item) circuit."""
+    """Readout values of every (flat parameter row, item) circuit, one (B, L)
+    array per item: every item here has the same readout count."""
     circuit = compile_circuit(model, ds)
-    return draw_readouts(exact_readouts(circuit, param_rows(circuit.program, params)), circuit,
-                         shots, rng)
+    return np.split(draw_readouts(exact_readouts(circuit, param_rows(circuit.program, params)),
+                                  circuit, shots, rng), len(ds.items), axis=1)
 
 
 CASES = dict(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6), m=st.integers(1, 3),

@@ -88,7 +88,7 @@ def test_select_powers_unitary_for_permutation():
 
 def test_select_powers_a0_and_bad_dim():
     assert np.array_equal(select_powers_operator(P2_LAP, 0), np.eye(2))
-    with pytest.raises(ValueError, match="power of two"):
+    with pytest.raises(ValueError, match=r"L dimension 3 is not a power of two$"):
         select_powers_operator(np.eye(3), 1)
 
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -128,3 +129,27 @@ def test_from_dict_takes_integers_and_numbers_only():
                    ({"n": 3, "edges": {"0": 1}}, "'edges'")]:
         with pytest.raises(ValueError, match=bad):
             Graph.from_dict(d)
+
+
+@settings(max_examples=100, deadline=None)
+@given(g=graphs(max_vertices=10))
+def test_laplacian_has_the_bytes_of_diag_minus_adjacency(g):
+    # isolated vertices included: their rows stay +0.0, as diag(d) - A gives;
+    # degrees of weights near the float64 limit overflow alike on both sides
+    a = adjacency_matrix(g)
+    with np.errstate(over="ignore"):
+        assert laplacian(g).tobytes() == (np.diag(a.sum(axis=1)) - a).tobytes()
+
+
+def test_laplacian_peaks_at_one_matrix():
+    d = 1500
+    rng = np.random.default_rng(29)
+    pairs = {tuple(sorted(int(v) for v in rng.choice(d, 2, replace=False))) for _ in range(2 * d)}
+    g = Graph.from_edges(d, [(u, v, float(rng.uniform(0.1, 3.0))) for u, v in sorted(pairs)])
+    tracemalloc.start()
+    try:
+        L = laplacian(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * L.nbytes

@@ -12,7 +12,7 @@ from qgns import (StateVector, build_graph_state, classify_graph, edge_readout, 
 from qgns.tasks import edge_zzs, node_p1
 
 from helpers import (edge_zz_oracle, random_graph, random_state, rotated_p1,
-                     swap_circuit_p0)
+                     serial_node_p1, swap_circuit_p0)
 
 
 def test_node_readout_z_basis():
@@ -240,3 +240,19 @@ def test_classify_tie_breaks_low_index():
     scores, best = classify_graph(s, [s.clone(), s.clone()])
     assert best == 0
     assert scores[0] == pytest.approx(scores[1])
+
+
+@pytest.mark.parametrize("basis", ["Y", "Z"])
+@pytest.mark.parametrize("batch", [1, 2, 3, 92])
+def test_node_p1_below_the_part_split_has_the_serial_bits(batch, basis):
+    # the all-qubits gather of a one-part stack, including stacks large
+    # enough to take several passes, against one np.sum per qubit
+    rng = np.random.default_rng(batch)
+    for n in range(1, 15):
+        if batch * (16 << n) > 1 << 25:
+            continue
+        amps = np.stack([random_state(rng, n) for _ in range(batch)])
+        qubits = [int(q) for q in rng.permutation(n)] + [int(q) for q in rng.integers(0, n, 2)]
+        for chosen in (qubits, qubits[:max(1, n // 2)][::-1], list(range(n))):
+            assert node_p1(amps, chosen, basis).tobytes() == serial_node_p1(
+                amps, chosen, basis).tobytes(), (n, chosen)

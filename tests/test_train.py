@@ -11,8 +11,9 @@ from hypothesis import strategies as st
 import qgns.executor as executor
 import qgns.train as train
 from qgns import (DataItem, Dataset, EdgeConvention, Graph, ModelSpec, TrainConfig, accuracy,
-                  encode_features, fit, gradient, initial_model, load_dataset, loss,
-                  params_of, save_dataset, to_edge_list, toy_node_dataset, with_params)
+                  demo_graph, encode_features, fit, from_edge_list, gradient, initial_model,
+                  load_dataset, loss, params_of, save_dataset, to_edge_list, toy_node_dataset,
+                  with_params)
 from qgns.executor import (compile_circuit, draw_readouts, exact_readouts, gate_program,
                            param_rows)
 
@@ -146,7 +147,7 @@ def test_analytic_expectation_derivative():
     rows[:, 0] += [PI / 2, -PI / 2]
     circuit = compile_circuit(model, ds)
     values = draw_readouts(exact_readouts(circuit, param_rows(circuit.program, rows)),
-                           circuit)[0]
+                           circuit)
     dp1 = 0.5 * (values[0, 0] - values[1, 0])
     d_expectation = -2.0 * dp1
     assert d_expectation == pytest.approx(-math.sin(target), abs=1e-8)
@@ -213,13 +214,13 @@ def test_model_values_run_the_models_own_convention(seed, n, m, shared, conventi
                  node_basis="Z" if readout == "Z" else "Y")
     values = train.model_values(model, ds, TrainConfig(), picks=[slice(None)] * len(items))
     angles, weights = layer_params(model, params_of(model)[None])
-    for item, vals in zip(items, values):
+    for item, vals in zip(items, values.reshape(len(items), -1)):
         total = angles[0].copy()
         total[0] += encode_features(item.features)
         s = layered_circuit_oracle(g, total, weights[0], convention)
         expected = ([zz_oracle(s, u, v) for u, v, _ in g.edges] if readout == "ZZ"
                     else [rotated_p1(s, v, readout) for v in range(n)])
-        assert np.max(np.abs(vals[0] - expected)) <= 1e-12
+        assert np.max(np.abs(vals - expected)) <= 1e-12
 
 
 @settings(max_examples=60, deadline=None)
@@ -275,7 +276,7 @@ def test_param_shift_matches_fd_on_the_graph_task(seed, n, m, items, shared, con
                                 for k in range(items)))
     model = initial_model(g, m, shared_weights=shared, convention=convention)
     model = with_params(model, rng.uniform(-PI, PI, params_of(model).size))
-    scores = np.concatenate(train.model_values(model, ds, TrainConfig()), axis=1)
+    scores = train.model_values(model, ds, TrainConfig())
     assume(np.all((scores >= 0.05) & (scores <= 0.95)))
     g_fd = gradient(model, ds, TrainConfig(grad="fd"))
     g_ps = gradient(model, ds, TrainConfig(grad="pshift"))
@@ -377,6 +378,29 @@ def test_config_validation():
         TrainConfig(grad="adam")
     with pytest.raises(ValueError):
         TrainConfig(loss="hinge")
+
+
+def test_items_that_share_a_graph_text_parse_it_once(monkeypatch, tmp_path):
+    import qgns.dataset as datasets
+    calls = []
+
+    def counting(text):
+        calls.append(text)
+        return from_edge_list(text)
+
+    monkeypatch.setattr(datasets, "from_edge_list", counting)
+    text = to_edge_list(demo_graph())
+    (tmp_path / "g.qg").write_text(text, encoding="utf-8")
+    items = [{"graph": entry, "features": [0.1 * k] * 5, "labels": [1, 0, 1, 0, None]}
+             for k, entry in enumerate([text, text, "g.qg", text, "g.qg"])]
+    ds = datasets.dataset_from_dict({"task": "node", "items": items}, tmp_path)
+    assert calls == [text, text]            # the inline text, then the file's text
+    assert ds.items[0].graph is ds.items[3].graph and ds.items[2].graph is ds.items[4].graph
+    assert ds.items[0].graph == demo_graph()
+    bad = [{"graph": "qgraph v1 n=2\n0 5\n", "features": [0.0, 1.0], "labels": [1, 0]}] * 3
+    with pytest.raises(ValueError, match=r"^items\[0\]\.graph: ") as err:
+        datasets.dataset_from_dict({"task": "node", "items": bad})
+    assert len(calls) == 3 and "items[1]" not in str(err.value)
 
 
 def test_dataset_json_roundtrip(tmp_path):
@@ -520,7 +544,7 @@ def test_row_losses_equal_the_scalar_loop(task, loss_kind, n, n_items, rows, see
         # the dataset's own table, where its classes span the drawn readouts
         built = train._target_table(ds)
         assert built[0].tolist() == table[0].tolist() and built[1].tolist() == table[1].tolist()
-    assert train._row_losses(values, table, squared).tolist() == expected
+    assert train._row_losses(np.concatenate(values, axis=1), table, squared).tolist() == expected
 
 
 @pytest.mark.parametrize("task, loss_kind, target", [
@@ -537,7 +561,7 @@ def test_row_losses_keep_the_bits_of_every_term(task, loss_kind, target):
     vals = np.random.default_rng(7).uniform(-1.0 if task == "edge" else 0.0, 1.0, (20000, 1))
     expected = row_losses_oracle([vals], [[1.0 if task == "graph" else float(target)]],
                                  loss_kind == "mse")
-    assert train._row_losses([vals], train._target_table(ds), loss_kind == "mse").tolist() \
+    assert train._row_losses(vals, train._target_table(ds), loss_kind == "mse").tolist() \
         == expected
 
 
@@ -595,6 +619,24 @@ def test_fit_makes_one_executor_call_per_epoch(monkeypatch, grad):
     train.fit(model, ds, TrainConfig(epochs=3, grad=grad))
     # the toy model has 11 parameters and 11 gates: the base row, then 2 per shift
     assert stacks == [2 * params_of(model).size + 1] * 3
+
+
+@pytest.mark.parametrize("shots", [0, 40])
+def test_fd_scores_an_epoch_with_one_loss_pass(monkeypatch, shots):
+    ds = toy_node_dataset()
+    blocks = []
+
+    def counting(values, *args):
+        blocks.append(values.shape)
+        return row_losses(values, *args)
+
+    row_losses = train._row_losses
+    monkeypatch.setattr(train, "_row_losses", counting)
+    model = initial_model(ds.items[0].graph)
+    train.fit(model, ds, TrainConfig(epochs=3, grad="fd", shots=shots))
+    # the loss row and the gradient's rows, every item's labeled readouts in one block
+    labeled = sum(lab is not None for item in ds.items for lab in item.labels)
+    assert blocks == [(2 * params_of(model).size + 1, labeled)] * 3
 
 
 @pytest.mark.parametrize("task", ["node", "graph"])
@@ -699,8 +741,9 @@ def test_pshift_gradient_equals_the_per_gate_loop(seed, n, m, shared, convention
     draws = [np.random.default_rng(seed) if shots else None for _ in range(2)]
     got = train._gradient_of(exact, circuit, params_of(model).size, train._target_table(ds),
                              cfg, draws[0])
-    values = draw_readouts(exact, circuit, shots, draws[1], item_major=True)
     targets = [[float(lab) for lab in item.labels if lab is not None] for item in ds.items]
+    values = np.split(draw_readouts(exact, circuit, shots, draws[1], item_major=True),
+                      np.cumsum([len(t) for t in targets])[:-1], axis=1)
     squared = readout == "ZZ" or loss_kind == "mse"
     expected = pshift_gradient_oracle(values, targets, gate_program(model),
                                       train._SHIFTS, params_of(model).size, squared)
