@@ -16,8 +16,6 @@ commutes exactly with rounded addition.
 """
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 
 from .sim import (PAIRWISE_LEAF, _SQRT2_INV, StateVector, _check_qubits, block_sums,
@@ -62,8 +60,7 @@ def node_p1(amps: np.ndarray, qubits, basis: str = "Y") -> np.ndarray:
     this form's bits; the Sdg, H gate path rounds differently in the last
     bits and agrees with it within 1e-14.
 
-    A stack that runs in one part is read by _gathered_p1. Otherwise each
-    of the sim.split_parts parts squares its run of every qubit's pairs
+    Each of the sim.split_parts parts squares its run of every qubit's pairs
     into buffers allocated here and sums them in aligned blocks, and the
     pairwise tree of all the blocks gives the bits of one np.sum.
     """
@@ -72,8 +69,6 @@ def node_p1(amps: np.ndarray, qubits, basis: str = "Y") -> np.ndarray:
     qubits = list(qubits)
     lead = amps.shape[:-1]
     parts = split_parts(amps.shape[-1])
-    if parts == 1:
-        return _gathered_p1(amps, qubits, basis).reshape(lead + (len(qubits),))
     run = lead + (amps.shape[-1] // 2 // parts,)       # each part's pairs per state
     squares = np.empty((parts,) + run)
     rotated, scaled = np.empty((2, parts) + run, complex) if basis == "Y" else (None, None)
@@ -93,54 +88,6 @@ def node_p1(amps: np.ndarray, qubits, basis: str = "Y") -> np.ndarray:
 
     run_parts(part, parts)
     return pairwise_tree(sums.reshape(sums.shape[:-2] + (sums.shape[-2] * sums.shape[-1],)))
-
-
-_GATHER_BYTES = 1 << 20   # pairs gathered per pass of _gathered_p1, as the executor's stacks
-
-
-@functools.cache
-def _pair_index(n: int) -> np.ndarray:
-    """The flat indices of every qubit's amplitude pairs in a 2^n state, as a
-    read-only (n, 2, 2^(n-1)) array: row q holds qubit q's a0 and a1 halves
-    in qubit_pairs order."""
-    index = np.stack([qubit_pairs(np.arange(1 << n), q).swapaxes(0, 1).reshape(2, -1)
-                      for q in range(n)])
-    index.flags.writeable = False
-    return index
-
-
-def _gathered_p1(amps: np.ndarray, qubits: list, basis: str) -> np.ndarray:
-    """node_p1 of a stack that runs in one part, as a (B, Q) array. The pairs
-    of as many qubits as make one stack of _GATHER_BYTES are gathered with
-    one take per half into one scratch buffer, then turned, taken abs of
-    and squared once, the squares laid out qubit-major. Each qubit's squares
-    are summed as the contiguous (B, P) block the part path sums, because
-    that shape fixes numpy's summation order; every other step is
-    elementwise."""
-    stack = amps.reshape(-1, amps.shape[-1])
-    index = _pair_index(amps.shape[-1].bit_length() - 1)
-    rows, pairs = stack.shape[0], index.shape[-1]
-    step = max(1, _GATHER_BYTES // (stack.nbytes or 1))
-    width = rows * min(step, len(qubits)) * pairs       # amplitudes of one pass's half
-    scratch = np.empty(2 * width, complex)              # a0 then a1; a0's room ends as squares
-    sums = np.empty((rows, len(qubits), -(-pairs // PAIRWISE_LEAF)))
-    for start in range(0, len(qubits), step):
-        group = index[qubits[start:start + step]]
-        size = rows * len(group) * pairs
-        low = scratch[:size].reshape(rows, len(group), pairs)
-        half = scratch[width:width + size].reshape(low.shape)
-        stack.take(group[:, 1], axis=-1, out=half, mode="clip")
-        if basis == "Y":
-            stack.take(group[:, 0], axis=-1, out=low, mode="clip")
-            half *= 1j * _SQRT2_INV
-            low *= _SQRT2_INV
-            half += low
-        squares = scratch[:size].view(np.float64)[:size].reshape(len(group), rows, pairs)
-        np.abs(half, out=squares.transpose(1, 0, 2))
-        np.square(squares, out=squares)
-        for k, square in enumerate(squares):
-            block_sums(square, sums[:, start + k])
-    return pairwise_tree(sums)
 
 
 def edge_zzs(amps: np.ndarray, pairs) -> np.ndarray:

@@ -261,21 +261,23 @@ def _gradient_rows(circuit: Circuit, params: np.ndarray, config: TrainConfig) ->
     return rows
 
 
-def _gradient_of(exact: np.ndarray, circuit: Circuit, n_params: int, table,
-                 config: TrainConfig, rng) -> np.ndarray:
-    """The gradient over the n_params flat parameters from the exact
-    readouts of _gradient_rows. fd draws rows 1.. row-major and takes
-    central differences of their losses. pshift draws every row item-major
-    and, item by item, adds each gate's shift term into its parameter slot
-    in program order (so a shared weight sums its layers). Every readout is
-    the expectation of a fixed observable, so the shift rule holds for all
-    three tasks: a node p1, an edge <ZZ>, or a graph score 2 p0 - 1, where
-    the swap-test p0 is the expectation of (1 + SWAP) / 2 against a fixed
-    prototype."""
+def _gradient_of(exact: np.ndarray, own: np.ndarray, circuit: Circuit, n_params: int,
+                 table, config: TrainConfig, rng) -> tuple[float, np.ndarray]:
+    """The loss of row 0 from its drawn readouts own, and the gradient over
+    the n_params flat parameters, from the exact readouts of _gradient_rows.
+    fd draws rows 1.. row-major, stacks own on them and takes every row's
+    loss in one pass; the gradient is the central differences of rows 1...
+    pshift draws every row item-major and, item by item, adds each gate's
+    shift term into its parameter slot in program order (so a shared weight
+    sums its layers). Every readout is the expectation of a fixed
+    observable, so the shift rule holds for all three tasks: a node p1, an
+    edge <ZZ>, or a graph score 2 p0 - 1, where the swap-test p0 is the
+    expectation of (1 + SWAP) / 2 against a fixed prototype."""
     squared = _squared(circuit.dataset, config.loss)
     if config.grad == "fd":
-        values = draw_readouts(exact[1:], circuit, config.shots, rng)
-        return _central_differences(_row_losses(values, table, squared))
+        values = np.concatenate([own, draw_readouts(exact[1:], circuit, config.shots, rng)])
+        losses = _row_losses(values, table, squared)
+        return float(losses[0]), (losses[1::2] - losses[2::2]) / (2.0 * _EPS)
     factors = np.array([_SHIFTS[kind][1] for kind, _, _ in circuit.program])[:, None]
     slots = [slot for _, _, slot in circuit.program]
     values = draw_readouts(exact, circuit, config.shots, rng, item_major=True)
@@ -288,12 +290,7 @@ def _gradient_of(exact: np.ndarray, circuit: Circuit, n_params: int, table,
         # readouts) product, einsum or strided terms round differently
         terms = np.multiply(factors, vals[1::2] - vals[2::2], order="C")
         np.add.at(grad, slots, np.matmul(terms[:, None, :], d[:, None])[:, 0, 0])
-    return grad / len(table[1])
-
-
-def _central_differences(losses: np.ndarray) -> np.ndarray:
-    """The fd gradient from the losses of rows 1.. of _gradient_rows."""
-    return (losses[0::2] - losses[1::2]) / (2.0 * _EPS)
+    return float(_row_losses(own, table, squared)[0]), grad / len(table[1])
 
 
 def gradient(model: ModelSpec, dataset: Dataset, config: TrainConfig, *,
@@ -302,8 +299,9 @@ def gradient(model: ModelSpec, dataset: Dataset, config: TrainConfig, *,
     circuit = compile_circuit(model, dataset)
     params = params_of(model)
     exact = exact_readouts(circuit, _gradient_rows(circuit, params, config))
-    return _gradient_of(exact, circuit, params.size, _target_table(dataset), config,
-                        _shot_rng(config, rng))
+    # row 0's loss is not returned, so its exact values stand in for a draw
+    return _gradient_of(exact, draw_readouts(exact[:1], circuit), circuit, params.size,
+                        _target_table(dataset), config, _shot_rng(config, rng))[1]
 
 
 @dataclass(frozen=True)
@@ -319,26 +317,17 @@ def fit(model: ModelSpec, dataset: Dataset, config: TrainConfig) -> FitResult:
     rng = np.random.default_rng(config.seed) if config.shots > 0 else None
     circuit = compile_circuit(model, dataset)
     table = _target_table(dataset)
-    squared = _squared(dataset, config.loss)
     params = params_of(model)
     history, accuracies = [], []
     for epoch in range(config.epochs):
-        # one executor call per epoch; loss, accuracy and gradient draw in
-        # turn, and fd scores its own row and the gradient's rows at once
+        # one executor call per epoch; loss, accuracy and gradient draw in turn
         exact = exact_readouts(circuit, _gradient_rows(circuit, params, config))
-        values = draw_readouts(exact[:1], circuit, config.shots, rng)
+        own = draw_readouts(exact[:1], circuit, config.shots, rng)
         epoch_accuracy = _accuracy_of(exact, circuit, table, config, rng)
-        if config.grad == "fd":
-            values = np.concatenate([values, draw_readouts(exact[1:], circuit, config.shots, rng)])
-        losses = _row_losses(values, table, squared)
-        epoch_loss = float(losses[0])
+        epoch_loss, grad = _gradient_of(exact, own, circuit, params.size, table, config, rng)
         if not math.isfinite(epoch_loss):
             raise RuntimeError(f"training diverged at epoch {epoch}: loss={epoch_loss}")
         history.append(epoch_loss)
         accuracies.append(epoch_accuracy)
-        if config.grad == "fd":
-            grad = _central_differences(losses[1:])
-        else:
-            grad = _gradient_of(exact, circuit, params.size, table, config, rng)
         params = params - config.learning_rate * grad
     return FitResult(with_params(model, params), tuple(history), tuple(accuracies))

@@ -245,8 +245,8 @@ def test_classify_tie_breaks_low_index():
 @pytest.mark.parametrize("basis", ["Y", "Z"])
 @pytest.mark.parametrize("batch", [1, 2, 3, 92])
 def test_node_p1_below_the_part_split_has_the_serial_bits(batch, basis):
-    # the all-qubits gather of a one-part stack, including stacks large
-    # enough to take several passes, against one np.sum per qubit
+    # small stacks, in any qubit order and with repeats, against one np.sum
+    # per qubit
     rng = np.random.default_rng(batch)
     for n in range(1, 15):
         if batch * (16 << n) > 1 << 25:

@@ -739,8 +739,8 @@ def test_pshift_gradient_equals_the_per_gate_loop(seed, n, m, shared, convention
         pool = _SLOPE_READOUTS[:7] if shots else _SLOPE_READOUTS
         exact[mask] = rng.choice(pool, int(mask.sum()))
     draws = [np.random.default_rng(seed) if shots else None for _ in range(2)]
-    got = train._gradient_of(exact, circuit, params_of(model).size, train._target_table(ds),
-                             cfg, draws[0])
+    got = train._gradient_of(exact, draw_readouts(exact[:1], circuit), circuit,
+                             params_of(model).size, train._target_table(ds), cfg, draws[0])[1]
     targets = [[float(lab) for lab in item.labels if lab is not None] for item in ds.items]
     values = np.split(draw_readouts(exact, circuit, shots, draws[1], item_major=True),
                       np.cumsum([len(t) for t in targets])[:-1], axis=1)
